@@ -250,10 +250,8 @@ func benchName(prefix string, n int) string {
 // BenchmarkExplore pins the schedule-exploration throughput
 // (schedules/sec, via b.ReportMetric) across every strategy and worker
 // width, on the property-suite racer and a generated concurrency-bug
-// program. The workload program and the strategy × frontier grid are
-// shared with cmd/benchjson (explore.BenchRacerSrc / explore.BenchGrid),
-// which runs the identical cells and emits BENCH_explore.json for the
-// perf trajectory.
+// program. Sampling cells run 64 schedules; the DFS cell runs to
+// exhaustion or 1024 schedules.
 func BenchmarkExplore(b *testing.B) {
 	gp := mhgen.Generate(mhgen.Config{Seed: 5, Bug: workload.BugConcurrentSingles})
 	gen, err := parcoach.Compile(gp.Name+".mh", gp.Source, parcoach.Options{Mode: parcoach.ModeFull})
@@ -272,16 +270,24 @@ func BenchmarkExplore(b *testing.B) {
 		{"racer", racer, 2, 2},
 		{gp.Name, gen, gp.Procs, gp.Threads},
 	}
+	grid := []struct {
+		strategy  parcoach.ExploreStrategy
+		schedules int
+	}{
+		{parcoach.ExploreRoundRobin, 1},
+		{parcoach.ExploreRandom, 64},
+		{parcoach.ExplorePCT, 64},
+		{parcoach.ExploreDFS, 1024},
+	}
 	for _, pc := range progs {
-		for _, tc := range explore.BenchGrid(1024) {
+		for _, tc := range grid {
 			for _, workers := range []int{1, 4, 8} {
-				b.Run(pc.name+"/"+tc.Name+"/"+benchName("workers", workers), func(b *testing.B) {
+				b.Run(pc.name+"/"+tc.strategy.String()+"/"+benchName("workers", workers), func(b *testing.B) {
 					total := 0
 					for i := 0; i < b.N; i++ {
 						rep := pc.prog.Explore(parcoach.ExploreOptions{
-							Strategy:  tc.Strategy,
-							Frontier:  tc.Frontier,
-							Schedules: tc.Schedules,
+							Strategy:  tc.strategy,
+							Schedules: tc.schedules,
 							Workers:   workers,
 							Procs:     pc.procs,
 							Threads:   pc.threads,
@@ -300,36 +306,24 @@ func BenchmarkExplore(b *testing.B) {
 }
 
 // BenchmarkExploreDPORReduction pins the metric DPOR exists for:
-// schedules-to-exhaustion on the reference racer, plain DFS vs the
-// DPOR-reduced frontier, plus their ratio. Raw schedules/sec undersells
-// DPOR (each run pays trace recording and race analysis); what matters
-// is that exhausting the space takes a small fraction of the runs. The
-// ratio is asserted ≥10× so a regression in the reduction — not just in
-// run throughput — fails loudly.
+// schedules-to-exhaustion on the reference racer. Raw schedules/sec
+// undersells DPOR (each run pays trace recording and race analysis);
+// what matters is that exhausting the space takes few runs.
 func BenchmarkExploreDPORReduction(b *testing.B) {
 	racer, err := parcoach.Compile("racer.mh", explore.BenchRacerSrc, parcoach.Options{Mode: parcoach.ModeFull})
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(f parcoach.ExploreFrontier) *parcoach.ExplorationReport {
+	var schedules int
+	for i := 0; i < b.N; i++ {
 		rep := racer.Explore(parcoach.ExploreOptions{
-			Strategy: parcoach.ExploreDFS, Frontier: f,
+			Strategy:  parcoach.ExploreDFS,
 			Schedules: 1 << 16, Workers: 4, Procs: 2, Threads: 2, MaxSteps: 2_000_000,
 		})
 		if !rep.Exhausted {
-			b.Fatalf("frontier %v did not exhaust the racer", f)
+			b.Fatal("DFS did not exhaust the racer")
 		}
-		return rep
+		schedules = rep.Schedules
 	}
-	var dfs, dpor int
-	for i := 0; i < b.N; i++ {
-		dfs = run(parcoach.ExploreFrontierSteal).Schedules
-		dpor = run(parcoach.ExploreFrontierDPOR).Schedules
-	}
-	if dpor*10 > dfs {
-		b.Fatalf("DPOR reduction below 10x: dpor=%d dfs=%d schedules", dpor, dfs)
-	}
-	b.ReportMetric(float64(dfs), "dfs-schedules-to-exhaustion")
-	b.ReportMetric(float64(dpor), "dpor-schedules-to-exhaustion")
-	b.ReportMetric(float64(dfs)/float64(dpor), "reduction-x")
+	b.ReportMetric(float64(schedules), "schedules-to-exhaustion")
 }

@@ -1,39 +1,14 @@
-// Command benchjson measures schedule-exploration throughput and emits
-// a machine-readable BENCH_explore.json, seeding the perf trajectory
-// with schedules/sec data points that CI or a laptop can regenerate
-// identically.
-//
-// It runs the same grid as BenchmarkExplore — the property-suite racer
-// and a generated concurrency-bug program, each explored under every
-// strategy (rr / random / pct / dfs, the DFS under both the
-// work-stealing and the legacy wave-batched frontier) at pool widths
-// 1/4/8 — and reports, per cell, the best schedules/sec over -repeat
-// rounds (best-of, because the metric is a capability, not an average
-// over scheduler noise).
-//
-// With -campaign it instead benchmarks the coverage-guided campaign
-// engine (internal/campaign) against its own linear-sweep baseline and
-// writes BENCH_campaign.json: the uniform sweep's final distinct
-// coverage and found-bug set, the campaign's coverage-vs-budget
-// trajectory, the budget at which the campaign matches the sweep's
-// final coverage, and a byte-identity check of the campaign report
-// across pool widths 1/4/8.
+// Command benchjson benchmarks the coverage-guided campaign engine
+// (internal/campaign) against its own linear-sweep baseline and writes
+// BENCH_campaign.json: the uniform sweep's final distinct coverage and
+// found-bug set, the campaign's coverage-vs-budget trajectory, the
+// budget at which the campaign matches the sweep's final coverage, and
+// a byte-identity check of the campaign report across pool widths
+// 1/4/8.
 //
 // Usage:
 //
-//	benchjson [-o BENCH_explore.json] [-repeat 3] [-budget 1024]
-//	benchjson -campaign [-seeds 200] [-campaign-seed 42] [-o BENCH_campaign.json]
-//
-// Output shape:
-//
-//	{
-//	  "go": "go1.24", "gomaxprocs": 8, "schedule_budget": 1024,
-//	  "results": [
-//	    {"program": "racer", "strategy": "dfs", "frontier": "steal",
-//	     "workers": 8, "schedules": 1590, "seconds": 0.023,
-//	     "schedules_per_sec": 67827}, ...
-//	  ]
-//	}
+//	benchjson [-seeds 200] [-campaign-seed 42] [-o BENCH_campaign.json]
 package main
 
 import (
@@ -42,30 +17,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
 
 	"parcoach"
-	"parcoach/internal/explore"
-	"parcoach/internal/mhgen"
-	"parcoach/internal/workload"
 )
-
-type result struct {
-	Program         string  `json:"program"`
-	Strategy        string  `json:"strategy"`
-	Frontier        string  `json:"frontier,omitempty"`
-	Workers         int     `json:"workers"`
-	Schedules       int     `json:"schedules"`
-	Seconds         float64 `json:"seconds"`
-	SchedulesPerSec float64 `json:"schedules_per_sec"`
-}
-
-type report struct {
-	Go             string   `json:"go"`
-	GOMAXPROCS     int      `json:"gomaxprocs"`
-	ScheduleBudget int      `json:"schedule_budget"`
-	Results        []result `json:"results"`
-}
 
 // campaignSide is one arm of the campaign-vs-sweep comparison.
 type campaignSide struct {
@@ -102,86 +56,11 @@ type campaignReport struct {
 }
 
 func main() {
-	out := flag.String("o", "", "output file (default per mode)")
-	repeat := flag.Int("repeat", 3, "rounds per cell (best kept)")
-	budget := flag.Int("budget", 1024, "DFS schedule budget (sampling strategies use 64)")
-	campaignMode := flag.Bool("campaign", false, "benchmark the campaign engine instead of raw exploration")
-	seeds := flag.Int("seeds", 200, "campaign mode: initial corpus size")
-	campaignSeed := flag.Uint64("campaign-seed", 42, "campaign mode: master seed")
+	out := flag.String("o", "BENCH_campaign.json", "output file")
+	seeds := flag.Int("seeds", 200, "initial corpus size")
+	campaignSeed := flag.Uint64("campaign-seed", 42, "master seed")
 	flag.Parse()
-
-	if *campaignMode {
-		if *out == "" {
-			*out = "BENCH_campaign.json"
-		}
-		campaignBench(*out, *seeds, *campaignSeed)
-		return
-	}
-	if *out == "" {
-		*out = "BENCH_explore.json"
-	}
-
-	gp := mhgen.Generate(mhgen.Config{Seed: 5, Bug: workload.BugConcurrentSingles})
-	type subject struct {
-		name           string
-		prog           *parcoach.Program
-		procs, threads int
-	}
-	var subjects []subject
-	for _, s := range []struct {
-		name           string
-		src            string
-		procs, threads int
-	}{
-		{"racer", explore.BenchRacerSrc, 2, 2},
-		{gp.Name, gp.Source, gp.Procs, gp.Threads},
-	} {
-		prog, err := parcoach.Compile(s.name+".mh", s.src, parcoach.Options{Mode: parcoach.ModeFull})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(2)
-		}
-		subjects = append(subjects, subject{s.name, prog, s.procs, s.threads})
-	}
-
-	rep := report{Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), ScheduleBudget: *budget}
-	for _, s := range subjects {
-		for _, c := range explore.BenchGrid(*budget) {
-			for _, workers := range []int{1, 4, 8} {
-				best := result{
-					Program: s.name, Strategy: c.Strategy.String(), Workers: workers,
-				}
-				if c.Strategy == parcoach.ExploreDFS {
-					best.Frontier = c.Frontier.String()
-				}
-				for round := 0; round < *repeat; round++ {
-					start := time.Now()
-					r := s.prog.Explore(parcoach.ExploreOptions{
-						Strategy:  c.Strategy,
-						Frontier:  c.Frontier,
-						Schedules: c.Schedules,
-						Workers:   workers,
-						Procs:     s.procs,
-						Threads:   s.threads,
-						MaxSteps:  explore.DefaultMaxSteps,
-					})
-					secs := time.Since(start).Seconds()
-					sps := float64(r.Schedules) / secs
-					if sps > best.SchedulesPerSec {
-						best.Schedules = r.Schedules
-						best.Seconds = secs
-						best.SchedulesPerSec = sps
-					}
-				}
-				fmt.Fprintf(os.Stderr, "%-28s %-8s %-6s workers=%d: %8.0f schedules/s (%d schedules)\n",
-					s.name, best.Strategy, best.Frontier, workers, best.SchedulesPerSec, best.Schedules)
-				rep.Results = append(rep.Results, best)
-			}
-		}
-	}
-
-	writeJSON(*out, rep)
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %s (%d cells)\n", *out, len(rep.Results))
+	campaignBench(*out, *seeds, *campaignSeed)
 }
 
 // campaignBench runs the linear sweep, then the campaign on the exact

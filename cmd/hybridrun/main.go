@@ -5,13 +5,15 @@
 // deadlock report (uninstrumented) instead of hanging.
 //
 // Beyond the single default run, the schedule-exploration engine can
-// sweep the interleaving space (-explore) and any failing schedule it
-// prints can be reproduced exactly (-replay):
+// sweep the interleaving space (-explore; dfs enumerates it under
+// dynamic partial-order reduction) and any failing schedule it prints
+// can be reproduced exactly (-replay):
 //
-//	hybridrun -explore dfs -schedules 512 bug.mh
-//	  ... first failure at schedule 33 (deadlock)
-//	      replay with: -replay 'trace:0.0.1.2'
-//	hybridrun -replay 'trace:0.0.1.2' bug.mh
+//	hybridrun -explore dfs -schedules 512 racer.mh
+//	  exploration: strategy=dfs schedules=9 exhausted=true sleepskips=10
+//	  ... first failure at schedule 2 (deadlock)
+//	      replay with: -replay 'trace:0.0.0.0.0.0.1.1.1.1.3.3.1.2.2.0.0.0'
+//	hybridrun -replay 'trace:0.0.0.0.0.0.1.1.1.1.3.3.1.2.2.0.0.0' racer.mh
 //
 // Usage:
 //
@@ -26,18 +28,14 @@
 //	-explore S     explore schedules with strategy rr|random|pct|dfs
 //	-schedules N   exploration run budget (default 16)
 //	-sched-seed N  base seed of the random/pct samplers
-//	-dfs-frontier F  DFS frontier: steal (work-stealing, default) |
-//	               wave (legacy reference) | dpor (partial-order
-//	               reduction: explore only genuinely racing schedules)
 //	-replay TOK    run the single schedule named by a replay token
 //	-timeout D     wall-clock bound: a single run is abandoned by the
 //	               watchdog after D; an exploration is canceled at the
 //	               deadline and prints its partial report. Either way
 //	               the exit code is 3 (0 = none)
 //
-// -replay and -explore are mutually exclusive, and -dfs-frontier is
-// only meaningful with -explore dfs; contradictory combinations (and a
-// negative -timeout) exit 2.
+// -replay and -explore are mutually exclusive; combining them (or a
+// negative -timeout) exits 2.
 //
 // Exit codes: 0 clean, 1 verification/run failure, 2 usage error,
 // 3 timed out.
@@ -67,7 +65,6 @@ func main() {
 	exploreStrat := flag.String("explore", "", "explore the schedule space: rr|random|pct|dfs")
 	schedules := flag.Int("schedules", 16, "exploration schedule budget")
 	schedSeed := flag.Int64("sched-seed", 0, "base seed of the random/pct schedule samplers")
-	dfsFrontier := flag.String("dfs-frontier", "steal", "DFS frontier: steal|wave|dpor")
 	replay := flag.String("replay", "", "replay one schedule from its token (rr, rand:<seed>, pct:<seed>:<depth>, trace:...)")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound on the run/exploration; exceeding it exits 3 (0 = none)")
 	flag.Parse()
@@ -78,19 +75,9 @@ func main() {
 
 	// Flags that are meaningless together are an error, not a silent
 	// precedence pick: a user combining them always means something the
-	// run would not do (pre-check: -replay was silently ignored whenever
-	// -explore was set, and -dfs-frontier silently ignored outside
-	// -explore dfs).
-	explicit := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	// run would not do.
 	if *exploreStrat != "" && *replay != "" {
 		fatal(fmt.Errorf("-replay and -explore are mutually exclusive: a replay runs the one schedule its token names, an exploration enumerates many"))
-	}
-	if explicit["dfs-frontier"] && *exploreStrat != "dfs" {
-		if *exploreStrat == "" {
-			fatal(fmt.Errorf("-dfs-frontier %s requires -explore dfs", *dfsFrontier))
-		}
-		fatal(fmt.Errorf("-dfs-frontier %s applies only to -explore dfs, not -explore %s", *dfsFrontier, *exploreStrat))
 	}
 
 	if flag.NArg() != 1 {
@@ -153,10 +140,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		frontier, err := explore.ParseFrontier(*dfsFrontier)
-		if err != nil {
-			fatal(err)
-		}
 		explorer := prog.Explore
 		if !*instrumented {
 			// Explore the pristine source: the schedule space as a real
@@ -165,7 +148,6 @@ func main() {
 		}
 		eopts := parcoach.ExploreOptions{
 			Strategy:  strat,
-			Frontier:  frontier,
 			Schedules: *schedules,
 			Seed:      *schedSeed,
 			Procs:     *np,

@@ -83,14 +83,15 @@ func TestFlagConflicts(t *testing.T) {
 	}{
 		{"replay+explore", []string{"-replay", "rr", "-explore", "dfs"}, 2, "mutually exclusive"},
 		{"replay+explore-random", []string{"-explore", "random", "-replay", "rand:7"}, 2, "mutually exclusive"},
-		{"frontier-without-explore", []string{"-dfs-frontier", "wave"}, 2, "requires -explore dfs"},
-		{"frontier-with-sampling", []string{"-explore", "random", "-dfs-frontier", "dpor"}, 2, "applies only to -explore dfs"},
-		{"frontier-with-rr", []string{"-explore", "rr", "-dfs-frontier", "steal"}, 2, "applies only to -explore dfs"},
+		// There is one DFS: the removed frontier selector is a usage error.
+		{"frontier-without-explore", []string{"-dfs-frontier", "wave"}, 2, "not defined: -dfs-frontier"},
+		{"frontier-with-sampling", []string{"-explore", "random", "-dfs-frontier", "dpor"}, 2, "not defined: -dfs-frontier"},
+		{"frontier-with-rr", []string{"-explore", "rr", "-dfs-frontier", "steal"}, 2, "not defined: -dfs-frontier"},
 		{"negative-timeout", []string{"-timeout", "-1s"}, 2, "non-negative"},
 		// Valid combinations stay valid.
 		{"plain-run", nil, 0, ""},
 		{"replay-alone", []string{"-replay", "rr"}, 0, ""},
-		{"explore-dfs-frontier", []string{"-explore", "dfs", "-dfs-frontier", "wave", "-schedules", "8"}, 0, ""},
+		{"explore-dfs", []string{"-explore", "dfs", "-schedules", "8"}, 0, ""},
 		{"frontier-default-untouched", []string{"-explore", "random", "-schedules", "4"}, 0, ""},
 		// A generous -timeout composes with everything and never fires on a
 		// fast clean program.

@@ -19,7 +19,9 @@
 //	                   "timeout" (0 = no watchdog)
 //
 // Endpoints: POST /compile, POST /run, POST /explore (NDJSON streaming
-// with "stream":true), GET /healthz, GET /stats. Example:
+// with "stream":true; "strategy":"dfs" enumerates the schedule space
+// under dynamic partial-order reduction), GET /healthz, GET /stats.
+// Example:
 //
 //	curl -s localhost:7489/compile -d '{"name":"bug.mh","source":"..."}'
 //	curl -s localhost:7489/explore -d '{"key":"sha256:...","strategy":"dfs","schedules":512,"stream":true}'

@@ -215,7 +215,9 @@ func FuzzValueOracle(f *testing.F) {
 
 // FuzzExplore: schedule exploration never panics, hangs, or goes
 // nondeterministic on any parseable program — including the planted-bug
-// corpus under testdata/fuzz.
+// corpus under testdata/fuzz. Sampling must repeat exactly; the DFS
+// must render byte-identically at one and four workers whenever both
+// drain their frontier within the budget.
 func FuzzExplore(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
@@ -236,6 +238,19 @@ func FuzzExplore(f *testing.F) {
 		}
 		if b := explore.Explore(prog, opts); a.String() != b.String() {
 			t.Fatalf("exploration not deterministic for:\n%s\n-- a --\n%s-- b --\n%s", src, a, b)
+		}
+
+		opts.Strategy, opts.Schedules, opts.Workers = explore.StrategyDFS, 16, 1
+		w1 := explore.Explore(prog, opts)
+		opts.Workers = 4
+		w4 := explore.Explore(prog, opts)
+		for _, r := range []*explore.Report{w1, w4} {
+			if r.Schedules == 0 || r.Schedules > 16 {
+				t.Fatalf("DFS ran %d schedules, want 1..16", r.Schedules)
+			}
+		}
+		if w1.Exhausted && w4.Exhausted && w1.String() != w4.String() {
+			t.Fatalf("exhausted DFS differs across workers for:\n%s\n-- workers=1 --\n%s-- workers=4 --\n%s", src, w1, w4)
 		}
 	})
 }

@@ -1,15 +1,9 @@
 package explore
 
-// The schedules/sec trajectory is measured by two consumers — the root
-// BenchmarkExplore and cmd/benchjson (which emits BENCH_explore.json) —
-// that must stay cell-for-cell identical for the trajectory to mean
-// anything. The workload program and the strategy × frontier grid are
-// therefore defined once, here.
-
 // BenchRacerSrc is the property-suite racing-single-winner program: a
 // schedule-only deadlock (round-robin runs clean; the bug needs a
-// particular nowait-single election) whose hashed DFS space of ~1.6k
-// schedules is the reference workload for exploration throughput.
+// particular nowait-single election) and the reference workload the
+// exploration benchmarks share.
 const BenchRacerSrc = `
 func main() {
 	MPI_Init()
@@ -23,30 +17,3 @@ func main() {
 	MPI_Finalize()
 }
 `
-
-// BenchCase is one strategy cell of the throughput grid.
-type BenchCase struct {
-	Name      string
-	Strategy  Strategy
-	Frontier  Frontier // meaningful for DFS only
-	Schedules int
-}
-
-// BenchGrid returns the canonical benchmark grid: every strategy, with
-// DFS under the work-stealing frontier, the legacy wave-batched
-// reference (the before/after of the frontier rebuild), and the
-// DPOR-reduced frontier (whose schedules/sec is lower per run — each
-// run pays trace recording and race analysis — but which exhausts the
-// space in a tiny fraction of the runs, the metric that matters).
-// dfsBudget bounds the DFS cells; sampling cells use a fixed budget
-// of 64.
-func BenchGrid(dfsBudget int) []BenchCase {
-	return []BenchCase{
-		{"rr", StrategyRoundRobin, FrontierSteal, 1},
-		{"random", StrategyRandom, FrontierSteal, 64},
-		{"pct", StrategyPCT, FrontierSteal, 64},
-		{"dfs", StrategyDFS, FrontierSteal, dfsBudget},
-		{"dfs-wave", StrategyDFS, FrontierWave, dfsBudget},
-		{"dfs-dpor", StrategyDFS, FrontierDPOR, dfsBudget},
-	}
-}

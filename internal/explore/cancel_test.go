@@ -12,15 +12,13 @@ import (
 )
 
 // explorePaths enumerates every engine path a cancellation or panic can
-// travel: the sampled fan-out and each DFS frontier.
+// travel: the sampled fan-out and the DFS frontier.
 var explorePaths = []struct {
 	name string
 	opts Options
 }{
 	{"random", Options{Strategy: StrategyRandom, Schedules: 64, Seed: 3, MaxSteps: 100_000, Workers: 2}},
-	{"dfs-steal", Options{Strategy: StrategyDFS, Frontier: FrontierSteal, Schedules: 64, MaxSteps: 100_000, Workers: 2}},
-	{"dfs-wave", Options{Strategy: StrategyDFS, Frontier: FrontierWave, Schedules: 64, MaxSteps: 100_000, Workers: 2}},
-	{"dfs-dpor", Options{Strategy: StrategyDFS, Frontier: FrontierDPOR, Schedules: 64, MaxSteps: 100_000, Workers: 2}},
+	{"dfs-dpor", Options{Strategy: StrategyDFS, Schedules: 64, MaxSteps: 100_000, Workers: 2}},
 }
 
 // TestExploreCancelPartialReport: canceling mid-exploration (here at an
@@ -78,35 +76,44 @@ func TestExploreAlreadyCanceled(t *testing.T) {
 // TestExploreQuarantinesPanickingRun: a run that panics is caught at the
 // run boundary, classified internal-error, counted in Quarantined, and
 // the exploration finishes its remaining budget — on every engine path.
+// The panicking run explored nothing below its prefix, so a DFS must
+// not report exhaustion, even when the root run is the one that
+// panicked.
 func TestExploreQuarantinesPanickingRun(t *testing.T) {
 	defer leakcheck.Check(t)
 	prog := parser.MustParse("racer.mh", racerSrc)
 	for _, path := range explorePaths {
 		t.Run(path.name, func(t *testing.T) {
-			disarm := chaos.Arm(chaos.Config{
-				"explore.run": {First: 3, Action: chaos.ActPanic},
-			})
-			defer disarm()
+			for _, arrival := range []int{1, 3} {
+				disarm := chaos.Arm(chaos.Config{
+					"explore.run": {First: arrival, Action: chaos.ActPanic},
+				})
+				rep := Explore(prog, path.opts)
+				fired := chaos.Fired("explore.run")
+				disarm()
 
-			rep := Explore(prog, path.opts)
-			if rep.Canceled {
-				t.Fatal("quarantined panic canceled the exploration")
-			}
-			if rep.Quarantined != 1 {
-				t.Fatalf("Quarantined = %d, want 1\n%s", rep.Quarantined, rep)
-			}
-			v := rep.Verdict(interp.OutcomeInternalError)
-			if v == nil || v.Count != 1 {
-				t.Fatalf("internal-error verdict missing or miscounted:\n%s", rep)
-			}
-			if !strings.Contains(v.Sample, "panic quarantined at explore.run") {
-				t.Fatalf("quarantined verdict sample %q does not identify the boundary", v.Sample)
-			}
-			if !strings.Contains(rep.String(), "quarantined=1") {
-				t.Fatalf("rendered report lacks the quarantined marker:\n%s", rep)
-			}
-			if got := chaos.Fired("explore.run"); got != 1 {
-				t.Fatalf("chaos fired %d times, want 1", got)
+				if rep.Canceled {
+					t.Fatalf("run %d: quarantined panic canceled the exploration", arrival)
+				}
+				if rep.Exhausted {
+					t.Fatalf("run %d: exploration with a quarantined run claims exhaustion\n%s", arrival, rep)
+				}
+				if rep.Quarantined != 1 {
+					t.Fatalf("run %d: Quarantined = %d, want 1\n%s", arrival, rep.Quarantined, rep)
+				}
+				v := rep.Verdict(interp.OutcomeInternalError)
+				if v == nil || v.Count != 1 {
+					t.Fatalf("run %d: internal-error verdict missing or miscounted:\n%s", arrival, rep)
+				}
+				if !strings.Contains(v.Sample, "panic quarantined at explore.run") {
+					t.Fatalf("run %d: quarantined verdict sample %q does not identify the boundary", arrival, v.Sample)
+				}
+				if !strings.Contains(rep.String(), "quarantined=1") {
+					t.Fatalf("run %d: rendered report lacks the quarantined marker:\n%s", arrival, rep)
+				}
+				if fired != 1 {
+					t.Fatalf("run %d: chaos fired %d times, want 1", arrival, fired)
+				}
 			}
 		})
 	}

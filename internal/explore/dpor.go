@@ -1,17 +1,17 @@
-// FrontierDPOR: dynamic partial-order reduction on the work-stealing
-// frontier.
+// Dynamic partial-order reduction: the DFS body the work-stealing
+// frontier (steal.go) runs for every prefix.
 //
-// Plain DFS enumerates every untaken alternative at every branch point
-// it passes — exponentially many interleavings that differ only in the
-// order of commuting steps. DPOR runs the same iterative-replay loop but
-// expands a run into children only where the run *proved* order matters:
-// after each run the recorded event trace (sched.DPORRecorder) is
-// analyzed for race pairs — conflicting accesses by different threads
-// that no other happens-before edge orders (monitor.Analysis) — and for
-// each race the classic backtrack rule (DPORRecorder.Candidates) names
-// the threads that must be tried instead at the decision that started
-// the race. Everything else commutes; one representative per
-// interleaving class suffices for identical verdict sets.
+// Plain DFS would enumerate every untaken alternative at every branch
+// point it passes — exponentially many interleavings that differ only in
+// the order of commuting steps. DPOR expands a run into children only
+// where the run *proved* order matters: after each run the recorded
+// event trace (sched.DPORRecorder) is analyzed for race pairs —
+// conflicting accesses by different threads that no other
+// happens-before edge orders (monitor.Analysis) — and for each race the
+// classic backtrack rule (DPORRecorder.Candidates) names the threads
+// that must be tried instead at the decision that started the race.
+// Everything else commutes; one representative per interleaving class
+// suffices for identical verdict sets.
 //
 // Sleep sets, work-stealing-shaped: instead of carrying per-node sleep
 // sets in the deque entries, the frontier keeps one global spawn ledger
@@ -29,16 +29,14 @@
 //
 // Determinism: without budget truncation the explored set is the DPOR
 // fixpoint of the program — independent of worker count and steal
-// order — so reports are byte-identical at any width (the optional
-// second-level positional-state dedupe, Options.DPORStateHash, trades
-// that for extra pruning, with the same caveats as the DFS seen-set).
+// order — so reports are byte-identical at any width.
 //
 // Runs whose event trace overflowed monitor.DefaultTraceLimit (spinning,
 // budget-bound schedules) fall back to full alternative enumeration over
-// their branch list — the plain-DFS expansion, routed through the same
-// ledger — because a truncated trace cannot prove commutativity for the
-// steps it dropped. Such programs are not exhaustible anyway; the
-// fallback keeps the reduction sound instead of silently unsound.
+// their branch list, routed through the same ledger, because a truncated
+// trace cannot prove commutativity for the steps it dropped. Such
+// programs are not exhaustible anyway; the fallback keeps the reduction
+// sound instead of silently unsound.
 package explore
 
 import (
@@ -49,7 +47,6 @@ import (
 	"parcoach/internal/chaos"
 	"parcoach/internal/interp"
 	"parcoach/internal/monitor"
-	"parcoach/internal/pipeline"
 	"parcoach/internal/sched"
 )
 
@@ -83,19 +80,6 @@ func (st *dporState) pathHashes(trace []sched.ThreadID) []uint64 {
 	return ph
 }
 
-// exploreDFSDPOR drains the DPOR-reduced prefix tree with work-stealing
-// workers on the shared pool.
-func exploreDFSDPOR(sess *interp.Session, opts Options, pool *pipeline.Pool,
-	seen *pipeline.ShardedSet, sink *progressSink) (runs []dfsRun, leftover bool, pruned, diverged, sleepSkips int) {
-
-	f := newStealFrontier(sess, opts, pool, seen)
-	f.sink = sink
-	f.ledger = pipeline.NewShardedSet()
-	f.exec = f.execDPOR
-	runs, leftover, pruned, diverged = f.drain(pool)
-	return runs, leftover, pruned, diverged, int(atomic.LoadInt64(&f.sleepSkips))
-}
-
 // execDPOR is the DPOR body: run the prefix, mark its path in the
 // ledger, then spawn exactly the reversal prefixes the run's race pairs
 // require.
@@ -105,9 +89,12 @@ func (f *stealFrontier) execDPOR(w int, prefix []sched.ThreadID) {
 	dr, quarantined := f.runDPOR(st, prefix)
 	if quarantined {
 		// Panicked run: record the internal-error verdict, abandon the
-		// dporState (unknown state, never recycled), spawn nothing.
+		// dporState (unknown state, never recycled), spawn nothing. The
+		// subtree below the prefix goes unexplored, so the frontier is
+		// left over: the report must not claim exhaustion.
 		f.results[w] = append(f.results[w], dr)
 		f.sink.noteDFS(&f.results[w][len(f.results[w])-1])
+		f.leftover.Store(true)
 		return
 	}
 	if dr.outcome == interp.OutcomeCanceled {
@@ -139,9 +126,8 @@ func (f *stealFrontier) execDPOR(w int, prefix []sched.ThreadID) {
 
 	if st.rec.Events.Overflowed() {
 		// Truncated trace: commutativity beyond the limit is unprovable,
-		// so expand like plain DFS (every untaken alternative at every
-		// branch of this run), deduped through the ledger.
-		atomic.AddInt64(&f.overflowed, 1)
+		// so expand every untaken alternative at every branch of this
+		// run, deduped through the ledger.
 		for bi := range branches {
 			b := &branches[bi]
 			for _, alt := range b.Enabled {
@@ -167,18 +153,14 @@ func (f *stealFrontier) execDPOR(w int, prefix []sched.ThreadID) {
 				atomic.AddInt64(&f.sleepSkips, 1)
 				continue
 			}
-			if f.opts.DPORStateHash && !f.seen.TryAdd(childKey(branches[d].Sig, q)) {
-				atomic.AddInt64(&f.pruned, 1)
-				continue
-			}
 			f.pushChild(w, childPrefix(trace, d, q))
 		}
 	}
 	dporPool.Put(st)
 }
 
-// runDPOR executes one DPOR prefix on st's recorder. Like runPrefix it
-// is a quarantine boundary: quarantined=true means the run panicked and
+// runDPOR executes one DPOR prefix on st's recorder. It is a
+// quarantine boundary: quarantined=true means the run panicked and
 // dr carries the OutcomeInternalError verdict (and st must be abandoned,
 // not recycled).
 func (f *stealFrontier) runDPOR(st *dporState, prefix []sched.ThreadID) (dr dfsRun, quarantined bool) {

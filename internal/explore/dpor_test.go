@@ -1,52 +1,49 @@
 package explore
 
-// The DPOR acceptance suite: FrontierDPOR must reach exhausted=true on
-// every schedule-only racer with the identical verdict set plain DFS
-// produces, at ≥10× fewer explored schedules, with every first-failure
-// token still replaying to the identical error text — and across the
-// generated matrix its exhaustive verdicts must cover everything the
-// plain frontier observed.
+// The DPOR acceptance suite: the one DFS must reach exhausted=true on
+// every schedule-only racer with the identical verdict set the plain
+// enumeration oracle (oracle_test.go) produces, at ≥10× fewer explored
+// schedules, with every first-failure token still replaying to the
+// identical error text — and across the generated matrix its
+// exhaustive verdicts must cover everything the oracle observed.
 
 import (
 	"reflect"
 	"testing"
 
+	"parcoach/internal/ast"
 	"parcoach/internal/interp"
-	"parcoach/internal/mhgen"
 	"parcoach/internal/parser"
 	"parcoach/internal/sched"
 )
 
-// TestDPORReductionPropertySuite pins the tentpole claim on the three
-// hand-written racers: identical verdict sets, exhausted under DPOR,
-// ≥10× fewer schedules than plain DFS, replay-identical failure text.
+// TestDPORReductionPropertySuite pins the reduction on the three
+// hand-written racers: identical verdict sets, both exhausted, ≥10×
+// fewer schedules than plain enumeration, replay-identical failure
+// text.
 func TestDPORReductionPropertySuite(t *testing.T) {
 	for _, tc := range scheduleOnlyBugs {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := parser.MustParse(tc.name+".mh", tc.src)
-			base := Options{Strategy: StrategyDFS, Schedules: 1 << 16, MaxSteps: 200_000, Workers: 1}
+			opts := Options{Strategy: StrategyDFS, Schedules: 1 << 16, MaxSteps: 200_000, Workers: 1}
+			plain := plainDFS(prog, opts)
+			dpor := Explore(prog, opts)
 
-			o := base
-			o.Frontier = FrontierSteal
-			dfs := Explore(prog, o)
-			o.Frontier = FrontierDPOR
-			dpor := Explore(prog, o)
-
-			if !dfs.Exhausted || !dpor.Exhausted {
-				t.Fatalf("both must exhaust: dfs=%t dpor=%t (dfs=%d dpor=%d schedules)",
-					dfs.Exhausted, dpor.Exhausted, dfs.Schedules, dpor.Schedules)
+			if !plain.Exhausted || !dpor.Exhausted {
+				t.Fatalf("both must exhaust: plain=%t dpor=%t (plain=%d dpor=%d schedules)",
+					plain.Exhausted, dpor.Exhausted, plain.Schedules, dpor.Schedules)
 			}
-			if !reflect.DeepEqual(outcomeSet(dpor), outcomeSet(dfs)) {
-				t.Errorf("verdict sets differ: dpor=%v dfs=%v", outcomeSet(dpor), outcomeSet(dfs))
+			if !reflect.DeepEqual(outcomeSet(dpor), outcomeSet(plain.Report)) {
+				t.Errorf("verdict sets differ: dpor=%v plain=%v", outcomeSet(dpor), outcomeSet(plain.Report))
 			}
 			if !dpor.Caught(tc.want) {
 				t.Errorf("DPOR missed the planted %s; verdicts: %+v", tc.want, dpor.Verdicts)
 			}
-			if dpor.Schedules*10 > dfs.Schedules {
-				t.Errorf("reduction below 10×: dpor=%d dfs=%d schedules", dpor.Schedules, dfs.Schedules)
+			if dpor.Schedules*10 > plain.Schedules {
+				t.Errorf("reduction below 10×: dpor=%d plain=%d schedules", dpor.Schedules, plain.Schedules)
 			}
-			t.Logf("dfs=%d dpor=%d schedules (%.1fx), sleepskips=%d",
-				dfs.Schedules, dpor.Schedules, float64(dfs.Schedules)/float64(dpor.Schedules), dpor.SleepSkips)
+			t.Logf("plain=%d dpor=%d schedules (%.1fx), sleepskips=%d",
+				plain.Schedules, dpor.Schedules, float64(plain.Schedules)/float64(dpor.Schedules), dpor.SleepSkips)
 
 			replayFailure(t, "dpor", dpor, func(s sched.Scheduler) *interp.Result {
 				return interp.Run(prog, interp.Options{Procs: 2, Threads: 2, MaxSteps: 200_000, Scheduler: s})
@@ -55,129 +52,116 @@ func TestDPORReductionPropertySuite(t *testing.T) {
 	}
 }
 
-// TestDPORDeterministicAcrossWorkers pins the fixpoint property: without
-// budget truncation (and without the optional state hash) the explored
-// set — and therefore the whole report — is independent of worker count
-// and steal order.
-func TestDPORDeterministicAcrossWorkers(t *testing.T) {
-	for _, tc := range scheduleOnlyBugs {
-		prog := parser.MustParse(tc.name+".mh", tc.src)
-		base := Options{Strategy: StrategyDFS, Frontier: FrontierDPOR,
-			Schedules: 1 << 16, MaxSteps: 200_000}
-		o := base
-		o.Workers = 1
-		w1 := Explore(prog, o)
-		o.Workers = 8
-		w8 := Explore(prog, o)
-		if w1.String() != w8.String() || w1.Schedules != w8.Schedules {
-			t.Errorf("%s: DPOR report differs across worker counts:\nw1: %sw8: %s",
-				tc.name, w1.String(), w8.String())
+// sameAtWidths checks that exploring prog at workers 4 and 8 yields
+// w1, its report at one worker: byte-identical rendering and identical
+// verdicts.
+func sameAtWidths(t *testing.T, name string, prog *ast.Program, opts Options, w1 *Report) {
+	t.Helper()
+	for _, workers := range []int{4, 8} {
+		o := opts
+		o.Workers = workers
+		if got := Explore(prog, o); got.String() != w1.String() || !reflect.DeepEqual(got.Verdicts, w1.Verdicts) {
+			t.Errorf("%s: DFS report differs at %d workers:\n-- workers=1 --\n%s-- workers=%d --\n%s",
+				name, workers, w1, workers, got)
 		}
 	}
 }
 
+// TestDPORDeterministicAcrossWorkers pins the fixpoint property: without
+// budget truncation the explored set — and therefore the whole report —
+// is independent of worker count and steal order. Checked on the racers
+// and on every matrix seed the DFS exhausts within the matrix budget.
+func TestDPORDeterministicAcrossWorkers(t *testing.T) {
+	for _, tc := range scheduleOnlyBugs {
+		prog := parser.MustParse(tc.name+".mh", tc.src)
+		opts := Options{Strategy: StrategyDFS, Schedules: 1 << 16, MaxSteps: 200_000, Workers: 1}
+		w1 := Explore(prog, opts)
+		if !w1.Exhausted {
+			t.Fatalf("%s: DFS did not exhaust in %d schedules", tc.name, w1.Schedules)
+		}
+		sameAtWidths(t, tc.name, prog, opts, w1)
+	}
+	minChecked := 100
+	if raceEnabled {
+		minChecked = 20
+	}
+	checked := 0
+	for _, row := range mhgenMatrix() {
+		if row.dfs.Exhausted {
+			checked++
+			sameAtWidths(t, row.name, row.prog, row.opts, row.dfs)
+		}
+	}
+	if checked < minChecked {
+		t.Errorf("only %d matrix seeds exhausted — the check lost its teeth", checked)
+	}
+	t.Logf("%d exhausted matrix seeds byte-identical at workers 1/4/8", checked)
+}
+
 // TestDPOREquivalenceMhgenMatrix sweeps the generated matrix: wherever
-// both frontiers exhaust, the verdict sets must be identical (with the
-// failing token replay-verified); wherever only DPOR exhausts — the
-// whole point of the reduction — every outcome the truncated plain
-// frontier observed must appear in DPOR's exhaustive set.
+// both the DFS and the oracle exhaust, the verdict sets must be
+// identical (with the failing token replay-verified); wherever only the
+// DFS exhausts — the whole point of the reduction — every outcome the
+// truncated oracle observed must appear in the exhaustive set.
 func TestDPOREquivalenceMhgenMatrix(t *testing.T) {
-	seeds := uint64(200)
-	// See TestFrontierEquivalenceMhgenMatrix: the ten-class seed
-	// rotation (torn-buffer's racing writer rarely exhausts) leaves
-	// ~44 of 200 seeds exhausted under both frontiers.
+	// The ten-class seed rotation (torn-buffer's racing writer rarely
+	// exhausts) leaves ~45 of 200 seeds exhausted under both; the
+	// first 50 seeds only contain 8.
 	minCompared := 40
 	if raceEnabled {
-		seeds = 50
 		minCompared = 8
 	}
-	const budget = 256
+	rows := mhgenMatrix()
 	compared, dporOnly := 0, 0
-	for seed := uint64(0); seed < seeds; seed++ {
-		gp := mhgen.FromSeed(seed)
-		prog, err := parser.Parse(gp.Name+".mh", gp.Source)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		opts := Options{
-			Strategy: StrategyDFS, Schedules: budget, Workers: 4,
-			Procs: gp.Procs, Threads: gp.Threads, MaxSteps: 100_000,
-		}
-		o := opts
-		o.Frontier = FrontierSteal
-		steal := Explore(prog, o)
-		o.Frontier = FrontierDPOR
-		dpor := Explore(prog, o)
-
+	for _, row := range rows {
+		dpor, plain := row.dfs, row.oracle
 		if !dpor.Exhausted {
 			continue // truncated DPOR enumerations are arbitrary samples
 		}
-		if dpor.Schedules > steal.Schedules {
-			t.Errorf("seed %d (%s): DPOR ran more schedules than plain DFS: %d > %d",
-				seed, gp.Bug, dpor.Schedules, steal.Schedules)
+		if dpor.Schedules > plain.Schedules {
+			t.Errorf("%s: DPOR ran more schedules than plain enumeration: %d > %d",
+				row.name, dpor.Schedules, plain.Schedules)
 		}
-		replayFailure(t, gp.Name, dpor, func(s sched.Scheduler) *interp.Result {
-			return interp.Run(prog, interp.Options{
-				Procs: gp.Procs, Threads: gp.Threads, MaxSteps: 100_000, Scheduler: s,
+		replayFailure(t, row.name, dpor, func(s sched.Scheduler) *interp.Result {
+			return interp.Run(row.prog, interp.Options{
+				Procs: row.opts.Procs, Threads: row.opts.Threads, MaxSteps: row.opts.MaxSteps, Scheduler: s,
 			})
 		})
-		if steal.Exhausted {
+		if plain.Exhausted {
 			compared++
-			if !reflect.DeepEqual(outcomeSet(dpor), outcomeSet(steal)) {
-				t.Errorf("seed %d (%s): verdict sets differ: dpor=%v steal=%v",
-					seed, gp.Bug, outcomeSet(dpor), outcomeSet(steal))
+			if !reflect.DeepEqual(outcomeSet(dpor), outcomeSet(plain.Report)) {
+				t.Errorf("%s: verdict sets differ: dpor=%v plain=%v",
+					row.name, outcomeSet(dpor), outcomeSet(plain.Report))
 			}
 		} else {
-			// DPOR exhausted a space the plain frontier could only sample:
-			// the sample cannot contain outcomes the exhaustive set lacks.
+			// DPOR exhausted a space the oracle could only sample: the
+			// sample cannot contain outcomes the exhaustive set lacks.
 			dporOnly++
-			for _, v := range steal.Verdicts {
+			for _, v := range plain.Verdicts {
 				if !dpor.Caught(v.Outcome) {
-					t.Errorf("seed %d (%s): plain DFS observed %v but exhaustive DPOR did not",
-						seed, gp.Bug, v.Outcome)
+					t.Errorf("%s: plain enumeration observed %v but exhaustive DPOR did not", row.name, v.Outcome)
 				}
 			}
 		}
 	}
 	if compared < minCompared {
-		t.Errorf("only %d/%d seeds exhausted under both — the comparison lost its teeth", compared, seeds)
+		t.Errorf("only %d/%d seeds exhausted under both — the comparison lost its teeth", compared, len(rows))
 	}
 	t.Logf("compared %d seeds exhausted under both; %d exhausted only under DPOR", compared, dporOnly)
 }
 
 // TestPrunedAndSleepSkipsAreSeparate is the counter-semantics
-// regression: state-hash prunes and sleep-set skips are different
-// quantities reported in different fields — the plain frontiers never
-// report sleep skips, and DPOR by default never reports state-hash
-// prunes (only with DPORStateHash may Pruned become nonzero).
+// regression: state-signature prunes belong to plain enumeration, and
+// the DFS reports only its sleep-set skips — a racer's rediscovered
+// reversals.
 func TestPrunedAndSleepSkipsAreSeparate(t *testing.T) {
 	prog := parser.MustParse("racing-flag-read.mh", scheduleOnlyBugs[2].src)
-	base := Options{Strategy: StrategyDFS, Schedules: 1 << 16, MaxSteps: 200_000, Workers: 1}
+	opts := Options{Strategy: StrategyDFS, Schedules: 1 << 16, MaxSteps: 200_000, Workers: 1}
 
-	o := base
-	o.Frontier = FrontierSteal
-	dfs := Explore(prog, o)
-	if dfs.SleepSkips != 0 {
-		t.Errorf("plain DFS reported %d sleep skips, want 0", dfs.SleepSkips)
+	if plain := plainDFS(prog, opts); plain.pruned == 0 {
+		t.Errorf("plain enumeration on a racer should state-prune something, got 0")
 	}
-	if dfs.Pruned == 0 {
-		t.Errorf("plain DFS on a racer should state-hash-prune something, got 0")
-	}
-
-	o.Frontier = FrontierDPOR
-	dpor := Explore(prog, o)
-	if dpor.Pruned != 0 {
-		t.Errorf("DPOR without DPORStateHash reported Pruned=%d, want 0", dpor.Pruned)
-	}
-	if dpor.SleepSkips == 0 {
+	if dpor := Explore(prog, opts); dpor.SleepSkips == 0 {
 		t.Errorf("DPOR on a racer should suppress rediscovered reversals, got SleepSkips=0")
-	}
-
-	// The optional second-level dedupe routes through Pruned, not
-	// SleepSkips, and must not change the verdict set.
-	o.DPORStateHash = true
-	hashed := Explore(prog, o)
-	if !reflect.DeepEqual(outcomeSet(hashed), outcomeSet(dpor)) {
-		t.Errorf("DPORStateHash changed the verdict set: %v vs %v", outcomeSet(hashed), outcomeSet(dpor))
 	}
 }

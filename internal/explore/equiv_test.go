@@ -1,31 +1,32 @@
 package explore
 
-// The frontier-equivalence suite: the work-stealing frontier must
-// produce the same *validation verdict* as the wave-batched reference
-// it replaced, on the hand-written schedule-only deadlock programs and
-// across the 200-seed generated matrix.
+// The equivalence suite: the one DFS must produce the same *validation
+// verdict* as the plain enumeration oracle (oracle_test.go) at any
+// worker count, on the hand-written schedule-only deadlock programs and
+// across the 200-seed generated matrix — and must never detect a
+// failure later than the oracle does.
 //
 // What "equivalent" means here — and deliberately does not mean:
 //
 //   - The verdict outcome set, the Exhausted flag, and the presence and
-//     outcome class of a first failure are compared exactly.
-//   - Replay tokens are compared by *replaying them*: each frontier's
-//     first-failure token must reproduce that frontier's reported
-//     outcome and error text bit-for-bit. The tokens themselves may
-//     name different schedules: state-hash pruning keeps one
-//     representative per (positional state, alternative) pair, and
-//     which candidate wins depends on seen-set insertion order — wave
-//     order and stealing order insert differently, so the frontiers
-//     keep different (state-equivalent) representatives.
-//   - Pruned and Schedules may differ for the same reason and are not
-//     compared. With NoStateHash no pruning choice exists, the explored
-//     set is the full prefix tree, and the reports must agree to the
-//     byte — asserted on a program small enough to enumerate fully.
+//     outcome class of a first failure are compared exactly wherever
+//     both enumerations exhaust.
+//   - Replay tokens are compared by *replaying them*: a report's
+//     first-failure token must reproduce its reported outcome and error
+//     text bit-for-bit. The tokens themselves may name different
+//     schedules, because the oracle keeps one representative per
+//     (positional state, alternative) pair and DPOR one per class of
+//     commuting interleavings.
+//   - Schedule counts differ — that is the reduction — and are not
+//     compared, beyond DPOR never needing more than the oracle.
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
+	"parcoach/internal/ast"
 	"parcoach/internal/interp"
 	"parcoach/internal/mhgen"
 	"parcoach/internal/parser"
@@ -53,134 +54,129 @@ func replayFailure(t *testing.T, label string, rep *Report, run func(sched.Sched
 	}
 }
 
-// TestFrontierEquivalencePropertySuite compares the frontiers on the
-// three schedule-only deadlock programs, at one worker (both orders
-// deterministic) and with the stealing frontier at width 8.
+// matrixRow is one program of the generated matrix with its oracle and
+// one-worker DFS reports at the matrix budget.
+type matrixRow struct {
+	name   string
+	prog   *ast.Program
+	opts   Options
+	oracle oracleReport
+	dfs    *Report
+}
+
+var (
+	matrixOnce sync.Once
+	matrixRows []matrixRow
+)
+
+// mhgenMatrix explores the same seeds as the differential matrix
+// (mhgen.FromSeed) with the oracle and with the DFS at one worker, both
+// at a 256-schedule budget, once per test binary: the matrix tests
+// check different properties of the same reports. The pristine source
+// is explored — equivalence is about the enumeration, not the planted
+// instrumentation, so planted bugs surface as deadlocks or MPI errors.
+// The race gate exercises the concurrent frontier machinery on the
+// first 50 seeds; the full 200-seed proof runs in the regular suite.
+func mhgenMatrix() []matrixRow {
+	matrixOnce.Do(func() {
+		seeds := uint64(200)
+		if raceEnabled {
+			seeds = 50
+		}
+		for seed := uint64(0); seed < seeds; seed++ {
+			gp := mhgen.FromSeed(seed)
+			prog := parser.MustParse(gp.Name+".mh", gp.Source)
+			opts := Options{
+				Strategy: StrategyDFS, Schedules: 256, Workers: 1,
+				Procs: gp.Procs, Threads: gp.Threads, MaxSteps: 100_000,
+			}
+			matrixRows = append(matrixRows, matrixRow{
+				name: gp.Name, prog: prog, opts: opts,
+				oracle: plainDFS(prog, opts), dfs: Explore(prog, opts),
+			})
+		}
+	})
+	return matrixRows
+}
+
+// TestFrontierEquivalencePropertySuite compares the DFS at workers
+// 1/4/8 with the oracle on the three schedule-only deadlock programs.
 func TestFrontierEquivalencePropertySuite(t *testing.T) {
 	for _, tc := range scheduleOnlyBugs {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := parser.MustParse(tc.name+".mh", tc.src)
-			base := Options{Strategy: StrategyDFS, Schedules: 4096, MaxSteps: 200_000, Workers: 1}
-
-			mk := func(f Frontier, workers int) *Report {
-				o := base
-				o.Frontier = f
+			opts := Options{Strategy: StrategyDFS, Schedules: 4096, MaxSteps: 200_000, Workers: 1}
+			plain := plainDFS(prog, opts)
+			replayFailure(t, "plain", plain.Report, func(s sched.Scheduler) *interp.Result {
+				return interp.Run(prog, interp.Options{Procs: 2, Threads: 2, MaxSteps: 200_000, Scheduler: s})
+			})
+			for _, workers := range []int{1, 4, 8} {
+				o := opts
 				o.Workers = workers
-				return Explore(prog, o)
-			}
-			wave := mk(FrontierWave, 1)
-			for _, v := range []struct {
-				label string
-				rep   *Report
-			}{
-				{"steal-w1", mk(FrontierSteal, 1)},
-				{"steal-w8", mk(FrontierSteal, 8)},
-				{"dpor-w1", mk(FrontierDPOR, 1)},
-				{"dpor-w8", mk(FrontierDPOR, 8)},
-			} {
-				steal := v.rep
-				if steal.Exhausted && !wave.Exhausted {
-					// DPOR can exhaust a space the wave reference only
-					// samples within the same budget — that is the
-					// reduction working. The sample cannot contain
-					// outcomes the exhaustive set lacks.
-					for _, w := range wave.Verdicts {
-						if !steal.Caught(w.Outcome) {
-							t.Errorf("%s: wave observed %v but exhaustive run did not", v.label, w.Outcome)
+				dpor := Explore(prog, o)
+				label := fmt.Sprintf("dpor-w%d", workers)
+				if dpor.Exhausted && !plain.Exhausted {
+					// DPOR exhausts spaces the oracle only samples within
+					// the same budget — that is the reduction working. The
+					// sample cannot contain outcomes the exhaustive set lacks.
+					for _, v := range plain.Verdicts {
+						if !dpor.Caught(v.Outcome) {
+							t.Errorf("%s: oracle observed %v but exhaustive run did not", label, v.Outcome)
 						}
 					}
 				} else {
-					if steal.Exhausted != wave.Exhausted {
-						t.Errorf("%s: Exhausted=%t, wave=%t", v.label, steal.Exhausted, wave.Exhausted)
+					if dpor.Exhausted != plain.Exhausted {
+						t.Errorf("%s: Exhausted=%t, oracle=%t", label, dpor.Exhausted, plain.Exhausted)
 					}
-					if !reflect.DeepEqual(outcomeSet(steal), outcomeSet(wave)) {
-						t.Errorf("%s: verdict set %v, wave %v", v.label, outcomeSet(steal), outcomeSet(wave))
+					if !reflect.DeepEqual(outcomeSet(dpor), outcomeSet(plain.Report)) {
+						t.Errorf("%s: verdict set %v, oracle %v", label, outcomeSet(dpor), outcomeSet(plain.Report))
 					}
 				}
-				if !steal.Caught(tc.want) {
-					t.Errorf("%s: missed the planted %s", v.label, tc.want)
+				if !dpor.Caught(tc.want) {
+					t.Errorf("%s: missed the planted %s", label, tc.want)
 				}
-				if (steal.FirstFailure == nil) != (wave.FirstFailure == nil) {
-					t.Fatalf("%s: first-failure presence differs from wave", v.label)
+				if dpor.FirstFailure == nil || plain.FirstFailure == nil {
+					t.Fatalf("%s: first failure missing: dpor=%v oracle=%v", label, dpor.FirstFailure, plain.FirstFailure)
 				}
-				if steal.FirstFailure.Outcome != wave.FirstFailure.Outcome {
-					t.Errorf("%s: first failure %v, wave %v", v.label,
-						steal.FirstFailure.Outcome, wave.FirstFailure.Outcome)
+				if dpor.FirstFailure.Outcome != plain.FirstFailure.Outcome {
+					t.Errorf("%s: first failure %v, oracle %v", label,
+						dpor.FirstFailure.Outcome, plain.FirstFailure.Outcome)
 				}
-				replayFailure(t, v.label, steal, func(s sched.Scheduler) *interp.Result {
+				replayFailure(t, label, dpor, func(s sched.Scheduler) *interp.Result {
 					return interp.Run(prog, interp.Options{Procs: 2, Threads: 2, MaxSteps: 200_000, Scheduler: s})
 				})
 			}
-			replayFailure(t, "wave", wave, func(s sched.Scheduler) *interp.Result {
-				return interp.Run(prog, interp.Options{Procs: 2, Threads: 2, MaxSteps: 200_000, Scheduler: s})
-			})
 		})
 	}
 }
 
-// TestFrontierEquivalenceMhgenMatrix sweeps the same 200 generated
-// seeds as the differential matrix (mhgen.FromSeed), exploring each
-// program's schedule space with both frontiers (the pristine source —
-// exploration equivalence is about the frontier, not the planted
-// instrumentation, so planted bugs surface as deadlocks or MPI errors
-// here). Seeds whose space neither frontier exhausts within the budget
-// are skipped for the set comparison (a truncated enumeration is an
-// arbitrary sample and legitimately differs between discovery orders);
-// the test fails if that leaves too few seeds to mean anything.
+// TestFrontierEquivalenceMhgenMatrix is the detection gate at one
+// worker, where both enumerations are deterministic even when the
+// budget truncates them: on every matrix seed, every failing outcome
+// class the oracle finds, the DFS finds too, at no later schedule
+// (Verdict.First, the schedules-to-first-detection metric).
 func TestFrontierEquivalenceMhgenMatrix(t *testing.T) {
-	seeds := uint64(200)
-	// The seed rotation spans ten bug classes; the torn-buffer programs
-	// carry an extra in-region racing writer whose interleaving space
-	// rarely exhausts at this budget, so ~45 of 200 seeds qualify.
-	minCompared := 40
-	if raceEnabled {
-		// The race gate exercises the concurrent frontier machinery; the
-		// full 200-seed equivalence proof runs in the regular suite.
-		// (Exhaustible seeds are not uniformly distributed — the first
-		// 50 seeds only contain 8.)
-		seeds = 50
-		minCompared = 8
-	}
-	const budget = 256 // exhausts ~a quarter of the seeds' spaces
-	compared := 0
-	for seed := uint64(0); seed < seeds; seed++ {
-		gp := mhgen.FromSeed(seed)
-		prog, err := parser.Parse(gp.Name+".mh", gp.Source)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+	rows := mhgenMatrix()
+	detected := 0
+	for _, row := range rows {
+		if row.oracle.FirstFailure != nil {
+			detected++
 		}
-		opts := Options{
-			Strategy: StrategyDFS, Schedules: budget, Workers: 4,
-			Procs: gp.Procs, Threads: gp.Threads, MaxSteps: 100_000,
-		}
-		o := opts
-		o.Frontier = FrontierSteal
-		steal := Explore(prog, o)
-		o.Frontier = FrontierWave
-		wave := Explore(prog, o)
-		if !steal.Exhausted || !wave.Exhausted {
-			// Both frontiers must at least agree the budget ran out.
-			if steal.Exhausted != wave.Exhausted {
-				t.Errorf("seed %d: exhaustion differs: steal=%t wave=%t", seed, steal.Exhausted, wave.Exhausted)
+		for _, v := range row.oracle.Verdicts {
+			if v.Outcome == interp.OutcomeClean {
+				continue
 			}
-			continue
-		}
-		compared++
-		if !reflect.DeepEqual(outcomeSet(steal), outcomeSet(wave)) {
-			t.Errorf("seed %d (%s): verdict sets differ: steal=%v wave=%v",
-				seed, gp.Bug, outcomeSet(steal), outcomeSet(wave))
-		}
-		if (steal.FirstFailure == nil) != (wave.FirstFailure == nil) {
-			t.Errorf("seed %d (%s): first-failure presence differs", seed, gp.Bug)
-			continue
-		}
-		if steal.FirstFailure != nil && steal.FirstFailure.Outcome != wave.FirstFailure.Outcome {
-			t.Errorf("seed %d (%s): first failure steal=%v wave=%v",
-				seed, gp.Bug, steal.FirstFailure.Outcome, wave.FirstFailure.Outcome)
+			got := row.dfs.Verdict(v.Outcome)
+			switch {
+			case got == nil:
+				t.Errorf("%s: oracle found %v at schedule %d, DPOR missed it", row.name, v.Outcome, v.First)
+			case got.First > v.First:
+				t.Errorf("%s: oracle found %v at schedule %d, DPOR only at %d", row.name, v.Outcome, v.First, got.First)
+			}
 		}
 	}
-	if compared < minCompared {
-		t.Errorf("only %d/%d seeds exhausted within %d schedules — the comparison lost its teeth", compared, seeds, budget)
+	if detected < len(rows)/4 {
+		t.Errorf("the oracle found failures on only %d/%d seeds — the gate lost its teeth", detected, len(rows))
 	}
-	t.Logf("compared %d/%d exhausted seeds", compared, seeds)
+	t.Logf("%d/%d seeds with an oracle failure, none detected later by DPOR", detected, len(rows))
 }

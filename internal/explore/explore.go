@@ -19,14 +19,12 @@
 //   - random: N independent runs under seeded uniform schedulers;
 //   - pct: N runs under random-priority schedulers with depth-bounded
 //     priority change points (probabilistic concurrency testing);
-//   - dfs: bounded exhaustive enumeration — each run records the branch
-//     points it passed (decision points with more than one enabled
-//     thread), and every untaken alternative spawns a new prefix to
-//     explore, with positional state hashing pruning commuting
-//     interleavings, until the frontier drains or the budget is spent.
-//     The frontier is work-stealing by default (per-worker LIFO deques,
-//     steal from the shallow end; see steal.go) with the PR 3
-//     wave-batched frontier kept as the equivalence reference.
+//   - dfs: bounded exhaustive enumeration under dynamic partial-order
+//     reduction (dpor.go) — each run records its branch points and its
+//     happens-before event trace, and only the reversals its racing
+//     decisions require become new prefixes to explore, until the
+//     frontier drains or the budget is spent. Prefixes are distributed
+//     over work-stealing per-worker deques (steal.go).
 //
 // Runs fan out over the shared compile worker pool
 // (internal/pipeline.Pool) and share one interp.Session, so the
@@ -41,6 +39,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"parcoach/internal/ast"
@@ -66,7 +65,8 @@ const (
 	// priority-change depth.
 	StrategyPCT
 	// StrategyDFS enumerates interleavings exhaustively (bounded by the
-	// schedule budget), pruning revisited positional states.
+	// schedule budget) under dynamic partial-order reduction: only the
+	// orderings of racing steps are varied.
 	StrategyDFS
 )
 
@@ -95,69 +95,16 @@ func ParseStrategy(name string) (Strategy, error) {
 	return 0, fmt.Errorf("explore: unknown strategy %q (want rr|random|pct|dfs)", name)
 }
 
-// Frontier selects how the DFS prefix frontier is distributed over the
-// worker pool.
-type Frontier int
+// Frontier is the type of the ignored Options.Frontier field. It is
+// zero-sized: FrontierDPOR is its only value.
+//
+// Deprecated: DFS always runs dynamic partial-order reduction.
+type Frontier struct{}
 
-// DFS frontier implementations.
-const (
-	// FrontierSteal (the default) gives every worker a private LIFO
-	// deque: a worker pushes the children of the run it just completed
-	// and pops the deepest one next, so it keeps replaying its own warm
-	// prefix (longest common prefix first); idle workers steal from the
-	// shallow end of a peer's deque, taking the largest remaining
-	// subtree. Skewed prefix trees therefore keep every worker busy,
-	// where the wave frontier stalls the pool on each wave's stragglers.
-	//
-	// Determinism: at Workers=1 the report is a pure function of
-	// (program, options). Across worker counts the *reduction* is
-	// canonical (runs merge in trace order, see mergeDFS), but when
-	// state hashing is on, which of two same-state prefixes gets pruned
-	// depends on seen-set insertion order, so the explored set — and
-	// with it Pruned, Schedules and, on a truncating budget, the verdict
-	// counts — can differ slightly between worker counts. With
-	// NoStateHash the enumeration is order-independent and reports are
-	// byte-identical at any width.
-	FrontierSteal Frontier = iota
-	// FrontierWave is the wave-batched frontier the engine shipped with
-	// (PR 3), kept as the sequential reference for the equivalence
-	// suite and for before/after benchmarking.
-	FrontierWave
-	// FrontierDPOR is dynamic partial-order reduction on the
-	// work-stealing frontier (see dpor.go): each run's event trace is
-	// analyzed for race pairs and only the reversal prefixes the races
-	// require are explored, with a global sleep-set ledger keeping
-	// stolen subtrees sound. Verdict sets are identical to plain DFS at
-	// orders of magnitude fewer schedules; exploration that plain DFS
-	// could only bound becomes exhaustible. Without budget truncation
-	// (and with DPORStateHash off, the default) reports are
-	// byte-identical at any worker count.
-	FrontierDPOR
-)
-
-var frontierNames = [...]string{
-	FrontierSteal: "steal",
-	FrontierWave:  "wave",
-	FrontierDPOR:  "dpor",
-}
-
-func (f Frontier) String() string {
-	if int(f) < len(frontierNames) {
-		return frontierNames[f]
-	}
-	return "frontier(?)"
-}
-
-// ParseFrontier maps a CLI name ("steal", "wave", "dpor") to its
-// frontier.
-func ParseFrontier(name string) (Frontier, error) {
-	for i, n := range frontierNames {
-		if n == name {
-			return Frontier(i), nil
-		}
-	}
-	return 0, fmt.Errorf("explore: unknown DFS frontier %q (want steal|wave|dpor)", name)
-}
+// FrontierDPOR is the only Frontier value.
+//
+// Deprecated: DFS always runs dynamic partial-order reduction.
+var FrontierDPOR Frontier
 
 // Options configures an exploration.
 type Options struct {
@@ -178,26 +125,19 @@ type Options struct {
 	// spin classify as OutcomeBudget, not deadlock.
 	MaxSteps int64
 	// Workers is the worker-pool width for concurrent runs (0 =
-	// GOMAXPROCS). For the sampling strategies verdicts are identical
-	// for any width; for DFS see the determinism notes on Frontier.
+	// GOMAXPROCS). For the sampling strategies reports are identical
+	// for any width. A DFS that drains its frontier explores the same
+	// set at any width (see dpor.go), so its report is byte-identical
+	// too; a DFS the budget cuts short keeps whichever prefixes the
+	// workers reached first.
 	Workers int
 	// Policy is the single-construct election policy (default
 	// FirstArrival: elections follow arrival order, which is exactly
 	// what the schedules vary).
 	Policy omp.Policy
-	// NoStateHash disables the DFS positional-state pruning, forcing a
-	// full enumeration of the (possibly much larger) prefix tree. It
-	// does not affect FrontierDPOR, whose reduction is the race
-	// analysis, not the seen-set.
-	NoStateHash bool
-	// DPORStateHash additionally applies the positional-state seen-set
-	// to FrontierDPOR's backtrack candidates as a second-level dedupe.
-	// Off by default: DPOR rarely revisits positional states, and the
-	// seen-set's insertion-order sensitivity costs the byte-identical
-	// cross-worker determinism DPOR otherwise has.
-	DPORStateHash bool
-	// Frontier selects the DFS work distribution (default
-	// FrontierSteal); ignored by the sampling strategies.
+	// Frontier is ignored.
+	//
+	// Deprecated: DFS always runs dynamic partial-order reduction.
 	Frontier Frontier
 	// Progress, when non-nil, is called once per completed run, in
 	// completion order, serialized by the engine (implementations need
@@ -303,24 +243,15 @@ type Report struct {
 	Strategy Strategy
 	// Schedules actually run (≤ the budget).
 	Schedules int
-	// Exhausted is true when DFS drained its frontier within budget —
-	// every interleaving (modulo state-hash pruning; modulo the proven
-	// commutativity reduction under FrontierDPOR) was enumerated.
-	// Sampling strategies always report false.
+	// Exhausted is true when DFS drained its frontier within budget:
+	// every interleaving was covered, up to reordering of steps the
+	// partial-order reduction proved commute. A run that was canceled
+	// or quarantined leaves its subtree unexplored, so it clears
+	// Exhausted. Sampling strategies always report false.
 	Exhausted bool
-	// Pruned counts branches skipped by the positional state hash —
-	// candidates that *would* have been explored but whose (state,
-	// branch) pair was already taken elsewhere in the tree. Under
-	// FrontierSteal/FrontierWave that is the only dedupe; under
-	// FrontierDPOR it is nonzero only with Options.DPORStateHash.
-	Pruned int
-	// SleepSkips counts FrontierDPOR backtrack candidates suppressed by
-	// the sleep-set ledger: reversals some other run had already spawned
-	// or explored. This is a different quantity from Pruned — sleep-set
-	// suppression is part of the DPOR algorithm's correctness (skipping
-	// is what prevents re-exploring a subtree), whereas state-hash
-	// pruning is an optional heuristic dedupe — so the two are reported
-	// as separate fields. Always zero for the non-DPOR frontiers.
+	// SleepSkips counts DFS backtrack candidates suppressed by the
+	// sleep-set ledger: reversals some other run had already spawned or
+	// explored.
 	SleepSkips int
 	// Diverged counts DFS replays whose recorded prefix stopped matching
 	// the program (nonzero only for nondeterministic programs).
@@ -364,7 +295,7 @@ func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "exploration: strategy=%s schedules=%d", r.Strategy, r.Schedules)
 	if r.Strategy == StrategyDFS {
-		fmt.Fprintf(&b, " exhausted=%t pruned=%d", r.Exhausted, r.Pruned)
+		fmt.Fprintf(&b, " exhausted=%t", r.Exhausted)
 		if r.SleepSkips > 0 {
 			fmt.Fprintf(&b, " sleepskips=%d", r.SleepSkips)
 		}
@@ -462,9 +393,9 @@ type run struct {
 }
 
 // Explore runs prog under opts.Schedules interleavings and reduces the
-// outcomes. For the sampling strategies the report is deterministic for
-// a fixed (program, options) pair at any worker count; for DFS see the
-// determinism notes on Frontier.
+// outcomes. The report is deterministic for a fixed (program, options)
+// pair at any worker count, except for a DFS the budget cuts short (see
+// Options.Workers).
 func Explore(prog *ast.Program, opts Options) *Report {
 	opts = opts.normalized()
 	// One session for the whole exploration: the compiled artifact,
@@ -612,12 +543,10 @@ func exploreSampled(sess *interp.Session, opts Options, pool *pipeline.Pool, rep
 //
 // Bounded-exhaustive DFS.
 //
-// Both frontier implementations enumerate the same prefix tree by
-// iterative replay — each run follows a decision prefix, records every
-// branch point it passes, and the untaken alternatives become new
-// prefixes — and both dedupe candidate states through the same sharded
-// seen-set. They differ only in how prefixes are distributed over the
-// workers; the completed runs are reduced identically by mergeDFS.
+// The frontier (steal.go) enumerates the prefix tree by iterative
+// replay: each run follows a decision prefix and records every branch
+// point it passes, and the reversals its race analysis requires
+// (dpor.go) become new prefixes. mergeDFS reduces the completed runs.
 //
 
 // dfsRun is one completed DFS schedule: its classified outcome plus the
@@ -632,38 +561,6 @@ type dfsRun struct {
 	diverged bool
 }
 
-// recorderPool recycles DFS recorders (and their branch/enabled-set
-// buffers) across the runs of an exploration.
-var recorderPool = sync.Pool{New: func() any { return new(sched.Recorder) }}
-
-// runPrefix replays one decision prefix and returns the completed run
-// and its recorder (whose Branches drive child enumeration; return it
-// to recorderPool when done with them).
-//
-// It is a quarantine boundary: a panic under the run yields an
-// OutcomeInternalError dfsRun with a nil recorder (the panicked
-// recorder's state is unknown, so it is abandoned to the GC, never
-// recycled) — callers must skip enumeration when rec is nil. A
-// canceled run comes back as OutcomeCanceled with its recorder intact;
-// callers drop it from the result set and stop taking new work.
-func runPrefix(ctx context.Context, sess *interp.Session, prefix []sched.ThreadID) (dr dfsRun, rec *sched.Recorder) {
-	rec = recorderPool.Get().(*sched.Recorder)
-	rec.Reset(prefix)
-	defer func() {
-		if r := recover(); r != nil {
-			qerr := interp.NewQuarantineError("explore.run", r, debug.Stack())
-			tr := make([]sched.ThreadID, len(prefix))
-			copy(tr, prefix)
-			dr = dfsRun{outcome: interp.OutcomeInternalError, runErr: qerr, trace: tr}
-			rec = nil
-		}
-	}()
-	chaos.Here("explore.run")
-	res := sess.RunCtx(ctx, rec)
-	dr = dfsRun{outcome: res.Outcome(), runErr: res.Err, trace: rec.Trace(), diverged: rec.Diverged()}
-	return dr, rec
-}
-
 func errText(err error) string {
 	if err == nil {
 		return ""
@@ -671,12 +568,12 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// childKey folds a (positional state, alternative) pair into the
-// dedupe-set key. Sig is already an FNV hash; the alternative is mixed
-// in with a splitmix64 round so (sig, alt) pairs spread over the full
-// key space.
-func childKey(sig uint64, alt sched.ThreadID) uint64 {
-	z := sig + (uint64(alt)+1)*0x9e3779b97f4a7c15
+// childKey folds a (tree node, branch) pair into one sleep-set ledger
+// key. The node is already an FNV decision-path hash; the branch is
+// mixed in with a splitmix64 round so pairs spread over the full key
+// space.
+func childKey(node uint64, alt sched.ThreadID) uint64 {
+	z := node + (uint64(alt)+1)*0x9e3779b97f4a7c15
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27
@@ -684,38 +581,11 @@ func childKey(sig uint64, alt sched.ThreadID) uint64 {
 	return z ^ z>>31
 }
 
-// enumerate walks the branch points a run discovered beyond its prefix
-// (earlier ones were enumerated by the ancestor that spawned the
-// prefix) and hands every unseen untaken alternative to push as a new
-// prefix. Returns how many alternatives the seen-set pruned. push is
-// called in increasing branch-depth order, so a LIFO consumer pops the
-// deepest — longest-common-prefix — child first.
-func enumerate(opts Options, seen *pipeline.ShardedSet, prefixLen int, trace []sched.ThreadID,
-	branches []sched.Branch, push func([]sched.ThreadID)) (pruned int) {
-	for bi := prefixLen; bi < len(branches); bi++ {
-		b := branches[bi]
-		for _, alt := range b.Enabled {
-			if alt == b.Chosen {
-				continue
-			}
-			if !opts.NoStateHash && !seen.TryAdd(childKey(b.Sig, alt)) {
-				pruned++
-				continue
-			}
-			child := make([]sched.ThreadID, bi+1)
-			copy(child, trace[:bi])
-			child[bi] = alt
-			push(child)
-		}
-	}
-	return pruned
-}
-
 // lessTrace orders branch traces lexicographically (traces are
 // prefix-free — equal decisions replay to equal runs — so element-wise
 // comparison fully orders them). This is the canonical schedule order
 // of a DFS report: left-to-right over the prefix tree, independent of
-// the discovery order any particular frontier or worker count produced.
+// the discovery order any worker count produced.
 func lessTrace(a, b []sched.ThreadID) bool {
 	n := len(a)
 	if len(b) < n {
@@ -731,11 +601,11 @@ func lessTrace(a, b []sched.ThreadID) bool {
 
 // mergeDFS reduces the completed runs into the report in canonical
 // trace order, so Verdict.First, FirstFailure and the report rendering
-// are a function of the explored *set* — not of which frontier, worker
-// count or steal interleaving discovered it first. Error text and
-// replay tokens are rendered only for the runs the report quotes (the
-// first run of each outcome class and the first failure).
-func mergeDFS(rep *Report, runs []dfsRun, leftover bool, pruned, diverged int) {
+// are a function of the explored *set* — not of which worker count or
+// steal interleaving discovered it first. Error text and replay tokens
+// are rendered only for the runs the report quotes (the first run of
+// each outcome class and the first failure).
+func mergeDFS(rep *Report, runs []dfsRun, leftover bool, diverged int) {
 	sort.Slice(runs, func(i, j int) bool { return lessTrace(runs[i].trace, runs[j].trace) })
 	for i := range runs {
 		dr := &runs[i]
@@ -756,26 +626,16 @@ func mergeDFS(rep *Report, runs []dfsRun, leftover bool, pruned, diverged int) {
 			}
 		}
 	}
-	rep.Pruned = pruned
 	rep.Diverged = diverged
 	rep.Exhausted = !leftover
 }
 
-// exploreDFS runs the selected frontier and reduces its runs.
+// exploreDFS drains the prefix tree on the pool and reduces its runs.
 func exploreDFS(sess *interp.Session, opts Options, pool *pipeline.Pool, rep *Report, sink *progressSink) {
-	seen := pipeline.NewShardedSet()
-	switch opts.Frontier {
-	case FrontierWave:
-		runs, leftover, pruned, diverged := exploreDFSWave(sess, opts, pool, seen, sink)
-		mergeDFS(rep, runs, leftover, pruned, diverged)
-	case FrontierDPOR:
-		runs, leftover, pruned, diverged, sleepSkips := exploreDFSDPOR(sess, opts, pool, seen, sink)
-		mergeDFS(rep, runs, leftover, pruned, diverged)
-		rep.SleepSkips = sleepSkips
-	default:
-		runs, leftover, pruned, diverged := exploreDFSSteal(sess, opts, pool, seen, sink)
-		mergeDFS(rep, runs, leftover, pruned, diverged)
-	}
+	f := newStealFrontier(sess, opts, pool, sink)
+	runs, leftover, diverged := f.drain(pool)
+	mergeDFS(rep, runs, leftover, diverged)
+	rep.SleepSkips = int(atomic.LoadInt64(&f.sleepSkips))
 }
 
 // noteDFS reports one completed DFS run to the sink (error text and
@@ -785,68 +645,4 @@ func (p *progressSink) noteDFS(dr *dfsRun) {
 		return
 	}
 	p.note(dr.outcome, func() string { return errText(dr.runErr) }, sched.FormatTrace(dr.trace))
-}
-
-// exploreDFSWave is the legacy wave-batched frontier, kept as the
-// sequential reference the equivalence suite compares the work-stealing
-// frontier against: prefixes are processed in deterministic waves with
-// a full barrier between waves, which is exactly the behavior that
-// starves workers on skewed prefix trees.
-func exploreDFSWave(sess *interp.Session, opts Options, pool *pipeline.Pool,
-	seen *pipeline.ShardedSet, sink *progressSink) (runs []dfsRun, leftover bool, pruned, diverged int) {
-
-	type result struct {
-		dr     dfsRun
-		prefix []sched.ThreadID
-		rec    *sched.Recorder
-	}
-	frontier := [][]sched.ThreadID{nil} // start with the unconstrained run
-	for len(frontier) > 0 && len(runs) < opts.Schedules {
-		if ctxErr(opts.Ctx) != nil {
-			// Cancellation is checked once per wave: the in-flight wave's
-			// runs are each aborted by their own RunCtx guard, and the
-			// remaining frontier is abandoned (leftover → Exhausted=false).
-			return runs, true, pruned, diverged
-		}
-		batch := frontier
-		if left := opts.Schedules - len(runs); len(batch) > left {
-			batch = batch[:left]
-			frontier = frontier[left:]
-		} else {
-			frontier = nil
-		}
-		results := make([]result, len(batch))
-		pool.Map(len(batch), func(i int) {
-			dr, rec := runPrefix(opts.Ctx, sess, batch[i])
-			results[i] = result{dr: dr, prefix: batch[i], rec: rec}
-		})
-		canceled := false
-		for _, res := range results {
-			if res.dr.outcome == interp.OutcomeCanceled {
-				// Aborted half-run: no verdict, no children.
-				canceled = true
-				if res.rec != nil {
-					recorderPool.Put(res.rec)
-				}
-				continue
-			}
-			runs = append(runs, res.dr)
-			sink.noteDFS(&runs[len(runs)-1])
-			if res.rec == nil {
-				continue // quarantined panic: no recorder, no children
-			}
-			if res.dr.diverged {
-				recorderPool.Put(res.rec)
-				diverged++
-				continue
-			}
-			pruned += enumerate(opts, seen, len(res.prefix), res.dr.trace, res.rec.Branches,
-				func(child []sched.ThreadID) { frontier = append(frontier, child) })
-			recorderPool.Put(res.rec)
-		}
-		if canceled {
-			return runs, true, pruned, diverged
-		}
-	}
-	return runs, len(frontier) > 0, pruned, diverged
 }

@@ -56,73 +56,37 @@ func outcomeSet(r *Report) []interp.Outcome {
 	return out
 }
 
-// TestDFSDeterministicAcrossWorkers pins what the work-stealing DFS
-// guarantees across pool widths. With state hashing on, which of two
-// state-equivalent prefixes gets pruned depends on seen-set insertion
-// order, so only the *verdict outcome set* (and exhaustion) is
-// width-independent; with hashing off the enumeration is the full
-// prefix tree, order plays no role, and the canonical merge makes the
-// whole report byte-identical at any width.
+// TestDFSDeterministicAcrossWorkers: the DFS has no order-dependent
+// pruning, so an exploration that drains its frontier renders
+// byte-identically at any pool width — here on a one-rank racer.
 func TestDFSDeterministicAcrossWorkers(t *testing.T) {
-	t.Run("hashed-outcome-set", func(t *testing.T) {
-		prog := parser.MustParse("racer.mh", racerSrc)
-		// 4096 exhausts the hashed space (~1.6k schedules), so every
-		// width explores a full pruning-equivalent cover of the tree.
-		opts := Options{Strategy: StrategyDFS, Schedules: 4096, MaxSteps: 200_000}
-		o1, o8 := opts, opts
-		o1.Workers = 1
-		o8.Workers = 8
-		r1, r8 := Explore(prog, o1), Explore(prog, o8)
-		if !r1.Exhausted || !r8.Exhausted {
-			t.Fatalf("exhaustion differs or missing: w1=%t w8=%t", r1.Exhausted, r8.Exhausted)
-		}
-		if !reflect.DeepEqual(outcomeSet(r1), outcomeSet(r8)) {
-			t.Errorf("outcome sets differ across worker counts: %v vs %v", outcomeSet(r1), outcomeSet(r8))
-		}
-	})
 	t.Run("unhashed-byte-identical", func(t *testing.T) {
 		prog := parser.MustParse("tiny-racer.mh", racerSrc)
-		// One rank keeps the full tree small enough to enumerate
-		// completely, where the reports must agree to the byte.
-		opts := Options{Strategy: StrategyDFS, Schedules: 50_000, MaxSteps: 100_000,
-			NoStateHash: true, Procs: 1}
-		o1, o8 := opts, opts
-		o1.Workers = 1
-		o8.Workers = 8
-		r1, r8 := Explore(prog, o1), Explore(prog, o8)
-		if !r1.Exhausted || !r8.Exhausted {
-			t.Fatalf("full enumeration did not exhaust: w1=%t w8=%t (%d/%d schedules)",
-				r1.Exhausted, r8.Exhausted, r1.Schedules, r8.Schedules)
+		opts := Options{Strategy: StrategyDFS, Schedules: 50_000, MaxSteps: 100_000, Procs: 1, Workers: 1}
+		r1 := Explore(prog, opts)
+		if !r1.Exhausted {
+			t.Fatalf("one-rank racer did not exhaust in %d schedules", r1.Schedules)
 		}
-		if r1.String() != r8.String() {
-			t.Errorf("full enumeration differs across worker counts:\n-- workers=1 --\n%s-- workers=8 --\n%s", r1, r8)
-		}
-		if !reflect.DeepEqual(r1.Verdicts, r8.Verdicts) {
-			t.Error("full-enumeration verdicts differ across worker counts")
-		}
+		sameAtWidths(t, "tiny-racer", prog, opts, r1)
 	})
 }
 
 // TestDFSBudgetNeverOvershoots: the per-run atomic budget reservation
-// bounds the schedule count exactly, for both frontiers, at any width —
-// including budgets far narrower than the frontier gets wide.
+// bounds the schedule count exactly, at any width — including budgets
+// far narrower than the frontier gets wide. The flag-read racer needs
+// ~100 schedules to exhaust, so every budget here truncates.
 func TestDFSBudgetNeverOvershoots(t *testing.T) {
-	prog := parser.MustParse("racer.mh", racerSrc)
-	for _, frontier := range []Frontier{FrontierSteal, FrontierWave} {
-		for _, budget := range []int{1, 2, 3, 7, 16, 64} {
-			for _, workers := range []int{1, 8} {
-				rep := Explore(prog, Options{
-					Strategy: StrategyDFS, Schedules: budget, Workers: workers,
-					MaxSteps: 100_000, Frontier: frontier,
-				})
-				if rep.Schedules > budget {
-					t.Errorf("%s budget=%d workers=%d: ran %d schedules (overshoot)",
-						frontier, budget, workers, rep.Schedules)
-				}
-				if !rep.Exhausted && rep.Schedules != budget {
-					t.Errorf("%s budget=%d workers=%d: ran %d schedules without exhausting",
-						frontier, budget, workers, rep.Schedules)
-				}
+	prog := parser.MustParse("racing-flag-read.mh", scheduleOnlyBugs[2].src)
+	for _, budget := range []int{1, 2, 3, 7, 16, 64} {
+		for _, workers := range []int{1, 8} {
+			rep := Explore(prog, Options{
+				Strategy: StrategyDFS, Schedules: budget, Workers: workers, MaxSteps: 100_000,
+			})
+			if rep.Schedules > budget {
+				t.Errorf("budget=%d workers=%d: ran %d schedules (overshoot)", budget, workers, rep.Schedules)
+			}
+			if !rep.Exhausted && rep.Schedules != budget {
+				t.Errorf("budget=%d workers=%d: ran %d schedules without exhausting", budget, workers, rep.Schedules)
 			}
 		}
 	}
@@ -195,36 +159,5 @@ func TestReportString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("report rendering missing %q:\n%s", want, s)
 		}
-	}
-}
-
-// TestStateHashPrunes: state hashing is what makes the racer's schedule
-// space finite — the hashed DFS exhausts it in ~1.6k schedules and
-// still finds the deadlock, while the unhashed tree is so much larger
-// that the same budget truncates mid-enumeration. (The unhashed
-// enumeration is no longer asserted to find the bug within the budget:
-// the work-stealing frontier descends depth-first, so a truncated
-// unhashed search can spend its whole budget inside one deep clean
-// subtree — the wave frontier only found it by luck of breadth-first
-// discovery order.)
-func TestStateHashPrunes(t *testing.T) {
-	prog := parser.MustParse("racer.mh", racerSrc)
-	pruned := Explore(prog, Options{Strategy: StrategyDFS, Schedules: 4096, MaxSteps: 100_000})
-	full := Explore(prog, Options{Strategy: StrategyDFS, Schedules: 4096, MaxSteps: 100_000, NoStateHash: true})
-	if pruned.Pruned == 0 {
-		t.Error("state hashing pruned nothing on a racy program")
-	}
-	if !pruned.Caught(interp.OutcomeDeadlock) {
-		t.Errorf("hashed DFS must find the deadlock, got %+v", pruned.Verdicts)
-	}
-	if !pruned.Exhausted {
-		t.Errorf("hashed DFS should exhaust the racer within 4096 schedules, ran %d", pruned.Schedules)
-	}
-	if full.Exhausted {
-		t.Errorf("unhashed enumeration exhausted within %d schedules — pruning is buying nothing", full.Schedules)
-	}
-	if full.Schedules < pruned.Schedules {
-		t.Errorf("hashing explored more schedules (%d) than the budget-bound full enumeration (%d)",
-			pruned.Schedules, full.Schedules)
 	}
 }

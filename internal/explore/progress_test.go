@@ -13,54 +13,51 @@ import (
 // contract the daemon's NDJSON streaming is built on.
 func TestProgressEvents(t *testing.T) {
 	prog := parser.MustParse("racer.mh", BenchRacerSrc)
-	for _, frontier := range []Frontier{FrontierSteal, FrontierWave, FrontierDPOR} {
-		t.Run(frontier.String(), func(t *testing.T) {
-			var events []ProgressEvent
-			rep := Explore(prog, Options{
-				Strategy:  StrategyDFS,
-				Frontier:  frontier,
-				Schedules: 256,
-				Workers:   4,
-				Progress:  func(ev ProgressEvent) { events = append(events, ev) },
-			})
-			if len(events) != rep.Schedules {
-				t.Fatalf("%d progress events for %d schedules", len(events), rep.Schedules)
-			}
-			firsts := map[interp.Outcome]bool{}
-			for i, ev := range events {
-				if ev.Done != i+1 {
-					t.Fatalf("event %d has Done=%d, want %d", i, ev.Done, i+1)
-				}
-				if ev.NewVerdict != !firsts[ev.Outcome] {
-					t.Fatalf("event %d: NewVerdict=%t but seen=%t", i, ev.NewVerdict, firsts[ev.Outcome])
-				}
-				firsts[ev.Outcome] = true
-			}
-			if len(firsts) != len(rep.Verdicts) {
-				t.Fatalf("stream saw %d verdict classes, report has %d", len(firsts), len(rep.Verdicts))
-			}
-			for _, v := range rep.Verdicts {
-				if !firsts[v.Outcome] {
-					t.Fatalf("report verdict %s never streamed", v.Outcome)
-				}
-			}
-			// The racer deadlocks on some schedule: a streamed failure
-			// event must carry a non-empty replay token.
-			var failed *ProgressEvent
-			for i := range events {
-				if events[i].Outcome != interp.OutcomeClean {
-					failed = &events[i]
-					break
-				}
-			}
-			if failed == nil {
-				t.Fatal("no failing run streamed for the racer")
-			}
-			if failed.Schedule == "" || failed.Err == "" {
-				t.Fatalf("failure event missing token or error: %+v", failed)
-			}
+	t.Run("dpor", func(t *testing.T) {
+		var events []ProgressEvent
+		rep := Explore(prog, Options{
+			Strategy:  StrategyDFS,
+			Schedules: 256,
+			Workers:   4,
+			Progress:  func(ev ProgressEvent) { events = append(events, ev) },
 		})
-	}
+		if len(events) != rep.Schedules {
+			t.Fatalf("%d progress events for %d schedules", len(events), rep.Schedules)
+		}
+		firsts := map[interp.Outcome]bool{}
+		for i, ev := range events {
+			if ev.Done != i+1 {
+				t.Fatalf("event %d has Done=%d, want %d", i, ev.Done, i+1)
+			}
+			if ev.NewVerdict != !firsts[ev.Outcome] {
+				t.Fatalf("event %d: NewVerdict=%t but seen=%t", i, ev.NewVerdict, firsts[ev.Outcome])
+			}
+			firsts[ev.Outcome] = true
+		}
+		if len(firsts) != len(rep.Verdicts) {
+			t.Fatalf("stream saw %d verdict classes, report has %d", len(firsts), len(rep.Verdicts))
+		}
+		for _, v := range rep.Verdicts {
+			if !firsts[v.Outcome] {
+				t.Fatalf("report verdict %s never streamed", v.Outcome)
+			}
+		}
+		// The racer deadlocks on some schedule: a streamed failure
+		// event must carry a non-empty replay token.
+		var failed *ProgressEvent
+		for i := range events {
+			if events[i].Outcome != interp.OutcomeClean {
+				failed = &events[i]
+				break
+			}
+		}
+		if failed == nil {
+			t.Fatal("no failing run streamed for the racer")
+		}
+		if failed.Schedule == "" || failed.Err == "" {
+			t.Fatalf("failure event missing token or error: %+v", failed)
+		}
+	})
 }
 
 // TestProgressSampled: the sampling path streams too.

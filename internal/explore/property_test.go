@@ -117,14 +117,14 @@ func TestDFSFindsScheduleOnlyBugs(t *testing.T) {
 
 			dfs := Explore(prog, Options{Strategy: StrategyDFS, Schedules: 4096, MaxSteps: 200_000})
 			if !dfs.Caught(tc.want) {
-				t.Fatalf("DFS over %d schedules (exhausted=%t pruned=%d) missed the %s; verdicts: %+v",
-					dfs.Schedules, dfs.Exhausted, dfs.Pruned, tc.want, dfs.Verdicts)
+				t.Fatalf("DFS over %d schedules (exhausted=%t) missed the %s; verdicts: %+v",
+					dfs.Schedules, dfs.Exhausted, tc.want, dfs.Verdicts)
 			}
 			if dfs.FirstFailure == nil {
 				t.Fatal("DFS found a failing outcome but no FirstFailure")
 			}
-			t.Logf("DFS: %d schedules, exhausted=%t, pruned=%d, first failure at %d (%s)",
-				dfs.Schedules, dfs.Exhausted, dfs.Pruned, dfs.FirstFailure.Index, dfs.FirstFailure.Schedule)
+			t.Logf("DFS: %d schedules, exhausted=%t, first failure at %d (%s)",
+				dfs.Schedules, dfs.Exhausted, dfs.FirstFailure.Index, dfs.FirstFailure.Schedule)
 
 			// The printed schedule must replay to the identical outcome —
 			// that is the whole point of the token.

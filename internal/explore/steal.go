@@ -1,25 +1,22 @@
 // The work-stealing DFS frontier.
 //
-// The wave-batched frontier (explore.go, kept as FrontierWave) fans
-// each wave of prefixes across the pool and then barriers: on skewed
-// prefix trees — where one subtree keeps producing work long after its
-// siblings drained — most workers idle at every barrier while the wave's
-// straggler finishes. This file removes the barrier entirely: every
-// worker owns a private LIFO deque of prefixes, pushes the children of
-// the run it just completed, and pops the deepest child next, so
-// consecutive runs on one worker share the longest possible common
-// prefix (warm replay: the interpreter retraces a prefix it just
+// Every worker owns a private LIFO deque of prefixes, pushes the
+// children of the run it just completed, and pops the deepest child
+// next, so consecutive runs on one worker share the longest possible
+// common prefix (warm replay: the interpreter retraces a prefix it just
 // executed). A worker whose deque drains steals from the *shallow* end
 // of a peer's deque — the oldest entry, rooting the largest remaining
 // subtree — which is the classic owner-LIFO/thief-FIFO split that keeps
-// steal traffic rare and steals chunky.
+// steal traffic rare and steals chunky. There is no barrier between
+// generations of prefixes, so a skewed prefix tree, where one subtree
+// keeps producing work long after its siblings drained, still keeps
+// every worker busy.
 //
 // Budget accounting is per-run: a worker reserves a slot with one
 // atomic increment before starting a run, so the run count can never
 // overshoot Options.Schedules no matter how many workers race at the
-// boundary (the wave frontier bounded this with batch truncation; here
-// the reservation is the single source of truth). Dedupe goes through
-// the shared pipeline.ShardedSet, safe under concurrent enumeration.
+// boundary. Which children a run spawns is decided by the DPOR body
+// (dpor.go).
 package explore
 
 import (
@@ -76,16 +73,11 @@ func (d *prefixDeque) stealBottom() ([]sched.ThreadID, bool) {
 	return p, true
 }
 
-// stealFrontier is the shared state of one DFS exploration. The same
-// deque/parking machinery drives both the plain DFS enumeration and the
-// DPOR-reduced one (dpor.go): exec is the per-prefix body — run the
-// prefix, record the result, push the children the strategy requires.
+// stealFrontier is the shared state of one DFS exploration.
 type stealFrontier struct {
 	sess *interp.Session
 	opts Options
-	seen *pipeline.ShardedSet
 	sink *progressSink
-	exec func(w int, prefix []sched.ThreadID)
 
 	deques  []prefixDeque
 	results [][]dfsRun // per-worker, merged after the drain
@@ -97,16 +89,14 @@ type stealFrontier struct {
 	// n > Schedules does not run (and marks the frontier leftover).
 	started  int64
 	leftover atomic.Bool
-	pruned   int64
 	diverged int64
 
-	// DPOR-only state (nil / zero for plain DFS): ledger is the spawn
-	// ledger keyed by (decision-path hash, candidate) — the global sleep
-	// set that keeps stolen subtrees sound — and sleepSkips counts the
-	// backtrack candidates it suppressed.
+	// ledger is the spawn ledger keyed by (decision-path hash,
+	// candidate) — the global sleep set that keeps stolen subtrees
+	// sound — and sleepSkips counts the backtrack candidates it
+	// suppressed.
 	ledger     *pipeline.ShardedSet
 	sleepSkips int64
-	overflowed int64
 
 	// Idle workers park on wake (nudged by pushes) or done (closed when
 	// inflight reaches zero or the budget is spent with work left).
@@ -118,9 +108,7 @@ type stealFrontier struct {
 
 // newStealFrontier builds the shared frontier state with the root
 // prefix seeded on worker 0's deque.
-func newStealFrontier(sess *interp.Session, opts Options, pool *pipeline.Pool,
-	seen *pipeline.ShardedSet) *stealFrontier {
-
+func newStealFrontier(sess *interp.Session, opts Options, pool *pipeline.Pool, sink *progressSink) *stealFrontier {
 	width := pool.Workers()
 	if width > opts.Schedules {
 		width = opts.Schedules
@@ -131,7 +119,8 @@ func newStealFrontier(sess *interp.Session, opts Options, pool *pipeline.Pool,
 	f := &stealFrontier{
 		sess:    sess,
 		opts:    opts,
-		seen:    seen,
+		sink:    sink,
+		ledger:  pipeline.NewShardedSet(),
 		deques:  make([]prefixDeque, width),
 		results: make([][]dfsRun, width),
 		wake:    make(chan struct{}, width),
@@ -144,7 +133,7 @@ func newStealFrontier(sess *interp.Session, opts Options, pool *pipeline.Pool,
 }
 
 // drain runs the workers and collects the completed runs.
-func (f *stealFrontier) drain(pool *pipeline.Pool) (runs []dfsRun, leftover bool, pruned, diverged int) {
+func (f *stealFrontier) drain(pool *pipeline.Pool) (runs []dfsRun, leftover bool, diverged int) {
 	// The pool recruits up to width-1 helpers and the caller works too;
 	// if the pool is busy elsewhere, fewer helpers join and the idle
 	// deques are simply stolen empty.
@@ -153,18 +142,7 @@ func (f *stealFrontier) drain(pool *pipeline.Pool) (runs []dfsRun, leftover bool
 	for _, rs := range f.results {
 		runs = append(runs, rs...)
 	}
-	return runs, f.leftover.Load(), int(atomic.LoadInt64(&f.pruned)), int(atomic.LoadInt64(&f.diverged))
-}
-
-// exploreDFSSteal drains the prefix tree with work-stealing workers on
-// the shared pool.
-func exploreDFSSteal(sess *interp.Session, opts Options, pool *pipeline.Pool,
-	seen *pipeline.ShardedSet, sink *progressSink) (runs []dfsRun, leftover bool, pruned, diverged int) {
-
-	f := newStealFrontier(sess, opts, pool, seen)
-	f.sink = sink
-	f.exec = f.execDFS
-	return f.drain(pool)
+	return runs, f.leftover.Load(), int(atomic.LoadInt64(&f.diverged))
 }
 
 // worker drains prefixes until the tree is explored or the budget is
@@ -231,7 +209,7 @@ func (f *stealFrontier) next(w int) ([]sched.ThreadID, bool) {
 	}
 }
 
-// process reserves budget and hands the prefix to the frontier's body.
+// process reserves budget and hands the prefix to the DPOR body.
 func (f *stealFrontier) process(w int, prefix []sched.ThreadID) {
 	if ctxErr(f.opts.Ctx) != nil {
 		// Canceled: abandon this prefix (and, via end, the whole frontier)
@@ -244,13 +222,12 @@ func (f *stealFrontier) process(w int, prefix []sched.ThreadID) {
 	if atomic.AddInt64(&f.started, 1) > int64(f.opts.Schedules) {
 		// Budget spent with this prefix (at least) unexplored: the
 		// enumeration is not exhaustive. Ending here is what bounds the
-		// run count; the reservation, not the wave boundary, is the
-		// budget check.
+		// run count; the reservation is the budget check.
 		f.leftover.Store(true)
 		f.end()
 		return
 	}
-	f.exec(w, prefix)
+	f.execDPOR(w, prefix)
 }
 
 // pushChild enqueues one child prefix on the worker's own deque and
@@ -263,37 +240,5 @@ func (f *stealFrontier) pushChild(w int, child []sched.ThreadID) {
 		case f.wake <- struct{}{}:
 		default:
 		}
-	}
-}
-
-// execDFS is the plain DFS body: run the prefix and enqueue every
-// unseen untaken alternative beyond it.
-func (f *stealFrontier) execDFS(w int, prefix []sched.ThreadID) {
-	dr, rec := runPrefix(f.opts.Ctx, f.sess, prefix)
-	if dr.outcome == interp.OutcomeCanceled {
-		// Aborted half-run: no verdict, no children; the frontier winds
-		// down through the ctx check in process.
-		if rec != nil {
-			recorderPool.Put(rec)
-		}
-		f.leftover.Store(true)
-		f.end()
-		return
-	}
-	f.results[w] = append(f.results[w], dr)
-	f.sink.noteDFS(&f.results[w][len(f.results[w])-1])
-	if rec == nil {
-		return // quarantined panic: recorder abandoned, no children
-	}
-	if dr.diverged {
-		recorderPool.Put(rec)
-		atomic.AddInt64(&f.diverged, 1)
-		return
-	}
-	pruned := enumerate(f.opts, f.seen, len(prefix), dr.trace, rec.Branches,
-		func(child []sched.ThreadID) { f.pushChild(w, child) })
-	recorderPool.Put(rec)
-	if pruned > 0 {
-		atomic.AddInt64(&f.pruned, int64(pruned))
 	}
 }

@@ -141,7 +141,7 @@ func (g *runGuard) fire(isCancel bool, err error) {
 	}
 	// First error wins inside the monitor: a run that already failed on
 	// its own keeps its error; the abort still wakes any stragglers.
-	g.mon.Abort(err)
+	g.mon.Interrupt(err)
 }
 
 // disarm stops both triggers and waits out any in-flight firing. After

@@ -95,8 +95,8 @@ type Event struct {
 
 // DefaultTraceLimit bounds recorded events per run. Runs that overrun it
 // (step-budget-bound spins) keep their prefix and set Overflowed; the
-// exploration engine falls back to plain DFS enumeration for such runs,
-// which is sound and no worse than DFS was.
+// exploration engine expands every untaken alternative of such runs,
+// which is sound.
 const DefaultTraceLimit = 1 << 17
 
 // EventTrace accumulates one run's tagged events. The scheduling

@@ -66,7 +66,10 @@ type SchedHook interface {
 	// HolderExited: the running thread's goroutine is done.
 	HolderExited()
 	// ReleaseAll: the run aborted; stop scheduling, free everything.
-	ReleaseAll()
+	// holder reports whether the abort runs on the token holder's own
+	// goroutine; only then may the controller read the holder's
+	// per-thread state.
+	ReleaseAll(holder bool)
 }
 
 // SetSched installs the scheduling controller. Must be called before the
@@ -232,6 +235,8 @@ func (w *Waiter) Await() error {
 
 // Abort fails the run: the first error wins, every current waiter is woken
 // with it, and Aborted flips so running threads stop at their next check.
+// Only the run's own threads call it; callers outside the run use
+// Interrupt.
 func (m *Monitor) Abort(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -239,14 +244,25 @@ func (m *Monitor) Abort(err error) {
 }
 
 // AbortLocked is Abort for callers already holding the lock.
-func (m *Monitor) AbortLocked(err error) {
+func (m *Monitor) AbortLocked(err error) { m.abortLocked(err, true) }
+
+// Interrupt is Abort for callers outside the run's threads (cancellation
+// and watchdogs): under a scheduling controller the token holder may
+// still be mid-step, so the controller must leave its state alone.
+func (m *Monitor) Interrupt(err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.abortLocked(err, false)
+}
+
+func (m *Monitor) abortLocked(err error, holder bool) {
 	if m.aborted.Load() {
 		return
 	}
 	if m.sched != nil {
 		// Release the scheduler before waking anyone so abort unwinding
 		// free-runs instead of queueing on the run token.
-		m.sched.ReleaseAll()
+		m.sched.ReleaseAll(holder)
 	}
 	m.err = err
 	m.aborted.Store(true)

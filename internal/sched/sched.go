@@ -52,7 +52,7 @@ type Choice struct {
 	// Sig is a positional state signature: a hash over every thread's
 	// (id, liveness, last source line, executed-statement count). Two
 	// interleavings that drove all threads to the same positions collide,
-	// which is what lets the DFS exploration prune commuting schedules.
+	// which is what makes it a coverage key for exploration campaigns.
 	// Only branch points (more than one enabled thread) carry a
 	// signature; singleton decisions leave it 0 — no scheduler branches
 	// there, so the per-statement fast path skips the hash.
@@ -112,9 +112,10 @@ type Gate struct {
 	// acc buffers the object accesses of the current event. Only the
 	// owning thread appends (it is the only one running), and every
 	// flush into the controller's trace happens on that same goroutine
-	// (Yield, park, exit and abort all run on the thread itself), so the
-	// buffer needs no lock. Post-abort stragglers keep appending
-	// harmlessly; the buffer is reset when the gate is recycled.
+	// (Yield, park, exit and abort all run on the thread itself; an
+	// interruption from outside the run flushes nothing), so the buffer
+	// needs no lock. Post-abort stragglers keep appending harmlessly;
+	// the buffer is reset when the gate is recycled.
 	acc []monitor.Access
 }
 
@@ -411,9 +412,9 @@ func (c *Controller) sigLocked() uint64 {
 
 // flushEventLocked closes the current event: the holder's buffered
 // accesses are appended to the trace. Every call site runs on the
-// holder's own goroutine (Yield, the park/exit hooks, and the abort all
-// execute on the thread itself), so reading g.acc here never races the
-// owner-side appends.
+// holder's own goroutine (Yield, the park/exit hooks, and an abort by
+// the thread itself), so reading g.acc here never races the owner-side
+// appends.
 func (c *Controller) flushEventLocked() {
 	if c.holder < 0 {
 		return
@@ -550,18 +551,21 @@ func (c *Controller) HolderExited() {
 // ReleaseAll switches to free-running mode: the run aborted, every
 // parked-on-the-token goroutine is released and all future scheduling
 // calls become no-ops, so abort unwinding never waits on the scheduler.
-func (c *Controller) ReleaseAll() {
+// holder reports whether the call runs on the token holder's goroutine.
+func (c *Controller) ReleaseAll(holder bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.isOff {
 		return
 	}
-	if c.trace != nil {
+	if c.trace != nil && holder {
 		// The aborting thread is the holder (only the token holder runs)
 		// and this call is on its goroutine, so its final accesses — e.g.
-		// the MPI call that completed a deadlock — flush safely here.
-		// Post-abort straggler accesses stay in their gate buffers and
-		// are dropped at recycle.
+		// the MPI call that completed a deadlock — flush safely here. An
+		// interruption from outside the run leaves the still-running
+		// holder's buffer alone: its partial event is dropped with the
+		// post-abort straggler accesses, which stay in their gate
+		// buffers until recycle.
 		c.flushEventLocked()
 	}
 	c.isOff = true
@@ -716,8 +720,6 @@ func (s *Replay) Diverged() bool { return s.diverged || s.pos < len(s.Trace) }
 // Branch is one observed decision point where the schedule genuinely
 // branched (more than one thread enabled).
 type Branch struct {
-	// Sig is the positional state signature at the decision.
-	Sig uint64
 	// Enabled is the sorted runnable set.
 	Enabled []ThreadID
 	// Chosen is the thread the recorder picked.
@@ -776,7 +778,6 @@ func (s *Recorder) Next(c Choice) ThreadID {
 	off := len(s.enabledBuf)
 	s.enabledBuf = append(s.enabledBuf, c.Enabled...)
 	s.Branches = append(s.Branches, Branch{
-		Sig:     c.Sig,
 		Enabled: s.enabledBuf[off:len(s.enabledBuf):len(s.enabledBuf)],
 		Chosen:  pick,
 	})

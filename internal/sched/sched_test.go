@@ -3,6 +3,8 @@ package sched
 import (
 	"reflect"
 	"testing"
+
+	"parcoach/internal/monitor"
 )
 
 // synth builds a Choice over the given enabled ids.
@@ -224,5 +226,41 @@ func TestTokenReplayEquivalence(t *testing.T) {
 		if a != b {
 			t.Fatalf("decision %d: original %v, replayed %v", i, a, b)
 		}
+	}
+}
+
+// TestReleaseAllLeavesRunningHolder: an abort from outside the run
+// (cancellation, a watchdog) must not touch the token holder's access
+// buffer, which the still-running holder keeps appending to — under
+// -race that would be a data race — while an abort on the holder's own
+// goroutine flushes its final accesses into the trace.
+func TestReleaseAllLeavesRunningHolder(t *testing.T) {
+	for _, holder := range []bool{true, false} {
+		rec := new(DPORRecorder)
+		rec.Reset(nil)
+		c := NewController(rec, 1)
+		c.Start()
+		g := c.ProcGate(0)
+		g.Attach()
+		g.Access(1, monitor.AccWrite)
+		if holder {
+			c.ReleaseAll(true)
+		} else {
+			released := make(chan struct{})
+			go func() {
+				c.ReleaseAll(false)
+				close(released)
+			}()
+			g.Access(2, monitor.AccWrite)
+			<-released
+		}
+		want := 0
+		if holder {
+			want = 1
+		}
+		if got := len(rec.Events.Accesses(rec.Events.Len() - 1)); got != want {
+			t.Errorf("holder=%t: last event has %d accesses, want %d", holder, got, want)
+		}
+		c.Recycle()
 	}
 }

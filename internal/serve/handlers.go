@@ -317,10 +317,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 type exploreRequest struct {
 	compileSpec
 	runSpec
-	// Strategy is rr|random|pct|dfs (default random); Frontier is
-	// steal|wave|dpor (DFS only, default steal).
+	// Strategy is rr|random|pct|dfs (default random); dfs enumerates
+	// the schedule space under dynamic partial-order reduction.
 	Strategy  string `json:"strategy,omitempty"`
-	Frontier  string `json:"frontier,omitempty"`
 	Schedules int    `json:"schedules,omitempty"`
 	Seed      int64  `json:"seed,omitempty"`
 	PCTDepth  int    `json:"pctDepth,omitempty"`
@@ -359,7 +358,6 @@ type reportJSON struct {
 	Strategy   string        `json:"strategy"`
 	Schedules  int           `json:"schedules"`
 	Exhausted  bool          `json:"exhausted"`
-	Pruned     int           `json:"pruned"`
 	SleepSkips int           `json:"sleepSkips"`
 	Diverged   int           `json:"diverged"`
 	Verdicts   []verdictJSON `json:"verdicts"`
@@ -407,13 +405,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		opts.Strategy = explore.StrategyRandom
-	}
-	if req.Frontier != "" {
-		var err error
-		if opts.Frontier, err = explore.ParseFrontier(req.Frontier); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
 	}
 	key, err := req.sessionKey()
 	if err != nil {
@@ -533,7 +524,6 @@ func renderReport(rep *explore.Report, key string, cached bool) reportJSON {
 		Strategy:    rep.Strategy.String(),
 		Schedules:   rep.Schedules,
 		Exhausted:   rep.Exhausted,
-		Pruned:      rep.Pruned,
 		SleepSkips:  rep.SleepSkips,
 		Diverged:    rep.Diverged,
 		Verdicts:    []verdictJSON{},

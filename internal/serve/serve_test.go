@@ -364,6 +364,16 @@ func TestExploreUnstreamed(t *testing.T) {
 	if rep.Strategy != "random" || rep.Schedules != 16 || len(rep.Verdicts) == 0 {
 		t.Fatalf("bad report: %+v", rep)
 	}
+
+	// There is one DFS and no frontier selector: a request still naming
+	// one is refused like any other unknown field.
+	code, raw = postJSON(t, ts.URL+"/explore", map[string]any{
+		"name": "racer.mh", "source": explore.BenchRacerSrc,
+		"strategy": "dfs", "frontier": "dpor",
+	})
+	if code != http.StatusBadRequest || !bytes.Contains(raw, []byte(`unknown field \"frontier\"`)) {
+		t.Fatalf("explore with a frontier field: %d %s", code, raw)
+	}
 }
 
 // TestEviction: the cache honors its cap, evicting least-recently-used

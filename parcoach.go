@@ -828,32 +828,17 @@ const (
 	// ExplorePCT samples random-priority schedules with bounded
 	// priority-change depth.
 	ExplorePCT = explore.StrategyPCT
-	// ExploreDFS enumerates interleavings exhaustively up to the budget.
+	// ExploreDFS enumerates interleavings exhaustively up to the budget,
+	// under dynamic partial-order reduction: only the orders of racing
+	// steps are varied.
 	ExploreDFS = explore.StrategyDFS
 )
 
-// ExploreFrontier re-exports the DFS frontier selector.
-type ExploreFrontier = explore.Frontier
-
-// DFS frontier implementations.
-const (
-	// ExploreFrontierSteal is the work-stealing frontier (default):
-	// per-worker LIFO deques ordered longest-common-prefix-first, with
-	// idle workers stealing the shallowest — largest — subtree from a
-	// peer, so skewed prefix trees keep the whole pool busy.
-	ExploreFrontierSteal = explore.FrontierSteal
-	// ExploreFrontierWave is the legacy wave-batched frontier, kept as
-	// the equivalence reference and benchmark baseline.
-	ExploreFrontierWave = explore.FrontierWave
-	// ExploreFrontierDPOR is the work-stealing frontier with dynamic
-	// partial-order reduction: each run's event trace is analyzed for
-	// racing step pairs and only their reversal prefixes are explored,
-	// with a global sleep-set ledger keeping stolen subtrees sound. On
-	// commuting-heavy programs it exhausts schedule spaces orders of
-	// magnitude beyond the plain DFS budget, with identical verdict
-	// sets.
-	ExploreFrontierDPOR = explore.FrontierDPOR
-)
+// ExploreFrontierDPOR is the only value of the ignored
+// ExploreOptions.Frontier field.
+//
+// Deprecated: DFS always runs dynamic partial-order reduction.
+var ExploreFrontierDPOR = explore.FrontierDPOR
 
 // Explore runs the program (instrumented when codegen produced checks,
 // like Run) under many interleavings and reports the distinct verdicts
