@@ -111,15 +111,15 @@ func TestCampaignSmoke(t *testing.T) {
 	}
 }
 
-// TestCampaignUniformBaseline: the uniform mode spends exactly the
-// per-entry budget with no mutation, and its report carries the same
-// coverage signal (the comparability contract of the bench).
+// TestCampaignUniformBaseline: the uniform mode spreads the budget
+// evenly, one schedule per entry per round, with no mutation, and its
+// report carries the same coverage signal as the campaign's.
 func TestCampaignUniformBaseline(t *testing.T) {
 	rep, err := parcoach.Campaign(parcoach.CampaignOptions{
-		Seeds:         campaignSeeds(10),
-		Seed:          7,
-		Uniform:       true,
-		UniformBudget: 4,
+		Seeds:   campaignSeeds(10),
+		Budget:  40,
+		Seed:    7,
+		Uniform: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,4 +138,67 @@ func TestCampaignUniformBaseline(t *testing.T) {
 	if !strings.HasPrefix(rep.Format(), "uniform ") {
 		t.Fatalf("uniform report mislabeled:\n%s", rep.Format())
 	}
+}
+
+// TestCampaignGolden pins the rendered report of an adaptive and of a
+// uniform campaign against testdata/golden (regenerate with -update):
+// every allocation, retirement, mutation and splice decision shows in
+// the trajectory and the corpus listing.
+func TestCampaignGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts parcoach.CampaignOptions
+	}{
+		{"campaign-adaptive", robustOpts(1)},
+		{"campaign-uniform", parcoach.CampaignOptions{Seeds: campaignSeeds(10), Budget: 40, Seed: 7, Uniform: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := parcoach.Campaign(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, tc.name, rep.Format())
+		})
+	}
+}
+
+// TestCampaignBeatsUniformSweep is the campaign's reason to exist: on
+// the same corpus, master seed and default budget, the coverage-guided
+// campaign reaches the uniform sweep's final coverage within half the
+// sweep's runs, and still catches every planted bug the sweep caught.
+// Reduction is off: it changes the corpus listing, never the
+// trajectory.
+func TestCampaignBeatsUniformSweep(t *testing.T) {
+	opts := parcoach.CampaignOptions{Seeds: campaignSeeds(20), Seed: 42, NoReduce: true}
+	camp, err := parcoach.Campaign(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Uniform = true
+	sweep, err := parcoach.Campaign(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reached := -1
+	for _, p := range camp.Trajectory {
+		if p.Coverage >= sweep.Coverage {
+			reached = p.Runs
+			break
+		}
+	}
+	if reached < 0 || reached > sweep.Runs/2 {
+		t.Errorf("campaign reached the sweep's coverage %d at run %d (-1: never), want within %d of the sweep's %d runs",
+			sweep.Coverage, reached, sweep.Runs/2, sweep.Runs)
+	}
+	caught := make(map[string]bool, len(camp.Bugs))
+	for _, b := range camp.Bugs {
+		caught[b] = true
+	}
+	for _, b := range sweep.Bugs {
+		if !caught[b] {
+			t.Errorf("the sweep caught %s, the campaign did not", b)
+		}
+	}
+	t.Logf("sweep: %d runs, %d keys, %d bugs; campaign: reached %d keys at run %d, %d bugs",
+		sweep.Runs, sweep.Coverage, len(sweep.Bugs), sweep.Coverage, reached, len(camp.Bugs))
 }

@@ -121,7 +121,7 @@ func runCampaign(args []string) {
 		budget  = fs.Int("budget", 0, "total schedule budget (0 = 16 per seed)")
 		cseed   = fs.Uint64("campaign-seed", 1, "campaign schedule and mutation seed")
 		workers = fs.Int("workers", 0, "worker-pool width (0 = GOMAXPROCS)")
-		uniform = fs.Bool("uniform", false, "spread the budget evenly instead of by coverage yield (the bench baseline; no mutation)")
+		uniform = fs.Bool("uniform", false, "spread the budget evenly instead of by coverage yield (the linear-sweep baseline; no mutation)")
 		asJSON  = fs.Bool("json", false, "emit the structured report as JSON")
 
 		checkpoint = fs.String("checkpoint", "", "write resumable campaign state to this file")

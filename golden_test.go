@@ -126,25 +126,28 @@ func describe(t *testing.T, gp goldenProgram, mkSched func() sched.Scheduler) st
 func TestGoldenExamples(t *testing.T) {
 	for _, gp := range goldenPrograms(t) {
 		t.Run(gp.name, func(t *testing.T) {
-			got := describe(t, gp, nil)
-			path := filepath.Join("testdata", "golden", gp.name+".golden")
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("golden mismatch for %s:\n--- got ---\n%s\n--- want ---\n%s", gp.name, got, want)
-			}
+			checkGolden(t, gp.name, describe(t, gp, nil))
 		})
+	}
+}
+
+// checkGolden compares got with testdata/golden/<name>.golden, or
+// rewrites that file when the test runs with -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name+".golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("golden mismatch for %s:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
 }
 

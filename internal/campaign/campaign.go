@@ -31,6 +31,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"parcoach/internal/chaos"
 	"parcoach/internal/interp"
@@ -59,53 +60,28 @@ type Options struct {
 	// (mhgen.FromSeed each).
 	Seeds []uint64
 	// Budget is the total number of schedules the campaign may run
-	// across the whole corpus (default UniformBudget × len(Seeds)).
+	// across the whole corpus (default 16 × len(Seeds)).
 	Budget int
 	// Seed is the campaign master seed: every schedule seed derives
 	// from (Seed, entry id, schedule index).
 	Seed uint64
-	// Compile builds each corpus entry (required).
-	Compile CompileFunc
-	// Pool is the shared worker pool (required; width = parallelism).
-	Pool *pipeline.Pool
-	// Uniform switches to the linear-sweep baseline: every entry gets
-	// exactly UniformBudget schedules, one per round, with no
-	// retirement, no mutation and no splicing. The coverage signal and
-	// the schedule streams are identical to the campaign's, so the two
-	// trajectories are directly comparable.
+	// Workers is the width of the shared worker pool the caller hands
+	// to Run (0 = GOMAXPROCS). Reports do not depend on it.
+	Workers int
+	// Uniform switches to the linear-sweep baseline: one schedule per
+	// entry per round until the budget is spent, with no retirement, no
+	// mutation and no splicing. The coverage signal and the schedule
+	// streams are identical to the campaign's, so the two trajectories
+	// are directly comparable.
 	Uniform bool
-	// NoMutate disables seed-neighborhood mutation; NoSplice disables
-	// schedule-prefix splicing.
-	NoMutate bool
-	NoSplice bool
 	// NoReduce skips mhgen.Reduce minimization of committed mutant
-	// reproducers (the bench harness turns it off: reduction changes
-	// the corpus listing, never the coverage trajectory).
+	// reproducers (reduction changes the corpus listing, never the
+	// coverage trajectory).
 	NoReduce bool
-
-	// Initial is the round-0 schedule allocation per entry (default 1:
-	// one probe run per program suffices to rank entries, and every
-	// extra probe is budget the leaders never get back).
-	Initial int
-	// MaxPerRound is the per-round allocation of the round's
-	// best-yielding entry; every other entry gets a proportional share
-	// of it. The default is 2 — deliberately tight: with a cap of 2
-	// only entries within half the best rate run at all, which
-	// concentrates the budget on the steepest coverage growth (the
-	// measured sweep: cap 2 ≈ 3.4× over the linear baseline, cap 8 ≈
-	// 2.2×, cap 32 ≈ 1.6×).
-	MaxPerRound int
-	// DryRounds is how many consecutive parked rounds (relative yield
-	// rate rounding to a zero allocation) retire an entry for good
-	// (default 8 — long enough for the revisit trickle to probe a
-	// parked entry a couple more times before giving up on it).
-	DryRounds int
-	// UniformBudget is the per-entry schedule count of the uniform
-	// baseline and the default-budget multiplier (default 16).
-	UniformBudget int
-	// MaxCorpus caps the corpus size including mutants (default
-	// 2 × len(Seeds)).
-	MaxCorpus int
+	// RunTimeout, when positive, is the per-run wall-clock watchdog the
+	// caller's CompileFunc arms on every session it builds (wedged runs
+	// classify as timeout instead of hanging the campaign).
+	RunTimeout time.Duration
 
 	// Ctx, when non-nil, cancels the campaign: the context is checked
 	// between rounds and per job, and in-flight runs are aborted through
@@ -138,24 +114,34 @@ type Options struct {
 	HaltAfterRound int
 }
 
+// The allocation policy.
+const (
+	// runsPerSeed sets the default budget: 16 schedules per seed.
+	runsPerSeed = 16
+	// initialAlloc is the round-0 schedule allocation per entry: one
+	// probe run per program suffices to rank entries, and every extra
+	// probe is budget the leaders never get back.
+	initialAlloc = 1
+	// maxPerRound is the per-round allocation of the round's
+	// best-yielding entry; every other entry gets a proportional share
+	// of it. Deliberately tight: with a cap of 2 only entries within half
+	// the best rate run at all, which concentrates the budget on the
+	// steepest coverage growth (the measured sweep: cap 2 ≈ 3.4× over the
+	// linear baseline, cap 8 ≈ 2.2×, cap 32 ≈ 1.6×).
+	maxPerRound = 2
+	// dryRounds is how many consecutive parked rounds (relative yield
+	// rate rounding to a zero allocation) retire an entry for good: long
+	// enough for the revisit trickle to probe a parked entry a couple
+	// more times before giving up on it.
+	dryRounds = 8
+	// corpusPerSeed caps the corpus, mutants included, at twice the
+	// seed count.
+	corpusPerSeed = 2
+)
+
 func (o *Options) defaults() {
-	if o.Initial <= 0 {
-		o.Initial = 1
-	}
-	if o.MaxPerRound <= 0 {
-		o.MaxPerRound = 2
-	}
-	if o.DryRounds <= 0 {
-		o.DryRounds = 8
-	}
-	if o.UniformBudget <= 0 {
-		o.UniformBudget = 16
-	}
 	if o.Budget <= 0 {
-		o.Budget = o.UniformBudget * len(o.Seeds)
-	}
-	if o.MaxCorpus <= 0 {
-		o.MaxCorpus = 2 * len(o.Seeds)
+		o.Budget = runsPerSeed * len(o.Seeds)
 	}
 	if o.Checkpoint != "" && o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 1
@@ -224,15 +210,11 @@ type jobResult struct {
 	diverged   bool
 }
 
-// Run executes the campaign and returns its report.
-func Run(opts Options) (*Report, error) {
+// Run executes the campaign and returns its report. Every corpus entry
+// is built by compile, and all compilation and schedule execution fans
+// out on pool.
+func Run(opts Options, compile CompileFunc, pool *pipeline.Pool) (*Report, error) {
 	opts.defaults()
-	if opts.Compile == nil {
-		return nil, fmt.Errorf("campaign: Options.Compile is required")
-	}
-	if opts.Pool == nil {
-		return nil, fmt.Errorf("campaign: Options.Pool is required")
-	}
 	if len(opts.Seeds) == 0 {
 		return nil, fmt.Errorf("campaign: empty seed corpus")
 	}
@@ -242,9 +224,11 @@ func Run(opts Options) (*Report, error) {
 	}
 
 	c := &state{
-		opts:  opts,
-		cover: pipeline.NewShardedSet(),
-		seen:  make(map[uint64]bool),
+		opts:    opts,
+		compile: compile,
+		pool:    pool,
+		cover:   pipeline.NewShardedSet(),
+		seen:    make(map[uint64]bool),
 	}
 
 	startRound := 0
@@ -267,8 +251,8 @@ func Run(opts Options) (*Report, error) {
 		for i, s := range opts.Seeds {
 			gps[i] = mhgen.FromSeed(s)
 		}
-		opts.Pool.Map(len(gps), func(i int) {
-			comps[i], errs[i] = opts.Compile(gps[i])
+		pool.Map(len(gps), func(i int) {
+			comps[i], errs[i] = compile(gps[i])
 		})
 		for i, gp := range gps {
 			if errs[i] != nil {
@@ -289,7 +273,7 @@ func Run(opts Options) (*Report, error) {
 			break
 		}
 		results := make([]jobResult, len(jobs))
-		opts.Pool.MapCtx(opts.Ctx, len(jobs), func(i int) {
+		pool.MapCtx(opts.Ctx, len(jobs), func(i int) {
 			results[i] = c.execute(jobs[i])
 		})
 		if ctxErr(opts.Ctx) != nil {
@@ -321,6 +305,8 @@ func Run(opts Options) (*Report, error) {
 // parallel phase reads entries' immutable fields and runs sessions.
 type state struct {
 	opts    Options
+	compile CompileFunc
+	pool    *pipeline.Pool
 	entries []*entry
 	cover   *pipeline.ShardedSet
 	seen    map[uint64]bool // source hashes of admitted programs (dedup)
@@ -385,21 +371,19 @@ const rateScale = 1024
 // concentrates where coverage still grows fastest instead of being
 // spread evenly. Entries whose relative rate rounds to zero are parked
 // for the round (no schedules; a later drop in the leaders' rate can
-// revive them), and after DryRounds consecutive parked rounds they
-// retire for good. Entries admitted last round probe with Initial.
+// revive them), and after dryRounds consecutive parked rounds they
+// retire for good. Entries admitted last round probe with initialAlloc.
+// The uniform baseline gives every entry one schedule per round.
 func (c *state) reallocate(round int) {
 	if c.opts.Uniform {
 		for _, e := range c.entries {
-			e.alloc = 0
-			if e.runs < c.opts.UniformBudget {
-				e.alloc = 1
-			}
+			e.alloc = 1
 		}
 		return
 	}
 	if round == 0 {
 		for _, e := range c.entries {
-			e.alloc = c.opts.Initial
+			e.alloc = initialAlloc
 		}
 		return
 	}
@@ -417,15 +401,15 @@ func (c *state) reallocate(round int) {
 		case e.retired:
 			e.alloc = 0
 		case e.lastRuns == 0: // admitted last round, not yet probed
-			e.alloc = c.opts.Initial
+			e.alloc = initialAlloc
 		default:
 			alloc := 0
 			if rateMax > 0 {
-				alloc = e.yield * rateScale / e.lastRuns * c.opts.MaxPerRound / rateMax
+				alloc = e.yield * rateScale / e.lastRuns * maxPerRound / rateMax
 			}
 			if alloc == 0 {
 				e.dry++
-				if e.dry >= c.opts.DryRounds {
+				if e.dry >= dryRounds {
 					e.retired = true
 				}
 				e.splices = nil // parked: schedule follow-ups lapse too
@@ -592,8 +576,7 @@ func (c *state) merge(round int, jobs []job, results []jobResult) {
 		// positional signature — the same child expansion DFS performs,
 		// but rooted only where this run proved the state space is still
 		// growing.
-		if novel > 0 && deepest >= 0 && !c.opts.Uniform && !c.opts.NoSplice &&
-			len(e.splices) < spliceCap {
+		if novel > 0 && deepest >= 0 && !c.opts.Uniform && len(e.splices) < spliceCap {
 			b := &jr.branches[deepest]
 			for _, alt := range b.enabled {
 				if alt == b.chosen || len(e.splices) >= spliceCap {

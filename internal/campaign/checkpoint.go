@@ -78,18 +78,20 @@ type checkpoint struct {
 // fingerprint hashes every option that shapes the campaign's
 // deterministic trajectory. Resuming under different options would
 // silently diverge from the uninterrupted run; the fingerprint turns
-// that into a loud error. Pool width and checkpoint/halt settings are
-// deliberately excluded — they must not affect the trajectory.
+// that into a loud error. Pool width, run timeout and checkpoint/halt
+// settings are deliberately excluded — they must not affect the
+// trajectory. The allocation constants are hashed where their options
+// used to be, so checkpoints written while they were settable resume.
 func fingerprint(o *Options) uint64 {
 	h := fnvString("parcoach-campaign-checkpoint-v1")
 	h = mix(h, o.Seed)
 	h = mix(h, uint64(o.Budget))
-	h = mix(h, boolBit(o.Uniform)<<0|boolBit(o.NoMutate)<<1|boolBit(o.NoSplice)<<2|boolBit(o.NoReduce)<<3)
-	h = mix(h, uint64(o.Initial))
-	h = mix(h, uint64(o.MaxPerRound))
-	h = mix(h, uint64(o.DryRounds))
-	h = mix(h, uint64(o.UniformBudget))
-	h = mix(h, uint64(o.MaxCorpus))
+	h = mix(h, boolBit(o.Uniform)<<0|boolBit(o.NoReduce)<<3)
+	h = mix(h, initialAlloc)
+	h = mix(h, maxPerRound)
+	h = mix(h, dryRounds)
+	h = mix(h, runsPerSeed)
+	h = mix(h, uint64(corpusPerSeed*len(o.Seeds)))
 	h = mix(h, uint64(len(o.Seeds)))
 	for _, s := range o.Seeds {
 		h = mix(h, s)
@@ -215,8 +217,8 @@ func (c *state) restore(ck *checkpoint) error {
 		cfg := mhgen.Config{Seed: snap.Seed, Bug: workload.Bug(snap.Bug), Size: mhgen.Size(snap.Size)}
 		gps[i] = mhgen.Generate(cfg)
 	}
-	c.opts.Pool.Map(len(gps), func(i int) {
-		comps[i], errs[i] = c.opts.Compile(gps[i])
+	c.pool.Map(len(gps), func(i int) {
+		comps[i], errs[i] = c.compile(gps[i])
 	})
 	for i := range ck.Entries {
 		if errs[i] != nil {

@@ -62,7 +62,7 @@ func neighborhood(cfg mhgen.Config) []mhgen.Config {
 // rotating through the neighborhood across rounds. Runs in the serial
 // merge; admission order (and hence entry ids) is deterministic.
 func (c *state) mutate(e *entry) {
-	if c.opts.Uniform || c.opts.NoMutate || len(c.entries) >= c.opts.MaxCorpus {
+	if c.opts.Uniform || len(c.entries) >= corpusPerSeed*len(c.opts.Seeds) {
 		return
 	}
 	for _, cfg := range neighborhood(e.cfg) {
@@ -71,7 +71,7 @@ func (c *state) mutate(e *entry) {
 		if c.seen[h] {
 			continue
 		}
-		comp, err := c.opts.Compile(gp)
+		comp, err := c.compile(gp)
 		if err != nil {
 			// A generator neighbor that fails to compile is a generator
 			// bug; skip it rather than abort a long campaign.

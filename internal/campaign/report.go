@@ -54,8 +54,8 @@ type Report struct {
 	StaticKeys  int `json:"static_keys"`
 
 	// Bugs lists the caught planted bugs of the seed corpus (static or
-	// dynamic), sorted — the set the bench compares between campaign
-	// and linear sweep. MutantBugs lists catches in mutated programs.
+	// dynamic), sorted — the set compared between campaign and linear
+	// sweep. MutantBugs lists catches in mutated programs.
 	Bugs       []string `json:"bugs"`
 	MutantBugs []string `json:"mutant_bugs,omitempty"`
 
@@ -151,7 +151,7 @@ func (c *state) reduceMutant(e *entry) string {
 func (c *state) replayOutcome(gp *mhgen.Program, src, token string) interp.Outcome {
 	probe := *gp
 	probe.Source = src
-	comp, err := c.opts.Compile(&probe)
+	comp, err := c.compile(&probe)
 	if err != nil {
 		return interp.OutcomeClean
 	}

@@ -60,14 +60,15 @@ const (
 	ContextMultithreaded
 )
 
+// entryFunc is the root of the call-graph context propagation.
+// Functions unreachable from it are analysed in the context their own
+// callers imply, or monothreaded if uncalled.
+const entryFunc = "main"
+
 // Options configures the analysis.
 type Options struct {
 	// Initial is the context assumed for main (default monothreaded).
 	Initial Context
-	// EntryFunc is the root of the call-graph context propagation;
-	// defaults to "main". Functions unreachable from it are analysed in
-	// the context their own callers imply, or monothreaded if uncalled.
-	EntryFunc string
 	// RawPDF disables the rank-dependence refinement of phase 3 and
 	// reports every conditional in PDF+(O_c), including process-invariant
 	// ones (ablation mode; more warnings, more instrumentation).
@@ -250,9 +251,6 @@ type analyzer struct {
 // supplied), and the call-graph condensation that orders the
 // interprocedural stages.
 func Begin(prog *ast.Program, opts Options) *Analysis {
-	if opts.EntryFunc == "" {
-		opts.EntryFunc = "main"
-	}
 	run := opts.Runner
 	if run == nil {
 		run = pipeline.NewPool(1) // inline-serial
@@ -403,7 +401,7 @@ func displayWord(w pword.Word, multi bool) string {
 func (an *Analysis) ComputeContexts() {
 	a := an.a
 	if a.opts.Initial == ContextMultithreaded {
-		a.multiCtx[a.opts.EntryFunc] = true
+		a.multiCtx[entryFunc] = true
 	}
 	// propagate marks name's callees and reports whether it marked a
 	// member of the current component (which then needs re-iteration).
@@ -628,7 +626,7 @@ func (an *Analysis) Finish() *Result {
 	a.res.Diags = append(a.res.Diags, Diagnostic{
 		Kind:    DiagThreadLevel,
 		Pos:     a.prog.Pos(),
-		Func:    a.opts.EntryFunc,
+		Func:    entryFunc,
 		Message: fmt.Sprintf("program requires at least %s", a.res.RequiredLevel),
 	})
 	SortDiagnostics(a.res.Diags)

@@ -420,9 +420,8 @@ func Explore(prog *ast.Program, opts Options) *Report {
 // artifact (parcoachd's per-artifact session pools): the session's
 // pooled run state carries over, so repeated /explore requests skip
 // per-schedule setup entirely. The session's own run options (procs,
-// threads, level, policy, step budget) govern the runs; the matching
-// fields of opts only shape the report and must agree with the session
-// for replay tokens to reproduce.
+// threads, level, policy, step budget, value oracle, watchdog) govern
+// the runs; ExploreSession reads none of the matching fields of opts.
 func ExploreSession(sess *interp.Session, opts Options) *Report {
 	opts = opts.normalized()
 	rep := &Report{Strategy: opts.Strategy}

@@ -29,11 +29,18 @@ import (
 	"parcoach/internal/verifier"
 )
 
+// maxWidth bounds the process count and every team size. A run asking
+// for more fails with a RuntimeError before it allocates anything: a
+// goroutine and its state per process or thread would otherwise exhaust
+// memory, which ends the process where no recover can catch it.
+const maxWidth = 256
+
 // Options configures a run.
 type Options struct {
-	// Procs is the number of MPI processes (default 2).
+	// Procs is the number of MPI processes (default 2, at most 256).
 	Procs int
-	// Threads is the default team size of parallel regions (default 2).
+	// Threads is the default team size of parallel regions (default 2,
+	// at most 256).
 	Threads int
 	// Level is the MPI thread support to simulate (default MPI_THREAD_MULTIPLE,
 	// so the verifier, not the usage police, reports hybrid bugs).
@@ -469,6 +476,9 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 			nv, err := c.evalInt(s.NumThreads, e)
 			if err != nil {
 				return false, 0, err
+			}
+			if nv > maxWidth {
+				return false, 0, c.errf(s.Pos(), "team of %d threads exceeds the limit of %d", nv, maxWidth)
 			}
 			n = int(nv)
 		}

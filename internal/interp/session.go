@@ -20,6 +20,7 @@ package interp
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,6 +139,10 @@ func (s *Session) Run(scheduler sched.Scheduler) *Result {
 // adds nothing to the hot path.
 func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result {
 	opts := s.opts
+	if opts.Procs > maxWidth || opts.Threads > maxWidth {
+		return &Result{Err: &RuntimeError{Pos: s.prog.Pos(), Msg: fmt.Sprintf(
+			"%d processes of %d threads exceed the limit of %d", opts.Procs, opts.Threads, maxWidth)}}
+	}
 	if ctx != nil {
 		if err := context.Cause(ctx); err != nil {
 			// Refuse to start: a canceled caller wants its slot back, not

@@ -43,16 +43,19 @@ type Options struct {
 	// reduction candidate — so a shared compiler removes the duplicate
 	// pipeline runs. Verdicts are identical with or without it.
 	Compiler *parcoach.Compiler
-	// MaxSteps bounds each run (default 2 million).
-	MaxSteps int64
-	// ExploreSchedules is the per-program schedule budget for the
-	// exploration pass over schedule-dependent programs (default 8;
-	// negative disables exploration). The concurrency bug classes are
-	// judged against the exploration verdict — any schedule whose
-	// planted check aborts counts as a dynamic detection — and clean
-	// programs must stay clean under every explored schedule.
-	ExploreSchedules int
 }
+
+const (
+	// maxSteps bounds each run.
+	maxSteps = 2_000_000
+	// exploreSchedules is the per-program schedule budget of the
+	// exploration pass over schedule-dependent programs. The concurrency
+	// bug classes are judged against the exploration verdict — any
+	// schedule whose planted check aborts counts as a dynamic detection
+	// — and clean programs must stay clean under every explored
+	// schedule.
+	exploreSchedules = 8
+)
 
 // compile builds (name, src) in the given mode, through the shared
 // artifact cache when one is configured.
@@ -62,17 +65,6 @@ func (o Options) compile(name, src string, mode parcoach.Mode) (*parcoach.Progra
 		return o.Compiler.Cached(name, src, copts)
 	}
 	return parcoach.Compile(name, src, copts)
-}
-
-// exploreBudget resolves the schedule budget.
-func (o Options) exploreBudget() int {
-	if o.ExploreSchedules < 0 {
-		return 0
-	}
-	if o.ExploreSchedules == 0 {
-		return 8
-	}
-	return o.ExploreSchedules
 }
 
 // scheduleDependent reports whether a bug class needs a particular
@@ -164,9 +156,6 @@ func (r Row) String() string {
 // Evaluate compiles gp in all three modes, runs it with and without
 // instrumentation, and classifies the combined verdict.
 func Evaluate(gp *mhgen.Program, opts Options) Row {
-	if opts.MaxSteps <= 0 {
-		opts.MaxSteps = 2_000_000
-	}
 	row := Row{Seed: gp.Seed, Bug: gp.Bug, Size: gp.Size,
 		StaticKinds: "-", Baseline: "-", Explored: "-", FirstDetect: "-"}
 	name := gp.Name + ".mh"
@@ -199,7 +188,7 @@ func Evaluate(gp *mhgen.Program, opts Options) Row {
 		Procs:    gp.Procs,
 		Threads:  gp.Threads,
 		Policy:   omp.RoundRobin,
-		MaxSteps: opts.MaxSteps,
+		MaxSteps: maxSteps,
 	}
 	if gp.Bug == workload.BugTornBuffer {
 		// The torn source buffer is the one class whose *instrumented*
@@ -225,8 +214,7 @@ func Evaluate(gp *mhgen.Program, opts Options) Row {
 	// against the whole explored interleaving space, not the one
 	// deterministic schedule. Any schedule stopped by a planted check is
 	// a dynamic detection; clean programs must survive every schedule.
-	if budget := opts.exploreBudget(); budget > 0 &&
-		(gp.Bug == workload.BugNone || scheduleDependent(gp.Bug)) {
+	if gp.Bug == workload.BugNone || scheduleDependent(gp.Bug) {
 		// Random sampling rather than DFS: on generator-sized programs a
 		// small DFS budget drains into permutations of the first few
 		// statements, while seeded uniform schedules diversify the whole
@@ -236,10 +224,10 @@ func Evaluate(gp *mhgen.Program, opts Options) Row {
 		// of internal/explore's property suite instead.
 		rep := full.Explore(parcoach.ExploreOptions{
 			Strategy:  parcoach.ExploreRandom,
-			Schedules: budget,
+			Schedules: exploreSchedules,
 			Procs:     gp.Procs,
 			Threads:   gp.Threads,
-			MaxSteps:  opts.MaxSteps,
+			MaxSteps:  maxSteps,
 			Workers:   opts.Workers,
 		})
 		row.Explored = fmt.Sprint(rep.Schedules)
@@ -384,10 +372,6 @@ func replayFails(gp *mhgen.Program, token string, opts Options) bool {
 	s, err := sched.Parse(token)
 	if err != nil {
 		return false
-	}
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 2_000_000
 	}
 	res := p.Run(parcoach.RunOptions{
 		Procs:     gp.Procs,

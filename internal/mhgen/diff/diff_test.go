@@ -192,16 +192,6 @@ func TestEvaluateExplorationColumns(t *testing.T) {
 	}
 }
 
-// TestEvaluateExplorationDisabled: a negative budget turns the
-// exploration pass off entirely.
-func TestEvaluateExplorationDisabled(t *testing.T) {
-	row := Evaluate(mhgen.Generate(mhgen.Config{Seed: 2, Bug: workload.BugConcurrentSingles}),
-		Options{Workers: 2, ExploreSchedules: -1})
-	if row.Explored != "-" || row.FirstDetect != "-" {
-		t.Errorf("exploration ran despite being disabled: %s", row)
-	}
-}
-
 // TestEvaluateSharedCompilerIdenticalVerdicts: routing the harness
 // through a shared artifact cache must not change a single rendered
 // row, and the replay-heavy reduction path must actually hit the cache

@@ -319,11 +319,15 @@ type exploreRequest struct {
 	runSpec
 	// Strategy is rr|random|pct|dfs (default random); dfs enumerates
 	// the schedule space under dynamic partial-order reduction.
-	Strategy  string `json:"strategy,omitempty"`
-	Schedules int    `json:"schedules,omitempty"`
-	Seed      int64  `json:"seed,omitempty"`
-	PCTDepth  int    `json:"pctDepth,omitempty"`
-	// Workers widths the exploration's run fan-out (0 = GOMAXPROCS).
+	Strategy string `json:"strategy,omitempty"`
+	// Schedules is the run budget (at most maxSchedules) and PCTDepth
+	// the PCT priority-change depth (at most sched.MaxPCTDepth); larger
+	// values answer 400.
+	Schedules int   `json:"schedules,omitempty"`
+	Seed      int64 `json:"seed,omitempty"`
+	PCTDepth  int   `json:"pctDepth,omitempty"`
+	// Workers widths the exploration's run fan-out (0 = GOMAXPROCS, at
+	// most maxWorkers).
 	Workers int `json:"workers,omitempty"`
 	// Stream switches the response to NDJSON: one JSON object per line —
 	// "start", then "verdict" (first run of each outcome class),
@@ -386,9 +390,33 @@ type streamEvent struct {
 	Report *reportJSON `json:"report,omitempty"`
 }
 
+// Exploration request bounds. Past them one request allocates without
+// bound — the sampling strategies make a job per schedule before the
+// first run, and the pool starts a concurrent run per worker — which
+// can exhaust the daemon's memory and end the process where the panic
+// quarantine cannot catch it.
+const (
+	maxSchedules = 1 << 16
+	maxWorkers   = 256
+)
+
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var req exploreRequest
 	if !decodeInto(w, r, &req) {
+		return
+	}
+	if req.Schedules > maxSchedules {
+		writeError(w, http.StatusBadRequest, "schedules %d above the limit of %d", req.Schedules, maxSchedules)
+		return
+	}
+	if req.Workers > maxWorkers {
+		writeError(w, http.StatusBadRequest, "workers %d above the limit of %d", req.Workers, maxWorkers)
+		return
+	}
+	// The PCT sampler draws depth-1 change points before its first
+	// decision, and a deeper token would not replay through /run.
+	if req.PCTDepth > sched.MaxPCTDepth {
+		writeError(w, http.StatusBadRequest, "pctDepth %d above the limit of %d", req.PCTDepth, sched.MaxPCTDepth)
 		return
 	}
 	opts := explore.Options{
@@ -418,10 +446,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if key.maxSteps <= 0 {
 		key.maxSteps = explore.DefaultMaxSteps
 	}
-	opts.Procs, opts.Threads = key.procs, key.threads
-	opts.MaxSteps = key.maxSteps
-	opts.Policy = key.policy
-	opts.Level, opts.LevelSet = key.level, key.levelSet
 
 	a, cached := s.resolve(w, r, &req.compileSpec)
 	if a == nil {

@@ -103,7 +103,7 @@ func TestExploreStreamClientDisconnect(t *testing.T) {
 
 	body, _ := json.Marshal(map[string]any{
 		"name": "buggy.mh", "source": buggySrc,
-		"strategy": "random", "schedules": 100000, "workers": 2, "stream": true,
+		"strategy": "random", "schedules": maxSchedules, "workers": 2, "stream": true,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -127,8 +127,8 @@ func TestExploreStreamClientDisconnect(t *testing.T) {
 		st := s.Snapshot()
 		return st.Robust.CanceledRequests > before.Robust.CanceledRequests
 	})
-	// The exploration stopped far short of its 100k budget.
-	if st := s.Snapshot(); st.Explore.Schedules-before.Explore.Schedules >= 100000 {
+	// The exploration stopped far short of its budget.
+	if st := s.Snapshot(); st.Explore.Schedules-before.Explore.Schedules >= maxSchedules {
 		t.Fatalf("disconnected exploration ran its full budget (%d schedules)", st.Explore.Schedules)
 	}
 }
@@ -205,5 +205,53 @@ func TestStatsSurfacesRobustness(t *testing.T) {
 		if _, ok := robust[key]; !ok {
 			t.Errorf("robust section lacks %q: %s", key, payload["robust"])
 		}
+	}
+}
+
+// TestOversizedRequestsAnswered: a process count, team size, schedule
+// budget, worker count or PCT depth that would make one request
+// allocate without bound — an out-of-memory error ends the process past
+// every panic quarantine — is refused with a 400 or fails the run as a
+// runtime error, and the daemon keeps answering.
+func TestOversizedRequestsAnswered(t *testing.T) {
+	defer leakcheck.Check(t)
+	_, ts := newTestServer(t, Config{})
+	const wideSrc = `
+func main() {
+	MPI_Init()
+	parallel num_threads(2000000000) {
+		MPI_Barrier()
+	}
+	MPI_Finalize()
+}`
+	for _, tc := range []struct {
+		name, path string
+		body       map[string]any
+		want       int // 200 means the run must fail as a runtime error
+	}{
+		{"procs", "/run", map[string]any{"source": cleanSrc, "procs": 2_000_000_000}, http.StatusOK},
+		{"threads", "/run", map[string]any{"source": cleanSrc, "threads": 2_000_000_000}, http.StatusOK},
+		{"num_threads", "/run", map[string]any{"source": wideSrc}, http.StatusOK},
+		{"schedules", "/explore", map[string]any{"source": cleanSrc, "schedules": 8_000_000_000}, http.StatusBadRequest},
+		{"workers", "/explore", map[string]any{"source": cleanSrc, "workers": 2_000_000_000}, http.StatusBadRequest},
+		{"pctDepth", "/explore", map[string]any{"source": cleanSrc, "strategy": "pct", "pctDepth": 1 << 40}, http.StatusBadRequest},
+	} {
+		code, raw := postJSON(t, ts.URL+tc.path, tc.body)
+		if code != tc.want {
+			t.Fatalf("%s: answered %d, want %d: %s", tc.name, code, tc.want, raw)
+		}
+		if code == http.StatusOK {
+			if res := decode[runResponse](t, raw); res.Outcome != "runtime-error" || !strings.Contains(res.Error, "limit of 256") {
+				t.Fatalf("%s: outcome %q (%s), want a runtime error naming the limit", tc.name, res.Outcome, res.Error)
+			}
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after oversized requests: %d", resp.StatusCode)
 	}
 }

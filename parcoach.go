@@ -883,60 +883,14 @@ func (p *Program) RunUninstrumented(opts RunOptions) *RunResult {
 // retired, and mutation (seed neighborhoods, schedule-prefix splicing)
 // grows the corpus. A campaign is a pure function of its options:
 // reports are byte-identical at any Workers value.
-type CampaignOptions struct {
-	// Seeds is the initial corpus (mhgen generation seeds).
-	Seeds []uint64
-	// Budget is the total schedule budget (default 16 × len(Seeds) —
-	// the same total the uniform baseline spends).
-	Budget int
-	// Seed is the campaign master seed.
-	Seed uint64
-	// Workers is the shared pool width (0 = GOMAXPROCS).
-	Workers int
-	// MaxSteps bounds each run (default 2 million, as the differential
-	// harness).
-	MaxSteps int64
-	// Uniform runs the linear-sweep baseline instead: the same engine,
-	// coverage signal and schedule streams, but a fixed equal budget
-	// per entry and no adaptation, mutation or splicing.
-	Uniform bool
-	// NoMutate / NoSplice / NoReduce disable individual campaign
-	// channels (the bench harness disables mutation so campaign and
-	// baseline cover the identical program set).
-	NoMutate bool
-	NoSplice bool
-	NoReduce bool
-	// Initial, MaxPerRound, DryRounds, UniformBudget and MaxCorpus
-	// override the engine's allocation knobs (zero = default).
-	Initial       int
-	MaxPerRound   int
-	DryRounds     int
-	UniformBudget int
-	MaxCorpus     int
+type CampaignOptions = campaign.Options
 
-	// Ctx, when non-nil, cancels the campaign between rounds and aborts
-	// in-flight runs; the partial report carries Canceled.
-	Ctx context.Context
-	// RunTimeout, when positive, arms the per-run wall-clock watchdog on
-	// every campaign session (wedged runs classify as timeout instead of
-	// hanging the campaign).
-	RunTimeout time.Duration
-	// Checkpoint/CheckpointEvery/Resume/HaltAfterRound expose the
-	// engine's checkpoint-resume machinery (see campaign.Options): a
-	// resumed campaign's report is byte-identical to an uninterrupted
-	// run of the same options.
-	Checkpoint      string
-	CheckpointEvery int
-	Resume          string
-	HaltAfterRound  int
-}
+// CampaignReport re-exports the campaign's result.
+type CampaignReport = campaign.Report
 
-// CampaignReport re-exports the campaign's result; CampaignPoint is
-// one round of its coverage-vs-budget trajectory.
-type (
-	CampaignReport = campaign.Report
-	CampaignPoint  = campaign.Point
-)
+// campaignMaxSteps bounds each campaign run, as the differential
+// harness does.
+const campaignMaxSteps = 2_000_000
 
 // Campaign runs a coverage-guided exploration campaign: every corpus
 // entry compiles once through a shared artifact-cached Compiler
@@ -945,10 +899,6 @@ type (
 func Campaign(opts CampaignOptions) (*CampaignReport, error) {
 	pool := pipeline.NewPool(opts.Workers)
 	comp := &Compiler{pool: pool}
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 2_000_000
-	}
 	compile := func(gp *mhgen.Program) (*campaign.Compiled, error) {
 		p, err := comp.Cached(gp.Name+".mh", gp.Source, Options{Mode: ModeFull})
 		if err != nil {
@@ -961,31 +911,11 @@ func Campaign(opts CampaignOptions) (*CampaignReport, error) {
 		sess := interp.NewSession(target, interp.Options{
 			Procs:       gp.Procs,
 			Threads:     gp.Threads,
-			MaxSteps:    maxSteps,
+			MaxSteps:    campaignMaxSteps,
 			ValueCheck:  true,
 			WallTimeout: opts.RunTimeout,
 		})
 		return &campaign.Compiled{Session: sess, StaticKinds: p.WarningKinds()}, nil
 	}
-	return campaign.Run(campaign.Options{
-		Seeds:           opts.Seeds,
-		Budget:          opts.Budget,
-		Seed:            opts.Seed,
-		Compile:         compile,
-		Pool:            pool,
-		Uniform:         opts.Uniform,
-		NoMutate:        opts.NoMutate,
-		NoSplice:        opts.NoSplice,
-		NoReduce:        opts.NoReduce,
-		Initial:         opts.Initial,
-		MaxPerRound:     opts.MaxPerRound,
-		DryRounds:       opts.DryRounds,
-		UniformBudget:   opts.UniformBudget,
-		MaxCorpus:       opts.MaxCorpus,
-		Ctx:             opts.Ctx,
-		Checkpoint:      opts.Checkpoint,
-		CheckpointEvery: opts.CheckpointEvery,
-		Resume:          opts.Resume,
-		HaltAfterRound:  opts.HaltAfterRound,
-	})
+	return campaign.Run(opts, compile, pool)
 }

@@ -4,7 +4,8 @@
 # cold compile → content-addressed cache hit (byte-identical
 # diagnostics) → streamed DFS exploration of a planted schedule-only
 # deadlock → replay of the reported failing schedule, both through the
-# daemon's /run and through hybridrun -replay.
+# daemon's /run and through hybridrun -replay → an oversized request
+# refused without taking the daemon down.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -122,5 +123,13 @@ for i in $(seq 1 50); do
 done
 curl -sf "http://$addr/healthz" >/dev/null || { echo "FAIL: daemon unhealthy after disconnect"; exit 1; }
 echo "client disconnect aborted the run and was counted"
+
+# 8. An exploration budget too large to allocate is refused with a 400
+# (it used to end the process out of memory), and the daemon lives on.
+code=$(jq -n --arg key "$key" '{key: $key, schedules: 8000000000}' \
+  | curl -s -o /dev/null -w '%{http_code}' -d @- "http://$addr/explore")
+[ "$code" = "400" ] || { echo "FAIL: oversized exploration answered $code, want 400"; exit 1; }
+curl -sf "http://$addr/healthz" >/dev/null || { echo "FAIL: daemon unhealthy after an oversized request"; exit 1; }
+echo "oversized exploration refused, daemon healthy"
 
 echo "PASS: daemon smoke complete"
