@@ -96,7 +96,7 @@ func TestCampaignSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("corpus entry %s has an unparsable fail token %q: %v", ce.Name, ce.FailToken, err)
 		}
-		res := p.Run(parcoach.RunOptions{Procs: ce.Procs, Threads: ce.Threads, MaxSteps: 2_000_000, Scheduler: s})
+		res := p.NewSession(parcoach.RunOptions{Procs: ce.Procs, Threads: ce.Threads, MaxSteps: 2_000_000}, false).Run(s)
 		out := res.Outcome()
 		if out != parcoach.RunCheckAbort && out != parcoach.RunValueError {
 			t.Fatalf("corpus entry %s: recorded failing schedule replays %s:\n%s", ce.Name, out, src)

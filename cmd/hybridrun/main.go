@@ -107,32 +107,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "warning:", d)
 	}
 
-	opts := parcoach.RunOptions{
-		Procs:    *np,
-		Threads:  *threads,
-		Stdout:   os.Stdout,
-		LevelSet: true,
-		MaxSteps: *maxSteps,
+	opts := parcoach.RunOptions{Procs: *np, Threads: *threads, MaxSteps: *maxSteps}
+	if opts.Level, err = mpi.ParseThreadLevel(*level); err != nil {
+		fatal(err)
 	}
-	switch *level {
-	case "single":
-		opts.Level = mpi.ThreadSingle
-	case "funneled":
-		opts.Level = mpi.ThreadFunneled
-	case "serialized":
-		opts.Level = mpi.ThreadSerialized
-	case "multiple":
-		opts.Level = mpi.ThreadMultiple
-	default:
-		fatal(fmt.Errorf("unknown thread level %q", *level))
-	}
-	switch *policy {
-	case "first-arrival":
-		opts.Policy = omp.FirstArrival
-	case "round-robin":
-		opts.Policy = omp.RoundRobin
-	default:
-		fatal(fmt.Errorf("unknown policy %q", *policy))
+	if opts.Policy, err = omp.ParsePolicy(*policy); err != nil {
+		fatal(err)
 	}
 
 	if *exploreStrat != "" {
@@ -140,30 +120,26 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		explorer := prog.Explore
-		if !*instrumented {
-			// Explore the pristine source: the schedule space as a real
-			// machine would see it, without the planted checks.
-			explorer = prog.ExploreUninstrumented
-		}
 		eopts := parcoach.ExploreOptions{
 			Strategy:  strat,
 			Schedules: *schedules,
 			Seed:      *schedSeed,
-			Procs:     *np,
-			Threads:   *threads,
-			MaxSteps:  *maxSteps,
 			Workers:   *workers,
-			Policy:    opts.Policy,
-			Level:     opts.Level,
-			LevelSet:  opts.LevelSet,
 		}
 		if *timeout > 0 {
 			ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 			defer cancel()
 			eopts.Ctx = ctx
 		}
-		rep := explorer(eopts)
+		// Explored runs take the exploration step budget, print nothing
+		// and carry no watchdog (-timeout bounds the whole exploration).
+		// -instrument=false explores the pristine source: the schedule
+		// space as a real machine would see it, without the planted
+		// checks.
+		if opts.MaxSteps <= 0 {
+			opts.MaxSteps = explore.DefaultMaxSteps
+		}
+		rep := explore.ExploreSession(prog.NewSession(opts, !*instrumented), eopts)
 		fmt.Print(rep)
 		if rep.Canceled {
 			fmt.Fprintf(os.Stderr, "hybridrun: exploration timed out after %v; the report above is partial\n", *timeout)
@@ -175,14 +151,13 @@ func main() {
 		return
 	}
 
+	var scheduler sched.Scheduler
 	var replaying *sched.Replay
 	if *replay != "" {
-		s, err := sched.Parse(*replay)
-		if err != nil {
+		if scheduler, err = sched.Parse(*replay); err != nil {
 			fatal(err)
 		}
-		replaying, _ = s.(*sched.Replay)
-		opts.Scheduler = s
+		replaying, _ = scheduler.(*sched.Replay)
 		if *maxSteps == 0 {
 			// Match the exploration default so a printed schedule —
 			// including a budget-exhausted one — reproduces under the
@@ -191,8 +166,9 @@ func main() {
 		}
 	}
 
+	opts.Stdout = os.Stdout
 	opts.WallTimeout = *timeout
-	res := prog.Run(opts)
+	res := prog.NewSession(opts, false).Run(scheduler)
 	if res.Outcome() == parcoach.RunTimeout {
 		fmt.Fprintf(os.Stderr, "hybridrun: run abandoned by the watchdog after %v\n", *timeout)
 		os.Exit(3)

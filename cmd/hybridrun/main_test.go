@@ -5,10 +5,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"parcoach"
+	"parcoach/internal/explore"
 )
 
 // The test binary doubles as the CLI: when re-exec'd with
@@ -171,8 +175,8 @@ func reportOutcomes(report string) []string {
 
 // TestExploreUninstrumented: -instrument=false -explore must (a) still
 // print the static warnings — the compile stays full-analysis — and (b)
-// explore the pristine tree, matching a direct ExploreUninstrumented
-// call. Pre-fix, the flag compiled baseline: no warnings, and the
+// explore the pristine tree, matching a direct exploration of the
+// program's uninstrumented session. Pre-fix, the flag compiled baseline: no warnings, and the
 // "uninstrumented" exploration was an accident of the missing tree.
 func TestExploreUninstrumented(t *testing.T) {
 	buggy := writeProgram(t, "buggy.mh", cliBuggySrc)
@@ -188,20 +192,21 @@ func TestExploreUninstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := prog.ExploreUninstrumented(parcoach.ExploreOptions{Strategy: parcoach.ExploreRoundRobin})
+	eopts := parcoach.ExploreOptions{Strategy: parcoach.ExploreRoundRobin}
+	want := explore.ExploreSession(prog.NewSession(eopts.RunOptions(), true), eopts)
 	var wantOutcomes []string
 	for _, v := range want.Verdicts {
 		wantOutcomes = append(wantOutcomes, v.Outcome.String())
 	}
 	got := reportOutcomes(stdout)
 	if strings.Join(got, ",") != strings.Join(wantOutcomes, ",") {
-		t.Errorf("CLI verdicts %v, direct ExploreUninstrumented %v", got, wantOutcomes)
+		t.Errorf("CLI verdicts %v, direct uninstrumented exploration %v", got, wantOutcomes)
 	}
 
 	// The instrumented exploration of the same program differs — the
 	// planted check stops the run first — proving the flag genuinely
 	// switches trees rather than both paths landing on the same one.
-	wantInst := prog.Explore(parcoach.ExploreOptions{Strategy: parcoach.ExploreRoundRobin})
+	wantInst := prog.Explore(eopts)
 	instOutcomes := make([]string, 0, len(wantInst.Verdicts))
 	for _, v := range wantInst.Verdicts {
 		instOutcomes = append(instOutcomes, v.Outcome.String())
@@ -212,5 +217,75 @@ func TestExploreUninstrumented(t *testing.T) {
 	stdoutInst, _, _ := runCLI(t, "-explore", "rr", buggy)
 	if gotInst := reportOutcomes(stdoutInst); strings.Join(gotInst, ",") != strings.Join(instOutcomes, ",") {
 		t.Errorf("instrumented CLI verdicts %v, direct Explore %v", gotInst, instOutcomes)
+	}
+}
+
+// cliElectSrc has one elected thread of a two-thread team call
+// MPI_Barrier: legal under MPI_THREAD_MULTIPLE, a usage error under
+// MPI_THREAD_FUNNELED whenever the election picks a worker thread.
+const cliElectSrc = `
+func main() {
+	MPI_Init()
+	parallel num_threads(2) {
+		single {
+			MPI_Barrier()
+		}
+	}
+	print(rank())
+	MPI_Finalize()
+}`
+
+// reportCounts maps each verdict outcome of the CLI's exploration
+// report to its schedule count.
+func reportCounts(report string) map[string]int {
+	counts := make(map[string]int)
+	for _, line := range strings.Split(report, "\n") {
+		f := strings.Fields(line)
+		if strings.HasPrefix(line, "  ") && len(f) >= 2 && strings.HasPrefix(f[1], "×") {
+			counts[f[0]], _ = strconv.Atoi(strings.TrimPrefix(f[1], "×"))
+		}
+	}
+	return counts
+}
+
+// TestExploreRunFlags: -level and -policy reach every explored run,
+// and explored runs print no program output of their own.
+func TestExploreRunFlags(t *testing.T) {
+	elect := writeProgram(t, "elect.mh", cliElectSrc)
+	programOutput := regexp.MustCompile(`(?m)^r\d+:`)
+	tests := []struct {
+		name      string
+		args      []string
+		wantCode  int
+		schedules int
+		verdicts  map[string]int
+	}{
+		{"multiple", nil, 0, 9, map[string]int{"clean": 9}},
+		{"funneled", []string{"-level", "funneled"}, 1, 7, map[string]int{"clean": 4, "mpi-error": 3}},
+		// Round-robin election hands the single to a worker thread on
+		// one rank in every schedule.
+		{"funneled-round-robin", []string{"-level", "funneled", "-policy", "round-robin"}, 1, 3,
+			map[string]int{"mpi-error": 3}},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append(append([]string{"-explore", "dfs"}, tc.args...), elect)
+			stdout, stderr, code := runCLI(t, args...)
+			if code != tc.wantCode {
+				t.Fatalf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", code, tc.wantCode, stdout, stderr)
+			}
+			if !strings.Contains(stdout, " schedules="+strconv.Itoa(tc.schedules)+" exhausted=true") {
+				t.Errorf("want %d exhausted schedules:\n%s", tc.schedules, stdout)
+			}
+			if got := reportCounts(stdout); !reflect.DeepEqual(got, tc.verdicts) {
+				t.Errorf("verdicts %v, want %v:\n%s", got, tc.verdicts, stdout)
+			}
+			if tc.verdicts["mpi-error"] > 0 && !strings.Contains(stdout, "MPI_THREAD_FUNNELED") {
+				t.Errorf("first failure does not name MPI_THREAD_FUNNELED:\n%s", stdout)
+			}
+			if programOutput.MatchString(stdout) {
+				t.Errorf("explored runs printed program output:\n%s", stdout)
+			}
+		})
 	}
 }

@@ -33,8 +33,6 @@ func main() {
 
 	// The multiple-pingpong kernel sends from worker threads: running the
 	// suite under MPI_THREAD_FUNNELED is a usage error the runtime reports.
-	res := prog.Run(parcoach.RunOptions{
-		Procs: 2, Threads: 4, Level: mpi.ThreadFunneled, LevelSet: true,
-	})
+	res := prog.Run(parcoach.RunOptions{Procs: 2, Threads: 4, Level: mpi.ThreadFunneled})
 	fmt.Printf("\nunder MPI_THREAD_FUNNELED: %v\n", res.Err)
 }

@@ -168,9 +168,9 @@ func TestExploreSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := prog.Run(parcoach.RunOptions{
-		Procs: gp.Procs, Threads: gp.Threads, MaxSteps: 2_000_000, Scheduler: s,
-	})
+	res := prog.NewSession(parcoach.RunOptions{
+		Procs: gp.Procs, Threads: gp.Threads, MaxSteps: 2_000_000,
+	}, false).Run(s)
 	if got := parcoach.ClassifyRun(res.Err); got != parcoach.RunCheckAbort {
 		t.Fatalf("replay of %q = %v (%v), want check-abort", v.Schedule, got, res.Err)
 	}
@@ -197,14 +197,15 @@ func FuzzValueOracle(f *testing.F) {
 		if err != nil {
 			t.Fatalf("clean generated program failed to parse: %v", err)
 		}
-		rep := explore.Explore(prog, explore.Options{
-			Strategy:   explore.StrategyRandom,
-			Schedules:  4,
-			Seed:       int64(seed),
+		rep := explore.ExploreSession(interp.NewSession(prog, interp.Options{
 			Procs:      gp.Procs,
 			Threads:    gp.Threads,
 			MaxSteps:   200_000,
 			ValueCheck: true,
+		}), explore.Options{
+			Strategy:  explore.StrategyRandom,
+			Schedules: 4,
+			Seed:      int64(seed),
 		})
 		if v := rep.Verdict(interp.OutcomeValueError); v != nil {
 			t.Fatalf("value oracle fired on a clean program (seed %d, schedule %s): %s\n%s",

@@ -99,11 +99,11 @@ func describe(t *testing.T, gp goldenProgram, mkSched func() sched.Scheduler) st
 		} else {
 			fmt.Fprintln(&b, "diagnostics: none")
 		}
-		runOpts := parcoach.RunOptions{Procs: gp.procs, Threads: gp.threads}
+		var s sched.Scheduler
 		if mkSched != nil {
-			runOpts.Scheduler = mkSched()
+			s = mkSched()
 		}
-		res := p.Run(runOpts)
+		res := p.NewSession(parcoach.RunOptions{Procs: gp.procs, Threads: gp.threads}, false).Run(s)
 		if res.Err != nil {
 			fmt.Fprintln(&b, "run: error")
 		} else {

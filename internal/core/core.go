@@ -41,6 +41,7 @@ import (
 	"parcoach/internal/ast"
 	"parcoach/internal/cfg"
 	"parcoach/internal/dom"
+	"parcoach/internal/mpi"
 	"parcoach/internal/pipeline"
 	"parcoach/internal/pword"
 	"parcoach/internal/source"
@@ -157,7 +158,7 @@ type Result struct {
 	Funcs     map[string]*FuncAnalysis
 	Diags     []Diagnostic
 	// RequiredLevel is the minimum MPI thread level the program needs.
-	RequiredLevel ThreadLevel
+	RequiredLevel mpi.ThreadLevel
 }
 
 // Errors returns the diagnostics that denote potential errors.
@@ -656,7 +657,7 @@ func (a *analyzer) phase1(f *ast.FuncDecl, fa *FuncAnalysis) {
 				Collective: name,
 				Message: fmt.Sprintf(
 					"%s may be executed by multiple threads of an MPI process (parallelism word %s, initial context %s); requires %s and at most one executing thread",
-					name, displayWord(w, fa.Multithreaded), contextName(fa.Multithreaded), ThreadMultiple),
+					name, displayWord(w, fa.Multithreaded), contextName(fa.Multithreaded), mpi.ThreadMultiple),
 			}
 			if dominator != nil && dominator.Pos.IsValid() {
 				d.Related = append(d.Related, dominator.Pos)
@@ -823,8 +824,8 @@ func filterDivergers(nodes []*cfg.Node, taint *rankTaint, raw bool) []*cfg.Node 
 }
 
 // requiredLevel derives the minimum MPI thread level over all collectives.
-func (a *analyzer) requiredLevel() ThreadLevel {
-	level := ThreadSingle
+func (a *analyzer) requiredLevel() mpi.ThreadLevel {
+	level := mpi.ThreadSingle
 	hasParallel := false
 	for _, f := range a.prog.Funcs {
 		g := a.graphs[f.Name]
@@ -837,22 +838,22 @@ func (a *analyzer) requiredLevel() ThreadLevel {
 				continue
 			}
 			w := words.Word(n)
-			var need ThreadLevel
+			var need mpi.ThreadLevel
 			switch {
 			case !monoAt(words, n, a.multiCtx[f.Name]):
-				need = ThreadMultiple
+				need = mpi.ThreadMultiple
 			default:
 				if s, ok := w.InnermostS(); ok {
 					if s.Master {
-						need = ThreadFunneled
+						need = mpi.ThreadFunneled
 					} else {
-						need = ThreadSerialized
+						need = mpi.ThreadSerialized
 					}
 				} else if w.Len() == 0 {
-					need = ThreadSingle
+					need = mpi.ThreadSingle
 				} else {
 					// Word like "B…" at top level: still the initial thread.
-					need = ThreadSingle
+					need = mpi.ThreadSingle
 				}
 			}
 			if need > level {
@@ -860,8 +861,8 @@ func (a *analyzer) requiredLevel() ThreadLevel {
 			}
 		}
 	}
-	if level == ThreadSingle && hasParallel {
-		level = ThreadFunneled
+	if level == mpi.ThreadSingle && hasParallel {
+		level = mpi.ThreadFunneled
 	}
 	return level
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parcoach/internal/ast"
+	"parcoach/internal/mpi"
 	"parcoach/internal/parser"
 )
 
@@ -383,13 +384,13 @@ func main() {
 func TestRequiredThreadLevels(t *testing.T) {
 	tests := []struct {
 		src  string
-		want ThreadLevel
+		want mpi.ThreadLevel
 	}{
-		{"func main() { MPI_Barrier() }", ThreadSingle},
-		{"func main() { parallel { var x = 1 }\nMPI_Barrier() }", ThreadFunneled},
-		{"func main() { var x = 0\nparallel { master { MPI_Bcast(x) } } }", ThreadFunneled},
-		{"func main() { var x = 0\nparallel { single { MPI_Bcast(x) } } }", ThreadSerialized},
-		{"func main() { parallel { MPI_Barrier() } }", ThreadMultiple},
+		{"func main() { MPI_Barrier() }", mpi.ThreadSingle},
+		{"func main() { parallel { var x = 1 }\nMPI_Barrier() }", mpi.ThreadFunneled},
+		{"func main() { var x = 0\nparallel { master { MPI_Bcast(x) } } }", mpi.ThreadFunneled},
+		{"func main() { var x = 0\nparallel { single { MPI_Bcast(x) } } }", mpi.ThreadSerialized},
+		{"func main() { parallel { MPI_Barrier() } }", mpi.ThreadMultiple},
 	}
 	for _, tt := range tests {
 		r := analyze(t, tt.src, Options{})
@@ -496,7 +497,7 @@ func TestDiagKindStringAndIsError(t *testing.T) {
 	if DiagThreadLevel.IsError() {
 		t.Error("thread-level is informational")
 	}
-	if ThreadMultiple.String() != "MPI_THREAD_MULTIPLE" {
+	if mpi.ThreadMultiple.String() != "MPI_THREAD_MULTIPLE" {
 		t.Error("thread level name wrong")
 	}
 }

@@ -118,28 +118,3 @@ func CountByKind(diags []Diagnostic) map[DiagKind]int {
 	}
 	return out
 }
-
-// ThreadLevel is the MPI threading support level a program requires.
-type ThreadLevel int
-
-// MPI thread levels in increasing order of permissiveness.
-const (
-	ThreadSingle ThreadLevel = iota
-	ThreadFunneled
-	ThreadSerialized
-	ThreadMultiple
-)
-
-var levelNames = [...]string{
-	ThreadSingle:     "MPI_THREAD_SINGLE",
-	ThreadFunneled:   "MPI_THREAD_FUNNELED",
-	ThreadSerialized: "MPI_THREAD_SERIALIZED",
-	ThreadMultiple:   "MPI_THREAD_MULTIPLE",
-}
-
-func (l ThreadLevel) String() string {
-	if int(l) < len(levelNames) {
-		return levelNames[l]
-	}
-	return "MPI_THREAD_?"
-}

@@ -46,7 +46,7 @@ func TestDPORReductionPropertySuite(t *testing.T) {
 				plain.Schedules, dpor.Schedules, float64(plain.Schedules)/float64(dpor.Schedules), dpor.SleepSkips)
 
 			replayFailure(t, "dpor", dpor, func(s sched.Scheduler) *interp.Result {
-				return interp.Run(prog, interp.Options{Procs: 2, Threads: 2, MaxSteps: 200_000, Scheduler: s})
+				return interp.NewSession(prog, interp.Options{Procs: 2, Threads: 2, MaxSteps: 200_000}).Run(s)
 			})
 		})
 	}
@@ -123,9 +123,9 @@ func TestDPOREquivalenceMhgenMatrix(t *testing.T) {
 				row.name, dpor.Schedules, plain.Schedules)
 		}
 		replayFailure(t, row.name, dpor, func(s sched.Scheduler) *interp.Result {
-			return interp.Run(row.prog, interp.Options{
-				Procs: row.opts.Procs, Threads: row.opts.Threads, MaxSteps: row.opts.MaxSteps, Scheduler: s,
-			})
+			return interp.NewSession(row.prog, interp.Options{
+				Procs: row.opts.Procs, Threads: row.opts.Threads, MaxSteps: row.opts.MaxSteps,
+			}).Run(s)
 		})
 		if plain.Exhausted {
 			compared++

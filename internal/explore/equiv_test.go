@@ -108,7 +108,7 @@ func TestFrontierEquivalencePropertySuite(t *testing.T) {
 			opts := Options{Strategy: StrategyDFS, Schedules: 4096, MaxSteps: 200_000, Workers: 1}
 			plain := plainDFS(prog, opts)
 			replayFailure(t, "plain", plain.Report, func(s sched.Scheduler) *interp.Result {
-				return interp.Run(prog, interp.Options{Procs: 2, Threads: 2, MaxSteps: 200_000, Scheduler: s})
+				return interp.NewSession(prog, interp.Options{Procs: 2, Threads: 2, MaxSteps: 200_000}).Run(s)
 			})
 			for _, workers := range []int{1, 4, 8} {
 				o := opts
@@ -143,7 +143,7 @@ func TestFrontierEquivalencePropertySuite(t *testing.T) {
 						dpor.FirstFailure.Outcome, plain.FirstFailure.Outcome)
 				}
 				replayFailure(t, label, dpor, func(s sched.Scheduler) *interp.Result {
-					return interp.Run(prog, interp.Options{Procs: 2, Threads: 2, MaxSteps: 200_000, Scheduler: s})
+					return interp.NewSession(prog, interp.Options{Procs: 2, Threads: 2, MaxSteps: 200_000}).Run(s)
 				})
 			}
 		})

@@ -40,13 +40,10 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"parcoach/internal/ast"
 	"parcoach/internal/chaos"
 	"parcoach/internal/interp"
-	"parcoach/internal/mpi"
-	"parcoach/internal/omp"
 	"parcoach/internal/pipeline"
 	"parcoach/internal/sched"
 )
@@ -118,11 +115,10 @@ type Options struct {
 	Seed int64
 	// PCTDepth is the PCT priority-change depth (default 3).
 	PCTDepth int
-	// Procs and Threads are the run parameters (defaults 2 and 2).
-	Procs   int
-	Threads int
-	// MaxSteps bounds each run (default DefaultMaxSteps); schedules that
-	// spin classify as OutcomeBudget, not deadlock.
+	// Procs, Threads and MaxSteps configure the session Explore builds
+	// (see RunOptions); ExploreSession reads none of them.
+	Procs    int
+	Threads  int
 	MaxSteps int64
 	// Workers is the worker-pool width for concurrent runs (0 =
 	// GOMAXPROCS). For the sampling strategies reports are identical
@@ -131,10 +127,6 @@ type Options struct {
 	// too; a DFS the budget cuts short keeps whichever prefixes the
 	// workers reached first.
 	Workers int
-	// Policy is the single-construct election policy (default
-	// FirstArrival: elections follow arrival order, which is exactly
-	// what the schedules vary).
-	Policy omp.Policy
 	// Frontier is ignored.
 	//
 	// Deprecated: DFS always runs dynamic partial-order reduction.
@@ -149,16 +141,6 @@ type Options struct {
 	// indices may differ between the stream and the report; the verdict
 	// *set* is identical.
 	Progress func(ProgressEvent)
-	// Level is the MPI thread support to simulate; LevelSet marks it as
-	// explicitly chosen (mirroring interp.Options, so exploration runs
-	// under the same configuration a plain run would).
-	Level    mpi.ThreadLevel
-	LevelSet bool
-	// ValueCheck arms the verifier's value oracle on every explored run
-	// (mirroring interp.Options.ValueCheck); schedule-dependent value
-	// bugs — a torn source buffer — surface as OutcomeValueError on the
-	// schedules that expose them.
-	ValueCheck bool
 	// Ctx, when non-nil, cancels the exploration: runs not yet started
 	// are skipped, the run in flight is aborted at its next statement
 	// boundary (interp.RunCtx), and the engine returns a well-formed
@@ -166,13 +148,6 @@ type Options struct {
 	// Schedules and the verdict aggregation — a half-run says nothing
 	// about the program.
 	Ctx context.Context
-	// WallTimeout, when positive, arms the interpreter's per-run
-	// wall-clock watchdog (interp.Options.WallTimeout) on every explored
-	// run: a wedged schedule is abandoned after this long and classifies
-	// as OutcomeTimeout instead of hanging the exploration. Only honored
-	// by Explore (which builds the session); ExploreSession callers
-	// configure the watchdog on their own session.
-	WallTimeout time.Duration
 }
 
 // DefaultMaxSteps is the per-schedule statement budget when Options
@@ -181,6 +156,16 @@ type Options struct {
 // budget-exhausted schedule must use the same bound to reproduce (the
 // hybridrun -replay path defaults to this value).
 const DefaultMaxSteps = 1_000_000
+
+// RunOptions is the session configuration Explore runs under: Procs
+// and Threads, and MaxSteps defaulted to DefaultMaxSteps. Every other
+// run option keeps the session default.
+func (o Options) RunOptions() interp.Options {
+	if o.MaxSteps <= 0 {
+		o.MaxSteps = DefaultMaxSteps
+	}
+	return interp.Options{Procs: o.Procs, Threads: o.Threads, MaxSteps: o.MaxSteps}
+}
 
 func (o Options) normalized() Options {
 	if o.Schedules <= 0 {
@@ -191,15 +176,6 @@ func (o Options) normalized() Options {
 	}
 	if o.PCTDepth <= 0 {
 		o.PCTDepth = 3
-	}
-	if o.Procs <= 0 {
-		o.Procs = 2
-	}
-	if o.Threads <= 0 {
-		o.Threads = 2
-	}
-	if o.MaxSteps <= 0 {
-		o.MaxSteps = DefaultMaxSteps
 	}
 	return o
 }
@@ -397,22 +373,11 @@ type run struct {
 // pair at any worker count, except for a DFS the budget cuts short (see
 // Options.Workers).
 func Explore(prog *ast.Program, opts Options) *Report {
-	opts = opts.normalized()
 	// One session for the whole exploration: the compiled artifact,
 	// resolved entry point and pooled per-rank run state are shared
 	// across every schedule, so per-run setup is amortized instead of
 	// paid opts.Schedules times.
-	sess := interp.NewSession(prog, interp.Options{
-		Procs:       opts.Procs,
-		Threads:     opts.Threads,
-		Level:       opts.Level,
-		LevelSet:    opts.LevelSet,
-		Policy:      opts.Policy,
-		MaxSteps:    opts.MaxSteps,
-		ValueCheck:  opts.ValueCheck,
-		WallTimeout: opts.WallTimeout,
-	})
-	return ExploreSession(sess, opts)
+	return ExploreSession(interp.NewSession(prog, opts.RunOptions()), opts)
 }
 
 // ExploreSession explores on an existing session — the entry point for
@@ -421,7 +386,7 @@ func Explore(prog *ast.Program, opts Options) *Report {
 // pooled run state carries over, so repeated /explore requests skip
 // per-schedule setup entirely. The session's own run options (procs,
 // threads, level, policy, step budget, value oracle, watchdog) govern
-// the runs; ExploreSession reads none of the matching fields of opts.
+// the runs; ExploreSession reads none of Procs, Threads and MaxSteps.
 func ExploreSession(sess *interp.Session, opts Options) *Report {
 	opts = opts.normalized()
 	rep := &Report{Strategy: opts.Strategy}

@@ -39,15 +39,7 @@ type oracleReport struct {
 // opts.Schedules runs and reduces the runs exactly like Explore does.
 func plainDFS(prog *ast.Program, opts Options) oracleReport {
 	opts = opts.normalized()
-	sess := interp.NewSession(prog, interp.Options{
-		Procs:      opts.Procs,
-		Threads:    opts.Threads,
-		Level:      opts.Level,
-		LevelSet:   opts.LevelSet,
-		Policy:     opts.Policy,
-		MaxSteps:   opts.MaxSteps,
-		ValueCheck: opts.ValueCheck,
-	})
+	sess := interp.NewSession(prog, opts.RunOptions())
 	type choice struct {
 		sig uint64
 		alt sched.ThreadID

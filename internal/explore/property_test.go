@@ -132,9 +132,9 @@ func TestDFSFindsScheduleOnlyBugs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("failing schedule token does not parse: %v", err)
 			}
-			res := interp.Run(prog, interp.Options{
-				Procs: 2, Threads: 2, MaxSteps: 200_000, Scheduler: replaySched,
-			})
+			res := interp.NewSession(prog, interp.Options{
+				Procs: 2, Threads: 2, MaxSteps: 200_000,
+			}).Run(replaySched)
 			if got := res.Outcome(); got != dfs.FirstFailure.Outcome {
 				t.Fatalf("replay of %q = %v, want %v (err: %v)",
 					dfs.FirstFailure.Schedule, got, dfs.FirstFailure.Outcome, res.Err)

@@ -42,11 +42,10 @@ type Options struct {
 	// Threads is the default team size of parallel regions (default 2,
 	// at most 256).
 	Threads int
-	// Level is the MPI thread support to simulate (default MPI_THREAD_MULTIPLE,
-	// so the verifier, not the usage police, reports hybrid bugs).
+	// Level is the MPI thread support to simulate (zero means
+	// MPI_THREAD_MULTIPLE, so the verifier, not the usage police, reports
+	// hybrid bugs).
 	Level mpi.ThreadLevel
-	// LevelSet marks Level as explicitly chosen (so ThreadSingle is usable).
-	LevelSet bool
 	// Policy selects single-construct election (default FirstArrival;
 	// RoundRobin makes concurrency bugs deterministic).
 	Policy omp.Policy
@@ -56,12 +55,6 @@ type Options struct {
 	// (default 50 million) so runaway loops terminate with a distinct
 	// budget-exhausted outcome instead of spinning forever.
 	MaxSteps int64
-	// Scheduler, when non-nil, serializes the run: exactly one simulated
-	// thread executes at a time and the scheduler picks, at every
-	// statement boundary and blocking transition, which enabled thread
-	// runs next (see internal/sched). nil keeps the historical
-	// free-running goroutine execution.
-	Scheduler sched.Scheduler
 	// DrainTimeout bounds how long Session.Run waits for the run's last
 	// straggler goroutine to deregister before giving up on recycling:
 	// past the deadline the session abandons the run's world, monitor,
@@ -98,13 +91,13 @@ const DefaultDrainTimeout = 10 * time.Second
 
 // Stats summarizes a run.
 type Stats struct {
-	Collectives int64
-	P2PMessages int64
-	Barriers    int64
-	Steps       int64
-	CCChecks    int
-	PhaseChecks int
-	ValueChecks int
+	Collectives int64 `json:"collectives"`
+	P2PMessages int64 `json:"p2pMessages"`
+	Barriers    int64 `json:"barriers"`
+	Steps       int64 `json:"steps"`
+	CCChecks    int   `json:"ccChecks"`
+	PhaseChecks int   `json:"phaseChecks"`
+	ValueChecks int   `json:"valueChecks"`
 }
 
 // Result is the outcome of a run.
@@ -146,10 +139,11 @@ func (e *StepLimitError) Error() string {
 		e.Rank, e.Pos, e.Limit)
 }
 
-// Run executes prog's main function on every rank. Repeated runs of one
-// program should go through NewSession, which shares the per-run setup.
+// Run executes prog's main function on every rank, free-running.
+// Scheduled runs and repeated runs of one program go through
+// NewSession, which shares the per-run setup.
 func Run(prog *ast.Program, opts Options) *Result {
-	return NewSession(prog, opts).Run(opts.Scheduler)
+	return NewSession(prog, opts).Run(nil)
 }
 
 type runner struct {
@@ -157,7 +151,7 @@ type runner struct {
 	opts  Options
 	world *mpi.World
 	ver   *verifier.Verifier
-	// ctl serializes the run when a Scheduler is configured (nil
+	// ctl serializes the run when Session.Run is given a scheduler (nil
 	// otherwise: free-running goroutines).
 	ctl *sched.Controller
 	// tr holds the event-tracing round counters when the scheduler
@@ -936,6 +930,9 @@ func (c *thctx) evalCall(ex *ast.CallExpr, e *env) (value, error) {
 		}
 		return scalar(int64(len(v.arr))), nil
 	case "abs":
+		if len(ex.Args) != 1 {
+			return value{}, c.errf(ex.NamePos, "abs expects 1 argument")
+		}
 		v, err := c.evalInt(ex.Args[0], e)
 		if err != nil {
 			return value{}, err

@@ -722,13 +722,13 @@ func main() {
 	}
 	MPI_Finalize()
 }`
-	res := Run(compile(t, src), Options{Procs: 1, Level: mpi.ThreadSerialized, LevelSet: true})
+	res := Run(compile(t, src), Options{Procs: 1, Level: mpi.ThreadSerialized})
 	var ue *mpi.UsageError
 	if !errors.As(res.Err, &ue) {
 		t.Fatalf("want UsageError under SERIALIZED, got %v", res.Err)
 	}
 	// The same program is legal under MULTIPLE.
-	res2 := Run(compile(t, src), Options{Procs: 1, Level: mpi.ThreadMultiple, LevelSet: true})
+	res2 := Run(compile(t, src), Options{Procs: 1, Level: mpi.ThreadMultiple})
 	if res2.Err != nil {
 		t.Fatalf("MULTIPLE must allow the overlap: %v", res2.Err)
 	}

@@ -105,7 +105,7 @@ func TestSchedulerConformanceFairness(t *testing.T) {
 			if limit == 0 {
 				limit = 20_000
 			}
-			res := Run(program, Options{Procs: 1, Threads: 2, MaxSteps: limit, Scheduler: tc.mk()})
+			res := NewSession(program, Options{Procs: 1, Threads: 2, MaxSteps: limit}).Run(tc.mk())
 			if tc.fairSteps == 0 {
 				if got := res.Outcome(); got != OutcomeBudget {
 					t.Fatalf("starving scheduler: outcome %v, want %v", got, OutcomeBudget)
@@ -125,7 +125,7 @@ func TestSchedulerConformanceDeterminism(t *testing.T) {
 	for _, tc := range schedulerTable {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() *Result {
-				return Run(program, Options{Procs: 2, Threads: 2, MaxSteps: 100_000, Scheduler: tc.mk()})
+				return NewSession(program, Options{Procs: 2, Threads: 2, MaxSteps: 100_000}).Run(tc.mk())
 			}
 			a, b := run(), run()
 			if a.Output != b.Output {
@@ -155,7 +155,7 @@ func TestSchedulerConformanceDeadlockOracle(t *testing.T) {
 	program := mustParse(t, "guarded.mh", guardedBarrierSrc)
 	for _, tc := range schedulerTable {
 		t.Run(tc.name, func(t *testing.T) {
-			res := Run(program, Options{Procs: 2, Threads: 2, MaxSteps: 100_000, Scheduler: tc.mk()})
+			res := NewSession(program, Options{Procs: 2, Threads: 2, MaxSteps: 100_000}).Run(tc.mk())
 			if got := res.Outcome(); got != OutcomeDeadlock {
 				t.Fatalf("outcome %v (err %v), want deadlock", got, res.Err)
 			}
@@ -186,7 +186,7 @@ func main() {
 `
 	program := mustParse(t, "clean.mh", src)
 	free := Run(program, Options{Procs: 2, Threads: 4})
-	serial := Run(program, Options{Procs: 2, Threads: 4, Scheduler: sched.NewRoundRobin()})
+	serial := NewSession(program, Options{Procs: 2, Threads: 4}).Run(sched.NewRoundRobin())
 	if free.Err != nil || serial.Err != nil {
 		t.Fatalf("clean program failed: free=%v serial=%v", free.Err, serial.Err)
 	}

@@ -89,7 +89,7 @@ type runEnv struct {
 }
 
 // NewSession prepares prog for repeated runs under opts (normalized
-// once here; the Scheduler field is ignored — each Run names its own).
+// once here; each Run names its own scheduler).
 func NewSession(prog *ast.Program, opts Options) *Session {
 	if opts.Procs <= 0 {
 		opts.Procs = 2
@@ -97,7 +97,7 @@ func NewSession(prog *ast.Program, opts Options) *Session {
 	if opts.Threads <= 0 {
 		opts.Threads = 2
 	}
-	if !opts.LevelSet {
+	if opts.Level == 0 {
 		opts.Level = mpi.ThreadMultiple
 	}
 	if opts.MaxSteps <= 0 {
@@ -106,7 +106,6 @@ func NewSession(prog *ast.Program, opts Options) *Session {
 	if opts.DrainTimeout == 0 {
 		opts.DrainTimeout = DefaultDrainTimeout
 	}
-	opts.Scheduler = nil
 	return &Session{prog: prog, opts: opts, mainFn: prog.Func("main")}
 }
 
@@ -126,8 +125,11 @@ type rankState struct {
 
 var rankPool = sync.Pool{New: func() any { return &rankState{ar: getArena()} }}
 
-// Run executes the program once under the given scheduler (nil keeps
-// the free-running goroutine execution).
+// Run executes the program once. A non-nil scheduler serializes the
+// run: exactly one simulated thread executes at a time and the
+// scheduler picks, at every statement boundary and blocking transition,
+// which enabled thread runs next (see internal/sched). nil keeps the
+// free-running goroutine execution.
 func (s *Session) Run(scheduler sched.Scheduler) *Result {
 	return s.RunCtx(nil, scheduler)
 }

@@ -34,15 +34,7 @@ import (
 // Options configures an evaluation.
 type Options struct {
 	// Workers is the compile worker-pool width (0 = GOMAXPROCS).
-	// Ignored when Compiler is set — the shared pool is the width.
 	Workers int
-	// Compiler, when non-nil, routes every compilation through the
-	// shared artifact cache (parcoach.Compiler.Cached). The sweep and
-	// especially ReduceFailure resubmit identical (source, mode) pairs —
-	// Evaluate and the replay path compile the same ModeFull source per
-	// reduction candidate — so a shared compiler removes the duplicate
-	// pipeline runs. Verdicts are identical with or without it.
-	Compiler *parcoach.Compiler
 }
 
 const (
@@ -57,14 +49,9 @@ const (
 	exploreSchedules = 8
 )
 
-// compile builds (name, src) in the given mode, through the shared
-// artifact cache when one is configured.
+// compile builds (name, src) in the given mode.
 func (o Options) compile(name, src string, mode parcoach.Mode) (*parcoach.Program, error) {
-	copts := parcoach.Options{Mode: mode, Workers: o.Workers}
-	if o.Compiler != nil {
-		return o.Compiler.Cached(name, src, copts)
-	}
-	return parcoach.Compile(name, src, copts)
+	return parcoach.Compile(name, src, parcoach.Options{Mode: mode, Workers: o.Workers})
 }
 
 // scheduleDependent reports whether a bug class needs a particular
@@ -190,6 +177,7 @@ func Evaluate(gp *mhgen.Program, opts Options) Row {
 		Policy:   omp.RoundRobin,
 		MaxSteps: maxSteps,
 	}
+	var rr sched.Scheduler // nil: the reference run is free-running
 	if gp.Bug == workload.BugTornBuffer {
 		// The torn source buffer is the one class whose *instrumented*
 		// outcome is schedule-dependent: a free-running reference run
@@ -198,13 +186,11 @@ func Evaluate(gp *mhgen.Program, opts Options) Row {
 		// scheduler — which provably misses the race, exactly the paper's
 		// point about single-schedule testing — and judge detection by the
 		// exploration pass below.
-		if rr, err := sched.Parse("rr"); err == nil {
-			runOpts.Scheduler = rr
-		}
+		rr = sched.NewRoundRobin()
 	}
-	fullRes := full.Run(runOpts)
+	fullRes := full.NewSession(runOpts, false).Run(rr)
 	row.Full = fullRes.Outcome()
-	if runOpts.Scheduler != nil && (row.Full == parcoach.RunCheckAbort || row.Full == parcoach.RunValueError) {
+	if rr != nil && (row.Full == parcoach.RunCheckAbort || row.Full == parcoach.RunValueError) {
 		row.FailSchedule = "rr"
 	}
 
@@ -373,12 +359,11 @@ func replayFails(gp *mhgen.Program, token string, opts Options) bool {
 	if err != nil {
 		return false
 	}
-	res := p.Run(parcoach.RunOptions{
-		Procs:     gp.Procs,
-		Threads:   gp.Threads,
-		MaxSteps:  maxSteps,
-		Scheduler: s,
-	})
+	res := p.NewSession(parcoach.RunOptions{
+		Procs:    gp.Procs,
+		Threads:  gp.Threads,
+		MaxSteps: maxSteps,
+	}, false).Run(s)
 	if out := res.Outcome(); out != parcoach.RunCheckAbort && out != parcoach.RunValueError {
 		return false
 	}

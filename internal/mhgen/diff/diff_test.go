@@ -192,45 +192,13 @@ func TestEvaluateExplorationColumns(t *testing.T) {
 	}
 }
 
-// TestEvaluateSharedCompilerIdenticalVerdicts: routing the harness
-// through a shared artifact cache must not change a single rendered
-// row, and the replay-heavy reduction path must actually hit the cache
-// (Evaluate and replayFails compile the same ModeFull source for every
-// reduction candidate).
-func TestEvaluateSharedCompilerIdenticalVerdicts(t *testing.T) {
-	c := parcoach.NewCompiler(2)
-	cached := Options{Compiler: c}
-	plain := Options{Workers: 2}
-	for _, seed := range []uint64{0, 1, 2, 9, 33, 60} {
-		gp := mhgen.FromSeed(seed)
-		if a, b := Evaluate(gp, plain), Evaluate(gp, cached); a.String() != b.String() {
-			t.Errorf("seed %d: shared-compiler verdict differs:\n  %s\n  %s", seed, a, b)
-		}
-	}
-	if st := c.CacheStats(); st.Misses == 0 {
-		t.Fatalf("sweep compiled nothing through the cache: %+v", st)
-	}
-	before := c.CacheStats()
-	gp := mhgen.Generate(mhgen.Config{Seed: 2, Bug: workload.BugTornBuffer})
-	red := ReduceFailure(gp, cached)
-	probe := *gp
-	probe.Source = red
-	if a, b := Evaluate(&probe, Options{Workers: 2}), Evaluate(&probe, cached); a.String() != b.String() {
-		t.Errorf("reduced program: shared-compiler verdict differs:\n  %s\n  %s", a, b)
-	}
-	if st := c.CacheStats(); st.Hits <= before.Hits {
-		t.Fatalf("reduction replay never hit the artifact cache: before %+v after %+v", before, st)
-	}
-}
-
 // TestShardedSweepEqualsUnsharded: evaluating the shards of a seed
 // range and merging their rows renders the exact matrix of the
 // unsharded sweep — the contract that lets CI partition the 200-seed
 // matrix across jobs.
 func TestShardedSweepEqualsUnsharded(t *testing.T) {
 	const start, n = 0, 30
-	c := parcoach.NewCompiler(2)
-	opts := Options{Compiler: c}
+	opts := Options{Workers: 2}
 	var whole Matrix
 	for s := uint64(start); s < start+n; s++ {
 		whole.Rows = append(whole.Rows, Evaluate(mhgen.FromSeed(s), opts))

@@ -126,9 +126,10 @@ func (r RedOp) String() string {
 // ThreadLevel is the MPI threading support level.
 type ThreadLevel int
 
-// Thread levels, in increasing permissiveness.
+// Thread levels, in increasing permissiveness. They start at 1, so the
+// zero value means "not chosen" and a run defaults it.
 const (
-	ThreadSingle ThreadLevel = iota
+	ThreadSingle ThreadLevel = iota + 1
 	ThreadFunneled
 	ThreadSerialized
 	ThreadMultiple
@@ -142,10 +143,21 @@ var levelNames = [...]string{
 }
 
 func (l ThreadLevel) String() string {
-	if int(l) >= 0 && int(l) < len(levelNames) {
+	if l >= ThreadSingle && int(l) < len(levelNames) {
 		return levelNames[l]
 	}
 	return "MPI_THREAD_?"
+}
+
+// ParseThreadLevel maps a CLI name ("single", "funneled", "serialized",
+// "multiple") to its level.
+func ParseThreadLevel(name string) (ThreadLevel, error) {
+	for l := ThreadSingle; l <= ThreadMultiple; l++ {
+		if name == strings.ToLower(strings.TrimPrefix(levelNames[l], "MPI_THREAD_")) {
+			return l, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown thread level %q (want single|funneled|serialized|multiple)", name)
 }
 
 // Config configures a world.

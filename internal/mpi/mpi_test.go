@@ -533,6 +533,20 @@ func TestOpAndLevelStrings(t *testing.T) {
 	if RedMax.String() != "max" {
 		t.Error("redop name wrong")
 	}
+	for name, want := range map[string]ThreadLevel{
+		"single": ThreadSingle, "funneled": ThreadFunneled,
+		"serialized": ThreadSerialized, "multiple": ThreadMultiple,
+	} {
+		if got, err := ParseThreadLevel(name); got != want || err != nil {
+			t.Errorf("ParseThreadLevel(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseThreadLevel("MPI_THREAD_SINGLE"); err == nil {
+		t.Error("ParseThreadLevel accepted a constant name")
+	}
+	if ThreadLevel(0).String() != "MPI_THREAD_?" {
+		t.Error("the unset level has a name")
+	}
 }
 
 func TestManyRanksStress(t *testing.T) {

@@ -41,6 +41,17 @@ func (p Policy) String() string {
 	return "first-arrival"
 }
 
+// ParsePolicy maps a CLI name ("first-arrival", "round-robin") to its
+// policy.
+func ParsePolicy(name string) (Policy, error) {
+	for _, p := range []Policy{FirstArrival, RoundRobin} {
+		if name == p.String() {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (want first-arrival|round-robin)", name)
+}
+
 // Runtime is the threading runtime of one process.
 type Runtime struct {
 	mon            *monitor.Monitor

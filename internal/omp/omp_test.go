@@ -386,6 +386,14 @@ func TestPolicyString(t *testing.T) {
 	if FirstArrival.String() != "first-arrival" || RoundRobin.String() != "round-robin" {
 		t.Error("policy names wrong")
 	}
+	for _, p := range []Policy{FirstArrival, RoundRobin} {
+		if got, err := ParsePolicy(p.String()); got != p || err != nil {
+			t.Errorf("ParsePolicy(%q) = %v, %v", p, got, err)
+		}
+	}
+	if _, err := ParsePolicy(""); err == nil {
+		t.Error("ParsePolicy accepted the empty name")
+	}
 }
 
 func TestThreadString(t *testing.T) {

@@ -203,10 +203,7 @@ func DetectionMatrix() (string, error) {
 			if v := rep.Verdict(parcoach.RunValueError); v != nil {
 				dynamic = "explored: value oracle @ " + v.Schedule
 			}
-			if rr, err := sched.Parse("rr"); err == nil {
-				runOpts.Scheduler = rr
-			}
-			ground = describeRunError(p.RunUninstrumented(runOpts).Err)
+			ground = describeRunError(p.NewSession(runOpts, true).Run(sched.NewRoundRobin()).Err)
 		} else {
 			dynamic = describeRunError(p.Run(runOpts).Err)
 			ground = describeRunError(p.RunUninstrumented(runOpts).Err)

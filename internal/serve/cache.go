@@ -20,8 +20,6 @@ import (
 
 	"parcoach"
 	"parcoach/internal/interp"
-	"parcoach/internal/mpi"
-	"parcoach/internal/omp"
 )
 
 // artifact is one cache entry: the compiled program (or its compile
@@ -38,56 +36,38 @@ type artifact struct {
 	// lastUsed orders LRU eviction (unix nanos).
 	lastUsed atomic.Int64
 
-	// sessions maps normalized run parameters to the warm session
-	// serving them. interp.Session is safe for concurrent use, so one
-	// session per parameter set is all the pooling needed: its internal
-	// pools recycle run state across every request that shares it.
+	// sessions maps a request's run block to the warm session serving
+	// it. interp.Session is safe for concurrent use, so one session per
+	// run block is all the pooling needed: its internal pools recycle
+	// run state across every request that shares it.
 	mu       sync.Mutex
-	sessions map[sessionKey]*interp.Session
+	sessions map[runSpec]*interp.Session
 }
 
 func (a *artifact) touch() { a.lastUsed.Store(time.Now().UnixNano()) }
 
-// sessionKey is the identity of a warm session: the run parameters the
-// session normalized at construction, plus which tree it executes.
-type sessionKey struct {
-	procs, threads int
-	level          mpi.ThreadLevel
-	levelSet       bool
-	policy         omp.Policy
-	maxSteps       int64
-	uninstrumented bool
-}
+// maxWarmSessions caps one artifact's warm sessions. A client varying
+// its run block from request to request (a new maxSteps each time)
+// would otherwise grow them without bound for as long as the artifact
+// stays cached.
+const maxWarmSessions = 16
 
-// session returns (building on first use) the warm session for the
-// given run parameters.
-func (a *artifact) session(k sessionKey, drain, runTimeout time.Duration) *interp.Session {
+// session returns the warm session for the run block rs, building it
+// from opts, the parsed rs, on first use. Past maxWarmSessions the new
+// session serves this request only and is not kept.
+func (a *artifact) session(rs runSpec, opts interp.Options) *interp.Session {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if s, ok := a.sessions[k]; ok {
+	if s, ok := a.sessions[rs]; ok {
 		return s
 	}
-	target := a.prog.Source
-	if !k.uninstrumented && a.prog.Instrumented != nil {
-		target = a.prog.Instrumented
+	s := a.prog.NewSession(opts, rs.Uninstrumented)
+	if len(a.sessions) < maxWarmSessions {
+		if a.sessions == nil {
+			a.sessions = make(map[runSpec]*interp.Session)
+		}
+		a.sessions[rs] = s
 	}
-	s := interp.NewSession(target, interp.Options{
-		Procs:    k.procs,
-		Threads:  k.threads,
-		Level:    k.level,
-		LevelSet: k.levelSet,
-		Policy:   k.policy,
-		MaxSteps: k.maxSteps,
-		// Mirror parcoach.Program.Run: full-mode artifacts run with the
-		// value oracle armed; uninstrumented ground-truth runs do not.
-		ValueCheck:   !k.uninstrumented && a.prog.Mode() >= parcoach.ModeFull,
-		DrainTimeout: drain,
-		WallTimeout:  runTimeout,
-	})
-	if a.sessions == nil {
-		a.sessions = make(map[sessionKey]*interp.Session)
-	}
-	a.sessions[k] = s
 	return s
 }
 

@@ -112,7 +112,8 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request, c *compileSpec)
 	return a, cached
 }
 
-// runSpec is the shared run-parameter block of /run and /explore.
+// runSpec is the shared run-parameter block of /run and /explore, and
+// the identity of the artifact's warm session that serves it.
 type runSpec struct {
 	Procs    int    `json:"procs,omitempty"`
 	Threads  int    `json:"threads,omitempty"`
@@ -124,36 +125,26 @@ type runSpec struct {
 	Uninstrumented bool `json:"uninstrumented,omitempty"`
 }
 
-// sessionKey normalizes the spec into a warm-session identity.
-func (rs *runSpec) sessionKey() (sessionKey, error) {
-	k := sessionKey{
-		procs:          rs.Procs,
-		threads:        rs.Threads,
-		maxSteps:       rs.MaxSteps,
-		uninstrumented: rs.Uninstrumented,
+// runOptions parses the run block into the session configuration,
+// with the server's drain and watchdog bounds.
+func (s *Server) runOptions(rs runSpec) (interp.Options, error) {
+	opts := interp.Options{
+		Procs:        rs.Procs,
+		Threads:      rs.Threads,
+		MaxSteps:     rs.MaxSteps,
+		DrainTimeout: s.cfg.DrainTimeout,
+		WallTimeout:  s.cfg.RunTimeout,
 	}
-	switch rs.Level {
-	case "":
-	case "single":
-		k.level, k.levelSet = mpi.ThreadSingle, true
-	case "funneled":
-		k.level, k.levelSet = mpi.ThreadFunneled, true
-	case "serialized":
-		k.level, k.levelSet = mpi.ThreadSerialized, true
-	case "multiple":
-		k.level, k.levelSet = mpi.ThreadMultiple, true
-	default:
-		return k, fmt.Errorf("unknown thread level %q (want single|funneled|serialized|multiple)", rs.Level)
+	var err error
+	if rs.Level != "" {
+		if opts.Level, err = mpi.ParseThreadLevel(rs.Level); err != nil {
+			return opts, err
+		}
 	}
-	switch rs.Policy {
-	case "", "first-arrival":
-		k.policy = omp.FirstArrival
-	case "round-robin":
-		k.policy = omp.RoundRobin
-	default:
-		return k, fmt.Errorf("unknown policy %q (want first-arrival|round-robin)", rs.Policy)
+	if rs.Policy != "" {
+		opts.Policy, err = omp.ParsePolicy(rs.Policy)
 	}
-	return k, nil
+	return opts, err
 }
 
 //
@@ -232,23 +223,13 @@ type runRequest struct {
 	Schedule string `json:"schedule,omitempty"`
 }
 
-type runStats struct {
-	Collectives int64 `json:"collectives"`
-	P2PMessages int64 `json:"p2pMessages"`
-	Barriers    int64 `json:"barriers"`
-	Steps       int64 `json:"steps"`
-	CCChecks    int   `json:"ccChecks"`
-	PhaseChecks int   `json:"phaseChecks"`
-	ValueChecks int   `json:"valueChecks"`
-}
-
 type runResponse struct {
-	Key     string   `json:"key"`
-	Cached  bool     `json:"cached"`
-	Outcome string   `json:"outcome"`
-	Error   string   `json:"error,omitempty"`
-	Output  string   `json:"output"`
-	Stats   runStats `json:"stats"`
+	Key     string       `json:"key"`
+	Cached  bool         `json:"cached"`
+	Outcome string       `json:"outcome"`
+	Error   string       `json:"error,omitempty"`
+	Output  string       `json:"output"`
+	Stats   interp.Stats `json:"stats"`
 	// Diverged is true when a trace replay stopped matching the program:
 	// whatever ran was NOT the recorded schedule.
 	Diverged bool `json:"diverged,omitempty"`
@@ -272,7 +253,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			req.MaxSteps = explore.DefaultMaxSteps
 		}
 	}
-	key, err := req.sessionKey()
+	runOpts, err := s.runOptions(req.runSpec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -285,21 +266,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeCompileError(w, a.err)
 		return
 	}
-	res := a.session(key, s.cfg.DrainTimeout, s.cfg.RunTimeout).RunCtx(r.Context(), scheduler)
+	res := a.session(req.runSpec, runOpts).RunCtx(r.Context(), scheduler)
 	resp := runResponse{
 		Key:     a.key,
 		Cached:  cached,
 		Outcome: res.Outcome().String(),
 		Output:  res.Output,
-		Stats: runStats{
-			Collectives: res.Stats.Collectives,
-			P2PMessages: res.Stats.P2PMessages,
-			Barriers:    res.Stats.Barriers,
-			Steps:       res.Stats.Steps,
-			CCChecks:    res.Stats.CCChecks,
-			PhaseChecks: res.Stats.PhaseChecks,
-			ValueChecks: res.Stats.ValueChecks,
-		},
+		Stats:   res.Stats,
 	}
 	if res.Err != nil {
 		resp.Error = res.Err.Error()
@@ -434,17 +407,17 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	} else {
 		opts.Strategy = explore.StrategyRandom
 	}
-	key, err := req.sessionKey()
+	// The exploration step budget defaults below the interpreter's plain
+	// default (spinning schedules must classify, not hang the budget);
+	// the run block keys the warm session with the defaulted value, so
+	// /run replays of streamed tokens land on the same session.
+	if req.MaxSteps <= 0 {
+		req.MaxSteps = explore.DefaultMaxSteps
+	}
+	runOpts, err := s.runOptions(req.runSpec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	// The exploration step budget defaults below the interpreter's plain
-	// default (spinning schedules must classify, not hang the budget);
-	// the session key must carry the post-normalization value so /run
-	// replays of streamed tokens land on the same warm session.
-	if key.maxSteps <= 0 {
-		key.maxSteps = explore.DefaultMaxSteps
 	}
 
 	a, cached := s.resolve(w, r, &req.compileSpec)
@@ -459,7 +432,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	// disconnect cancels the frontier within one run, and the report that
 	// falls out is the well-formed partial (Canceled=true).
 	opts.Ctx = r.Context()
-	sess := a.session(key, s.cfg.DrainTimeout, s.cfg.RunTimeout)
+	sess := a.session(req.runSpec, runOpts)
 
 	if !req.Stream {
 		start := time.Now()

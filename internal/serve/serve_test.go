@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -250,12 +251,18 @@ func TestRunEndpoint(t *testing.T) {
 	if run.Stats.Steps == 0 {
 		t.Error("run stats empty")
 	}
+	if !statsShape.Match(raw) {
+		t.Errorf("stats object lost its keys or their order: %s", raw)
+	}
 
 	code, raw = postJSON(t, ts.URL+"/run", map[string]any{"key": "sha256:feedface"})
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown key: %d %s", code, raw)
 	}
 }
+
+// statsShape is the /run stats object: every key, in order.
+var statsShape = regexp.MustCompile(`"stats":\{"collectives":\d+,"p2pMessages":\d+,"barriers":\d+,"steps":\d+,"ccChecks":\d+,"phaseChecks":\d+,"valueChecks":\d+\}`)
 
 // TestExploreStreamAndReplay is the end-to-end contract: a streamed DFS
 // exploration of the planted racer must surface the deadlock as a
@@ -599,5 +606,97 @@ func TestExploreStreamMidRunError(t *testing.T) {
 		if ev.Event == "report" {
 			t.Fatalf("failed exploration still emitted a report: %+v", ev)
 		}
+	}
+}
+
+// electSrc has one elected thread of a two-thread team call
+// MPI_Barrier: legal under MPI_THREAD_MULTIPLE, a usage error under
+// MPI_THREAD_FUNNELED whenever the election picks a worker thread.
+const electSrc = `
+func main() {
+	MPI_Init()
+	parallel num_threads(2) {
+		single {
+			MPI_Barrier()
+		}
+	}
+	print(rank())
+	MPI_Finalize()
+}`
+
+// TestExploreRunFlags: the run block's level and policy reach every
+// explored run.
+func TestExploreRunFlags(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	tests := []struct {
+		level, policy string
+		schedules     int
+		verdicts      map[string]int
+	}{
+		{"", "", 9, map[string]int{"clean": 9}},
+		{"funneled", "", 7, map[string]int{"clean": 4, "mpi-error": 3}},
+		{"funneled", "round-robin", 3, map[string]int{"mpi-error": 3}},
+	}
+	for _, tc := range tests {
+		code, raw := postJSON(t, ts.URL+"/explore", map[string]any{
+			"name": "elect.mh", "source": electSrc, "strategy": "dfs",
+			"level": tc.level, "policy": tc.policy,
+		})
+		if code != http.StatusOK {
+			t.Fatalf("level %q policy %q: %d %s", tc.level, tc.policy, code, raw)
+		}
+		rep := decode[reportJSON](t, raw)
+		got := make(map[string]int)
+		for _, v := range rep.Verdicts {
+			got[v.Outcome] = v.Count
+		}
+		if rep.Schedules != tc.schedules || !rep.Exhausted || !reflect.DeepEqual(got, tc.verdicts) {
+			t.Errorf("level %q policy %q: %d schedules (exhausted %t) %v, want %d exhausted %v",
+				tc.level, tc.policy, rep.Schedules, rep.Exhausted, got, tc.schedules, tc.verdicts)
+		}
+		if f := rep.FirstFailure; tc.level != "" && (f == nil || !strings.Contains(f.Error, "MPI_THREAD_FUNNELED")) {
+			t.Errorf("level %q policy %q: first failure %+v does not name MPI_THREAD_FUNNELED", tc.level, tc.policy, f)
+		}
+	}
+}
+
+// TestUnknownRunFlags: /run and /explore answer 400 to an unknown
+// level or policy, naming the accepted values.
+func TestUnknownRunFlags(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	accepted := map[string]string{
+		"level":  "single|funneled|serialized|multiple",
+		"policy": "first-arrival|round-robin",
+	}
+	for _, path := range []string{"/run", "/explore"} {
+		for field, want := range accepted {
+			code, raw := postJSON(t, ts.URL+path, map[string]any{
+				"name": "clean.mh", "source": cleanSrc, field: "bogus",
+			})
+			if code != http.StatusBadRequest || !bytes.Contains(raw, []byte(want)) {
+				t.Errorf("%s with %s \"bogus\": %d %s, want 400 naming %s", path, field, code, raw, want)
+			}
+		}
+	}
+}
+
+// TestWarmSessionCap: a client varying its run block from request to
+// request cannot grow one artifact's warm sessions past the cap, and
+// the requests past it still run.
+func TestWarmSessionCap(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for i := 0; i < 64; i++ {
+		code, raw := postJSON(t, ts.URL+"/run", map[string]any{
+			"name": "clean.mh", "source": cleanSrc, "maxSteps": 1000 + i,
+		})
+		if code != http.StatusOK {
+			t.Fatalf("run %d: %d %s", i, code, raw)
+		}
+		if run := decode[runResponse](t, raw); run.Outcome != "clean" {
+			t.Fatalf("run %d: %+v", i, run)
+		}
+	}
+	if warm := s.Snapshot().Sessions.Warm; warm != maxWarmSessions {
+		t.Fatalf("%d warm sessions after 64 distinct run blocks, want the cap of %d", warm, maxWarmSessions)
 	}
 }

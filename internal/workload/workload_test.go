@@ -252,21 +252,17 @@ func TestTornBufferScheduleDependence(t *testing.T) {
 	res := core.Analyze(prog, core.Options{})
 	inst := instrument.Program(prog, res)
 
-	rr := explore.Explore(inst, explore.Options{
-		Strategy: explore.StrategyRoundRobin,
-		Procs:    w.Procs, Threads: w.Threads,
+	// One session with the value oracle armed serves both explorations.
+	sess := interp.NewSession(inst, interp.Options{
+		Procs: w.Procs, Threads: w.Threads, MaxSteps: explore.DefaultMaxSteps,
 		ValueCheck: true,
 	})
+	rr := explore.ExploreSession(sess, explore.Options{Strategy: explore.StrategyRoundRobin})
 	if rr.FirstFailure != nil {
 		t.Errorf("round-robin schedule must miss the torn buffer, got %v", rr.FirstFailure.Err)
 	}
 
-	rnd := explore.Explore(inst, explore.Options{
-		Strategy:  explore.StrategyRandom,
-		Schedules: 16,
-		Procs:     w.Procs, Threads: w.Threads,
-		ValueCheck: true,
-	})
+	rnd := explore.ExploreSession(sess, explore.Options{Strategy: explore.StrategyRandom, Schedules: 16})
 	if rnd.FirstFailure == nil {
 		t.Fatal("random exploration found no failing schedule for the torn buffer")
 	}

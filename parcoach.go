@@ -233,10 +233,9 @@ func CacheKey(name, src string, opts Options) string {
 }
 
 // Compiler is the long-lived form of CompileBatch: one worker pool
-// shared across every Compile and Batch call for the life of the
-// value, so a server compiling on demand (cmd/parcoachd) keeps its
-// workers warm instead of rebuilding a pool per request. Safe for
-// concurrent use.
+// shared across every compilation for the life of the value, so a
+// server compiling on demand (cmd/parcoachd) keeps its workers warm
+// instead of rebuilding a pool per request. Safe for concurrent use.
 //
 // Cached additionally memoizes compiled artifacts by CacheKey, so
 // harnesses that resubmit the same source under the same options (the
@@ -331,17 +330,6 @@ func (c *Compiler) CacheStats() CompilerStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CompilerStats{Hits: c.hits, Misses: c.misses}
-}
-
-// Batch compiles many programs on the shared pool; the returned slice
-// is parallel to files, exactly as CompileBatch.
-func (c *Compiler) Batch(files []File, opts Options) ([]*Program, error) {
-	progs := make([]*Program, len(files))
-	errs := make([]error, len(files))
-	c.pool.Map(len(files), func(i int) {
-		progs[i], errs[i] = compile(files[i].Name, files[i].Source, opts, c.pool)
-	})
-	return progs, errors.Join(errs...)
 }
 
 // compile builds and runs the pass pipeline for one source file on the
@@ -785,25 +773,33 @@ type RunOptions = interp.Options
 // RunResult is the outcome of executing a program.
 type RunResult = interp.Result
 
-// Mode reports the compilation mode the program was built with (the
-// daemon's session cache reads it to decide whether a cached artifact's
-// runs carry the value oracle).
-func (p *Program) Mode() Mode { return p.opts.Mode }
-
-// Run executes the program: the instrumented tree when codegen produced
-// one, otherwise the pristine source. In ModeFull the verifier's value
-// oracle is armed alongside the planted checks — value bugs are
-// statically invisible, so the oracle is tied to the mode, not to
-// whether instrumentation rewrote anything.
-func (p *Program) Run(opts RunOptions) *RunResult {
+// NewSession prepares the program for repeated runs under opts; every
+// run of a Program goes through it. The session executes the
+// instrumented tree when codegen produced one, unless uninstrumented
+// asks for the pristine source. Instrumented sessions of ModeFull
+// programs arm the verifier's value oracle alongside the planted
+// checks — value bugs are statically invisible, so the oracle is tied
+// to the mode, not to whether instrumentation rewrote anything.
+//
+// A scheduled run names its scheduler when it runs:
+// prog.NewSession(opts, false).Run(sched.NewRandom(seed)).
+func (p *Program) NewSession(opts RunOptions, uninstrumented bool) *interp.Session {
 	target := p.Source
-	if p.Instrumented != nil {
-		target = p.Instrumented
+	if !uninstrumented {
+		if p.Instrumented != nil {
+			target = p.Instrumented
+		}
+		if p.opts.Mode >= ModeFull {
+			opts.ValueCheck = true
+		}
 	}
-	if p.opts.Mode >= ModeFull {
-		opts.ValueCheck = true
-	}
-	return interp.Run(target, opts)
+	return interp.NewSession(target, opts)
+}
+
+// Run executes the program once, free-running, on NewSession(opts,
+// false).
+func (p *Program) Run(opts RunOptions) *RunResult {
+	return p.NewSession(opts, false).Run(nil)
 }
 
 // ExploreOptions configures schedule exploration (see internal/explore):
@@ -840,38 +836,20 @@ const (
 // Deprecated: DFS always runs dynamic partial-order reduction.
 var ExploreFrontierDPOR = explore.FrontierDPOR
 
-// Explore runs the program (instrumented when codegen produced checks,
-// like Run) under many interleavings and reports the distinct verdicts
-// the schedule space contains. A single run validates one interleaving;
+// Explore runs the program on NewSession(opts.RunOptions(), false)
+// under many interleavings and reports the distinct verdicts the
+// schedule space contains. A single run validates one interleaving;
 // Explore is the dynamic layer's answer to schedule-dependent bugs.
+// Explorations under other run options (thread level, policy, the
+// pristine tree) pass their own session to explore.ExploreSession.
 func (p *Program) Explore(opts ExploreOptions) *ExplorationReport {
-	target := p.Source
-	if p.Instrumented != nil {
-		target = p.Instrumented
-	}
-	if p.opts.Mode >= ModeFull {
-		opts.ValueCheck = true
-	}
-	return explore.Explore(target, opts)
-}
-
-// Explore runs prog's compiled artifact under many interleavings; see
-// Program.Explore.
-func Explore(prog *Program, opts ExploreOptions) *ExplorationReport {
-	return prog.Explore(opts)
-}
-
-// ExploreUninstrumented explores the pristine source regardless of mode
-// (what the schedule space looks like on a real machine, without the
-// planted checks).
-func (p *Program) ExploreUninstrumented(opts ExploreOptions) *ExplorationReport {
-	return explore.Explore(p.Source, opts)
+	return explore.ExploreSession(p.NewSession(opts.RunOptions(), false), opts)
 }
 
 // RunUninstrumented executes the pristine source regardless of mode (used
 // by the overhead experiments to compare against instrumented runs).
 func (p *Program) RunUninstrumented(opts RunOptions) *RunResult {
-	return interp.Run(p.Source, opts)
+	return p.NewSession(opts, true).Run(nil)
 }
 
 // CampaignOptions configures an exploration campaign over generated
@@ -904,17 +882,12 @@ func Campaign(opts CampaignOptions) (*CampaignReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		target := p.Source
-		if p.Instrumented != nil {
-			target = p.Instrumented
-		}
-		sess := interp.NewSession(target, interp.Options{
+		sess := p.NewSession(RunOptions{
 			Procs:       gp.Procs,
 			Threads:     gp.Threads,
 			MaxSteps:    campaignMaxSteps,
-			ValueCheck:  true,
 			WallTimeout: opts.RunTimeout,
-		})
+		}, false)
 		return &campaign.Compiled{Session: sess, StaticKinds: p.WarningKinds()}, nil
 	}
 	return campaign.Run(opts, compile, pool)

@@ -5,7 +5,8 @@
 # diagnostics) → streamed DFS exploration of a planted schedule-only
 # deadlock → replay of the reported failing schedule, both through the
 # daemon's /run and through hybridrun -replay → an oversized request
-# refused without taking the daemon down.
+# refused without taking the daemon down → warm sessions capped per
+# artifact.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -131,5 +132,20 @@ code=$(jq -n --arg key "$key" '{key: $key, schedules: 8000000000}' \
 [ "$code" = "400" ] || { echo "FAIL: oversized exploration answered $code, want 400"; exit 1; }
 curl -sf "http://$addr/healthz" >/dev/null || { echo "FAIL: daemon unhealthy after an oversized request"; exit 1; }
 echo "oversized exploration refused, daemon healthy"
+
+# 9. Warm sessions are capped per artifact: 32 runs of one fresh source,
+# each with its own maxSteps, may add at most 16 sessions.
+warm_before=$(curl -sf "http://$addr/stats" | jq -r .sessions.warm)
+for i in $(seq 1 32); do
+  jq -n --argjson steps $((100000 + i)) \
+    '{name: "capped.mh", source: "func main() {\n\tMPI_Init()\n\tMPI_Finalize()\n}", maxSteps: $steps}' \
+    | curl -sf -o /dev/null -d @- "http://$addr/run" \
+    || { echo "FAIL: run $i of the session-cap check failed"; exit 1; }
+done
+warm_after=$(curl -sf "http://$addr/stats" | jq -r .sessions.warm)
+[ $((warm_after - warm_before)) -le 16 ] \
+  || { echo "FAIL: 32 distinct run blocks added $((warm_after - warm_before)) warm sessions, cap 16"; exit 1; }
+curl -sf "http://$addr/healthz" >/dev/null || { echo "FAIL: daemon unhealthy after the session-cap check"; exit 1; }
+echo "warm sessions capped: +$((warm_after - warm_before)) for 32 distinct run blocks"
 
 echo "PASS: daemon smoke complete"
