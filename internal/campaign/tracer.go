@@ -84,7 +84,7 @@ func (t *tracer) Next(c sched.Choice) sched.ThreadID {
 		off := len(t.enabledBuf)
 		t.enabledBuf = append(t.enabledBuf, c.Enabled...)
 		t.branches = append(t.branches, branchRec{
-			sig:     c.Sig,
+			sig:     c.Sig(),
 			enabled: t.enabledBuf[off:len(t.enabledBuf):len(t.enabledBuf)],
 			chosen:  pick,
 		})

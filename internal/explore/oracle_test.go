@@ -23,7 +23,7 @@ type sigRecorder struct {
 
 func (s *sigRecorder) Next(c sched.Choice) sched.ThreadID {
 	if len(c.Enabled) > 1 {
-		s.sigs = append(s.sigs, c.Sig)
+		s.sigs = append(s.sigs, c.Sig())
 	}
 	return s.Recorder.Next(c)
 }

@@ -280,6 +280,9 @@ func (c *thctx) step(pos source.Pos) error {
 		return c.r.world.Monitor().Err()
 	}
 	if c.gate != nil {
+		if testStep != nil {
+			testStep(c.p.Rank(), c.th.TID(), pos.Line)
+		}
 		c.gate.Yield(pos.Line)
 		if c.r.world.Monitor().Aborted() {
 			return c.r.world.Monitor().Err()
@@ -478,9 +481,9 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 		}
 		// Under a scheduling controller the fork is itself a
 		// deterministic schedule event: worker gates are registered
-		// here, by the token holder, before any worker goroutine exists,
-		// so thread ids and the runnable set never depend on goroutine
-		// spawn timing.
+		// here, by the token holder, before any worker thread starts,
+		// so thread ids and the runnable set never depend on thread
+		// start order.
 		teamSize := n
 		if teamSize <= 0 {
 			teamSize = c.rt.DefaultThreads()

@@ -50,22 +50,10 @@ func (e *WatchdogError) Error() string {
 	return fmt.Sprintf("run exceeded wall-clock watchdog (%v)", e.Timeout)
 }
 
-// QuarantineError wraps a panic caught at a pool/job boundary: the
-// panicking run or compile is classified OutcomeInternalError — a bug
-// in the validator, not the validated program — and the pool, session
-// and cache stay healthy instead of the process dying. Stack is the
-// goroutine stack at recovery time.
-type QuarantineError struct {
-	// Op names the boundary that caught the panic ("explore.run",
-	// "campaign.execute", "compile", ...).
-	Op    string
-	Value any
-	Stack []byte
-}
-
-func (e *QuarantineError) Error() string {
-	return fmt.Sprintf("panic quarantined at %s: %v", e.Op, e.Value)
-}
+// QuarantineError wraps a panic caught at a pool, job or thread
+// boundary; it classifies as OutcomeInternalError. The monitor defines
+// it because a serialized run's driver quarantines thread panics there.
+type QuarantineError = monitor.QuarantineError
 
 // NewQuarantineError builds the quarantined form of a recovered panic.
 func NewQuarantineError(op string, value any, stack []byte) *QuarantineError {

@@ -114,6 +114,10 @@ func NewSession(prog *ast.Program, opts Options) *Session {
 // live thread so the drain can never complete.
 var testWedge func(world *mpi.World)
 
+// testStep, when set by a test, runs before every statement of a
+// serialized thread — the hook that panics on a chosen statement.
+var testStep func(rank, tid, line int)
+
 // rankState is the per-rank run state — the thread-local environment
 // arena and the per-process threading runtime — recycled across runs so
 // each explored schedule reuses the previous one's allocations instead
@@ -193,7 +197,6 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 			}
 		}
 		world.Monitor().SetSched(r.ctl)
-		r.ctl.Start()
 	}
 	if testWedge != nil {
 		testWedge(world)

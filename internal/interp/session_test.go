@@ -61,6 +61,41 @@ func TestSessionAbandonsWedgedRun(t *testing.T) {
 	}
 }
 
+// TestSessionAbandonsWedgedSerializedRun: a phantom live thread hides a
+// serialized run's deadlock from the monitor, so every real thread
+// parks and no thread holds the run token. The driver must wait for the
+// watchdog rather than return with its threads suspended: the run ends
+// as a timeout, and since the phantom never exits, the drain times out
+// and the run is abandoned.
+func TestSessionAbandonsWedgedSerializedRun(t *testing.T) {
+	prog := parser.MustParse("wedge.mh", guardedBarrierSrc)
+	sess := NewSession(prog, Options{Procs: 2, Threads: 2,
+		WallTimeout: 50 * time.Millisecond, DrainTimeout: 100 * time.Millisecond})
+
+	testWedge = func(w *mpi.World) { w.Monitor().ThreadStarted() }
+	defer func() { testWedge = nil }()
+
+	done := make(chan *Result, 1)
+	go func() { done <- sess.Run(sched.NewRoundRobin()) }()
+	var res *Result
+	select {
+	case res = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("wedged serialized run outlived its watchdog")
+	}
+	if got := res.Outcome(); got != OutcomeTimeout {
+		t.Fatalf("wedged serialized run classified %s (err %v), want %s", got, res.Err, OutcomeTimeout)
+	}
+	if got := sess.Abandoned(); got != 1 {
+		t.Fatalf("Abandoned() = %d, want 1", got)
+	}
+
+	testWedge = nil
+	if got := sess.Run(sched.NewRoundRobin()).Outcome(); got != OutcomeDeadlock {
+		t.Fatalf("unwedged run classified %s, want %s", got, OutcomeDeadlock)
+	}
+}
+
 // TestSessionDrainTimeoutDefault: normal runs never hit the bound — a
 // session with the default timeout behaves exactly as before.
 func TestSessionDrainTimeoutDefault(t *testing.T) {

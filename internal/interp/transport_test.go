@@ -1,0 +1,170 @@
+package interp_test
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"parcoach/internal/explore"
+	"parcoach/internal/interp"
+	"parcoach/internal/leakcheck"
+	"parcoach/internal/parser"
+	"parcoach/internal/sched"
+)
+
+// regionSrc is a 2×2 program with a parallel region and collectives
+// whose output depends on the schedule: the nowait single's election
+// and the order of the critical updates.
+const regionSrc = `
+func main() {
+	MPI_Init()
+	var x = rank()
+	var winner = -1
+	parallel num_threads(2) {
+		single nowait { winner = tid() }
+		critical { x = x * 3 + tid() + 1 }
+		barrier
+		var y = tid() + x
+		atomic x += y
+	}
+	print(winner, x)
+	MPI_Allreduce(x, x, sum)
+	MPI_Bcast(winner, 0)
+	print(winner, x)
+	MPI_Finalize()
+	return x
+}
+`
+
+// lineOf returns the source line of the first occurrence of marker.
+func lineOf(src, marker string) int {
+	return 1 + strings.Count(src[:strings.Index(src, marker)], "\n")
+}
+
+// TestSerializedThreadPanicEndsRun: a panic on one serialized thread
+// ends its run, not the process or the coroutine pool. The run is
+// quarantined as an internal error carrying the panicking thread's
+// stack, every other thread drains (so the session recycles instead of
+// abandoning the run at the drain timeout), no goroutine leaks, and the
+// session's next run is clean. Both a team worker inside the region and
+// a rank's main thread after it are tried, alone and through Explore.
+func TestSerializedThreadPanicEndsRun(t *testing.T) {
+	leakcheck.Check(t)
+	prog := parser.MustParse("panic.mh", regionSrc)
+	cases := []struct {
+		name            string
+		rank, tid, line int
+	}{
+		{"worker-in-region", 1, 1, lineOf(regionSrc, "var y")},
+		{"main-after-region", 0, 0, lineOf(regionSrc, "MPI_Allreduce")},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			panicAt := func(rank, tid, line int) {
+				if rank == tc.rank && tid == tc.tid && line == tc.line {
+					panic("planted panic")
+				}
+			}
+			sess := interp.NewSession(prog, interp.Options{Procs: 2, Threads: 2, DrainTimeout: 2 * time.Second})
+			for _, token := range []string{sched.RoundRobinToken, sched.RandomToken(7)} {
+				s, err := sched.Parse(token)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reset := interp.SetTestStep(panicAt)
+				res := sess.Run(s)
+				reset()
+				if got := res.Outcome(); got != interp.OutcomeInternalError {
+					t.Fatalf("%s: panicking run classified %s (err %v), want %s", token, got, res.Err, interp.OutcomeInternalError)
+				}
+				var qe *interp.QuarantineError
+				if !errors.As(res.Err, &qe) || qe.Value != "planted panic" {
+					t.Fatalf("%s: error %v is not the quarantined panic", token, res.Err)
+				}
+				if !strings.Contains(string(qe.Stack), "(*thctx).step") {
+					t.Fatalf("%s: quarantined stack is not the panicking thread's:\n%s", token, qe.Stack)
+				}
+				if res := sess.Run(sched.NewRoundRobin()); res.Err != nil {
+					t.Fatalf("%s: the run after the panic failed: %v", token, res.Err)
+				}
+			}
+			if got := sess.Abandoned(); got != 0 {
+				t.Fatalf("Abandoned() = %d: a panicked run never drained", got)
+			}
+
+			abandoned := interp.AbandonedWorlds()
+			for _, strategy := range []explore.Strategy{explore.StrategyRandom, explore.StrategyDFS} {
+				opts := explore.Options{Strategy: strategy, Schedules: 6, Seed: 5, Workers: 2}
+				reset := interp.SetTestStep(panicAt)
+				rep := explore.Explore(prog, opts)
+				reset()
+				v := rep.Verdict(interp.OutcomeInternalError)
+				if v == nil || v.Count != rep.Schedules || rep.Quarantined != rep.Schedules {
+					t.Fatalf("%s: every schedule hits the panic, yet:\n%s", strategy, rep)
+				}
+				if !strings.Contains(v.Sample, "panic quarantined at sched.thread: planted panic") {
+					t.Fatalf("%s: verdict sample %q does not name the thread boundary", strategy, v.Sample)
+				}
+				clean := explore.Explore(prog, opts)
+				if len(clean.Verdicts) != 1 || clean.Verdicts[0].Outcome != interp.OutcomeClean {
+					t.Fatalf("%s: exploration after the panics is not clean:\n%s", strategy, clean)
+				}
+			}
+			if got := interp.AbandonedWorlds() - abandoned; got != 0 {
+				t.Fatalf("explorations abandoned %d panicked runs", got)
+			}
+		})
+	}
+}
+
+// TestConcurrentSerializedRunsMatchSolo: serialized runs on many
+// goroutines at once share the process-wide coroutine pool, yet each
+// result equals the same schedule run alone — error text, output and
+// stats.
+func TestConcurrentSerializedRunsMatchSolo(t *testing.T) {
+	const goroutines, schedules = 8, 20
+	prog := parser.MustParse("concurrent.mh", regionSrc)
+	sess := interp.NewSession(prog, interp.Options{Procs: 2, Threads: 2})
+	render := func(seed int64) string {
+		res := sess.Run(sched.NewRandom(seed))
+		errText := ""
+		if res.Err != nil {
+			errText = res.Err.Error()
+		}
+		return fmt.Sprintf("err=%q\n%s%+v", errText, res.Output, res.Stats)
+	}
+	solo := make(map[int64]string)
+	outputs := make(map[string]bool)
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < schedules; i++ {
+			seed := int64(g*schedules + i)
+			solo[seed] = render(seed)
+			outputs[solo[seed]] = true
+		}
+	}
+	if len(outputs) < 2 {
+		t.Fatal("every schedule printed the same run: the comparison would prove nothing")
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines*schedules)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < schedules; i++ {
+				seed := int64(g*schedules + i)
+				if got := render(seed); got != solo[seed] {
+					errs <- fmt.Sprintf("rand:%d concurrently:\n%s\nalone:\n%s", seed, got, solo[seed])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}

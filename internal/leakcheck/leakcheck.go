@@ -4,7 +4,8 @@
 // finishing goroutines drain first. Built on runtime.Stack only — no
 // dependencies — and tolerant of the process-lifetime goroutines the
 // runtime, the testing harness, and this repo's own pooled machinery
-// (pipeline.Spawn workers park forever by design) keep around.
+// (pipeline.Spawn workers and the scheduler's idle coroutines park
+// forever by design) keep around.
 package leakcheck
 
 import (
@@ -37,6 +38,10 @@ var allowlist = []string{
 	// process-lifetime free list, not a leak.
 	"parcoach/internal/pipeline.(*spawnWorker)",
 	"parcoach/internal/pipeline.spawnLoop",
+	// The serialized scheduler's idle pooled coroutines: only the pool's
+	// idle loop carries this frame, so a coroutine suspended anywhere
+	// else (a thread that never finished) still counts as a leak.
+	"parcoach/internal/sched.(*coro).idle",
 }
 
 func interestingGoroutines() map[string]string {
@@ -62,11 +67,11 @@ next:
 			}
 		}
 		// Key by the header line ("goroutine N [state]:") stripped of the
-		// volatile state word plus the creation site, so the same goroutine
-		// moving between states doesn't read as a new one.
+		// volatile state word, so the same goroutine moving between states
+		// doesn't read as a new one.
 		head, _, _ := strings.Cut(g, "\n")
-		id, _, _ := strings.Cut(head, " ")
-		gs[id] = g
+		f := strings.Fields(head)
+		gs[f[0]+" "+f[1]] = g
 	}
 	return gs
 }

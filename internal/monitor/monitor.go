@@ -20,6 +20,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"parcoach/internal/pipeline"
 )
 
 // Monitor coordinates all blocking in one run.
@@ -45,31 +47,38 @@ type Monitor struct {
 }
 
 // SchedHook is the scheduling controller interface (internal/sched): a
-// serializing scheduler that tracks exactly one running thread at a
-// time. The monitor is the single chokepoint every blocking transition
-// passes through, so these five callbacks are all a controller needs to
-// keep its runnable set exact. Waiter identities are passed as `any` so
-// the monitor stays free of scheduler types.
+// serializing scheduler that runs the run's threads itself and lets
+// exactly one run at a time. The monitor is the single chokepoint every
+// blocking transition passes through, so its five transition callbacks
+// are all a controller needs to keep its runnable set exact. Waiter
+// identities are passed as `any` so the monitor stays free of scheduler
+// types.
 //
 // HolderParked, WaiterWoken, HolderExited and ReleaseAll are called with
 // the monitor lock held (lock order: monitor → controller). Resume is
-// called lock-free from Await and may block until the controller grants
-// the woken thread the run token again.
+// called lock-free from Await, before the thread waits, and suspends it
+// until the controller resumes it.
 type SchedHook interface {
 	// HolderParked: the running thread just registered as blocked on w.
 	HolderParked(w any)
 	// WaiterWoken: w was released; its thread is runnable again.
 	WaiterWoken(w any)
-	// Resume: w's thread returned from its wait and must re-acquire the
-	// run token before continuing.
+	// Resume: w's thread is about to wait. It suspends until the
+	// controller resumes it, which happens only once w was woken or the
+	// run aborted.
 	Resume(w any)
-	// HolderExited: the running thread's goroutine is done.
+	// HolderExited: the running thread is done.
 	HolderExited()
 	// ReleaseAll: the run aborted; stop scheduling, free everything.
-	// holder reports whether the abort runs on the token holder's own
-	// goroutine; only then may the controller read the holder's
-	// per-thread state.
+	// holder reports whether the abort runs while the token holder
+	// cannot (on its own thread, or on the driver); only then may the
+	// controller read the holder's per-thread state.
 	ReleaseAll(holder bool)
+	// Go starts fn as a thread of the run (see Monitor.Go).
+	Go(fn func())
+	// Drive runs the threads until every one has returned, handing each
+	// thread's panic to panicked (see Monitor.Drive).
+	Drive(panicked func(value any, stack []byte))
 }
 
 // SetSched installs the scheduling controller. Must be called before the
@@ -79,6 +88,35 @@ func (m *Monitor) SetSched(h SchedHook) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sched = h
+}
+
+// Go runs fn as one of the run's threads. The caller registered the
+// thread with ThreadStarted, and ThreadExited is fn's last act. Under a
+// scheduling controller fn runs on one of the controller's coroutines,
+// resumed from Drive; otherwise it runs on a pooled goroutine
+// (pipeline.Spawn).
+func (m *Monitor) Go(fn func()) {
+	if m.sched != nil {
+		m.sched.Go(fn)
+		return
+	}
+	pipeline.Spawn(fn)
+}
+
+// Drive runs a serialized run's threads on the calling goroutine until
+// every thread started with Go has returned. Free-running threads need
+// no driver, so without a controller it returns at once. A serialized
+// thread that panics aborts the run with a QuarantineError carrying the
+// panic value and the thread's stack, and counts as exited.
+func (m *Monitor) Drive() {
+	if m.sched != nil {
+		m.sched.Drive(m.threadPanicked)
+	}
+}
+
+func (m *Monitor) threadPanicked(value any, stack []byte) {
+	m.Abort(&QuarantineError{Op: "sched.thread", Value: value, Stack: stack})
+	m.ThreadExited()
 }
 
 // New returns an empty monitor.
@@ -152,9 +190,9 @@ func (m *Monitor) Drained() <-chan struct{} {
 // ThreadExited unregisters a live thread and re-checks for quiescence:
 // a thread exiting while every other one is blocked is a deadlock (e.g. a
 // process returning from main while its peers wait in a collective).
-// Under a scheduling controller this must be the exiting goroutine's
-// last monitor interaction: the controller hands the run token to the
-// next thread here.
+// Under a scheduling controller this must be the exiting thread's last
+// monitor interaction: the controller hands the run token to the next
+// thread here.
 func (m *Monitor) ThreadExited() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -221,10 +259,12 @@ func (m *Monitor) WakeLocked(w *Waiter) {
 // after Await returns — it goes back on the monitor's free list, so
 // callers must not retain it.
 func (w *Waiter) Await() error {
-	<-w.ch
 	if w.sched != nil {
+		// The thread suspends here until the controller resumes it, by
+		// when the wake or the abort has already signalled ch.
 		w.sched.Resume(w)
 	}
+	<-w.ch
 	err := w.err
 	m := w.m
 	m.mu.Lock()
@@ -338,6 +378,24 @@ func (m *Monitor) checkQuiescenceLocked() {
 func IsDeadlock(err error) bool {
 	var de *DeadlockError
 	return errors.As(err, &de)
+}
+
+// QuarantineError wraps a panic caught at a pool, job or thread
+// boundary: the panicking run or compile is classified as an internal
+// error (interp.OutcomeInternalError), a bug in the validator rather
+// than in the validated program, and the pool, session and cache stay
+// healthy instead of the process dying. Stack is the panicking
+// goroutine's stack at recovery time.
+type QuarantineError struct {
+	// Op names the boundary that caught the panic ("explore.run",
+	// "campaign.execute", "compile", "sched.thread", ...).
+	Op    string
+	Value any
+	Stack []byte
+}
+
+func (e *QuarantineError) Error() string {
+	return fmt.Sprintf("panic quarantined at %s: %v", e.Op, e.Value)
 }
 
 // DeadlockError reports that every live thread was blocked.

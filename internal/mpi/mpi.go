@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"parcoach/internal/monitor"
-	"parcoach/internal/pipeline"
 )
 
 // Op identifies a collective operation.
@@ -274,9 +273,11 @@ func (w *World) Level() ThreadLevel { return w.cfg.Level }
 // Proc returns the process with the given rank.
 func (w *World) Proc(rank int) *Proc { return w.procs[rank] }
 
-// Run executes body once per rank, each on its own goroutine registered
+// Run executes body once per rank, each on its own thread registered
 // with the monitor, and returns the first error (abort, deadlock, or a
-// body error). A nil return means every process completed.
+// body error). A nil return means every process completed. The threads
+// run on pooled goroutines, or, under a scheduling controller, on its
+// coroutines, driven from the calling goroutine.
 func (w *World) Run(body func(p *Proc) error) error {
 	var wg sync.WaitGroup
 	// Register every rank as live before launching any: otherwise the
@@ -288,9 +289,9 @@ func (w *World) Run(body func(p *Proc) error) error {
 	for _, p := range w.procs {
 		wg.Add(1)
 		p := p
-		// Pooled executor goroutines keep their interpreter-deep stacks
-		// warm across the thousands of runs a schedule exploration makes.
-		pipeline.Spawn(func() {
+		// Pooled threads keep their interpreter-deep stacks warm across
+		// the thousands of runs a schedule exploration makes.
+		w.mon.Go(func() {
 			defer wg.Done()
 			err := body(p)
 			if err != nil && !w.mon.Aborted() {
@@ -302,6 +303,7 @@ func (w *World) Run(body func(p *Proc) error) error {
 			w.mon.ThreadExited()
 		})
 	}
+	w.mon.Drive()
 	wg.Wait()
 	return w.mon.Err()
 }

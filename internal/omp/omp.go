@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"parcoach/internal/monitor"
-	"parcoach/internal/pipeline"
 )
 
 // Policy selects how single constructs elect their executing thread.
@@ -276,9 +275,11 @@ func (rt *Runtime) Parallel(cur *Thread, n int, body func(*Thread) error) error 
 	for i := 1; i < n; i++ {
 		worker := rt.newThread(team, i, 0)
 		mon := rt.mon // pin: a session may rebind rt after this run aborts
-		pipeline.Spawn(func() {
-			defer mon.ThreadExited()
+		mon.Go(func() {
 			rt.runMember(worker, body)
+			// Not deferred: the driver counts a panicked serialized
+			// thread out itself, after aborting the run.
+			mon.ThreadExited()
 		})
 	}
 	rt.runMember(master, body)

@@ -4,17 +4,24 @@
 // decides, at every statement boundary and every blocking transition,
 // which enabled thread runs next.
 //
+// The Controller owns a serialized run's threads. Go starts each one on
+// a pooled coroutine, and Drive, on the goroutine that runs the world,
+// resumes whichever thread the scheduler picked. A thread hands the run
+// token on by suspending back to the driver, so a switch costs two
+// coroutine switches on one OS thread, and no two threads ever run at
+// once, not even before a new thread attaches to its gate.
+//
 // The Controller piggybacks on the blocking kernel (internal/monitor):
 // every wait in the simulated runtimes already funnels through
 // monitor.NewWaiterLocked / Waiter.Await, so the monitor's scheduler
 // hooks tell the controller precisely when the running thread parks,
-// when a parked thread becomes runnable again, and when a thread's
-// goroutine exits. Between those transitions the interpreter calls
-// Gate.Yield at each statement, giving the Scheduler statement-level
-// interleaving control. Because only the token holder ever touches
-// simulation state, a run is a deterministic function of the scheduler's
-// decisions — which is what makes recorded schedules replayable and
-// exhaustive enumeration (internal/explore) possible.
+// when a parked thread becomes runnable again, and when a thread
+// exits. Between those transitions the interpreter calls Gate.Yield at
+// each statement, giving the Scheduler statement-level interleaving
+// control. Because only the token holder ever touches simulation state,
+// a run is a deterministic function of the scheduler's decisions — which
+// is what makes recorded schedules replayable and exhaustive enumeration
+// (internal/explore) possible.
 package sched
 
 import (
@@ -49,14 +56,24 @@ type Choice struct {
 	Cur ThreadID
 	// Seq counts decisions since the run started.
 	Seq int64
-	// Sig is a positional state signature: a hash over every thread's
-	// (id, liveness, last source line, executed-statement count). Two
-	// interleavings that drove all threads to the same positions collide,
-	// which is what makes it a coverage key for exploration campaigns.
-	// Only branch points (more than one enabled thread) carry a
-	// signature; singleton decisions leave it 0 — no scheduler branches
-	// there, so the per-statement fast path skips the hash.
-	Sig uint64
+
+	ctl *Controller
+}
+
+// Sig returns the positional state signature: a hash over every
+// thread's (id, liveness, last source line, executed-statement count).
+// Two interleavings that drove all threads to the same positions
+// collide, which is what makes it a coverage key for exploration
+// campaigns. Only branch points (more than one enabled thread) carry a
+// signature; singleton decisions return 0. The controller folds the
+// threads that moved into the hash only when a scheduler asks, so the
+// schedulers that never call Sig never pay for it. Like Enabled, it is
+// only valid during the Next call.
+func (c Choice) Sig() uint64 {
+	if c.ctl == nil || len(c.Enabled) < 2 {
+		return 0
+	}
+	return c.ctl.sigLocked()
 }
 
 // Scheduler picks the next thread to run. Implementations must be
@@ -85,15 +102,17 @@ type gateState int
 const (
 	gateReady  gateState = iota // runnable, waiting for (or holding) the token
 	gateParked                  // blocked in the monitor
-	gateDone                    // goroutine exited
+	gateDone                    // thread exited
 )
 
 // Gate is the controller-side handle of one simulated thread. The
 // interpreter threads carry their gate and call Yield on every statement.
 type Gate struct {
-	ctl   *Controller
-	id    ThreadID
-	grant chan struct{}
+	ctl *Controller
+	id  ThreadID
+	// co is the coroutine running the gate's thread: bound by Attach,
+	// cleared by the driver when the thread returns.
+	co *coro
 
 	// Guarded by ctl.mu.
 	state gateState
@@ -111,11 +130,12 @@ type Gate struct {
 	tracing bool
 	// acc buffers the object accesses of the current event. Only the
 	// owning thread appends (it is the only one running), and every
-	// flush into the controller's trace happens on that same goroutine
-	// (Yield, park, exit and abort all run on the thread itself; an
-	// interruption from outside the run flushes nothing), so the buffer
-	// needs no lock. Post-abort stragglers keep appending harmlessly;
-	// the buffer is reset when the gate is recycled.
+	// flush into the controller's trace happens while no other thread
+	// runs (Yield, park, exit and abort on the thread itself, or the
+	// driver after a panic; an interruption from outside the run flushes
+	// nothing), so the buffer needs no lock. Post-abort stragglers keep
+	// appending harmlessly; the buffer is reset when the gate is
+	// recycled.
 	acc []monitor.Access
 }
 
@@ -136,14 +156,19 @@ func (g *Gate) Access(o monitor.Obj, kind monitor.AccessKind) {
 // hook interface; hook methods are called with the monitor lock held and
 // only ever take the controller lock inside (lock order: monitor → ctl).
 type Controller struct {
-	mu       sync.Mutex
-	sched    Scheduler
-	gates    []*Gate
-	holder   ThreadID // token holder, -1 when none
-	seq      int64
-	released chan struct{}
-	isOff    bool
-	owner    map[interface{}]*Gate // monitor waiter → parked gate
+	mu     sync.Mutex
+	sched  Scheduler
+	gates  []*Gate
+	holder ThreadID // token holder, -1 when none
+	seq    int64
+	isOff  bool
+	owner  map[interface{}]*Gate // monitor waiter → parked gate, until woken
+
+	// starting is the coroutine Go is starting; Attach binds it to the
+	// new thread's gate. panics queues the recovered panics of threads
+	// for the driver to report.
+	starting *coro
+	panics   []*coro
 
 	// ready is the sorted id set of runnable gates, maintained
 	// incrementally on every state transition. Decisions are then
@@ -174,8 +199,8 @@ type Controller struct {
 	trace   *monitor.EventTrace
 	branchN int
 
-	// freeGates recycles gate structs (and their grant channels) across
-	// runs when the controller itself is recycled.
+	// freeGates recycles gate structs across runs when the controller
+	// itself is recycled.
 	freeGates []*Gate
 }
 
@@ -191,11 +216,6 @@ func NewController(s Scheduler, procs int) *Controller {
 	c.holder = -1
 	c.seq = 0
 	c.isOff = false
-	if c.released == nil {
-		// Fresh controller, or recycled from an aborted run (whose
-		// closed channel Recycle dropped).
-		c.released = make(chan struct{})
-	}
 	if c.owner == nil {
 		c.owner = make(map[interface{}]*Gate)
 	} else {
@@ -220,14 +240,11 @@ func (c *Controller) newGateLocked() *Gate {
 	if n := len(c.freeGates); n > 0 {
 		g = c.freeGates[n-1]
 		c.freeGates = c.freeGates[:n-1]
-		select { // defensive: a recycled gate must start with no token
-		case <-g.grant:
-		default:
-		}
 	} else {
-		g = &Gate{grant: make(chan struct{}, 1)}
+		g = new(Gate)
 	}
 	g.ctl = c
+	g.co = nil
 	g.id = ThreadID(len(c.gates))
 	g.state = gateReady
 	g.line = 0
@@ -269,16 +286,11 @@ func (c *Controller) readyRemoveLocked(id ThreadID) {
 }
 
 // Recycle returns the controller and its gates to the pool. Only call
-// once the run has fully drained (monitor.Drained): until then, a
-// goroutine released by an abort may still be parked on — or about to
-// touch — its gate. After the drain nothing can reach the controller,
-// so clean and aborted runs alike recycle here (an aborted run's closed
-// release channel is dropped and remade on reuse).
+// once the run has fully drained (monitor.Drained): after the drain
+// nothing can reach the controller, so clean and aborted runs alike
+// recycle here.
 func (c *Controller) Recycle() {
 	c.mu.Lock()
-	if c.isOff {
-		c.released = nil
-	}
 	c.freeGates = append(c.freeGates, c.gates...)
 	c.gates = c.gates[:0]
 	c.sched = nil
@@ -292,17 +304,13 @@ func (c *Controller) Recycle() {
 }
 
 // ProcGate returns the pre-registered gate of the given rank's main
-// thread. Proc goroutines call this concurrently with the already
-// granted thread (which may be forking new gates), so it locks.
-func (c *Controller) ProcGate(rank int) *Gate {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gates[rank]
-}
+// thread. Go starts the rank threads one at a time before Drive, so no
+// other thread runs while one looks up its gate.
+func (c *Controller) ProcGate(rank int) *Gate { return c.gates[rank] }
 
 // Fork registers n new team-worker threads at a deterministic point of
 // the schedule (the forking thread holds the token). The returned gates
-// are enabled immediately; their goroutines bind to them with Attach.
+// are enabled immediately; their threads bind to them with Attach.
 func (c *Controller) Fork(n int) []*Gate {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -313,29 +321,33 @@ func (c *Controller) Fork(n int) []*Gate {
 	return out
 }
 
-// Start hands the token to the scheduler's first pick. Call once, after
-// binding the controller to the monitor and before launching the run.
-func (c *Controller) Start() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pickLocked(-1)
+// Go starts fn as a new thread of the run on a pooled coroutine. It
+// runs fn only until the thread attaches to its gate (Attach) or
+// returns, so the caller — the token holder, or the goroutine about to
+// Drive — keeps the token. fn's thread then runs whenever the driver
+// resumes its gate.
+func (c *Controller) Go(fn func()) {
+	co := getCoro(fn)
+	c.starting = co
+	co.resume()
+	c.starting = nil
+	if co.done {
+		c.retire(co)
+	}
 }
 
-// Attach blocks the calling goroutine until its gate is granted the
-// token for the first time.
-func (g *Gate) Attach() { g.await() }
-
-func (g *Gate) await() {
-	select {
-	case <-g.grant:
-	case <-g.ctl.released:
-	}
+// Attach binds the calling thread, which Go is starting, to its gate
+// and suspends it back to Go's caller; it runs on when the driver first
+// resumes the gate.
+func (g *Gate) Attach() {
+	g.co = g.ctl.starting
+	g.co.suspend()
 }
 
 // Yield offers a context switch at a statement boundary on the given
 // source line. The calling thread must hold the token (it is the only
-// one running). If the scheduler picks another thread, the caller parks
-// until re-granted.
+// one running). If the scheduler picks another thread, the caller
+// suspends to the driver until the driver resumes it.
 func (g *Gate) Yield(line int) {
 	c := g.ctl
 	c.mu.Lock()
@@ -347,13 +359,84 @@ func (g *Gate) Yield(line int) {
 	g.steps++
 	c.markDirtyLocked(g)
 	next := c.chooseLocked(g.id)
-	if next == g.id {
+	c.mu.Unlock()
+	if next != g.id {
+		g.co.suspend()
+	}
+}
+
+// Drive runs the serialized run on the calling goroutine until every
+// thread started with Go has returned: it makes the run's first
+// scheduling decision, then resumes the token holder each time the
+// running thread suspends. Once ReleaseAll has run it resumes the
+// remaining threads, lowest id first, until each has returned. A thread
+// whose fn panicked releases the run and counts as returned; Drive
+// hands its panic value and stack to panicked while no thread runs.
+func (c *Controller) Drive(panicked func(value any, stack []byte)) {
+	c.reportPanics(panicked)
+	c.mu.Lock()
+	if !c.isOff {
+		c.chooseLocked(-1)
+	}
+	for {
+		g := c.resumableLocked()
 		c.mu.Unlock()
+		if g == nil {
+			return
+		}
+		co := g.co
+		co.resume()
+		if co.done {
+			g.co = nil
+			c.retire(co)
+		}
+		c.reportPanics(panicked)
+		c.mu.Lock()
+	}
+}
+
+// resumableLocked returns the gate whose thread the driver resumes
+// next: the token holder, or after ReleaseAll the lowest-id thread that
+// has not returned. nil means every thread has returned.
+//
+// No holder in a run not yet released means every remaining thread is
+// parked although the monitor saw no deadlock: it counts a live thread
+// that no gate runs. The thread resumed then blocks in its wait until
+// an abort from outside the run (a watchdog or a canceled context)
+// wakes it.
+func (c *Controller) resumableLocked() *Gate {
+	if !c.isOff && c.holder >= 0 {
+		return c.gates[c.holder]
+	}
+	for _, g := range c.gates {
+		if g.co != nil {
+			return g
+		}
+	}
+	return nil
+}
+
+// retire returns a finished thread's coroutine to the pool. A thread
+// that panicked releases the run first, so no scheduling decision
+// follows the panic, and queues the panic for the driver to report.
+func (c *Controller) retire(co *coro) {
+	if co.panicked == nil {
+		co.put()
 		return
 	}
-	c.grantLocked(next)
-	c.mu.Unlock()
-	g.await()
+	c.ReleaseAll(true)
+	c.panics = append(c.panics, co)
+}
+
+// reportPanics hands every queued panic to panicked. The driver calls
+// it between resumes, so no thread runs.
+func (c *Controller) reportPanics(panicked func(value any, stack []byte)) {
+	for i, co := range c.panics {
+		panicked(co.panicked, co.stack)
+		co.put()
+		c.panics[i] = nil
+	}
+	c.panics = c.panics[:0]
 }
 
 // enabledLocked returns the sorted runnable set in the controller's
@@ -396,7 +479,7 @@ func (c *Controller) markDirtyLocked(g *Gate) {
 }
 
 // sigLocked returns the incremental positional signature, folding in
-// the gates whose position changed since the last decision point.
+// the gates whose position changed since it was last computed.
 func (c *Controller) sigLocked() uint64 {
 	if len(c.dirty) > 0 {
 		for _, g := range c.dirty {
@@ -411,10 +494,10 @@ func (c *Controller) sigLocked() uint64 {
 }
 
 // flushEventLocked closes the current event: the holder's buffered
-// accesses are appended to the trace. Every call site runs on the
-// holder's own goroutine (Yield, the park/exit hooks, and an abort by
-// the thread itself), so reading g.acc here never races the owner-side
-// appends.
+// accesses are appended to the trace. Every call site runs while no
+// other thread does (Yield, the park/exit hooks, an abort by the thread
+// itself or by the driver after a panic), so reading g.acc here never
+// races the owner-side appends.
 func (c *Controller) flushEventLocked() {
 	if c.holder < 0 {
 		return
@@ -439,13 +522,9 @@ func (c *Controller) chooseLocked(cur ThreadID) ThreadID {
 		c.holder = -1
 		return -1
 	}
-	ch := Choice{Enabled: enabled, Cur: cur, Seq: c.seq}
+	ch := Choice{Enabled: enabled, Cur: cur, Seq: c.seq, ctl: c}
 	branch := -1
 	if len(enabled) > 1 {
-		// The signature only matters where a schedule can branch; the
-		// singleton fast path (one decision per executed statement in
-		// mostly-sequential phases) skips the hash entirely.
-		ch.Sig = c.sigLocked()
 		branch = c.branchN
 		c.branchN++
 	}
@@ -468,29 +547,13 @@ func (c *Controller) chooseLocked(cur ThreadID) ThreadID {
 	return id
 }
 
-func (c *Controller) grantLocked(id ThreadID) {
-	if id < 0 {
-		return
-	}
-	c.gates[id].grant <- struct{}{}
-}
-
-// pickLocked chooses and grants the next thread after the previous
-// holder stopped being runnable (cur == -1) or at run start.
-func (c *Controller) pickLocked(cur ThreadID) {
-	next := c.chooseLocked(cur)
-	if next >= 0 {
-		c.grantLocked(next)
-	}
-}
-
 //
 // Monitor hook implementation. All four Locked-suffixed semantics hold:
 // the monitor calls these with its own lock held.
 //
 
 // HolderParked records that the token holder blocked on w and hands the
-// token to the scheduler's next pick.
+// token to the scheduler's next pick; the holder suspends in Resume.
 func (c *Controller) HolderParked(w interface{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -502,11 +565,11 @@ func (c *Controller) HolderParked(w interface{}) {
 	c.readyRemoveLocked(g.id)
 	c.markDirtyLocked(g)
 	c.owner[w] = g
-	c.pickLocked(-1)
+	c.chooseLocked(-1)
 }
 
 // WaiterWoken marks w's thread runnable again. The waker keeps the
-// token; the woken thread re-acquires it in Resume.
+// token; the woken thread runs on once the scheduler picks it.
 func (c *Controller) WaiterWoken(w interface{}) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -514,26 +577,28 @@ func (c *Controller) WaiterWoken(w interface{}) {
 	if g == nil || c.isOff {
 		return
 	}
+	// The entry must live until here: the parked thread looked its gate
+	// up in Resume before suspending, and only this wake needs it now.
+	delete(c.owner, w)
 	g.state = gateReady
 	c.readyAddLocked(g.id)
 	c.markDirtyLocked(g)
 }
 
-// Resume blocks the woken thread (just returned from its monitor wait)
-// until the scheduler grants it the token again. Called without locks.
+// Resume suspends the thread that just parked on w until the driver
+// resumes it: once WaiterWoken made it runnable and the scheduler picked
+// it, or once ReleaseAll ended the serialization. Called without locks.
 func (c *Controller) Resume(w interface{}) {
 	c.mu.Lock()
 	g := c.owner[w]
-	delete(c.owner, w)
 	off := c.isOff
 	c.mu.Unlock()
-	if g == nil || off {
-		return
+	if g != nil && !off {
+		g.co.suspend()
 	}
-	g.await()
 }
 
-// HolderExited records that the token holder's goroutine is done (its
+// HolderExited records that the token holder's thread is done (its
 // last monitor interaction) and schedules the next thread.
 func (c *Controller) HolderExited() {
 	c.mu.Lock()
@@ -545,13 +610,14 @@ func (c *Controller) HolderExited() {
 	g.state = gateDone
 	c.readyRemoveLocked(g.id)
 	c.markDirtyLocked(g)
-	c.pickLocked(-1)
+	c.chooseLocked(-1)
 }
 
-// ReleaseAll switches to free-running mode: the run aborted, every
-// parked-on-the-token goroutine is released and all future scheduling
-// calls become no-ops, so abort unwinding never waits on the scheduler.
-// holder reports whether the call runs on the token holder's goroutine.
+// ReleaseAll ends the serialization: the run aborted, so every later
+// scheduling call returns at once and the driver resumes each remaining
+// thread, lowest id first, until it has returned; abort unwinding never
+// waits on the scheduler. holder reports whether the call runs while
+// the token holder cannot: on the holder's own thread, or on the driver.
 func (c *Controller) ReleaseAll(holder bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -569,7 +635,6 @@ func (c *Controller) ReleaseAll(holder bool) {
 		c.flushEventLocked()
 	}
 	c.isOff = true
-	close(c.released)
 }
 
 //

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"parcoach/internal/monitor"
@@ -233,19 +235,20 @@ func TestTokenReplayEquivalence(t *testing.T) {
 // (cancellation, a watchdog) must not touch the token holder's access
 // buffer, which the still-running holder keeps appending to — under
 // -race that would be a data race — while an abort on the holder's own
-// goroutine flushes its final accesses into the trace.
+// thread flushes its final accesses into the trace.
 func TestReleaseAllLeavesRunningHolder(t *testing.T) {
 	for _, holder := range []bool{true, false} {
 		rec := new(DPORRecorder)
 		rec.Reset(nil)
 		c := NewController(rec, 1)
-		c.Start()
 		g := c.ProcGate(0)
-		g.Attach()
-		g.Access(1, monitor.AccWrite)
-		if holder {
-			c.ReleaseAll(true)
-		} else {
+		c.Go(func() {
+			g.Attach()
+			g.Access(1, monitor.AccWrite)
+			if holder {
+				c.ReleaseAll(true)
+				return
+			}
 			released := make(chan struct{})
 			go func() {
 				c.ReleaseAll(false)
@@ -253,7 +256,8 @@ func TestReleaseAllLeavesRunningHolder(t *testing.T) {
 			}()
 			g.Access(2, monitor.AccWrite)
 			<-released
-		}
+		})
+		c.Drive(nil)
 		want := 0
 		if holder {
 			want = 1
@@ -262,5 +266,40 @@ func TestReleaseAllLeavesRunningHolder(t *testing.T) {
 			t.Errorf("holder=%t: last event has %d accesses, want %d", holder, got, want)
 		}
 		c.Recycle()
+	}
+}
+
+// TestDriveInterleavesRoundRobin: three threads started with Go and run
+// by Drive under RoundRobin take turns one statement at a time in id
+// order, and a ReleaseAll mid-run drains every thread: the releasing
+// thread runs to its end, then each remaining one, lowest id first.
+func TestDriveInterleavesRoundRobin(t *testing.T) {
+	run := func(releaseAt int) string {
+		c := NewController(NewRoundRobin(), 3)
+		var log []string
+		for id := 0; id < 3; id++ {
+			g := c.ProcGate(id)
+			c.Go(func() {
+				g.Attach()
+				for step := 0; step < 3; step++ {
+					log = append(log, fmt.Sprintf("%d.%d", id, step))
+					if len(log) == releaseAt {
+						c.ReleaseAll(true)
+					}
+					g.Yield(step)
+				}
+				log = append(log, fmt.Sprintf("%d.exit", id))
+				c.HolderExited()
+			})
+		}
+		c.Drive(nil)
+		c.Recycle()
+		return strings.Join(log, " ")
+	}
+	if got, want := run(0), "0.0 1.0 2.0 0.1 1.1 2.1 0.2 1.2 2.2 0.exit 1.exit 2.exit"; got != want {
+		t.Errorf("round-robin interleaving:\n got %s\nwant %s", got, want)
+	}
+	if got, want := run(4), "0.0 1.0 2.0 0.1 0.2 0.exit 1.1 1.2 1.exit 2.1 2.2 2.exit"; got != want {
+		t.Errorf("drain after ReleaseAll:\n got %s\nwant %s", got, want)
 	}
 }
