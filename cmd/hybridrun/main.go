@@ -4,10 +4,12 @@
 // verification error (instrumented) or with the runtime's own mismatch or
 // deadlock report (uninstrumented) instead of hanging.
 //
-// Beyond the single default run, the schedule-exploration engine can
-// sweep the interleaving space (-explore; dfs enumerates it under
-// dynamic partial-order reduction) and any failing schedule it prints
-// can be reproduced exactly (-replay):
+// The single default run is serialized under the default schedule, so
+// it prints the same bytes every time. Beyond it, the
+// schedule-exploration engine can sweep the interleaving space
+// (-explore; dfs enumerates it under dynamic partial-order reduction)
+// and any failing schedule it prints can be reproduced exactly
+// (-replay):
 //
 //	hybridrun -explore dfs -schedules 512 racer.mh
 //	  exploration: strategy=dfs schedules=9 exhausted=true sleepskips=10
@@ -29,7 +31,7 @@
 //	-schedules N   exploration run budget (default 16)
 //	-sched-seed N  base seed of the random/pct samplers
 //	-replay TOK    run the single schedule named by a replay token
-//	-timeout D     wall-clock bound: a single run is abandoned by the
+//	-timeout D     wall-clock bound: a single run is aborted by the
 //	               watchdog after D; an exploration is canceled at the
 //	               deadline and prints its partial report. Either way
 //	               the exit code is 3 (0 = none)

@@ -12,15 +12,16 @@
 //	-cache-cap N       artifact cache capacity (LRU beyond it)
 //	-max-concurrent N  requests executing at once (0 = NumCPU)
 //	-queue-depth N     requests waiting for a slot before 429
-//	-drain-timeout D   per-run drain bound before a wedged run's state
-//	                   is abandoned (0 = interpreter default)
-//	-timeout D         per-run wall-clock watchdog: a wedged run is
-//	                   abandoned after D and answers with outcome
+//	-timeout D         per-run wall-clock watchdog: a run still going
+//	                   after D is aborted and answers with outcome
 //	                   "timeout" (0 = no watchdog)
 //
-// Endpoints: POST /compile, POST /run, POST /explore (NDJSON streaming
-// with "stream":true; "strategy":"dfs" enumerates the schedule space
-// under dynamic partial-order reduction), GET /healthz, GET /stats.
+// Endpoints: POST /compile, POST /run (a "schedule" replay token picks
+// the interleaving; without one the run takes the default schedule, so
+// the same request answers the same bytes), POST /explore (NDJSON
+// streaming with "stream":true; "strategy":"dfs" enumerates the schedule
+// space under dynamic partial-order reduction), GET /healthz, GET
+// /stats.
 // Example:
 //
 //	curl -s localhost:7489/compile -d '{"name":"bug.mh","source":"..."}'
@@ -50,7 +51,6 @@ func main() {
 	cacheCap := flag.Int("cache-cap", 0, "artifact cache capacity (0 = default)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "concurrent request slots (0 = NumCPU)")
 	queueDepth := flag.Int("queue-depth", 0, "queued requests before 429 (0 = default)")
-	drainTimeout := flag.Duration("drain-timeout", 0, "per-run drain bound (0 = default)")
 	runTimeout := flag.Duration("timeout", 0, "per-run wall-clock watchdog (0 = none)")
 	flag.Parse()
 
@@ -63,7 +63,6 @@ func main() {
 		CacheCap:      *cacheCap,
 		MaxConcurrent: *maxConcurrent,
 		QueueDepth:    *queueDepth,
-		DrainTimeout:  *drainTimeout,
 		RunTimeout:    *runTimeout,
 	})
 	httpSrv := &http.Server{

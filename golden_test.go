@@ -71,9 +71,8 @@ func goldenPrograms(t *testing.T) []goldenProgram {
 // program: per-mode diagnostics and artifact stats, and the run outcome.
 // Run output lines are sorted (process/thread interleaving is not part of
 // the contract) and recorded only for successful runs. mkSched, when
-// non-nil, serializes each run under the returned scheduler (a fresh one
-// per run); nil keeps the free-running execution the goldens were
-// recorded with.
+// non-nil, runs each run under the returned scheduler (a fresh one per
+// run); nil runs the default schedule.
 func describe(t *testing.T, gp goldenProgram, mkSched func() sched.Scheduler) string {
 	t.Helper()
 	var b strings.Builder
@@ -151,12 +150,11 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestGoldenExamplesSerializedRoundRobin is the scheduler-refactor
-// regression lock: running every golden program under the serialized
-// round-robin scheduler must be byte-identical to the pre-refactor
-// golden files recorded with free-running execution — the pluggable
-// scheduler changes *which* interleavings are reachable, not what the
-// deterministic reference schedule computes.
+// TestGoldenExamplesSerializedRoundRobin is the scheduler regression
+// lock: running every golden program under the round-robin reference
+// scheduler must be byte-identical to the golden files, which the
+// default schedule also matches — the pluggable scheduler changes
+// *which* interleavings are reachable, not what these programs compute.
 func TestGoldenExamplesSerializedRoundRobin(t *testing.T) {
 	for _, gp := range goldenPrograms(t) {
 		t.Run(gp.name, func(t *testing.T) {

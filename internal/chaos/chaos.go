@@ -27,7 +27,7 @@ const (
 	// caught by the quarantine boundary under test.
 	ActPanic Action = iota
 	// ActSleep blocks the site for Rule.Sleep, simulating a wedged or
-	// slow run for watchdog and drain-timeout tests.
+	// slow run for watchdog tests.
 	ActSleep
 	// ActCancel invokes Rule.Cancel, typically a context.CancelFunc, so
 	// a test can cancel exactly at a tagged point mid-flight.

@@ -13,8 +13,8 @@
 // exits cleanly (err == nil). Clean exits are join-synchronized — a
 // parallel region's shared outer scopes cannot be exited by their owner
 // before every team thread passed the region's join barrier — whereas
-// error exits can leave straggler team goroutines (released free-running
-// by an abort) still reading the scopes the owner just unwound. Erroring
+// after an abort the owner unwinds first and the team workers it forked
+// unwind later, still reading the scopes the owner just left. Erroring
 // frames are simply leaked to the GC, exactly as every frame was before
 // pooling; the run is over anyway.
 package interp
@@ -45,7 +45,7 @@ func (e *env) lookup(name string) *cell {
 
 // arena is one thread's private free-list of env frames and cells, plus
 // the append-only scratch stack for call-argument values. It is only
-// ever touched by its owning goroutine; cross-run reuse goes through
+// ever touched by its owning thread; cross-run reuse goes through
 // arenaPool, which provides the synchronization.
 type arena struct {
 	envs  []*env
@@ -82,7 +82,7 @@ func getArena() *arena { return arenaPool.Get().(*arena) }
 
 // putArena returns a thread's arena to the shared pool. Call only on
 // clean completion; an aborted thread's arena may be reachable from
-// frames that straggler goroutines still see.
+// frames that team workers still unwinding the abort see.
 func putArena(a *arena) {
 	// Drop array references parked in the value scratch so the pool
 	// does not pin program data.

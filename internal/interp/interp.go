@@ -3,9 +3,12 @@
 // threading runtime (internal/omp), dispatching the instrumentation
 // statements to the runtime verifier (internal/verifier).
 //
-// Each MPI process is a goroutine; each parallel region forks further
-// goroutines into a team. Variables declared outside a threading construct
-// are shared between the threads of the region (as in the OpenMP default);
+// Each MPI process is a simulated thread; each parallel region forks
+// further threads into a team. Every run is serialized: one thread runs
+// at a time, picked by a scheduler (internal/sched) at each statement
+// and blocking transition, so a run is a deterministic function of its
+// schedule. Variables declared outside a threading construct are shared
+// between the threads of the region (as in the OpenMP default);
 // declarations inside a construct are thread-private. Arrays pass to
 // functions and MPI vector operations by reference.
 package interp
@@ -15,8 +18,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"parcoach/internal/ast"
@@ -31,9 +32,20 @@ import (
 
 // maxWidth bounds the process count and every team size. A run asking
 // for more fails with a RuntimeError before it allocates anything: a
-// goroutine and its state per process or thread would otherwise exhaust
+// coroutine and its state per process or thread would otherwise exhaust
 // memory, which ends the process where no recover can catch it.
 const maxWidth = 256
+
+// maxLiveThreads bounds the simulated threads a run holds at once, so
+// nested regions cannot multiply teams past any machine. A fork that
+// would pass it fails with a RuntimeError before any worker starts. The
+// ranks always fit: there are at most maxWidth of them.
+const maxLiveThreads = 1024
+
+// maxArrayElems is a run's budget of array elements, summed over every
+// array declaration of every thread. A declaration past it fails with a
+// RuntimeError before allocating.
+const maxArrayElems = 1 << 20
 
 // Options configures a run.
 type Options struct {
@@ -55,23 +67,10 @@ type Options struct {
 	// (default 50 million) so runaway loops terminate with a distinct
 	// budget-exhausted outcome instead of spinning forever.
 	MaxSteps int64
-	// DrainTimeout bounds how long Session.Run waits for the run's last
-	// straggler goroutine to deregister before giving up on recycling:
-	// past the deadline the session abandons the run's world, monitor,
-	// controller and rank state to the GC (they are never reused) and
-	// returns, counting the leak (see Session.Abandoned). 0 means
-	// DefaultDrainTimeout; negative waits forever (the pre-hardening
-	// behavior). A wedged run therefore costs one warm-pool slot, not a
-	// goroutine blocked forever — which is what keeps a long-lived
-	// parcoachd worker pool alive through a bad run.
-	DrainTimeout time.Duration
 	// WallTimeout, when positive, arms a per-run wall-clock watchdog
 	// complementing MaxSteps: past the deadline the run is aborted with
 	// a WatchdogError (OutcomeTimeout) and counted (Session.Watchdogs,
-	// WatchdogRuns). Where a step budget needs the run to keep executing
-	// statements, the watchdog also stops runs wedged outside the
-	// interpreter's control; a run the abort cannot unwedge is then
-	// abandoned by the existing DrainTimeout machinery. 0 disables it.
+	// WatchdogRuns). 0 disables it.
 	WallTimeout time.Duration
 	// ValueCheck arms the verifier's value oracle: every matched
 	// collective round is audited for divergent roots, mismatched
@@ -81,13 +80,6 @@ type Options struct {
 	// error classes.
 	ValueCheck bool
 }
-
-// DefaultDrainTimeout is the drain bound when Options.DrainTimeout is
-// zero. Normal runs drain in microseconds (abort unwinding is bounded:
-// every waiter is woken with the abort error and every statement
-// boundary checks the abort flag), so a run still undrained after this
-// long is wedged for good.
-const DefaultDrainTimeout = 10 * time.Second
 
 // Stats summarizes a run.
 type Stats struct {
@@ -139,37 +131,38 @@ func (e *StepLimitError) Error() string {
 		e.Rank, e.Pos, e.Limit)
 }
 
-// Run executes prog's main function on every rank, free-running.
-// Scheduled runs and repeated runs of one program go through
+// Run executes prog's main function on every rank under the default
+// schedule. Other schedules and repeated runs of one program go through
 // NewSession, which shares the per-run setup.
 func Run(prog *ast.Program, opts Options) *Result {
 	return NewSession(prog, opts).Run(nil)
 }
 
+// runner is one run's state. Only the running simulated thread touches
+// it, so it takes no lock.
 type runner struct {
 	prog  *ast.Program
 	opts  Options
 	world *mpi.World
 	ver   *verifier.Verifier
-	// ctl serializes the run when Session.Run is given a scheduler (nil
-	// otherwise: free-running goroutines).
+	// ctl serializes the run.
 	ctl *sched.Controller
 	// tr holds the event-tracing round counters when the scheduler
 	// records an event trace for DPOR (see trace.go); nil otherwise.
 	tr *traceRT
 
-	mu     sync.Mutex
 	output bytes.Buffer
 
 	steps       int64
 	collectives int64
 	p2p         int64
 	barriers    int64
+	// arrayElems counts the array elements declared so far, against
+	// maxArrayElems.
+	arrayElems int64
 }
 
 func (r *runner) printLine(rank int, line string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	fmt.Fprintf(&r.output, "r%d: %s\n", rank, line)
 	if r.opts.Stdout != nil {
 		fmt.Fprintf(r.opts.Stdout, "r%d: %s\n", rank, line)
@@ -192,15 +185,13 @@ func scalar(i int64) value { return value{i: i} }
 
 // cell is one shared-memory location. Team threads of a simulated
 // process share cells by design — including deliberately racy benchmark
-// programs — so the interpreter must stay free of *Go* data races while
-// letting simulated races keep their relaxed semantics: scalar cells are
-// guarded by the cell lock, and array elements are always accessed with
-// atomic loads/stores (the array header itself is immutable once
-// declared — whole-array assignment is rejected — so the aliasing that
-// gives MiniHybrid its by-reference arrays stays intact).
+// programs — but only one thread runs at a time, so cells and array
+// elements are plain memory: a simulated race is an interleaving the
+// schedule picked. The array header is immutable once declared —
+// whole-array assignment is rejected — so the aliasing that gives
+// MiniHybrid its by-reference arrays stays intact.
 type cell struct {
-	mu sync.Mutex
-	v  value
+	v value
 	// id is the cell's logical identity for trace tagging, assigned at
 	// declaration from the run's allocation counter (see trace.go).
 	// Cells are recycled through process-wide arenas, so their machine
@@ -208,31 +199,6 @@ type cell struct {
 	// id is a pure function of the schedule and keeps traces (and
 	// everything derived from them) reproducible.
 	id uint64
-}
-
-// load returns the cell's value (the array payload stays aliased).
-func (cl *cell) load() value {
-	cl.mu.Lock()
-	v := cl.v
-	cl.mu.Unlock()
-	return v
-}
-
-// store overwrites the cell's value.
-func (cl *cell) store(v value) {
-	cl.mu.Lock()
-	cl.v = v
-	cl.mu.Unlock()
-}
-
-// snapshotArr copies a (possibly concurrently written) array with atomic
-// element loads.
-func snapshotArr(arr []int64) []int64 {
-	out := make([]int64, len(arr))
-	for i := range arr {
-		out[i] = atomic.LoadInt64(&arr[i])
-	}
-	return out
 }
 
 //
@@ -245,15 +211,14 @@ type thctx struct {
 	rt *omp.Runtime
 	th *omp.Thread
 	fn string // current function name (for return:<fn> CC ids)
-	// gate is this thread's handle on the scheduling controller (nil in
-	// free-running mode).
+	// gate is this thread's handle on the scheduling controller.
 	gate *sched.Gate
 	// ar is this thread's private frame arena (see arena.go). Team
 	// workers get their own from the pool; the master shares its
 	// forker's (it runs the region body on the same goroutine).
 	ar *arena
-	// trace enables event tagging (see trace.go): true iff gate is
-	// non-nil and the controller records an event trace.
+	// trace enables event tagging (see trace.go): true iff the
+	// controller records an event trace.
 	trace bool
 	// regionTag is the global instance number of the enclosing parallel
 	// region (0 at top level) and barSeq counts this thread's barrier
@@ -266,12 +231,11 @@ func (c *thctx) errf(pos source.Pos, format string, args ...any) error {
 	return &RuntimeError{Rank: c.p.Rank(), Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-// step counts one executed statement, polls the abort flag, and — under
-// a scheduling controller — offers a context switch, making every
-// statement boundary a scheduling point.
+// step counts one executed statement, polls the abort flag, and offers
+// a context switch, making every statement boundary a scheduling point.
 func (c *thctx) step(pos source.Pos) error {
-	n := atomic.AddInt64(&c.r.steps, 1)
-	if n > c.r.opts.MaxSteps {
+	c.r.steps++
+	if c.r.steps > c.r.opts.MaxSteps {
 		err := &StepLimitError{Rank: c.p.Rank(), Pos: pos, Limit: c.r.opts.MaxSteps}
 		c.r.world.Monitor().Abort(err)
 		return err
@@ -279,14 +243,12 @@ func (c *thctx) step(pos source.Pos) error {
 	if c.r.world.Monitor().Aborted() {
 		return c.r.world.Monitor().Err()
 	}
-	if c.gate != nil {
-		if testStep != nil {
-			testStep(c.p.Rank(), c.th.TID(), pos.Line)
-		}
-		c.gate.Yield(pos.Line)
-		if c.r.world.Monitor().Aborted() {
-			return c.r.world.Monitor().Err()
-		}
+	if testStep != nil {
+		testStep(c.p.Rank(), c.th.TID(), pos.Line)
+	}
+	c.gate.Yield(pos.Line)
+	if c.r.world.Monitor().Aborted() {
+		return c.r.world.Monitor().Err()
 	}
 	return nil
 }
@@ -315,8 +277,8 @@ func (c *thctx) callFunction(fn *ast.FuncDecl, args []value, at source.Pos) (int
 
 // execBlock runs a block in a fresh child scope. The scope frame is
 // recycled on clean exit only; error exits leak it to the GC because
-// abort unwinding can leave straggler team goroutines still reading
-// scopes shared through the parallel-body closure (see arena.go).
+// team workers that unwind an abort later still read scopes shared
+// through the parallel-body closure (see arena.go).
 func (c *thctx) execBlock(b *ast.Block, e *env) (returned bool, ret int64, err error) {
 	inner := c.newEnv(e)
 	returned, ret, err = c.execStmts(b.Stmts, inner)
@@ -350,9 +312,14 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 			if err != nil {
 				return false, 0, err
 			}
-			if n < 0 || n > 1<<28 {
+			if n < 0 {
 				return false, 0, c.errf(s.VarPos, "invalid array size %d for %q", n, s.Name)
 			}
+			if n > maxArrayElems-c.r.arrayElems {
+				return false, 0, c.errf(s.VarPos, "array %q of %d elements exceeds the run's budget of %d array elements (%d declared)",
+					s.Name, n, maxArrayElems, c.r.arrayElems)
+			}
+			c.r.arrayElems += n
 			av := value{arr: make([]int64, n)}
 			if c.trace {
 				av.aid = c.r.tr.nextAlloc()
@@ -408,7 +375,7 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 		c.declare(loopEnv, s.Var, scalar(from))
 		cellVar := loopEnv.lookup(s.Var)
 		for i := from; i < to; i++ {
-			cellVar.store(scalar(i))
+			cellVar.v = scalar(i)
 			returned, ret, err := c.execBlock(s.Body, loopEnv)
 			if err != nil || returned {
 				if err == nil {
@@ -456,7 +423,7 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 				return false, 0, err
 			}
 			if v.arr != nil {
-				parts[i] = fmt.Sprint(snapshotArr(v.arr))
+				parts[i] = fmt.Sprint(v.arr)
 			} else {
 				parts[i] = fmt.Sprint(v.i)
 			}
@@ -479,18 +446,16 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 			}
 			n = int(nv)
 		}
-		// Under a scheduling controller the fork is itself a
-		// deterministic schedule event: worker gates are registered
-		// here, by the token holder, before any worker thread starts,
-		// so thread ids and the runnable set never depend on thread
-		// start order.
+		// The fork is itself a deterministic schedule event: Parallel
+		// starts the workers here, while this thread holds the token,
+		// so they take the next thread ids in member order.
 		teamSize := n
 		if teamSize <= 0 {
 			teamSize = c.rt.DefaultThreads()
 		}
-		var workerGates []*sched.Gate
-		if c.gate != nil && teamSize > 1 {
-			workerGates = c.r.ctl.Fork(teamSize - 1)
+		if live, _ := c.r.world.Monitor().Stats(); live+teamSize-1 > maxLiveThreads {
+			return false, 0, c.errf(s.Pos(), "team of %d threads would take the run past the limit of %d live threads (%d live)",
+				teamSize, maxLiveThreads, live)
 		}
 		var regionTag uint64
 		if c.trace {
@@ -500,32 +465,24 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 			c.tagRel(forkObj(c.p.Rank(), regionTag))
 		}
 		// The function name is snapshotted rather than read from c inside
-		// the body: after an abort, straggler team goroutines can outlive
-		// the Parallel call and the enclosing callFunction, whose deferred
-		// restore of c.fn would race with a read there.
+		// the body: after an abort, team workers unwind after the
+		// Parallel call and the enclosing callFunction returned, whose
+		// deferred restore of c.fn would change what they read.
 		fnName := c.fn
 		err := c.rt.Parallel(c.th, n, func(th *omp.Thread) error {
-			// The master runs the body on the forking goroutine, so it
-			// keeps using the forker's arena; workers draw their own.
-			// Each member's context comes from (and returns to) the
-			// arena that member uses — forked on the member's own
-			// goroutine, so no two members touch one free list.
-			ar := c.ar
+			// The master runs the body on the forking thread, so it keeps
+			// the forker's arena and gate; workers draw their own arena
+			// and look up the gate Parallel registered for them. Each
+			// member's context comes from (and returns to) the arena that
+			// member uses, so no two members touch one free list.
+			ar, gate := c.ar, c.gate
 			if th.TID() != 0 {
-				ar = getArena()
+				ar, gate = getArena(), c.r.ctl.Running()
 			}
 			child := ar.newThctx()
 			child.r, child.p, child.rt, child.th = c.r, c.p, c.rt, th
-			child.fn, child.ar = fnName, ar
+			child.fn, child.ar, child.gate = fnName, ar, gate
 			child.trace, child.regionTag = c.trace, regionTag
-			if c.gate != nil {
-				if th.TID() == 0 {
-					child.gate = c.gate
-				} else {
-					child.gate = workerGates[th.TID()-1]
-					child.gate.Attach()
-				}
-			}
 			if child.trace && th.TID() != 0 {
 				child.tagAcq(forkObj(c.p.Rank(), regionTag))
 			}
@@ -562,7 +519,7 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 			}
 		}
 		if !s.Nowait {
-			atomic.AddInt64(&c.r.barriers, 1)
+			c.r.barriers++
 			return false, 0, c.barrier()
 		}
 		return false, 0, nil
@@ -597,7 +554,7 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 		return false, 0, err
 
 	case *ast.BarrierStmt:
-		atomic.AddInt64(&c.r.barriers, 1)
+		c.r.barriers++
 		return false, 0, c.barrier()
 
 	case *ast.AtomicStmt:
@@ -641,7 +598,7 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 			if !ok {
 				break
 			}
-			cellVar.store(scalar(i))
+			cellVar.v = scalar(i)
 			if _, _, err := c.execBlock(s.Body, loopEnv); err != nil {
 				return false, 0, err
 			}
@@ -651,7 +608,7 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 		}
 		c.releaseEnv(loopEnv)
 		if !s.Nowait {
-			atomic.AddInt64(&c.r.barriers, 1)
+			c.r.barriers++
 			return false, 0, c.barrier()
 		}
 		return false, 0, nil
@@ -663,7 +620,7 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 			}
 		}
 		if !s.Nowait {
-			atomic.AddInt64(&c.r.barriers, 1)
+			c.r.barriers++
 			return false, 0, c.barrier()
 		}
 		return false, 0, nil
@@ -737,13 +694,10 @@ func (c *thctx) assign(lv ast.LValue, op ast.AssignOp, v int64, e *env) error {
 		if c.trace {
 			c.tagWrite(cellObj(cl))
 		}
-		cl.mu.Lock()
 		if cl.v.arr != nil {
-			cl.mu.Unlock()
 			return c.errf(lv.NamePos, "array %q used as a scalar", lv.Name)
 		}
 		cl.v = scalar(apply(cl.v.i))
-		cl.mu.Unlock()
 		return nil
 	case *ast.IndexExpr:
 		cl := e.lookup(lv.Name)
@@ -754,7 +708,7 @@ func (c *thctx) assign(lv ast.LValue, op ast.AssignOp, v int64, e *env) error {
 		if err != nil {
 			return err
 		}
-		v := cl.load()
+		v := cl.v
 		if v.arr == nil {
 			return c.errf(lv.NamePos, "scalar %q indexed like an array", lv.Name)
 		}
@@ -764,7 +718,7 @@ func (c *thctx) assign(lv ast.LValue, op ast.AssignOp, v int64, e *env) error {
 		if c.trace {
 			c.tagWrite(elemObj(v, idx))
 		}
-		atomic.StoreInt64(&v.arr[idx], apply(atomic.LoadInt64(&v.arr[idx])))
+		v.arr[idx] = apply(v.arr[idx])
 		return nil
 	}
 	return c.errf(lv.Pos(), "bad assignment target")
@@ -802,7 +756,7 @@ func (c *thctx) evalExpr(ex ast.Expr, e *env) (value, error) {
 		if c.trace {
 			c.tagRead(cellObj(cl))
 		}
-		return cl.load(), nil
+		return cl.v, nil
 	case *ast.IndexExpr:
 		cl := e.lookup(ex.Name)
 		if cl == nil {
@@ -812,7 +766,7 @@ func (c *thctx) evalExpr(ex ast.Expr, e *env) (value, error) {
 		if err != nil {
 			return value{}, err
 		}
-		v := cl.load()
+		v := cl.v
 		if v.arr == nil {
 			return value{}, c.errf(ex.NamePos, "scalar %q indexed like an array", ex.Name)
 		}
@@ -822,7 +776,7 @@ func (c *thctx) evalExpr(ex ast.Expr, e *env) (value, error) {
 		if c.trace {
 			c.tagRead(elemObj(v, idx))
 		}
-		return scalar(atomic.LoadInt64(&v.arr[idx])), nil
+		return scalar(v.arr[idx]), nil
 	case *ast.UnaryExpr:
 		v, err := c.evalInt(ex.X, e)
 		if err != nil {
@@ -1029,7 +983,7 @@ func (c *thctx) execMPI(s *ast.MPIStmt, e *env) error {
 		if c.trace {
 			c.tagSend(int(dest), int(tag))
 		}
-		atomic.AddInt64(&c.r.p2p, 1)
+		c.r.p2p++
 		return c.p.Send(tid, v, int(dest), int(tag), loc)
 	case ast.MPIRecv:
 		src, err := c.evalInt(s.Dest, e)
@@ -1045,7 +999,7 @@ func (c *thctx) execMPI(s *ast.MPIStmt, e *env) error {
 		if c.trace {
 			sendEP, matchK = c.tagRecvEntry(int(src), int(tag))
 		}
-		atomic.AddInt64(&c.r.p2p, 1)
+		c.r.p2p++
 		v, err := c.p.Recv(tid, int(src), int(tag), loc)
 		if err != nil {
 			return err
@@ -1074,7 +1028,7 @@ func (c *thctx) execMPI(s *ast.MPIStmt, e *env) error {
 	root := int(root64)
 
 	var contribValue int64
-	var contribVector, liveVector []int64
+	var contribVector []int64
 	switch s.Kind {
 	case ast.MPIBarrier:
 	case ast.MPIBcast:
@@ -1090,19 +1044,21 @@ func (c *thctx) execMPI(s *ast.MPIStmt, e *env) error {
 		}
 		contribValue = v
 	case ast.MPIScatter, ast.MPIAlltoall:
-		arr, live, err := c.arrayValue(s.Src, e)
+		arr, err := c.arrayValue(s.Src, e)
 		if err != nil {
 			return err
 		}
-		contribVector, liveVector = arr, live
+		contribVector = arr
 	}
 
 	var collK uint64
 	if c.trace {
 		collK = c.tagCollEntry()
 	}
-	atomic.AddInt64(&c.r.collectives, 1)
-	outV, outVec, err := c.p.CollectiveLive(tid, op, red, root, contribValue, contribVector, liveVector, loc)
+	c.r.collectives++
+	// The matcher copies the vector at the call, and the value oracle
+	// compares that copy with the live array at the match.
+	outV, outVec, err := c.p.CollectiveLive(tid, op, red, root, contribValue, contribVector, contribVector, loc)
 	if err != nil {
 		return err
 	}
@@ -1169,16 +1125,15 @@ func (c *thctx) lvalueValue(lv ast.LValue, e *env) (int64, error) {
 	return v.i, nil
 }
 
-// arrayValue snapshots the named array (Scatter/Alltoall contribution)
-// and also returns the live backing array, which the value oracle
-// re-reads at match time to detect a source torn by a concurrent write.
-func (c *thctx) arrayValue(ex ast.Expr, e *env) (snapshot, live []int64, err error) {
+// arrayValue returns the named array's live backing array
+// (Scatter/Alltoall contribution).
+func (c *thctx) arrayValue(ex ast.Expr, e *env) ([]int64, error) {
 	v, err := c.evalExpr(ex, e)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if v.arr == nil {
-		return nil, nil, c.errf(ex.Pos(), "array expected")
+		return nil, c.errf(ex.Pos(), "array expected")
 	}
 	if c.trace {
 		// The snapshot feeds a collective result, so every element read
@@ -1187,9 +1142,7 @@ func (c *thctx) arrayValue(ex ast.Expr, e *env) (snapshot, live []int64, err err
 			c.tagRead(elemObj(v, int64(i)))
 		}
 	}
-	// Snapshot: the MPI layer reads the vector outside any cell lock,
-	// possibly while another simulated thread writes elements.
-	return snapshotArr(v.arr), v.arr, nil
+	return v.arr, nil
 }
 
 // storeVector copies a collective's vector result into the destination
@@ -1203,7 +1156,7 @@ func (c *thctx) storeVector(lv ast.LValue, vec []int64, e *env) error {
 	if cl == nil {
 		return c.errf(ref.NamePos, "undefined variable %q", ref.Name)
 	}
-	v := cl.load()
+	v := cl.v
 	if v.arr == nil {
 		return c.errf(ref.NamePos, "vector destination %q must be an array", ref.Name)
 	}
@@ -1211,7 +1164,7 @@ func (c *thctx) storeVector(lv ast.LValue, vec []int64, e *env) error {
 		if c.trace {
 			c.tagWrite(elemObj(v, int64(i)))
 		}
-		atomic.StoreInt64(&v.arr[i], vec[i])
+		v.arr[i] = vec[i]
 	}
 	return nil
 }

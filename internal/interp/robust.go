@@ -4,12 +4,11 @@
 // The cancellation lever is the monitor: Abort(err) wakes every parked
 // waiter with the error, tells the scheduling controller to release
 // everything, and flips the abort flag that every statement boundary
-// polls — so once a guard fires, a serialized run stops within one
-// statement and a free-running one at each thread's next boundary or
-// blocking transition. RunCtx arms a guard from a context
-// (context.AfterFunc) and Options.WallTimeout arms one from a timer;
-// both go through the same mutex-disciplined runGuard so a late firing
-// can never abort the *next* run on a recycled environment.
+// polls — so once a guard fires, a run stops within one statement.
+// RunCtx arms a guard from a context (context.AfterFunc) and
+// Options.WallTimeout arms one from a timer; both go through the same
+// mutex-disciplined runGuard so a late firing can never abort the *next*
+// run on a recycled environment.
 package interp
 
 import (
@@ -52,7 +51,7 @@ func (e *WatchdogError) Error() string {
 
 // QuarantineError wraps a panic caught at a pool, job or thread
 // boundary; it classifies as OutcomeInternalError. The monitor defines
-// it because a serialized run's driver quarantines thread panics there.
+// it because a run's driver quarantines thread panics there.
 type QuarantineError = monitor.QuarantineError
 
 // NewQuarantineError builds the quarantined form of a recovered panic.
@@ -60,8 +59,8 @@ func NewQuarantineError(op string, value any, stack []byte) *QuarantineError {
 	return &QuarantineError{Op: op, Value: value, Stack: stack}
 }
 
-// Process-wide robustness counters, mirroring abandonedWorlds: the
-// daemon's /stats reads them, tests assert their deltas.
+// Process-wide robustness counters: the daemon's /stats reads them,
+// tests assert their deltas.
 var (
 	canceledRuns atomic.Int64
 	watchdogRuns atomic.Int64
@@ -128,7 +127,7 @@ func (g *runGuard) fire(isCancel bool, err error) {
 		g.timedOut = true
 	}
 	// First error wins inside the monitor: a run that already failed on
-	// its own keeps its error; the abort still wakes any stragglers.
+	// its own keeps its error.
 	g.mon.Interrupt(err)
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // The scheduler conformance suite: every scheduler that can drive the
-// serialized interpreter must (a) be deterministic — the same
+// interpreter, the default one included, must (a) be deterministic — the same
 // configuration reproduces a byte-identical run — and (b) honor its
 // fairness contract: under the online schedulers no enabled thread is
 // starved beyond the scheduler's bound, demonstrated by a spinner
@@ -72,6 +72,10 @@ var schedulerTable = []struct {
 	// allowed to starve (the replay driver), asserted as OutcomeBudget.
 	fairSteps int64
 }{
+	// The default scheduler (a nil Scheduler) keeps the running thread
+	// for a quantum of decisions: the spinner completes within a few
+	// quanta.
+	{"default", func() sched.Scheduler { return nil }, 300},
 	// Round-robin's bound is one team rotation: the spinner completes in
 	// a few dozen statements.
 	{"round-robin", func() sched.Scheduler { return sched.NewRoundRobin() }, 500},
@@ -164,8 +168,8 @@ func TestSchedulerConformanceDeadlockOracle(t *testing.T) {
 }
 
 // TestSerializedCleanRunMatchesFreeRunning: on a deterministic clean
-// program, the serialized round-robin schedule computes the same values
-// and stats as the historical free-running execution.
+// program, the default schedule computes the same values and stats as
+// the round-robin reference schedule.
 func TestSerializedCleanRunMatchesFreeRunning(t *testing.T) {
 	src := `
 func main() {
@@ -185,18 +189,18 @@ func main() {
 }
 `
 	program := mustParse(t, "clean.mh", src)
-	free := Run(program, Options{Procs: 2, Threads: 4})
-	serial := NewSession(program, Options{Procs: 2, Threads: 4}).Run(sched.NewRoundRobin())
-	if free.Err != nil || serial.Err != nil {
-		t.Fatalf("clean program failed: free=%v serial=%v", free.Err, serial.Err)
+	dflt := Run(program, Options{Procs: 2, Threads: 4})
+	rr := NewSession(program, Options{Procs: 2, Threads: 4}).Run(sched.NewRoundRobin())
+	if dflt.Err != nil || rr.Err != nil {
+		t.Fatalf("clean program failed: default=%v rr=%v", dflt.Err, rr.Err)
 	}
-	for r := range free.ExitValues {
-		if free.ExitValues[r] != serial.ExitValues[r] {
-			t.Errorf("rank %d: free %d vs serialized %d", r, free.ExitValues[r], serial.ExitValues[r])
+	for r := range dflt.ExitValues {
+		if dflt.ExitValues[r] != rr.ExitValues[r] {
+			t.Errorf("rank %d: default %d vs rr %d", r, dflt.ExitValues[r], rr.ExitValues[r])
 		}
 	}
-	if free.Stats.Collectives != serial.Stats.Collectives ||
-		free.Stats.Barriers != serial.Stats.Barriers {
-		t.Errorf("stats diverge: free %+v vs serialized %+v", free.Stats, serial.Stats)
+	if dflt.Stats.Collectives != rr.Stats.Collectives ||
+		dflt.Stats.Barriers != rr.Stats.Barriers {
+		t.Errorf("stats diverge: default %+v vs rr %+v", dflt.Stats, rr.Stats)
 	}
 }

@@ -1,6 +1,6 @@
 // Event-trace tagging for dynamic partial-order reduction.
 //
-// When the run is serialized under a DPOR-recording scheduler
+// When the run is driven by a DPOR-recording scheduler
 // (sched.DPORRecorder), every thread context carries trace=true and tags
 // the shared objects each statement touches onto its scheduling gate;
 // the controller folds the tags into the run's event trace
@@ -36,11 +36,7 @@
 // region-size recording (all threads of a team record the same size).
 package interp
 
-import (
-	"sync"
-
-	"parcoach/internal/monitor"
-)
+import "parcoach/internal/monitor"
 
 // Composite object kinds.
 const (
@@ -62,13 +58,9 @@ const (
 )
 
 // traceRT is the runner's tracing scratch: matching-round counters that
-// key the release/acquire handoff objects. Under serialization only one
-// simulated thread runs at a time, but after an abort the released
-// stragglers free-run, so the counters take a private mutex to stay free
-// of Go-level races (straggler tags land in gate buffers that are never
-// flushed; the lock is only for memory safety).
+// key the release/acquire handoff objects. Only the running simulated
+// thread touches it, so it takes no lock.
 type traceRT struct {
-	mu sync.Mutex
 	// collSeq[rank] counts the rank's collective calls: legal runs enter
 	// collectives in lockstep rounds, so each rank's k-th call is round k.
 	collSeq []uint64
@@ -82,8 +74,8 @@ type traceRT struct {
 	// object keys must not collide across sequential regions).
 	regionSeq uint64
 	// allocSeq numbers cell and array allocations in schedule order.
-	// Declarations only execute while their thread holds the run token,
-	// so the sequence — and with it every cell/element object id in the
+	// Declarations only execute while their thread runs, so the
+	// sequence — and with it every cell/element object id in the
 	// trace — is a pure function of the schedule, not of which pooled
 	// arena (and hence machine addresses) this run happened to draw.
 	allocSeq uint64
@@ -110,45 +102,34 @@ func (tr *traceRT) reset() {
 }
 
 func (tr *traceRT) nextColl(rank int) uint64 {
-	tr.mu.Lock()
 	k := tr.collSeq[rank]
 	tr.collSeq[rank]++
-	tr.mu.Unlock()
 	return k
 }
 
 func (tr *traceRT) nextCC(rank int) uint64 {
-	tr.mu.Lock()
 	k := tr.ccSeq[rank]
 	tr.ccSeq[rank]++
-	tr.mu.Unlock()
 	return k
 }
 
 func (tr *traceRT) nextChan(endpoint monitor.Obj) uint64 {
-	tr.mu.Lock()
 	k := tr.chanSeq[endpoint]
 	tr.chanSeq[endpoint] = k + 1
-	tr.mu.Unlock()
 	return k
 }
 
 func (tr *traceRT) nextRegion() uint64 {
-	tr.mu.Lock()
 	k := tr.regionSeq
 	tr.regionSeq++
-	tr.mu.Unlock()
 	return k
 }
 
 // nextAlloc issues the next cell/array allocation id. Ids start at 1 so
 // an unassigned (untraced) identity is distinguishable.
 func (tr *traceRT) nextAlloc() uint64 {
-	tr.mu.Lock()
 	tr.allocSeq++
-	k := tr.allocSeq
-	tr.mu.Unlock()
-	return k
+	return tr.allocSeq
 }
 
 // cellObj keys a scalar cell by its allocation id. Ids — not machine

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"parcoach/internal/explore"
 	"parcoach/internal/interp"
@@ -44,13 +43,13 @@ func lineOf(src, marker string) int {
 	return 1 + strings.Count(src[:strings.Index(src, marker)], "\n")
 }
 
-// TestSerializedThreadPanicEndsRun: a panic on one serialized thread
-// ends its run, not the process or the coroutine pool. The run is
-// quarantined as an internal error carrying the panicking thread's
-// stack, every other thread drains (so the session recycles instead of
-// abandoning the run at the drain timeout), no goroutine leaks, and the
-// session's next run is clean. Both a team worker inside the region and
-// a rank's main thread after it are tried, alone and through Explore.
+// TestSerializedThreadPanicEndsRun: a panic on one thread ends its run,
+// not the process or the coroutine pool. The run is quarantined as an
+// internal error carrying the panicking thread's stack, every other
+// thread unwinds, no goroutine leaks, and the session's next run is
+// clean. Both a team worker inside the region and a rank's main thread
+// after it are tried under the default schedule and two replay tokens,
+// alone and through Explore.
 func TestSerializedThreadPanicEndsRun(t *testing.T) {
 	leakcheck.Check(t)
 	prog := parser.MustParse("panic.mh", regionSrc)
@@ -68,11 +67,14 @@ func TestSerializedThreadPanicEndsRun(t *testing.T) {
 					panic("planted panic")
 				}
 			}
-			sess := interp.NewSession(prog, interp.Options{Procs: 2, Threads: 2, DrainTimeout: 2 * time.Second})
-			for _, token := range []string{sched.RoundRobinToken, sched.RandomToken(7)} {
-				s, err := sched.Parse(token)
-				if err != nil {
-					t.Fatal(err)
+			sess := interp.NewSession(prog, interp.Options{Procs: 2, Threads: 2})
+			for _, token := range []string{"default", sched.RoundRobinToken, sched.RandomToken(7)} {
+				var s sched.Scheduler
+				if token != "default" {
+					var err error
+					if s, err = sched.Parse(token); err != nil {
+						t.Fatal(err)
+					}
 				}
 				reset := interp.SetTestStep(panicAt)
 				res := sess.Run(s)
@@ -87,15 +89,11 @@ func TestSerializedThreadPanicEndsRun(t *testing.T) {
 				if !strings.Contains(string(qe.Stack), "(*thctx).step") {
 					t.Fatalf("%s: quarantined stack is not the panicking thread's:\n%s", token, qe.Stack)
 				}
-				if res := sess.Run(sched.NewRoundRobin()); res.Err != nil {
+				if res := sess.Run(nil); res.Err != nil {
 					t.Fatalf("%s: the run after the panic failed: %v", token, res.Err)
 				}
 			}
-			if got := sess.Abandoned(); got != 0 {
-				t.Fatalf("Abandoned() = %d: a panicked run never drained", got)
-			}
 
-			abandoned := interp.AbandonedWorlds()
 			for _, strategy := range []explore.Strategy{explore.StrategyRandom, explore.StrategyDFS} {
 				opts := explore.Options{Strategy: strategy, Schedules: 6, Seed: 5, Workers: 2}
 				reset := interp.SetTestStep(panicAt)
@@ -112,9 +110,6 @@ func TestSerializedThreadPanicEndsRun(t *testing.T) {
 				if len(clean.Verdicts) != 1 || clean.Verdicts[0].Outcome != interp.OutcomeClean {
 					t.Fatalf("%s: exploration after the panics is not clean:\n%s", strategy, clean)
 				}
-			}
-			if got := interp.AbandonedWorlds() - abandoned; got != 0 {
-				t.Fatalf("explorations abandoned %d panicked runs", got)
 			}
 		})
 	}

@@ -4,8 +4,8 @@
 // finishing goroutines drain first. Built on runtime.Stack only — no
 // dependencies — and tolerant of the process-lifetime goroutines the
 // runtime, the testing harness, and this repo's own pooled machinery
-// (pipeline.Spawn workers and the scheduler's idle coroutines park
-// forever by design) keep around.
+// (the scheduler's idle coroutines park until the pool stops them) keep
+// around.
 package leakcheck
 
 import (
@@ -34,10 +34,6 @@ var allowlist = []string{
 	"created by runtime",
 	"interestingGoroutines",
 	"os/signal.NotifyContext",
-	// pipeline.Spawn's pooled workers park forever between borrows — a
-	// process-lifetime free list, not a leak.
-	"parcoach/internal/pipeline.(*spawnWorker)",
-	"parcoach/internal/pipeline.spawnLoop",
 	// The serialized scheduler's idle pooled coroutines: only the pool's
 	// idle loop carries this frame, so a coroutine suspended anywhere
 	// else (a thread that never finished) still counts as a leak.

@@ -46,12 +46,9 @@ func TestInterestingGoroutinesCoroutines(t *testing.T) {
 	}
 
 	// One serialized thread leaves its coroutine idle in the pool.
-	c := sched.NewController(sched.NewRoundRobin(), 1)
-	c.Go(func() {
-		c.ProcGate(0).Attach()
-		c.HolderExited()
-	})
-	c.Drive(nil)
+	c := sched.NewController(sched.NewRoundRobin())
+	c.Go(c.HolderExited)
+	c.Drive(nil, nil)
 	c.Recycle()
 	idle := goroutinesWith("sched.(*coro).idle")
 	if len(idle) == 0 {

@@ -177,15 +177,13 @@ func Evaluate(gp *mhgen.Program, opts Options) Row {
 		Policy:   omp.RoundRobin,
 		MaxSteps: maxSteps,
 	}
-	var rr sched.Scheduler // nil: the reference run is free-running
+	var rr sched.Scheduler // nil: the reference run takes the default schedule
 	if gp.Bug == workload.BugTornBuffer {
 		// The torn source buffer is the one class whose *instrumented*
-		// outcome is schedule-dependent: a free-running reference run
-		// resolves differently run to run, and golden files must be
-		// stable. Serialize it under the deterministic round-robin virtual
-		// scheduler — which provably misses the race, exactly the paper's
-		// point about single-schedule testing — and judge detection by the
-		// exploration pass below.
+		// outcome is schedule-dependent. Run it under the round-robin
+		// reference schedule — which provably misses the race, exactly
+		// the paper's point about single-schedule testing — and judge
+		// detection by the exploration pass below.
 		rr = sched.NewRoundRobin()
 	}
 	fullRes := full.NewSession(runOpts, false).Run(rr)

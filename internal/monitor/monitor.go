@@ -20,8 +20,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"parcoach/internal/pipeline"
 )
 
 // Monitor coordinates all blocking in one run.
@@ -34,30 +32,26 @@ type Monitor struct {
 	err      error
 	analyzer []func() []string
 	sched    SchedHook
-	// free recycles Waiter structs (and their channels): a thread that
-	// blocks in a loop — team barriers, collective rounds — reuses one
-	// waiter instead of allocating per wait. Waiters return here at the
-	// end of Await, when nothing else can reference them (wakes are
-	// precise and happen exactly once per wait).
+	// free recycles Waiter structs: a thread that blocks in a loop —
+	// team barriers, collective rounds — reuses one waiter instead of
+	// allocating per wait. Waiters return here at the end of Await, when
+	// nothing else can reference them (wakes are precise and happen
+	// exactly once per wait).
 	free []*Waiter
-	// drained is closed when the last live thread exits (live returns
-	// to 0 after having been positive); see Drained.
-	drained  chan struct{}
-	everLive bool
 }
 
 // SchedHook is the scheduling controller interface (internal/sched): a
 // serializing scheduler that runs the run's threads itself and lets
-// exactly one run at a time. The monitor is the single chokepoint every
-// blocking transition passes through, so its five transition callbacks
-// are all a controller needs to keep its runnable set exact. Waiter
-// identities are passed as `any` so the monitor stays free of scheduler
-// types.
+// exactly one run at a time. Every run has one. The monitor is the
+// single chokepoint every blocking transition passes through, so its
+// five transition callbacks are all a controller needs to keep its
+// runnable set exact. Waiter identities are passed as `any` so the
+// monitor stays free of scheduler types.
 //
 // HolderParked, WaiterWoken, HolderExited and ReleaseAll are called with
-// the monitor lock held (lock order: monitor → controller). Resume is
-// called lock-free from Await, before the thread waits, and suspends it
-// until the controller resumes it.
+// the monitor lock held. Resume is called lock-free from Await, before
+// the thread reads its wait's outcome, and suspends it until the
+// controller resumes it.
 type SchedHook interface {
 	// HolderParked: the running thread just registered as blocked on w.
 	HolderParked(w any)
@@ -77,46 +71,45 @@ type SchedHook interface {
 	// Go starts fn as a thread of the run (see Monitor.Go).
 	Go(fn func())
 	// Drive runs the threads until every one has returned, handing each
-	// thread's panic to panicked (see Monitor.Drive).
-	Drive(panicked func(value any, stack []byte))
+	// thread's panic to panicked, and calling stalled when threads remain
+	// but none is runnable although the run was not released (see
+	// Monitor.Drive).
+	Drive(panicked func(value any, stack []byte), stalled func(parked int))
 }
 
 // SetSched installs the scheduling controller. Must be called before the
-// run starts; a nil controller (the default) keeps the monitor's
-// behavior unchanged.
+// run starts: a monitor with no controller cannot run threads, and Go
+// panics.
 func (m *Monitor) SetSched(h SchedHook) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sched = h
 }
 
-// Go runs fn as one of the run's threads. The caller registered the
-// thread with ThreadStarted, and ThreadExited is fn's last act. Under a
-// scheduling controller fn runs on one of the controller's coroutines,
-// resumed from Drive; otherwise it runs on a pooled goroutine
-// (pipeline.Spawn).
-func (m *Monitor) Go(fn func()) {
-	if m.sched != nil {
-		m.sched.Go(fn)
-		return
-	}
-	pipeline.Spawn(fn)
-}
+// Go runs fn as one of the run's threads, on one of the controller's
+// coroutines, resumed from Drive. The caller registered the thread with
+// ThreadStarted, and ThreadExited is fn's last act.
+func (m *Monitor) Go(fn func()) { m.sched.Go(fn) }
 
-// Drive runs a serialized run's threads on the calling goroutine until
-// every thread started with Go has returned. Free-running threads need
-// no driver, so without a controller it returns at once. A serialized
-// thread that panics aborts the run with a QuarantineError carrying the
-// panic value and the thread's stack, and counts as exited.
-func (m *Monitor) Drive() {
-	if m.sched != nil {
-		m.sched.Drive(m.threadPanicked)
-	}
-}
+// Drive runs the run's threads on the calling goroutine until every
+// thread started with Go has returned. A thread that panics aborts the
+// run with a QuarantineError carrying the panic value and the thread's
+// stack, and counts as exited. A run whose remaining threads are all
+// parked while the monitor counts a live thread that no gate runs (no
+// deadlock, yet nothing can run) is aborted with a QuarantineError at
+// "sched.drive".
+func (m *Monitor) Drive() { m.sched.Drive(m.threadPanicked, m.stalled) }
 
 func (m *Monitor) threadPanicked(value any, stack []byte) {
 	m.Abort(&QuarantineError{Op: "sched.thread", Value: value, Stack: stack})
 	m.ThreadExited()
+}
+
+func (m *Monitor) stalled(parked int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.AbortLocked(&QuarantineError{Op: "sched.drive", Value: fmt.Sprintf(
+		"%d live threads, %d parked, none runnable", m.live, parked)})
 }
 
 // New returns an empty monitor.
@@ -134,11 +127,9 @@ type Waiter struct {
 	// lock at report time, describing the (then frozen) deadlock state.
 	detail func() string
 	m      *Monitor
-	ch     chan struct{}
-	err    error
-	// sched, when the thread actually parked under a scheduling
-	// controller, routes the post-wake Resume through the controller.
-	sched SchedHook
+	// err is the wait's outcome, written under the monitor lock by the
+	// abort that ended it (nil for a wake).
+	err error
 }
 
 // Lock acquires the global monitor mutex. Subsystems hold it while
@@ -163,47 +154,19 @@ func (m *Monitor) ThreadStarted() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.live++
-	m.everLive = true
-}
-
-// Drained returns a channel that is closed once every registered thread
-// has exited (live back to 0 after the run started). A world's Run
-// returning only proves the *process mains* are done: team-worker
-// goroutines released from their final join barrier can still be
-// between wake-up and ThreadExited, touching their team, runtime and
-// scheduling gates. Run-state recycling (internal/interp's session
-// pools) must wait on this channel first — ThreadExited is every
-// goroutine's last interaction with the run's shared state, so a closed
-// channel means nothing can reach that state anymore.
-func (m *Monitor) Drained() <-chan struct{} {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.drained == nil {
-		m.drained = make(chan struct{})
-		if m.live == 0 && m.everLive {
-			close(m.drained)
-		}
-	}
-	return m.drained
 }
 
 // ThreadExited unregisters a live thread and re-checks for quiescence:
 // a thread exiting while every other one is blocked is a deadlock (e.g. a
 // process returning from main while its peers wait in a collective).
-// Under a scheduling controller this must be the exiting thread's last
-// monitor interaction: the controller hands the run token to the next
-// thread here.
+// This must be the exiting thread's last monitor interaction: the
+// controller hands the run token to the next thread here.
 func (m *Monitor) ThreadExited() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.live--
 	m.checkQuiescenceLocked()
-	if m.sched != nil && !m.aborted.Load() {
-		m.sched.HolderExited()
-	}
-	if m.live == 0 && m.drained != nil {
-		close(m.drained)
-	}
+	m.sched.HolderExited()
 }
 
 // NewWaiterLocked registers the calling thread as blocked. The caller must
@@ -215,26 +178,22 @@ func (m *Monitor) NewWaiterLocked(reason string, detail func() string) *Waiter {
 	if n := len(m.free); n > 0 {
 		w = m.free[n-1]
 		m.free = m.free[:n-1]
-		w.Reason, w.detail, w.err, w.sched = reason, detail, nil, nil
+		w.Reason, w.detail, w.err = reason, detail, nil
 	} else {
-		w = &Waiter{Reason: reason, detail: detail, m: m, ch: make(chan struct{}, 1)}
+		w = &Waiter{Reason: reason, detail: detail, m: m}
 	}
 	if m.aborted.Load() {
 		// The run already failed; never park new arrivals.
 		w.err = m.err
-		w.ch <- struct{}{}
 		return w
 	}
 	m.waiters[w] = true
 	m.blocked++
+	// The quiescence check runs first: if parking this thread completed
+	// a deadlock, the run is aborted and the controller is already
+	// released, so no token handoff happens after the abort.
 	m.checkQuiescenceLocked()
-	if m.sched != nil && !m.aborted.Load() {
-		// The quiescence check ran first: if parking this thread
-		// completed a deadlock, the run is aborted and the controller is
-		// already released — no token handoff happens after abort.
-		w.sched = m.sched
-		m.sched.HolderParked(w)
-	}
+	m.sched.HolderParked(w)
 	return w
 }
 
@@ -247,27 +206,22 @@ func (m *Monitor) WakeLocked(w *Waiter) {
 	}
 	delete(m.waiters, w)
 	m.blocked--
-	if m.sched != nil {
-		m.sched.WaiterWoken(w)
-	}
-	w.err = m.err
-	w.ch <- struct{}{}
+	m.sched.WaiterWoken(w)
 }
 
 // Await blocks until woken or aborted, returning the abort error if the
-// run failed. Must be called without the lock held. The waiter is dead
-// after Await returns — it goes back on the monitor's free list, so
-// callers must not retain it.
+// run failed. Must be called without the lock held. The thread suspends
+// in the controller's Resume until the controller resumes it, by when
+// the wake or the abort has happened. The error is read under the lock:
+// an abort releases the controller before it writes the waiters' errors,
+// so a driver that saw the release can resume this thread first. The
+// waiter is dead after Await returns — it goes back on the monitor's
+// free list, so callers must not retain it.
 func (w *Waiter) Await() error {
-	if w.sched != nil {
-		// The thread suspends here until the controller resumes it, by
-		// when the wake or the abort has already signalled ch.
-		w.sched.Resume(w)
-	}
-	<-w.ch
-	err := w.err
 	m := w.m
+	m.sched.Resume(w)
 	m.mu.Lock()
+	err := w.err
 	m.free = append(m.free, w)
 	m.mu.Unlock()
 	return err
@@ -287,8 +241,8 @@ func (m *Monitor) Abort(err error) {
 func (m *Monitor) AbortLocked(err error) { m.abortLocked(err, true) }
 
 // Interrupt is Abort for callers outside the run's threads (cancellation
-// and watchdogs): under a scheduling controller the token holder may
-// still be mid-step, so the controller must leave its state alone.
+// and watchdogs): the token holder may still be mid-step, so the
+// controller must leave its state alone.
 func (m *Monitor) Interrupt(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -299,18 +253,15 @@ func (m *Monitor) abortLocked(err error, holder bool) {
 	if m.aborted.Load() {
 		return
 	}
-	if m.sched != nil {
-		// Release the scheduler before waking anyone so abort unwinding
-		// free-runs instead of queueing on the run token.
-		m.sched.ReleaseAll(holder)
-	}
+	// Release the scheduler before waking anyone so abort unwinding runs
+	// each thread to its end instead of queueing on the run token.
+	m.sched.ReleaseAll(holder)
 	m.err = err
 	m.aborted.Store(true)
 	for w := range m.waiters {
 		delete(m.waiters, w)
 		m.blocked--
 		w.err = err
-		w.ch <- struct{}{}
 	}
 }
 
@@ -336,9 +287,8 @@ func (m *Monitor) Stats() (live, blocked int) {
 }
 
 // Reset rearms the monitor for a fresh run, keeping the waiter free
-// list warm. Only call once the previous run has fully drained (see
-// Drained): a straggler goroutine from the old run touching a reset
-// monitor would corrupt both runs.
+// list warm. Only call once the previous run's Drive has returned; the
+// next run installs its own controller.
 func (m *Monitor) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -350,8 +300,6 @@ func (m *Monitor) Reset() {
 	// Analyzers are kept: the owning world and verifier recycle along
 	// with the monitor and their registrations stay valid.
 	m.sched = nil
-	m.drained = nil
-	m.everLive = false
 }
 
 // checkQuiescenceLocked fires the deadlock detection: every live thread is

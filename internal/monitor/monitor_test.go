@@ -3,13 +3,41 @@ package monitor
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
+// fakeSched is a SchedHook test double. It logs the transitions the
+// monitor reports, and its Resume runs onResume once: the other threads
+// that run while the waiting one is suspended.
+type fakeSched struct {
+	log      []string
+	onResume func()
+}
+
+func (f *fakeSched) HolderParked(any)                   { f.log = append(f.log, "parked") }
+func (f *fakeSched) WaiterWoken(any)                    { f.log = append(f.log, "woken") }
+func (f *fakeSched) HolderExited()                      { f.log = append(f.log, "exited") }
+func (f *fakeSched) ReleaseAll(bool)                    { f.log = append(f.log, "released") }
+func (f *fakeSched) Go(fn func())                       { fn() }
+func (f *fakeSched) Drive(func(any, []byte), func(int)) {}
+
+func (f *fakeSched) Resume(any) {
+	f.log = append(f.log, "resume")
+	if fn := f.onResume; fn != nil {
+		f.onResume = nil
+		fn()
+	}
+}
+
+// newMonitor returns a monitor whose controller is a fakeSched.
+func newMonitor() (*Monitor, *fakeSched) {
+	m, f := New(), new(fakeSched)
+	m.SetSched(f)
+	return m, f
+}
+
 func TestWakeBeforeAwait(t *testing.T) {
-	m := New()
+	m, _ := newMonitor()
 	m.ThreadStarted()
 	m.ThreadStarted()
 	m.Lock()
@@ -21,30 +49,40 @@ func TestWakeBeforeAwait(t *testing.T) {
 	}
 }
 
+// TestAwaitBlocksUntilWake: Await suspends in the controller's Resume
+// and returns what the wake or the abort that ended the wait wrote
+// while it was suspended.
 func TestAwaitBlocksUntilWake(t *testing.T) {
-	m := New()
+	m, f := newMonitor()
 	m.ThreadStarted()
 	m.ThreadStarted()
 	m.Lock()
 	w := m.NewWaiterLocked("test", func() string { return "w1" })
 	m.Unlock()
-	done := make(chan error, 1)
-	go func() { done <- w.Await() }()
-	select {
-	case <-done:
-		t.Fatal("Await returned before wake")
-	case <-time.After(10 * time.Millisecond):
+	f.onResume = func() {
+		m.Lock()
+		m.WakeLocked(w)
+		m.Unlock()
 	}
-	m.Lock()
-	m.WakeLocked(w)
-	m.Unlock()
-	if err := <-done; err != nil {
+	if err := w.Await(); err != nil {
 		t.Errorf("Await = %v", err)
+	}
+	if got, want := strings.Join(f.log, " "), "parked resume woken"; got != want {
+		t.Errorf("transitions %q, want %q", got, want)
+	}
+
+	m.Lock()
+	w = m.NewWaiterLocked("test", func() string { return "w2" })
+	m.Unlock()
+	boom := errors.New("boom")
+	f.onResume = func() { m.Interrupt(boom) }
+	if err := w.Await(); err != boom {
+		t.Errorf("Await interrupted while suspended = %v, want boom", err)
 	}
 }
 
 func TestAbortWakesAllWithError(t *testing.T) {
-	m := New()
+	m, _ := newMonitor()
 	for i := 0; i < 3; i++ {
 		m.ThreadStarted()
 	}
@@ -67,7 +105,7 @@ func TestAbortWakesAllWithError(t *testing.T) {
 }
 
 func TestFirstAbortWins(t *testing.T) {
-	m := New()
+	m, _ := newMonitor()
 	e1, e2 := errors.New("first"), errors.New("second")
 	m.Abort(e1)
 	m.Abort(e2)
@@ -77,7 +115,7 @@ func TestFirstAbortWins(t *testing.T) {
 }
 
 func TestWaiterAfterAbortWakesImmediately(t *testing.T) {
-	m := New()
+	m, f := newMonitor()
 	m.ThreadStarted()
 	boom := errors.New("boom")
 	m.Abort(boom)
@@ -87,26 +125,23 @@ func TestWaiterAfterAbortWakesImmediately(t *testing.T) {
 	if err := w.Await(); err != boom {
 		t.Errorf("late waiter error = %v", err)
 	}
+	if got, want := strings.Join(f.log, " "), "released resume"; got != want {
+		t.Errorf("transitions %q, want %q: a late waiter must not park", got, want)
+	}
 }
 
 func TestQuiescenceDetectsAllBlocked(t *testing.T) {
-	m := New()
+	m, _ := newMonitor()
 	m.ThreadStarted()
 	m.ThreadStarted()
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
+	var ws []*Waiter
+	m.Lock()
 	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			m.Lock()
-			w := m.NewWaiterLocked("test wait", func() string { return "thread blocked forever" })
-			m.Unlock()
-			errs[i] = w.Await()
-		}(i)
+		ws = append(ws, m.NewWaiterLocked("test wait", func() string { return "thread blocked forever" }))
 	}
-	wg.Wait()
-	for _, err := range errs {
+	m.Unlock()
+	for _, w := range ws {
+		err := w.Await()
 		var d *DeadlockError
 		if !errors.As(err, &d) {
 			t.Fatalf("want DeadlockError, got %v", err)
@@ -118,17 +153,15 @@ func TestQuiescenceDetectsAllBlocked(t *testing.T) {
 }
 
 func TestQuiescenceOnThreadExit(t *testing.T) {
-	m := New()
+	m, f := newMonitor()
 	m.ThreadStarted() // blocker
 	m.ThreadStarted() // exiter
 	m.Lock()
 	w := m.NewWaiterLocked("MPI collective", func() string { return "rank 0: MPI_Barrier" })
 	m.Unlock()
-	done := make(chan error, 1)
-	go func() { done <- w.Await() }()
 	// The second thread exits without ever waking the first.
-	m.ThreadExited()
-	err := <-done
+	f.onResume = m.ThreadExited
+	err := w.Await()
 	var d *DeadlockError
 	if !errors.As(err, &d) {
 		t.Fatalf("want DeadlockError after exit, got %v", err)
@@ -136,7 +169,7 @@ func TestQuiescenceOnThreadExit(t *testing.T) {
 }
 
 func TestNoFalseQuiescenceWhileRunnable(t *testing.T) {
-	m := New()
+	m, _ := newMonitor()
 	m.ThreadStarted()
 	m.ThreadStarted()
 	m.Lock()
@@ -155,7 +188,7 @@ func TestNoFalseQuiescenceWhileRunnable(t *testing.T) {
 }
 
 func TestAllThreadsExitedIsNotDeadlock(t *testing.T) {
-	m := New()
+	m, _ := newMonitor()
 	m.ThreadStarted()
 	m.ThreadExited()
 	if m.Aborted() {
@@ -164,7 +197,7 @@ func TestAllThreadsExitedIsNotDeadlock(t *testing.T) {
 }
 
 func TestAnalyzerContributesToReport(t *testing.T) {
-	m := New()
+	m, _ := newMonitor()
 	m.AddAnalyzer(func() []string { return []string{"rank 1: finalized"} })
 	m.ThreadStarted()
 	m.Lock()
@@ -177,7 +210,7 @@ func TestAnalyzerContributesToReport(t *testing.T) {
 }
 
 func TestWakeLockedIdempotent(t *testing.T) {
-	m := New()
+	m, _ := newMonitor()
 	m.ThreadStarted()
 	m.ThreadStarted()
 	m.Lock()
@@ -194,7 +227,7 @@ func TestWakeLockedIdempotent(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	m := New()
+	m, _ := newMonitor()
 	m.ThreadStarted()
 	m.ThreadStarted()
 	if live, blocked := m.Stats(); live != 2 || blocked != 0 {

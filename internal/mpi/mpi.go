@@ -1,5 +1,5 @@
 // Package mpi simulates the MPI substrate the paper's tool runs against:
-// a fixed set of processes (goroutines) joined by a world communicator
+// a fixed set of processes (simulated threads) joined by a world communicator
 // with matched blocking collectives, synchronous point-to-point messages,
 // and the four MPI threading-support levels.
 //
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"parcoach/internal/monitor"
 )
@@ -245,9 +244,8 @@ func (w *World) Monitor() *monitor.Monitor { return w.mon }
 // same configuration, so repeated runs of one program — schedule
 // exploration — reuse the world, its processes and the monitor's waiter
 // pool instead of rebuilding them per schedule. Registered deadlock
-// analyzers survive the reset. Only call once the previous run has
-// fully drained (monitor.Drained): stragglers from the old run touching
-// a reset world would corrupt both runs.
+// analyzers survive the reset. Only call once the previous Run has
+// returned, and install the next run's controller after it.
 func (w *World) Reset() {
 	w.mon.Reset()
 	clear(w.arrived)
@@ -276,10 +274,11 @@ func (w *World) Proc(rank int) *Proc { return w.procs[rank] }
 // Run executes body once per rank, each on its own thread registered
 // with the monitor, and returns the first error (abort, deadlock, or a
 // body error). A nil return means every process completed. The threads
-// run on pooled goroutines, or, under a scheduling controller, on its
-// coroutines, driven from the calling goroutine.
+// run on the monitor's scheduling controller, driven from the calling
+// goroutine; the rank mains get thread ids 0..procs-1 in rank order.
+// Run returns once every thread of the run, team workers included, has
+// returned.
 func (w *World) Run(body func(p *Proc) error) error {
-	var wg sync.WaitGroup
 	// Register every rank as live before launching any: otherwise the
 	// first process to block could trip the quiescence check while its
 	// peers have not started yet.
@@ -287,12 +286,7 @@ func (w *World) Run(body func(p *Proc) error) error {
 		w.mon.ThreadStarted()
 	}
 	for _, p := range w.procs {
-		wg.Add(1)
-		p := p
-		// Pooled threads keep their interpreter-deep stacks warm across
-		// the thousands of runs a schedule exploration makes.
 		w.mon.Go(func() {
-			defer wg.Done()
 			err := body(p)
 			if err != nil && !w.mon.Aborted() {
 				w.mon.Abort(err)
@@ -304,7 +298,6 @@ func (w *World) Run(body func(p *Proc) error) error {
 		})
 	}
 	w.mon.Drive()
-	wg.Wait()
 	return w.mon.Err()
 }
 

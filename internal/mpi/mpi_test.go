@@ -6,14 +6,18 @@ import (
 	"testing"
 
 	"parcoach/internal/monitor"
+	"parcoach/internal/sched"
 )
 
+// newWorld returns a world whose next Run is serialized under the
+// default schedule.
 func newWorld(t *testing.T, n int, level ThreadLevel) *World {
 	t.Helper()
 	w, err := NewWorld(Config{Procs: n, Level: level})
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.Monitor().SetSched(sched.NewController(nil))
 	return w
 }
 
@@ -353,38 +357,40 @@ func TestFunneledRejectsNonMainThread(t *testing.T) {
 }
 
 func TestConcurrentCollectiveCallsSameRank(t *testing.T) {
-	// Two goroutines of rank 0 both enter collectives while rank 1 never
-	// arrives: the second call from rank 0 must be flagged.
+	// Two threads of rank 0 both enter collectives while rank 1 calls a
+	// barrier instead.
 	w := newWorld(t, 2, ThreadMultiple)
+	var second error
 	err := w.Run(func(p *Proc) error {
 		if err := p.Init(1); err != nil {
 			return err
 		}
 		if p.Rank() == 0 {
 			w.Monitor().ThreadStarted()
-			done := make(chan error, 1)
-			go func() {
-				defer w.Monitor().ThreadExited()
-				_, _, err := p.Collective(2, OpBcast, RedSum, 0, 0, nil, "")
-				done <- err
-			}()
+			w.Monitor().Go(func() {
+				_, _, second = p.Collective(2, OpBcast, RedSum, 0, 0, nil, "")
+				w.Monitor().ThreadExited()
+			})
 			_, _, err := p.Collective(3, OpReduce, RedSum, 0, 0, nil, "")
-			<-done
 			return err
 		}
-		// rank 1 blocks on a barrier that can never complete cleanly.
 		_, _, err := p.Collective(1, OpBarrier, RedSum, 0, 0, nil, "")
 		return err
 	})
 	// Depending on arrival order the runtime sees either the overlapping
 	// call from rank 0 (ConcurrentCallError) or a round where rank 0's
 	// second op meets rank 1's barrier (MismatchError). Both are correct
-	// detections of this nondeterministic bug — which is exactly why the
-	// paper validates it statically.
-	var cc *ConcurrentCallError
+	// detections of this schedule-dependent bug — which is exactly why
+	// the paper validates it statically. The default schedule runs rank
+	// 0's main until it parks in its reduce, then rank 1, whose barrier
+	// completes the round: a mismatch, which the second thread, resumed
+	// after the abort, also reports.
 	var mm *MismatchError
-	if !errors.As(err, &cc) && !errors.As(err, &mm) {
-		t.Fatalf("want ConcurrentCallError or MismatchError, got %v", err)
+	if !errors.As(err, &mm) {
+		t.Fatalf("want MismatchError, got %v", err)
+	}
+	if second != err {
+		t.Fatalf("the second thread of rank 0 saw %v, want the run's %v", second, err)
 	}
 }
 
@@ -506,6 +512,7 @@ func TestRoundObserverSurvivesReset(t *testing.T) {
 		t.Fatal("observer never fired")
 	}
 	w.Reset()
+	w.Monitor().SetSched(sched.NewController(nil))
 	if err := w.Run(body); err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,6 @@ package omp
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"parcoach/internal/monitor"
 )
@@ -51,7 +49,9 @@ func ParsePolicy(name string) (Policy, error) {
 	return 0, fmt.Errorf("unknown policy %q (want first-arrival|round-robin)", name)
 }
 
-// Runtime is the threading runtime of one process.
+// Runtime is the threading runtime of one process. Its threads run one
+// at a time under the monitor's scheduling controller, so only the
+// running thread touches the runtime and it needs no lock of its own.
 type Runtime struct {
 	mon            *monitor.Monitor
 	defaultThreads int
@@ -64,12 +64,10 @@ type Runtime struct {
 	// (guarded by the monitor's lock).
 	crit map[string]*critLock
 
-	// mu guards the team/thread recycling lists below. Teams and
-	// threads are handed out per parallel region and reclaimed in bulk
-	// by Reset once the run has drained, so a schedule exploration
-	// re-runs region-heavy programs without reallocating a single team
-	// or thread after warm-up.
-	mu          sync.Mutex
+	// Teams and threads are handed out per parallel region and
+	// reclaimed in bulk by Reset once the run has ended, so a schedule
+	// exploration re-runs region-heavy programs without reallocating a
+	// single team or thread after warm-up.
 	teams       []*Team   // handed out during the current run
 	threads     []*Thread // handed out during the current run
 	freeTeams   []*Team
@@ -97,8 +95,7 @@ func (rt *Runtime) Monitor() *monitor.Monitor { return rt.mon }
 // size and policy, counters and critical-section table cleared — so a
 // schedule-exploration session can reuse one runtime per rank across
 // thousands of runs instead of reallocating it. Only safe once the
-// previous run has fully completed (no goroutine of that run still
-// holds the runtime).
+// previous run has ended (its World.Run returned).
 func (rt *Runtime) Reset(mon *monitor.Monitor, defaultThreads int, policy Policy) {
 	if defaultThreads < 1 {
 		defaultThreads = 1
@@ -109,12 +106,10 @@ func (rt *Runtime) Reset(mon *monitor.Monitor, defaultThreads int, policy Policy
 	rt.nextThreadID = 0
 	rt.nextTeamID = 0
 	clear(rt.crit)
-	rt.mu.Lock()
 	rt.freeTeams = append(rt.freeTeams, rt.teams...)
 	rt.teams = rt.teams[:0]
 	rt.freeThreads = append(rt.freeThreads, rt.threads...)
 	rt.threads = rt.threads[:0]
-	rt.mu.Unlock()
 }
 
 // DefaultThreads returns the default team size.
@@ -195,7 +190,6 @@ func (th *Thread) String() string {
 }
 
 func (rt *Runtime) newTeam(size, level int) *Team {
-	rt.mu.Lock()
 	var t *Team
 	if n := len(rt.freeTeams); n > 0 {
 		t = rt.freeTeams[n-1]
@@ -204,9 +198,9 @@ func (rt *Runtime) newTeam(size, level int) *Team {
 		t = &Team{}
 	}
 	rt.teams = append(rt.teams, t)
-	rt.mu.Unlock()
+	rt.nextTeamID++
 	t.rt = rt
-	t.id = atomic.AddInt64(&rt.nextTeamID, 1)
+	t.id = rt.nextTeamID
 	t.size = size
 	t.level = level
 	t.arrived = 0
@@ -227,9 +221,9 @@ func (rt *Runtime) newTeam(size, level int) *Team {
 func (rt *Runtime) newThread(team *Team, tid int, reuseID int64) *Thread {
 	id := reuseID
 	if id == 0 {
-		id = atomic.AddInt64(&rt.nextThreadID, 1)
+		rt.nextThreadID++
+		id = rt.nextThreadID
 	}
-	rt.mu.Lock()
 	var th *Thread
 	if n := len(rt.freeThreads); n > 0 {
 		th = rt.freeThreads[n-1]
@@ -238,7 +232,6 @@ func (rt *Runtime) newThread(team *Team, tid int, reuseID int64) *Thread {
 		th = &Thread{}
 	}
 	rt.threads = append(rt.threads, th)
-	rt.mu.Unlock()
 	th.team = team
 	th.tid = tid
 	th.id = id
@@ -268,18 +261,18 @@ func (rt *Runtime) Parallel(cur *Thread, n int, body func(*Thread) error) error 
 	master := rt.newThread(team, 0, cur.id)
 
 	// Register workers as live before starting any so the quiescence
-	// check cannot fire spuriously during spawn.
+	// check cannot fire spuriously while the team starts. Workers take
+	// the next thread ids in member order.
 	for i := 1; i < n; i++ {
 		rt.mon.ThreadStarted()
 	}
 	for i := 1; i < n; i++ {
 		worker := rt.newThread(team, i, 0)
-		mon := rt.mon // pin: a session may rebind rt after this run aborts
-		mon.Go(func() {
+		rt.mon.Go(func() {
 			rt.runMember(worker, body)
-			// Not deferred: the driver counts a panicked serialized
-			// thread out itself, after aborting the run.
-			mon.ThreadExited()
+			// Not deferred: the driver counts a panicked thread out
+			// itself, after aborting the run.
+			rt.mon.ThreadExited()
 		})
 	}
 	rt.runMember(master, body)
@@ -435,7 +428,8 @@ func (l *ForLoop) Next() (int64, bool) {
 		l.next += int64(l.th.team.size)
 		return i, true
 	}
-	i := atomic.AddInt64(l.counter, 1) - 1
+	i := *l.counter
+	*l.counter++
 	if i >= l.to {
 		return 0, false
 	}

@@ -8,22 +8,37 @@ import (
 	"testing"
 
 	"parcoach/internal/monitor"
+	"parcoach/internal/sched"
 )
 
-// start creates a runtime with a registered initial thread.
+// start creates a runtime with a registered initial thread, whose
+// monitor serializes the run under the default schedule.
 func start(t *testing.T, threads int, policy Policy) (*Runtime, *Thread) {
 	t.Helper()
 	mon := monitor.New()
+	mon.SetSched(sched.NewController(nil))
 	rt := New(mon, threads, policy)
 	mon.ThreadStarted()
 	return rt, rt.InitialThread()
+}
+
+// parallel runs rt.Parallel(th0, n, body) on the run's first thread and
+// drives the run until every thread has returned.
+func parallel(rt *Runtime, th0 *Thread, n int, body func(*Thread) error) (err error) {
+	mon := rt.Monitor()
+	mon.Go(func() {
+		err = rt.Parallel(th0, n, body)
+		mon.ThreadExited()
+	})
+	mon.Drive()
+	return err
 }
 
 func TestParallelRunsAllThreads(t *testing.T) {
 	rt, th0 := start(t, 4, FirstArrival)
 	var mu sync.Mutex
 	tids := map[int]bool{}
-	err := rt.Parallel(th0, 0, func(th *Thread) error {
+	err := parallel(rt, th0, 0, func(th *Thread) error {
 		mu.Lock()
 		tids[th.TID()] = true
 		mu.Unlock()
@@ -40,7 +55,7 @@ func TestParallelRunsAllThreads(t *testing.T) {
 func TestParallelExplicitSize(t *testing.T) {
 	rt, th0 := start(t, 2, FirstArrival)
 	var n int32
-	if err := rt.Parallel(th0, 7, func(th *Thread) error {
+	if err := parallel(rt, th0, 7, func(th *Thread) error {
 		atomic.AddInt32(&n, 1)
 		if th.Team().Size() != 7 {
 			return errors.New("team size wrong")
@@ -57,7 +72,7 @@ func TestParallelExplicitSize(t *testing.T) {
 func TestMasterKeepsThreadID(t *testing.T) {
 	rt, th0 := start(t, 3, FirstArrival)
 	mainID := th0.ID()
-	err := rt.Parallel(th0, 3, func(th *Thread) error {
+	err := parallel(rt, th0, 3, func(th *Thread) error {
 		if th.TID() == 0 && th.ID() != mainID {
 			return errors.New("master lost the main thread id")
 		}
@@ -73,7 +88,7 @@ func TestMasterKeepsThreadID(t *testing.T) {
 
 func TestBarrierAdvancesPhase(t *testing.T) {
 	rt, th0 := start(t, 4, FirstArrival)
-	err := rt.Parallel(th0, 4, func(th *Thread) error {
+	err := parallel(rt, th0, 4, func(th *Thread) error {
 		for i := 0; i < 5; i++ {
 			if err := th.Barrier(); err != nil {
 				return err
@@ -89,7 +104,7 @@ func TestBarrierAdvancesPhase(t *testing.T) {
 func TestBarrierSynchronizes(t *testing.T) {
 	rt, th0 := start(t, 4, FirstArrival)
 	var before, after int32
-	err := rt.Parallel(th0, 4, func(th *Thread) error {
+	err := parallel(rt, th0, 4, func(th *Thread) error {
 		atomic.AddInt32(&before, 1)
 		if err := th.Barrier(); err != nil {
 			return err
@@ -113,7 +128,7 @@ func TestSingleElectsExactlyOne(t *testing.T) {
 	for _, policy := range []Policy{FirstArrival, RoundRobin} {
 		rt, th0 := start(t, 4, policy)
 		var execs int32
-		err := rt.Parallel(th0, 4, func(th *Thread) error {
+		err := parallel(rt, th0, 4, func(th *Thread) error {
 			for i := 0; i < 10; i++ {
 				if th.Single(42) {
 					atomic.AddInt32(&execs, 1)
@@ -137,7 +152,7 @@ func TestRoundRobinRotatesWinner(t *testing.T) {
 	rt, th0 := start(t, 3, RoundRobin)
 	var mu sync.Mutex
 	var winners []int
-	err := rt.Parallel(th0, 3, func(th *Thread) error {
+	err := parallel(rt, th0, 3, func(th *Thread) error {
 		for i := 0; i < 6; i++ {
 			if th.Single(7) {
 				mu.Lock()
@@ -177,7 +192,7 @@ func TestSectionsDistribution(t *testing.T) {
 	rt, th0 := start(t, 2, FirstArrival)
 	var mu sync.Mutex
 	ran := map[int]int{}
-	err := rt.Parallel(th0, 2, func(th *Thread) error {
+	err := parallel(rt, th0, 2, func(th *Thread) error {
 		for _, idx := range th.Sections(9, 5) {
 			mu.Lock()
 			ran[idx]++
@@ -201,7 +216,7 @@ func TestSectionsDistribution(t *testing.T) {
 func TestStaticForCoversRangeOnce(t *testing.T) {
 	rt, th0 := start(t, 4, FirstArrival)
 	counts := make([]int32, 100)
-	err := rt.Parallel(th0, 4, func(th *Thread) error {
+	err := parallel(rt, th0, 4, func(th *Thread) error {
 		loop := th.StaticFor(11, 0, 100)
 		for {
 			i, ok := loop.Next()
@@ -224,7 +239,7 @@ func TestStaticForCoversRangeOnce(t *testing.T) {
 func TestDynamicForCoversRangeOnce(t *testing.T) {
 	rt, th0 := start(t, 4, FirstArrival)
 	counts := make([]int32, 100)
-	err := rt.Parallel(th0, 4, func(th *Thread) error {
+	err := parallel(rt, th0, 4, func(th *Thread) error {
 		loop := th.DynamicFor(12, 0, 100)
 		for {
 			i, ok := loop.Next()
@@ -247,7 +262,7 @@ func TestDynamicForCoversRangeOnce(t *testing.T) {
 func TestDynamicForRepeatedEncounters(t *testing.T) {
 	rt, th0 := start(t, 3, FirstArrival)
 	var total int32
-	err := rt.Parallel(th0, 3, func(th *Thread) error {
+	err := parallel(rt, th0, 3, func(th *Thread) error {
 		for rep := 0; rep < 4; rep++ {
 			loop := th.DynamicFor(13, 0, 10)
 			for {
@@ -283,7 +298,7 @@ func TestCriticalMutualExclusion(t *testing.T) {
 	rt, th0 := start(t, 8, FirstArrival)
 	var inside, maxInside int32
 	var counter int64
-	err := rt.Parallel(th0, 8, func(th *Thread) error {
+	err := parallel(rt, th0, 8, func(th *Thread) error {
 		for i := 0; i < 50; i++ {
 			if err := rt.CriticalEnter(th, "lock"); err != nil {
 				return err
@@ -311,7 +326,7 @@ func TestCriticalMutualExclusion(t *testing.T) {
 
 func TestDifferentCriticalNamesDoNotExclude(t *testing.T) {
 	rt, th0 := start(t, 2, FirstArrival)
-	err := rt.Parallel(th0, 2, func(th *Thread) error {
+	err := parallel(rt, th0, 2, func(th *Thread) error {
 		name := "a"
 		if th.TID() == 1 {
 			name = "b"
@@ -335,7 +350,7 @@ func TestDifferentCriticalNamesDoNotExclude(t *testing.T) {
 func TestNestedParallel(t *testing.T) {
 	rt, th0 := start(t, 2, FirstArrival)
 	var count int32
-	err := rt.Parallel(th0, 2, func(outer *Thread) error {
+	err := parallel(rt, th0, 2, func(outer *Thread) error {
 		return rt.Parallel(outer, 2, func(inner *Thread) error {
 			atomic.AddInt32(&count, 1)
 			if inner.Team().Level() != 2 {
@@ -355,7 +370,7 @@ func TestNestedParallel(t *testing.T) {
 func TestBodyErrorAbortsTeam(t *testing.T) {
 	rt, th0 := start(t, 4, FirstArrival)
 	boom := errors.New("boom")
-	err := rt.Parallel(th0, 4, func(th *Thread) error {
+	err := parallel(rt, th0, 4, func(th *Thread) error {
 		if th.TID() == 2 {
 			return boom
 		}
@@ -370,7 +385,7 @@ func TestBodyErrorAbortsTeam(t *testing.T) {
 
 func TestMismatchedBarriersDeadlockDetected(t *testing.T) {
 	rt, th0 := start(t, 2, FirstArrival)
-	err := rt.Parallel(th0, 2, func(th *Thread) error {
+	err := parallel(rt, th0, 2, func(th *Thread) error {
 		if th.TID() == 0 {
 			return th.Barrier() // thread 1 never joins this barrier
 		}

@@ -41,39 +41,3 @@ func TestShardedSetTryAdd(t *testing.T) {
 		t.Fatal("re-adding an existing key reported absent")
 	}
 }
-
-// TestSpawnRunsAndReuses: Spawn executes every task exactly once (with
-// the usual happens-before edge), and parked executors are reused
-// rather than respawned.
-func TestSpawnRunsAndReuses(t *testing.T) {
-	const tasks = 64
-	var done sync.WaitGroup
-	var ran int64
-	done.Add(tasks)
-	for i := 0; i < tasks; i++ {
-		Spawn(func() {
-			atomic.AddInt64(&ran, 1)
-			done.Done()
-		})
-	}
-	done.Wait()
-	if ran != tasks {
-		t.Fatalf("ran %d tasks, want %d", ran, tasks)
-	}
-	// Sequential spawns after the burst must find idle executors. The
-	// pool is global and other tests may race it, so only assert it is
-	// non-empty between sequential uses — the strong property (LIFO
-	// reuse) is visible in the allocation pins of internal/interp.
-	for i := 0; i < 8; i++ {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		Spawn(func() { wg.Done() })
-		wg.Wait()
-	}
-	spawnMu.Lock()
-	idle := len(spawnIdle)
-	spawnMu.Unlock()
-	if idle == 0 {
-		t.Fatal("no idle executors after sequential spawns — pooling is not happening")
-	}
-}

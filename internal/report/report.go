@@ -188,7 +188,7 @@ func DetectionMatrix() (string, error) {
 		var dynamic, ground string
 		if bug == workload.BugTornBuffer {
 			// The torn source buffer only manifests under particular
-			// interleavings — a single free-running run is a coin flip, so
+			// interleavings — a single default run can miss it, so
 			// the matrix judges it the way the tool does (schedule
 			// exploration) and pins the uninstrumented ground-truth run to
 			// the deterministic round-robin scheduler, which provably

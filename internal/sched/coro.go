@@ -7,13 +7,13 @@ import (
 )
 
 // coro is a pooled coroutine that runs one simulated thread at a time.
-// Like pipeline.Spawn's executor goroutines it keeps the stack the
-// interpreter's recursive walk grew, so the many short threads of an
-// exploration do not regrow it; unlike them it runs only while resumed,
-// so handing the run token to another thread costs two coroutine
-// switches on the driver's OS thread instead of a channel wake-up.
+// It keeps the stack the interpreter's recursive walk grew, so the many
+// short threads of an exploration do not regrow it, and it runs only
+// while resumed, so handing the run token to another thread costs two
+// coroutine switches on the driver's OS thread.
 type coro struct {
 	next  func() (struct{}, bool)
+	stop  func()
 	yield func(struct{}) bool
 	fn    func()
 	// done reports that fn returned and the coroutine idles in its
@@ -23,10 +23,13 @@ type coro struct {
 	stack    []byte
 }
 
+// maxIdleCoros caps the free list: put stops the coroutines a burst of
+// live threads left beyond it, so the pool cannot keep a peak's worth of
+// parked goroutines for the life of the process.
+const maxIdleCoros = 1024
+
 // coroIdle is the process-wide free list of idle coroutines, shared by
-// concurrent runs. It sizes itself to the peak number of simulated
-// threads alive at once; reuse is LIFO so the hottest stack goes first.
-// Idle coroutines are never stopped, like pipeline.Spawn's workers.
+// concurrent runs. Reuse is LIFO so the hottest stack goes first.
 var coroIdle struct {
 	sync.Mutex
 	list []*coro
@@ -45,18 +48,25 @@ func getCoro(fn func()) *coro {
 	coroIdle.Unlock()
 	if co == nil {
 		co = new(coro)
-		co.next, _ = iter.Pull(co.loop)
+		co.next, co.stop = iter.Pull(co.loop)
 	}
 	co.fn, co.done = fn, false
 	return co
 }
 
-// put returns a finished coroutine to the free list.
+// put returns a finished coroutine to the free list, or stops it when
+// the list is full.
 func (co *coro) put() {
 	co.fn, co.panicked, co.stack = nil, nil, nil
 	coroIdle.Lock()
-	coroIdle.list = append(coroIdle.list, co)
+	keep := len(coroIdle.list) < maxIdleCoros
+	if keep {
+		coroIdle.list = append(coroIdle.list, co)
+	}
 	coroIdle.Unlock()
+	if !keep {
+		co.stop()
+	}
 }
 
 // resume runs the coroutine until it suspends or fn returns.
@@ -87,9 +97,10 @@ func (co *coro) run() {
 	co.fn()
 }
 
-// idle suspends a finished coroutine until its next fn. Only the idle
-// loop carries this frame: internal/leakcheck allows goroutines parked
-// in it and reports every other suspended coroutine.
+// idle suspends a finished coroutine until its next fn; it returns false
+// once put stopped the coroutine. Only the idle loop carries this frame:
+// internal/leakcheck allows goroutines parked in it and reports every
+// other suspended coroutine.
 //
 //go:noinline
 func (co *coro) idle() bool {

@@ -1,15 +1,16 @@
-// Package sched turns the free-running goroutine execution of the
-// interpreter (internal/interp) into a controlled, serialized schedule:
-// exactly one simulated thread runs at a time, and a pluggable Scheduler
-// decides, at every statement boundary and every blocking transition,
-// which enabled thread runs next.
+// Package sched runs the interpreter's (internal/interp) simulated
+// threads as a serialized schedule: exactly one simulated thread runs at
+// a time, and a pluggable Scheduler decides, at every statement boundary
+// and every blocking transition, which enabled thread runs next. Every
+// run is serialized; a run given no scheduler uses the default one, a
+// quantum round-robin.
 //
-// The Controller owns a serialized run's threads. Go starts each one on
-// a pooled coroutine, and Drive, on the goroutine that runs the world,
-// resumes whichever thread the scheduler picked. A thread hands the run
-// token on by suspending back to the driver, so a switch costs two
-// coroutine switches on one OS thread, and no two threads ever run at
-// once, not even before a new thread attaches to its gate.
+// The Controller owns a run's threads. Go registers each one and binds
+// it to a pooled coroutine, and Drive, on the goroutine that runs the
+// world, resumes whichever thread the scheduler picked. A thread hands
+// the run token on by suspending back to the driver, so a switch costs
+// two coroutine switches on one OS thread, and no two threads ever run
+// at once.
 //
 // The Controller piggybacks on the blocking kernel (internal/monitor):
 // every wait in the simulated runtimes already funnels through
@@ -21,7 +22,9 @@
 // control. Because only the token holder ever touches simulation state,
 // a run is a deterministic function of the scheduler's decisions — which
 // is what makes recorded schedules replayable and exhaustive enumeration
-// (internal/explore) possible.
+// (internal/explore) possible. For the same reason the controller takes
+// no lock: only the running thread or the driver touches it, one at a
+// time, and an abort from outside the run only raises a flag.
 package sched
 
 import (
@@ -33,6 +36,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"parcoach/internal/monitor"
 )
@@ -73,7 +77,7 @@ func (c Choice) Sig() uint64 {
 	if c.ctl == nil || len(c.Enabled) < 2 {
 		return 0
 	}
-	return c.ctl.sigLocked()
+	return c.ctl.sig()
 }
 
 // Scheduler picks the next thread to run. Implementations must be
@@ -110,11 +114,10 @@ const (
 type Gate struct {
 	ctl *Controller
 	id  ThreadID
-	// co is the coroutine running the gate's thread: bound by Attach,
+	// co is the coroutine running the gate's thread: bound by Go,
 	// cleared by the driver when the thread returns.
 	co *coro
 
-	// Guarded by ctl.mu.
 	state gateState
 	line  int   // last yielded source line
 	steps int64 // statements executed
@@ -129,13 +132,10 @@ type Gate struct {
 	// fast path is a plain bool test.
 	tracing bool
 	// acc buffers the object accesses of the current event. Only the
-	// owning thread appends (it is the only one running), and every
-	// flush into the controller's trace happens while no other thread
-	// runs (Yield, park, exit and abort on the thread itself, or the
-	// driver after a panic; an interruption from outside the run flushes
-	// nothing), so the buffer needs no lock. Post-abort stragglers keep
-	// appending harmlessly; the buffer is reset when the gate is
-	// recycled.
+	// owning thread appends, and every flush into the controller's trace
+	// happens on the holder's thread or on the driver (an abort from
+	// outside the run flushes nothing). Accesses made after an abort are
+	// dropped when the gate is recycled.
 	acc []monitor.Access
 }
 
@@ -153,22 +153,26 @@ func (g *Gate) Access(o monitor.Obj, kind monitor.AccessKind) {
 }
 
 // Controller serializes one run. It implements the monitor's scheduler
-// hook interface; hook methods are called with the monitor lock held and
-// only ever take the controller lock inside (lock order: monitor → ctl).
+// hook interface. Only the running thread and the driver touch its
+// state, one at a time; the one exception is isOff, which an abort from
+// outside the run (ReleaseAll(false)) raises.
 type Controller struct {
-	mu     sync.Mutex
 	sched  Scheduler
 	gates  []*Gate
 	holder ThreadID // token holder, -1 when none
 	seq    int64
-	isOff  bool
+	isOff  atomic.Bool
 	owner  map[interface{}]*Gate // monitor waiter → parked gate, until woken
 
-	// starting is the coroutine Go is starting; Attach binds it to the
-	// new thread's gate. panics queues the recovered panics of threads
-	// for the driver to report.
-	starting *coro
-	panics   []*coro
+	// running is the gate whose thread the driver is running (see
+	// Running). panics queues the recovered panics of threads for the
+	// driver to report.
+	running *Gate
+	panics  []*coro
+
+	// dflt is the default scheduler a nil Scheduler stands for, kept
+	// here so a default run allocates none.
+	dflt quantumRR
 
 	// ready is the sorted id set of runnable gates, maintained
 	// incrementally on every state transition. Decisions are then
@@ -184,15 +188,14 @@ type Controller struct {
 	// Incremental positional-state signature: xsig is the XOR of every
 	// gate's cached per-gate FNV contribution. Gates whose position
 	// changed since their contribution was computed sit on the dirty
-	// list; sigLocked folds them in lazily, so long single-threaded
-	// stretches (one dirty gate, many statements) never pay a
-	// whole-gate-set rehash and nothing on the per-statement path
-	// allocates.
+	// list; sig folds them in lazily, so long single-threaded stretches
+	// (one dirty gate, many statements) never pay a whole-gate-set
+	// rehash and nothing on the per-statement path allocates.
 	xsig  uint64
 	dirty []*Gate
 
 	// trace, when non-nil, is the run's event trace (the scheduler
-	// implements TraceSource): chooseLocked closes the previous event by
+	// implements TraceSource): choose closes the previous event by
 	// flushing the holder's access buffer and opens one for its pick.
 	// branchN counts multi-enabled decisions, aligning Event.Branch with
 	// the Recorder's branch-point indices.
@@ -208,14 +211,20 @@ type Controller struct {
 // Recycle for the safety rule.
 var ctlPool = sync.Pool{New: func() any { return new(Controller) }}
 
-// NewController creates (or recycles) a controller with one
-// pre-registered gate per MPI process (ids 0..procs-1), driven by s.
-func NewController(s Scheduler, procs int) *Controller {
+// NewController creates (or recycles) a controller driven by s; a nil s
+// means the default scheduler, a quantum round-robin that keeps the
+// running thread for up to 64 consecutive decisions before rotating
+// like RoundRobin. Threads join the run through Go.
+func NewController(s Scheduler) *Controller {
 	c := ctlPool.Get().(*Controller)
+	if s == nil {
+		c.dflt = quantumRR{rr: RoundRobin{last: -1}}
+		s = &c.dflt
+	}
 	c.sched = s
 	c.holder = -1
 	c.seq = 0
-	c.isOff = false
+	c.isOff.Store(false)
 	if c.owner == nil {
 		c.owner = make(map[interface{}]*Gate)
 	} else {
@@ -229,13 +238,10 @@ func NewController(s Scheduler, procs int) *Controller {
 	if ts, ok := s.(TraceSource); ok {
 		c.trace = ts.EventTrace()
 	}
-	for i := 0; i < procs; i++ {
-		c.newGateLocked()
-	}
 	return c
 }
 
-func (c *Controller) newGateLocked() *Gate {
+func (c *Controller) newGate() *Gate {
 	var g *Gate
 	if n := len(c.freeGates); n > 0 {
 		g = c.freeGates[n-1]
@@ -255,14 +261,14 @@ func (c *Controller) newGateLocked() *Gate {
 	g.sig = g.contribution()
 	c.xsig ^= g.sig
 	c.gates = append(c.gates, g)
-	c.readyAddLocked(g.id)
+	c.readyAdd(g.id)
 	return g
 }
 
-// readyAddLocked inserts id into the sorted ready set. Freshly forked
-// gates carry the highest id so far, so forks take the append fast
-// path; only wakes of low-id threads pay the insertion walk.
-func (c *Controller) readyAddLocked(id ThreadID) {
+// readyAdd inserts id into the sorted ready set. Freshly forked gates
+// carry the highest id so far, so forks take the append fast path; only
+// wakes of low-id threads pay the insertion walk.
+func (c *Controller) readyAdd(id ThreadID) {
 	n := len(c.ready)
 	if n == 0 || c.ready[n-1] < id {
 		c.ready = append(c.ready, id)
@@ -277,8 +283,8 @@ func (c *Controller) readyAddLocked(id ThreadID) {
 	c.ready[i] = id
 }
 
-// readyRemoveLocked deletes id from the sorted ready set.
-func (c *Controller) readyRemoveLocked(id ThreadID) {
+// readyRemove deletes id from the sorted ready set.
+func (c *Controller) readyRemove(id ThreadID) {
 	i := sort.Search(len(c.ready), func(k int) bool { return c.ready[k] >= id })
 	if i < len(c.ready) && c.ready[i] == id {
 		c.ready = append(c.ready[:i], c.ready[i+1:]...)
@@ -286,11 +292,10 @@ func (c *Controller) readyRemoveLocked(id ThreadID) {
 }
 
 // Recycle returns the controller and its gates to the pool. Only call
-// once the run has fully drained (monitor.Drained): after the drain
-// nothing can reach the controller, so clean and aborted runs alike
-// recycle here.
+// once Drive has returned: every thread has then returned, so nothing
+// can reach the controller, and clean and aborted runs alike recycle
+// here.
 func (c *Controller) Recycle() {
-	c.mu.Lock()
 	c.freeGates = append(c.freeGates, c.gates...)
 	c.gates = c.gates[:0]
 	c.sched = nil
@@ -299,50 +304,22 @@ func (c *Controller) Recycle() {
 	c.ready = c.ready[:0]
 	c.xsig = 0
 	c.trace = nil
-	c.mu.Unlock()
+	c.running = nil
 	ctlPool.Put(c)
 }
 
-// ProcGate returns the pre-registered gate of the given rank's main
-// thread. Go starts the rank threads one at a time before Drive, so no
-// other thread runs while one looks up its gate.
-func (c *Controller) ProcGate(rank int) *Gate { return c.gates[rank] }
-
-// Fork registers n new team-worker threads at a deterministic point of
-// the schedule (the forking thread holds the token). The returned gates
-// are enabled immediately; their threads bind to them with Attach.
-func (c *Controller) Fork(n int) []*Gate {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*Gate, n)
-	for i := range out {
-		out[i] = c.newGateLocked()
-	}
-	return out
-}
-
-// Go starts fn as a new thread of the run on a pooled coroutine. It
-// runs fn only until the thread attaches to its gate (Attach) or
-// returns, so the caller — the token holder, or the goroutine about to
-// Drive — keeps the token. fn's thread then runs whenever the driver
-// resumes its gate.
+// Go registers fn as a new thread of the run: it gets the next thread
+// id and an enabled gate, and its coroutine starts the first time the
+// driver resumes the gate. The caller — the token holder, or the
+// goroutine about to Drive — keeps the token, so ids follow the order
+// of Go calls.
 func (c *Controller) Go(fn func()) {
-	co := getCoro(fn)
-	c.starting = co
-	co.resume()
-	c.starting = nil
-	if co.done {
-		c.retire(co)
-	}
+	c.newGate().co = getCoro(fn)
 }
 
-// Attach binds the calling thread, which Go is starting, to its gate
-// and suspends it back to Go's caller; it runs on when the driver first
-// resumes the gate.
-func (g *Gate) Attach() {
-	g.co = g.ctl.starting
-	g.co.suspend()
-}
+// Running returns the gate of the running thread: the one the driver
+// resumed. A thread started with Go calls it to find its own gate.
+func (c *Controller) Running() *Gate { return c.running }
 
 // Yield offers a context switch at a statement boundary on the given
 // source line. The calling thread must hold the token (it is the only
@@ -350,63 +327,70 @@ func (g *Gate) Attach() {
 // suspends to the driver until the driver resumes it.
 func (g *Gate) Yield(line int) {
 	c := g.ctl
-	c.mu.Lock()
-	if c.isOff {
-		c.mu.Unlock()
+	if c.isOff.Load() {
 		return
 	}
 	g.line = line
 	g.steps++
-	c.markDirtyLocked(g)
-	next := c.chooseLocked(g.id)
-	c.mu.Unlock()
-	if next != g.id {
+	c.markDirty(g)
+	if c.choose(g.id) != g.id {
 		g.co.suspend()
 	}
 }
 
-// Drive runs the serialized run on the calling goroutine until every
-// thread started with Go has returned: it makes the run's first
-// scheduling decision, then resumes the token holder each time the
-// running thread suspends. Once ReleaseAll has run it resumes the
-// remaining threads, lowest id first, until each has returned. A thread
-// whose fn panicked releases the run and counts as returned; Drive
-// hands its panic value and stack to panicked while no thread runs.
-func (c *Controller) Drive(panicked func(value any, stack []byte)) {
-	c.reportPanics(panicked)
-	c.mu.Lock()
-	if !c.isOff {
-		c.chooseLocked(-1)
+// Drive runs the run on the calling goroutine until every thread
+// started with Go has returned: it makes the run's first scheduling
+// decision, then resumes the token holder each time the running thread
+// suspends. Once ReleaseAll has run it resumes the remaining threads,
+// lowest id first, until each has returned. A thread whose fn panicked
+// releases the run and counts as returned; Drive hands its panic value
+// and stack to panicked while no thread runs.
+//
+// A run not released that has no holder while threads remain has every
+// remaining thread parked although the monitor saw no deadlock: it
+// counts a live thread no gate runs. Resuming a parked thread would
+// return from its wait as if it had been woken, so Drive calls stalled
+// with the parked count instead, which must abort the run; the threads
+// then unwind like any aborted run's.
+func (c *Controller) Drive(panicked func(value any, stack []byte), stalled func(parked int)) {
+	if !c.isOff.Load() {
+		c.choose(-1)
 	}
 	for {
-		g := c.resumableLocked()
-		c.mu.Unlock()
+		g := c.resumable(stalled)
 		if g == nil {
 			return
 		}
 		co := g.co
+		c.running = g
 		co.resume()
+		c.running = nil
 		if co.done {
 			g.co = nil
 			c.retire(co)
 		}
 		c.reportPanics(panicked)
-		c.mu.Lock()
 	}
 }
 
-// resumableLocked returns the gate whose thread the driver resumes
-// next: the token holder, or after ReleaseAll the lowest-id thread that
-// has not returned. nil means every thread has returned.
-//
-// No holder in a run not yet released means every remaining thread is
-// parked although the monitor saw no deadlock: it counts a live thread
-// that no gate runs. The thread resumed then blocks in its wait until
-// an abort from outside the run (a watchdog or a canceled context)
-// wakes it.
-func (c *Controller) resumableLocked() *Gate {
-	if !c.isOff && c.holder >= 0 {
-		return c.gates[c.holder]
+// resumable returns the gate whose thread the driver resumes next: the
+// token holder, or after ReleaseAll the lowest-id thread that has not
+// returned. nil means every thread has returned.
+func (c *Controller) resumable(stalled func(parked int)) *Gate {
+	if !c.isOff.Load() {
+		if c.holder >= 0 {
+			return c.gates[c.holder]
+		}
+		parked := 0
+		for _, g := range c.gates {
+			if g.co != nil {
+				parked++
+			}
+		}
+		if parked == 0 {
+			return nil
+		}
+		stalled(parked)
 	}
 	for _, g := range c.gates {
 		if g.co != nil {
@@ -439,13 +423,12 @@ func (c *Controller) reportPanics(panicked func(value any, stack []byte)) {
 	c.panics = c.panics[:0]
 }
 
-// enabledLocked returns the sorted runnable set in the controller's
-// scratch slice — one scheduling decision per statement makes this the
-// hottest allocation site, so the backing array is reused; Next
-// implementations must not retain it. The set is a copy of the
-// incrementally maintained ready list, so the cost is O(enabled), not
-// O(every gate ever forked).
-func (c *Controller) enabledLocked() []ThreadID {
+// enabled returns the sorted runnable set in the controller's scratch
+// slice — one scheduling decision per statement makes this the hottest
+// allocation site, so the backing array is reused; Next implementations
+// must not retain it. The set is a copy of the incrementally maintained
+// ready list, so the cost is O(enabled), not O(every gate ever forked).
+func (c *Controller) enabled() []ThreadID {
 	out := append(c.enabledScratch[:0], c.ready...)
 	c.enabledScratch = out
 	return out
@@ -470,17 +453,17 @@ func (g *Gate) contribution() uint64 {
 	return h
 }
 
-// markDirtyLocked queues the gate for a lazy signature update.
-func (c *Controller) markDirtyLocked(g *Gate) {
+// markDirty queues the gate for a lazy signature update.
+func (c *Controller) markDirty(g *Gate) {
 	if !g.dirty {
 		g.dirty = true
 		c.dirty = append(c.dirty, g)
 	}
 }
 
-// sigLocked returns the incremental positional signature, folding in
-// the gates whose position changed since it was last computed.
-func (c *Controller) sigLocked() uint64 {
+// sig returns the incremental positional signature, folding in the
+// gates whose position changed since it was last computed.
+func (c *Controller) sig() uint64 {
 	if len(c.dirty) > 0 {
 		for _, g := range c.dirty {
 			c.xsig ^= g.sig
@@ -493,12 +476,11 @@ func (c *Controller) sigLocked() uint64 {
 	return c.xsig
 }
 
-// flushEventLocked closes the current event: the holder's buffered
-// accesses are appended to the trace. Every call site runs while no
-// other thread does (Yield, the park/exit hooks, an abort by the thread
-// itself or by the driver after a panic), so reading g.acc here never
-// races the owner-side appends.
-func (c *Controller) flushEventLocked() {
+// flushEvent closes the current event: the holder's buffered accesses
+// are appended to the trace. Every call site runs on the holder's
+// thread or on the driver, so reading g.acc here never races the
+// owner-side appends.
+func (c *Controller) flushEvent() {
 	if c.holder < 0 {
 		return
 	}
@@ -509,15 +491,15 @@ func (c *Controller) flushEventLocked() {
 	}
 }
 
-// chooseLocked asks the scheduler to pick among the enabled threads
-// (which must include cur when cur yielded rather than parked). Invalid
-// picks fall back to the lowest enabled id so a buggy scheduler cannot
-// wedge the run.
-func (c *Controller) chooseLocked(cur ThreadID) ThreadID {
+// choose asks the scheduler to pick among the enabled threads (which
+// must include cur when cur yielded rather than parked). Invalid picks
+// fall back to the lowest enabled id so a buggy scheduler cannot wedge
+// the run.
+func (c *Controller) choose(cur ThreadID) ThreadID {
 	if c.trace != nil {
-		c.flushEventLocked()
+		c.flushEvent()
 	}
-	enabled := c.enabledLocked()
+	enabled := c.enabled()
 	if len(enabled) == 0 {
 		c.holder = -1
 		return -1
@@ -548,52 +530,44 @@ func (c *Controller) chooseLocked(cur ThreadID) ThreadID {
 }
 
 //
-// Monitor hook implementation. All four Locked-suffixed semantics hold:
-// the monitor calls these with its own lock held.
+// Monitor hook implementation. The monitor calls HolderParked,
+// WaiterWoken, HolderExited and ReleaseAll with its lock held.
 //
 
 // HolderParked records that the token holder blocked on w and hands the
 // token to the scheduler's next pick; the holder suspends in Resume.
 func (c *Controller) HolderParked(w interface{}) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.isOff || c.holder < 0 {
+	if c.isOff.Load() || c.holder < 0 {
 		return
 	}
 	g := c.gates[c.holder]
 	g.state = gateParked
-	c.readyRemoveLocked(g.id)
-	c.markDirtyLocked(g)
+	c.readyRemove(g.id)
+	c.markDirty(g)
 	c.owner[w] = g
-	c.chooseLocked(-1)
+	c.choose(-1)
 }
 
 // WaiterWoken marks w's thread runnable again. The waker keeps the
 // token; the woken thread runs on once the scheduler picks it.
 func (c *Controller) WaiterWoken(w interface{}) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	g := c.owner[w]
-	if g == nil || c.isOff {
+	if g == nil || c.isOff.Load() {
 		return
 	}
 	// The entry must live until here: the parked thread looked its gate
 	// up in Resume before suspending, and only this wake needs it now.
 	delete(c.owner, w)
 	g.state = gateReady
-	c.readyAddLocked(g.id)
-	c.markDirtyLocked(g)
+	c.readyAdd(g.id)
+	c.markDirty(g)
 }
 
 // Resume suspends the thread that just parked on w until the driver
 // resumes it: once WaiterWoken made it runnable and the scheduler picked
 // it, or once ReleaseAll ended the serialization. Called without locks.
 func (c *Controller) Resume(w interface{}) {
-	c.mu.Lock()
-	g := c.owner[w]
-	off := c.isOff
-	c.mu.Unlock()
-	if g != nil && !off {
+	if g := c.owner[w]; g != nil && !c.isOff.Load() {
 		g.co.suspend()
 	}
 }
@@ -601,16 +575,14 @@ func (c *Controller) Resume(w interface{}) {
 // HolderExited records that the token holder's thread is done (its
 // last monitor interaction) and schedules the next thread.
 func (c *Controller) HolderExited() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.isOff || c.holder < 0 {
+	if c.isOff.Load() || c.holder < 0 {
 		return
 	}
 	g := c.gates[c.holder]
 	g.state = gateDone
-	c.readyRemoveLocked(g.id)
-	c.markDirtyLocked(g)
-	c.chooseLocked(-1)
+	c.readyRemove(g.id)
+	c.markDirty(g)
+	c.choose(-1)
 }
 
 // ReleaseAll ends the serialization: the run aborted, so every later
@@ -618,23 +590,20 @@ func (c *Controller) HolderExited() {
 // thread, lowest id first, until it has returned; abort unwinding never
 // waits on the scheduler. holder reports whether the call runs while
 // the token holder cannot: on the holder's own thread, or on the driver.
+// Called from outside the run (holder false), it only raises isOff.
 func (c *Controller) ReleaseAll(holder bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.isOff {
+	if c.isOff.Load() {
 		return
 	}
-	if c.trace != nil && holder {
-		// The aborting thread is the holder (only the token holder runs)
-		// and this call is on its goroutine, so its final accesses — e.g.
-		// the MPI call that completed a deadlock — flush safely here. An
-		// interruption from outside the run leaves the still-running
-		// holder's buffer alone: its partial event is dropped with the
-		// post-abort straggler accesses, which stay in their gate
-		// buffers until recycle.
-		c.flushEventLocked()
+	if holder && c.trace != nil {
+		// The aborting thread is the holder (only the token holder runs),
+		// so its final accesses — e.g. the MPI call that completed a
+		// deadlock — flush safely here. An interruption from outside the
+		// run leaves the still-running holder's buffer alone: its partial
+		// event is dropped with the accesses made after the abort.
+		c.flushEvent()
 	}
-	c.isOff = true
+	c.isOff.Store(true)
 }
 
 //
@@ -664,6 +633,31 @@ func (s *RoundRobin) Next(c Choice) ThreadID {
 	}
 	s.last = pick
 	return pick
+}
+
+// quantum is how many consecutive decisions the default scheduler keeps
+// the running thread for.
+const quantum = 64
+
+// quantumRR is the default scheduler, the one a nil Scheduler stands
+// for: it keeps the running thread for up to quantum consecutive
+// decisions while that thread stays enabled, then rotates exactly as
+// RoundRobin does. Keeping the thread spares most statements a switch;
+// the quantum bounds how long a spinning thread can starve the others.
+type quantumRR struct {
+	rr   RoundRobin
+	kept int
+}
+
+// Next keeps the thread that just yielded until its quantum is spent,
+// and otherwise rotates.
+func (s *quantumRR) Next(c Choice) ThreadID {
+	if c.Cur >= 0 && s.kept < quantum {
+		s.kept++
+		return c.Cur
+	}
+	s.kept = 0
+	return s.rr.Next(c)
 }
 
 // Random picks uniformly among the enabled threads with a seeded PRNG;

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"parcoach/internal/leakcheck"
 	"parcoach/internal/monitor"
 )
 
@@ -231,6 +232,52 @@ func TestTokenReplayEquivalence(t *testing.T) {
 	}
 }
 
+// TestQuantumKeepsThenRotates: the default scheduler keeps the thread
+// that yielded for quantum consecutive decisions, then rotates like
+// RoundRobin; a thread that parks or exits (Cur -1) rotates at once.
+func TestQuantumKeepsThenRotates(t *testing.T) {
+	c := NewController(nil)
+	s := c.sched
+	c.Recycle()
+	if id := s.Next(synth(-1, 0, 0, 1, 2)); id != 0 {
+		t.Fatalf("first pick %v, want 0", id)
+	}
+	for i := 0; i < quantum; i++ {
+		if id := s.Next(synth(0, int64(i+1), 0, 1, 2)); id != 0 {
+			t.Fatalf("decision %d of the quantum picked %v, want the running thread 0", i, id)
+		}
+	}
+	if id := s.Next(synth(0, quantum+1, 0, 1, 2)); id != 1 {
+		t.Fatalf("after the quantum: got %v, want the rotation to 1", id)
+	}
+	if id := s.Next(synth(-1, quantum+2, 0, 2)); id != 2 {
+		t.Fatalf("after a park: got %v, want the rotation to 2", id)
+	}
+	if id := s.Next(synth(2, quantum+3, 0, 2)); id != 2 {
+		t.Fatalf("a fresh pick's next decision: got %v, want 2 kept", id)
+	}
+}
+
+// TestCoroPoolCap: the idle list keeps at most maxIdleCoros coroutines;
+// put stops the surplus, whose goroutines exit.
+func TestCoroPoolCap(t *testing.T) {
+	leakcheck.Check(t)
+	cos := make([]*coro, maxIdleCoros+16)
+	for i := range cos {
+		cos[i] = getCoro(func() {})
+		cos[i].resume()
+	}
+	for _, co := range cos {
+		co.put()
+	}
+	coroIdle.Lock()
+	n := len(coroIdle.list)
+	coroIdle.Unlock()
+	if n != maxIdleCoros {
+		t.Fatalf("idle list holds %d coroutines, want the cap %d", n, maxIdleCoros)
+	}
+}
+
 // TestReleaseAllLeavesRunningHolder: an abort from outside the run
 // (cancellation, a watchdog) must not touch the token holder's access
 // buffer, which the still-running holder keeps appending to — under
@@ -240,10 +287,9 @@ func TestReleaseAllLeavesRunningHolder(t *testing.T) {
 	for _, holder := range []bool{true, false} {
 		rec := new(DPORRecorder)
 		rec.Reset(nil)
-		c := NewController(rec, 1)
-		g := c.ProcGate(0)
+		c := NewController(rec)
 		c.Go(func() {
-			g.Attach()
+			g := c.Running()
 			g.Access(1, monitor.AccWrite)
 			if holder {
 				c.ReleaseAll(true)
@@ -257,7 +303,7 @@ func TestReleaseAllLeavesRunningHolder(t *testing.T) {
 			g.Access(2, monitor.AccWrite)
 			<-released
 		})
-		c.Drive(nil)
+		c.Drive(nil, nil)
 		want := 0
 		if holder {
 			want = 1
@@ -275,12 +321,14 @@ func TestReleaseAllLeavesRunningHolder(t *testing.T) {
 // thread runs to its end, then each remaining one, lowest id first.
 func TestDriveInterleavesRoundRobin(t *testing.T) {
 	run := func(releaseAt int) string {
-		c := NewController(NewRoundRobin(), 3)
+		c := NewController(NewRoundRobin())
 		var log []string
 		for id := 0; id < 3; id++ {
-			g := c.ProcGate(id)
 			c.Go(func() {
-				g.Attach()
+				g := c.Running()
+				if g.ID() != ThreadID(id) {
+					t.Errorf("thread %d runs with gate %d", id, g.ID())
+				}
 				for step := 0; step < 3; step++ {
 					log = append(log, fmt.Sprintf("%d.%d", id, step))
 					if len(log) == releaseAt {
@@ -292,7 +340,7 @@ func TestDriveInterleavesRoundRobin(t *testing.T) {
 				c.HolderExited()
 			})
 		}
-		c.Drive(nil)
+		c.Drive(nil, nil)
 		c.Recycle()
 		return strings.Join(log, " ")
 	}
@@ -301,5 +349,28 @@ func TestDriveInterleavesRoundRobin(t *testing.T) {
 	}
 	if got, want := run(4), "0.0 1.0 2.0 0.1 0.2 0.exit 1.1 1.2 1.exit 2.1 2.2 2.exit"; got != want {
 		t.Errorf("drain after ReleaseAll:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestDriveStalledRun: a run not released whose remaining threads are
+// all parked has no thread to resume. Drive reports the parked count
+// to stalled, which must release the run, then resumes the parked
+// thread so it unwinds.
+func TestDriveStalledRun(t *testing.T) {
+	c := NewController(nil)
+	var log []string
+	c.Go(func() {
+		g := c.Running()
+		c.HolderParked(g)
+		c.Resume(g)
+		log = append(log, "resumed")
+	})
+	c.Drive(nil, func(parked int) {
+		log = append(log, fmt.Sprintf("stalled with %d parked", parked))
+		c.ReleaseAll(true)
+	})
+	c.Recycle()
+	if got, want := strings.Join(log, ", "), "stalled with 1 parked, resumed"; got != want {
+		t.Fatalf("stalled run: %s, want %s", got, want)
 	}
 }

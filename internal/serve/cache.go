@@ -71,15 +71,11 @@ func (a *artifact) session(rs runSpec, opts interp.Options) *interp.Session {
 	return s
 }
 
-// sessionStats reports this artifact's warm-session count and the runs
-// its sessions abandoned on drain timeout.
-func (a *artifact) sessionStats() (warm int, abandoned int64) {
+// warmSessions reports this artifact's warm-session count.
+func (a *artifact) warmSessions() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, s := range a.sessions {
-		abandoned += s.Abandoned()
-	}
-	return len(a.sessions), abandoned
+	return len(a.sessions)
 }
 
 // artifactFor resolves (name, source, opts) to its cached artifact,

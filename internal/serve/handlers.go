@@ -16,8 +16,6 @@ import (
 	"parcoach/internal/sched"
 )
 
-func abandonedWorldsCount() int64 { return interp.AbandonedWorlds() }
-
 // writeCompileError distinguishes the client's fault from ours: a
 // normal compile error is 422 (the source is broken), a quarantined
 // compiler panic is 500 (the compiler is broken — retrying the same
@@ -126,14 +124,13 @@ type runSpec struct {
 }
 
 // runOptions parses the run block into the session configuration,
-// with the server's drain and watchdog bounds.
+// with the server's watchdog bound.
 func (s *Server) runOptions(rs runSpec) (interp.Options, error) {
 	opts := interp.Options{
-		Procs:        rs.Procs,
-		Threads:      rs.Threads,
-		MaxSteps:     rs.MaxSteps,
-		DrainTimeout: s.cfg.DrainTimeout,
-		WallTimeout:  s.cfg.RunTimeout,
+		Procs:       rs.Procs,
+		Threads:     rs.Threads,
+		MaxSteps:    rs.MaxSteps,
+		WallTimeout: s.cfg.RunTimeout,
 	}
 	var err error
 	if rs.Level != "" {
@@ -219,7 +216,7 @@ type runRequest struct {
 	compileSpec
 	runSpec
 	// Schedule is a replay token (rr, rand:<seed>, pct:<seed>:<depth>,
-	// trace:...); empty keeps the free-running goroutine execution.
+	// trace:...); empty runs the default schedule.
 	Schedule string `json:"schedule,omitempty"`
 }
 

@@ -208,11 +208,12 @@ func TestStatsSurfacesRobustness(t *testing.T) {
 	}
 }
 
-// TestOversizedRequestsAnswered: a process count, team size, schedule
-// budget, worker count or PCT depth that would make one request
-// allocate without bound — an out-of-memory error ends the process past
-// every panic quarantine — is refused with a 400 or fails the run as a
-// runtime error, and the daemon keeps answering.
+// TestOversizedRequestsAnswered: a process count, team size, nesting of
+// teams, array allocation, schedule budget, worker count or PCT depth
+// that would make one request allocate without bound — an out-of-memory
+// error ends the process past every panic quarantine — is refused with
+// a 400 or fails the run as a runtime error, and the daemon keeps
+// answering.
 func TestOversizedRequestsAnswered(t *testing.T) {
 	defer leakcheck.Check(t)
 	_, ts := newTestServer(t, Config{})
@@ -224,25 +225,60 @@ func main() {
 	}
 	MPI_Finalize()
 }`
+	// 2 processes × 32³ threads: each team fits the width limit, the
+	// nesting does not fit the live-thread limit.
+	const nestedSrc = `
+func main() {
+	MPI_Init()
+	parallel num_threads(32) {
+		parallel num_threads(32) {
+			parallel num_threads(32) {
+				var x = tid()
+			}
+		}
+	}
+	MPI_Finalize()
+}`
+	const hugeArraySrc = `
+func main() {
+	MPI_Init()
+	var a[268435456]
+	MPI_Finalize()
+}`
+	const arrayLoopSrc = `
+func main() {
+	MPI_Init()
+	for i = 0 .. 5 {
+		var a[262144]
+	}
+	MPI_Finalize()
+}`
+	const widthLimit, threadLimit = "limit of 256", "limit of 1024 live threads"
 	for _, tc := range []struct {
 		name, path string
 		body       map[string]any
-		want       int // 200 means the run must fail as a runtime error
+		want       int    // 200 means the run must fail as a runtime error
+		limit      string // what that runtime error names
 	}{
-		{"procs", "/run", map[string]any{"source": cleanSrc, "procs": 2_000_000_000}, http.StatusOK},
-		{"threads", "/run", map[string]any{"source": cleanSrc, "threads": 2_000_000_000}, http.StatusOK},
-		{"num_threads", "/run", map[string]any{"source": wideSrc}, http.StatusOK},
-		{"schedules", "/explore", map[string]any{"source": cleanSrc, "schedules": 8_000_000_000}, http.StatusBadRequest},
-		{"workers", "/explore", map[string]any{"source": cleanSrc, "workers": 2_000_000_000}, http.StatusBadRequest},
-		{"pctDepth", "/explore", map[string]any{"source": cleanSrc, "strategy": "pct", "pctDepth": 1 << 40}, http.StatusBadRequest},
+		{"procs", "/run", map[string]any{"source": cleanSrc, "procs": 2_000_000_000}, http.StatusOK, widthLimit},
+		{"threads", "/run", map[string]any{"source": cleanSrc, "threads": 2_000_000_000}, http.StatusOK, widthLimit},
+		{"num_threads", "/run", map[string]any{"source": wideSrc}, http.StatusOK, widthLimit},
+		{"nested", "/run", map[string]any{"source": nestedSrc, "maxSteps": 200_000}, http.StatusOK, threadLimit},
+		{"nested-rr", "/run", map[string]any{"source": nestedSrc, "maxSteps": 200_000, "schedule": "rr"}, http.StatusOK, threadLimit},
+		{"array", "/run", map[string]any{"source": hugeArraySrc}, http.StatusOK, "budget of 1048576 array elements (0 declared)"},
+		// The fifth quarter of the budget is the one that fails.
+		{"array-loop", "/run", map[string]any{"source": arrayLoopSrc, "procs": 1}, http.StatusOK, "budget of 1048576 array elements (1048576 declared)"},
+		{"schedules", "/explore", map[string]any{"source": cleanSrc, "schedules": 8_000_000_000}, http.StatusBadRequest, ""},
+		{"workers", "/explore", map[string]any{"source": cleanSrc, "workers": 2_000_000_000}, http.StatusBadRequest, ""},
+		{"pctDepth", "/explore", map[string]any{"source": cleanSrc, "strategy": "pct", "pctDepth": 1 << 40}, http.StatusBadRequest, ""},
 	} {
 		code, raw := postJSON(t, ts.URL+tc.path, tc.body)
 		if code != tc.want {
 			t.Fatalf("%s: answered %d, want %d: %s", tc.name, code, tc.want, raw)
 		}
 		if code == http.StatusOK {
-			if res := decode[runResponse](t, raw); res.Outcome != "runtime-error" || !strings.Contains(res.Error, "limit of 256") {
-				t.Fatalf("%s: outcome %q (%s), want a runtime error naming the limit", tc.name, res.Outcome, res.Error)
+			if res := decode[runResponse](t, raw); res.Outcome != "runtime-error" || !strings.Contains(res.Error, tc.limit) {
+				t.Fatalf("%s: outcome %q (%s), want a runtime error naming %q", tc.name, res.Outcome, res.Error, tc.limit)
 			}
 		}
 	}

@@ -58,12 +58,9 @@ type Config struct {
 	RetryAfter time.Duration
 	// MaxSourceBytes bounds request bodies (default 4 MiB).
 	MaxSourceBytes int64
-	// DrainTimeout is handed to every warm session (see
-	// interp.Options.DrainTimeout; 0 = the interpreter's default).
-	DrainTimeout time.Duration
 	// RunTimeout arms the per-run wall-clock watchdog on every warm
-	// session (interp.Options.WallTimeout): a wedged run is abandoned
-	// after this long and answers with outcome "timeout" instead of
+	// session (interp.Options.WallTimeout): a run still going after
+	// this long is aborted and answers with outcome "timeout" instead of
 	// holding a request slot until the client gives up. Zero disables.
 	RunTimeout time.Duration
 }
@@ -264,11 +261,6 @@ type Stats struct {
 	} `json:"queue"`
 	Sessions struct {
 		Warm int `json:"warm"`
-		// AbandonedRuns counts runs the warm sessions gave up on at the
-		// drain timeout (leaked state, never reused); AbandonedWorlds is
-		// the same counter process-wide (all sessions ever).
-		AbandonedRuns   int64 `json:"abandonedRuns"`
-		AbandonedWorlds int64 `json:"abandonedWorlds"`
 	} `json:"sessions"`
 	Explore struct {
 		Schedules       int64   `json:"schedules"`
@@ -302,16 +294,13 @@ func (s *Server) Snapshot() Stats {
 	s.mu.Lock()
 	st.Cache.Entries = len(s.cache)
 	for _, a := range s.cache {
-		warm, abandoned := a.sessionStats()
-		st.Sessions.Warm += warm
-		st.Sessions.AbandonedRuns += abandoned
+		st.Sessions.Warm += a.warmSessions()
 	}
 	s.mu.Unlock()
 	st.Queue.Slots = s.cfg.MaxConcurrent
 	st.Queue.Inflight = len(s.slots)
 	st.Queue.Queued = s.queued.Load()
 	st.Queue.Rejected = s.rejected.Load()
-	st.Sessions.AbandonedWorlds = abandonedWorldsCount()
 	st.Robust.CanceledRequests = s.canceled.Load()
 	st.Robust.QuarantinedPanics = s.panicked.Load()
 	st.Robust.CanceledRuns = interp.CanceledRuns()

@@ -3,7 +3,6 @@ package verifier
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"parcoach/internal/mpi"
 )
@@ -126,7 +125,7 @@ func (v *Verifier) checkRound(round int, calls []mpi.CollCall) error {
 			if j >= len(c.Live) {
 				break
 			}
-			if now := atomic.LoadInt64(&c.Live[j]); now != c.Vector[j] {
+			if now := c.Live[j]; now != c.Vector[j] {
 				return &ValueError{
 					Check: ValueTornBuffer, Round: round, Op: op.String(), Loc: c.Loc,
 					Msg: fmt.Sprintf("rank %d's source buffer was written while the collective was in flight: element %d read %d at call time but holds %d at match time",

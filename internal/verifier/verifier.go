@@ -144,7 +144,7 @@ func New(mon *monitor.Monitor, nprocs int) *Verifier {
 // Reset clears all per-run state so the verifier can serve another run
 // of the same world (its monitor registration survives — the monitor
 // keeps analyzers across its own Reset). Only call between runs, after
-// the previous run drained.
+// the previous run's World.Run returned.
 func (v *Verifier) Reset() {
 	clear(v.ccArrived)
 	v.ccRound = 0

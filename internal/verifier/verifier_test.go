@@ -3,21 +3,23 @@ package verifier
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"parcoach/internal/mpi"
 	"parcoach/internal/omp"
+	"parcoach/internal/sched"
 	"parcoach/internal/source"
 )
 
-// world spins up an initialized MPI world with n ranks and a verifier.
+// world spins up an MPI world with n ranks and a verifier; its next run
+// is serialized under the default schedule.
 func world(t *testing.T, n int) (*mpi.World, *Verifier) {
 	t.Helper()
 	w, err := mpi.NewWorld(mpi.Config{Procs: n, Level: mpi.ThreadMultiple})
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.Monitor().SetSched(sched.NewController(nil))
 	return w, New(w.Monitor(), n)
 }
 
@@ -97,19 +99,14 @@ func TestCCDuplicateEntrySameRank(t *testing.T) {
 			return err
 		}
 		if p.Rank() == 0 {
-			// Two "threads" of rank 0 enter CC concurrently: the second
+			// Two threads of rank 0 enter CC concurrently: the second
 			// entry must be flagged (collectives issued concurrently).
 			w.Monitor().ThreadStarted()
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer w.Monitor().ThreadExited()
+			w.Monitor().Go(func() {
 				_ = v.CC(p, "MPI_Bcast", pos(2))
-			}()
-			err := v.CC(p, "MPI_Reduce", pos(3))
-			wg.Wait()
-			return err
+				w.Monitor().ThreadExited()
+			})
+			return v.CC(p, "MPI_Reduce", pos(3))
 		}
 		// Rank 1 never participates so rank 0's first CC blocks.
 		return nil

@@ -170,8 +170,8 @@ func TestMicroDetectionMatrix(t *testing.T) {
 	}
 	for _, bug := range AllBugs {
 		if bug == BugTornBuffer {
-			// Schedule-dependent: a free-running run may legitimately miss
-			// it. Covered by TestTornBufferScheduleDependence.
+			// Schedule-dependent: a single run may legitimately miss it.
+			// Covered by TestTornBufferScheduleDependence.
 			continue
 		}
 		w := Micro(bug)

@@ -796,8 +796,10 @@ func (p *Program) NewSession(opts RunOptions, uninstrumented bool) *interp.Sessi
 	return interp.NewSession(target, opts)
 }
 
-// Run executes the program once, free-running, on NewSession(opts,
-// false).
+// Run executes the program once under the default schedule, on
+// NewSession(opts, false): the run is serialized and deterministic, so
+// repeated runs answer byte-identically, output order included, and a
+// panic on a simulated thread ends the run as an internal error.
 func (p *Program) Run(opts RunOptions) *RunResult {
 	return p.NewSession(opts, false).Run(nil)
 }

@@ -1,6 +1,7 @@
 package parcoach_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -127,6 +128,47 @@ func TestRunBuggyProgramAbortsWithVerifierError(t *testing.T) {
 	res2 := p.RunUninstrumented(parcoach.RunOptions{Procs: 2})
 	if res2.Err == nil {
 		t.Error("uninstrumented buggy run must also fail (ground truth)")
+	}
+}
+
+// printingTeamSrc is a 2×2 program whose team threads print, so its
+// output order depends on the interleaving.
+const printingTeamSrc = `
+func main() {
+	MPI_Init()
+	var x = rank()
+	parallel num_threads(2) {
+		for i = 0 .. 3 {
+			print(tid(), i, x)
+		}
+	}
+	MPI_Allreduce(x, x, sum)
+	print(x)
+	MPI_Finalize()
+	return x
+}
+`
+
+// TestProgramRunDeterministic: the default run is serialized under the
+// default schedule, so repeated runs of one program answer the same
+// output, in the same order, with the same exit values and stats.
+func TestProgramRunDeterministic(t *testing.T) {
+	p, err := parcoach.Compile("printing.mh", printingTeamSrc, parcoach.Options{Mode: parcoach.ModeFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func() string {
+		res := p.Run(parcoach.RunOptions{Procs: 2, Threads: 2})
+		if res.Err != nil {
+			t.Fatalf("clean run failed: %v", res.Err)
+		}
+		return fmt.Sprintf("%s%v %+v", res.Output, res.ExitValues, res.Stats)
+	}
+	first := render()
+	for i := 1; i < 20; i++ {
+		if got := render(); got != first {
+			t.Fatalf("run %d differs from run 0:\n%s\n--- run 0 ---\n%s", i, got, first)
+		}
 	}
 }
 

@@ -6,7 +6,8 @@
 # deadlock → replay of the reported failing schedule, both through the
 # daemon's /run and through hybridrun -replay → an oversized request
 # refused without taking the daemon down → warm sessions capped per
-# artifact.
+# artifact → schedule-less runs answering byte-identically → nested
+# regions past the live-thread limit failing as a runtime error.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -147,5 +148,53 @@ warm_after=$(curl -sf "http://$addr/stats" | jq -r .sessions.warm)
   || { echo "FAIL: 32 distinct run blocks added $((warm_after - warm_before)) warm sessions, cap 16"; exit 1; }
 curl -sf "http://$addr/healthz" >/dev/null || { echo "FAIL: daemon unhealthy after the session-cap check"; exit 1; }
 echo "warm sessions capped: +$((warm_after - warm_before)) for 32 distinct run blocks"
+
+# 10. A run without a schedule takes the default schedule, so two runs
+# of a program whose team threads print answer byte-identically.
+cat > "$workdir/printing.mh" <<'EOF'
+func main() {
+	MPI_Init()
+	var x = rank()
+	parallel num_threads(2) {
+		for i = 0 .. 3 {
+			print(tid(), i, x)
+		}
+	}
+	MPI_Allreduce(x, x, sum)
+	print(x)
+	MPI_Finalize()
+}
+EOF
+pkey=$(jq -Rs '{name: "printing.mh", source: .}' "$workdir/printing.mh" \
+  | curl -sf -d @- "http://$addr/compile" | jq -r .key)
+jq -n --arg key "$pkey" '{key: $key}' > "$workdir/printing.json"
+first=$(curl -sf -d @"$workdir/printing.json" "http://$addr/run")
+second=$(curl -sf -d @"$workdir/printing.json" "http://$addr/run")
+[ "$(jq -r .outcome <<<"$first")" = "clean" ] || { echo "FAIL: printing run: $first"; exit 1; }
+[ "$first" = "$second" ] || { echo "FAIL: schedule-less runs differ:"; echo "$first"; echo "$second"; exit 1; }
+echo "schedule-less runs answered byte-identically"
+
+# 11. Nested regions past the live-thread limit fail as a runtime error
+# naming it, and the daemon lives on.
+cat > "$workdir/nested.mh" <<'EOF'
+func main() {
+	MPI_Init()
+	parallel num_threads(32) {
+		parallel num_threads(32) {
+			parallel num_threads(32) {
+				var x = tid()
+			}
+		}
+	}
+	MPI_Finalize()
+}
+EOF
+nested=$(jq -Rs '{name: "nested.mh", source: ., maxSteps: 200000}' "$workdir/nested.mh" \
+  | curl -sf -d @- "http://$addr/run")
+[ "$(jq -r .outcome <<<"$nested")" = "runtime-error" ] \
+  && jq -r .error <<<"$nested" | grep -q "limit of 1024 live threads" \
+  || { echo "FAIL: nested regions answered $nested"; exit 1; }
+curl -sf "http://$addr/healthz" >/dev/null || { echo "FAIL: daemon unhealthy after nested regions"; exit 1; }
+echo "nested regions stopped at the live-thread limit, daemon healthy"
 
 echo "PASS: daemon smoke complete"
