@@ -227,7 +227,7 @@ func Run(opts Options, compile CompileFunc, pool *pipeline.Pool) (*Report, error
 		opts:    opts,
 		compile: compile,
 		pool:    pool,
-		cover:   pipeline.NewShardedSet(),
+		cover:   make(map[uint64]struct{}),
 		seen:    make(map[uint64]bool),
 	}
 
@@ -308,7 +308,7 @@ type state struct {
 	compile CompileFunc
 	pool    *pipeline.Pool
 	entries []*entry
-	cover   *pipeline.ShardedSet
+	cover   map[uint64]struct{}
 	seen    map[uint64]bool // source hashes of admitted programs (dedup)
 
 	runs       int
@@ -320,19 +320,22 @@ type state struct {
 	mutants    int
 
 	// keyLog records every key that entered the coverage set, in
-	// admission order. It exists for checkpointing: ShardedSet has no
-	// iteration, so resume rebuilds the set by replaying the log.
+	// admission order. It exists for checkpointing: map iteration order
+	// is random, so a checkpoint writes the log and resume rebuilds the
+	// set by replaying it.
 	keyLog      []uint64
 	canceled    bool
 	quarantined int
 }
 
-// tryAdd is cover.TryAdd with the checkpoint log attached: every novel
-// key is recorded so a resumed campaign can rebuild the exact set.
+// tryAdd inserts k into the coverage set and reports whether it was
+// new; every novel key is logged so a resumed campaign can rebuild the
+// exact set.
 func (c *state) tryAdd(k uint64) bool {
-	if !c.cover.TryAdd(k) {
+	if _, ok := c.cover[k]; ok {
 		return false
 	}
+	c.cover[k] = struct{}{}
 	c.keyLog = append(c.keyLog, k)
 	return true
 }
@@ -612,7 +615,7 @@ func (c *state) merge(round int, jobs []job, results []jobResult) {
 	c.trajectory = append(c.trajectory, Point{
 		Round:    round,
 		Runs:     c.runs,
-		Coverage: c.cover.Len(),
+		Coverage: len(c.cover),
 		Bugs:     c.bugCount(),
 	})
 }

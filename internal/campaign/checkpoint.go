@@ -1,8 +1,8 @@
 // Campaign checkpoint/resume.
 //
 // A checkpoint is everything the round loop needs to continue exactly
-// where it stopped: the coverage key log (ShardedSet has no iteration,
-// so the set is rebuilt by replaying the log), the dedup set of seen
+// where it stopped: the coverage key log (the set is rebuilt by
+// replaying the log, which keeps admission order), the dedup set of seen
 // source hashes (including hashes of neighbors that FAILED to compile —
 // omitting those would change future mutation admission), per-entry
 // frontier bookkeeping, and the global counters/trajectory. Programs
@@ -256,7 +256,7 @@ func (c *state) restore(ck *checkpoint) error {
 	}
 
 	for _, k := range ck.KeyLog {
-		c.cover.TryAdd(k)
+		c.cover[k] = struct{}{}
 	}
 	c.keyLog = append(c.keyLog, ck.KeyLog...)
 	for _, h := range ck.Seen {

@@ -1,11 +1,12 @@
 package campaign
 
 // Coverage keys. The campaign's composite coverage signal is a set of
-// 64-bit keys accumulated in one campaign-global pipeline.ShardedSet;
-// every key mixes a class tag, the owning program's source hash, and
-// the class-specific payload, so the same behavior in two different
-// programs counts twice (the corpus is program×schedule space) while
-// the same behavior of one program never does.
+// 64-bit keys accumulated in one campaign-global map, which only the
+// serial phases touch; every key mixes a class tag, the owning
+// program's source hash, and the class-specific payload, so the same
+// behavior in two different programs counts twice (the corpus is
+// program×schedule space) while the same behavior of one program never
+// does.
 //
 // Classes:
 //

@@ -81,7 +81,7 @@ func (c *state) report() *Report {
 		Budget:      c.opts.Budget,
 		Runs:        c.runs,
 		Uniform:     c.opts.Uniform,
-		Coverage:    c.cover.Len(),
+		Coverage:    len(c.cover),
 		SigKeys:     c.sigKeys,
 		VerdictKeys: c.verdictKey,
 		EdgeKeys:    c.edgeKeys,

@@ -1,5 +1,5 @@
-// Dynamic partial-order reduction: the DFS body the work-stealing
-// frontier (steal.go) runs for every prefix.
+// Dynamic partial-order reduction: the DFS frontier loop and the body it
+// runs for every prefix.
 //
 // Plain DFS would enumerate every untaken alternative at every branch
 // point it passes — exponentially many interleavings that differ only in
@@ -13,23 +13,29 @@
 // Everything else commutes; one representative per interleaving class
 // suffices for identical verdict sets.
 //
-// Sleep sets, work-stealing-shaped: instead of carrying per-node sleep
-// sets in the deque entries, the frontier keeps one global spawn ledger
-// keyed by (decision-path hash, branch) — node identity is the exact
-// decision sequence that reaches it, so the cumulative path hash names
-// the node and childKey folds the branch in. Every run first marks the
-// branch it took at each node of its own path, then its race analysis
-// spawns only candidates whose (node, branch) is not yet in the ledger.
-// That gives the sleep-set guarantee (a branch explored or already
-// scheduled anywhere in the tree is never re-spawned, no matter which
-// worker stole which subtree) without any per-entry state to migrate.
-// The mark-before-spawn order matters: a child prefix is only pushed
-// after its spawner ledgered its own choices, so a descendant proposing
-// the spawner's branch always finds it marked.
+// The frontier runs in rounds. Pending prefixes sit on one LIFO stack
+// (see pending), seeded with the root (empty) prefix. A round pops the
+// top dfsRoundWidth prefixes, runs them on the pool — each item does
+// only what writes no shared state: building its prefix, the run, its
+// race analysis and its list of proposed children — and then merges
+// the results serially in pop order. Only the merge touches the
+// sleep-set ledger, the counters and the stack, so the explored set,
+// the budget cut and the progress stream are a function of the program
+// and the options alone, at any worker count. At a round width of one
+// the loop is plain sequential DFS: pop the deepest prefix, run it,
+// push its children.
 //
-// Determinism: without budget truncation the explored set is the DPOR
-// fixpoint of the program — independent of worker count and steal
-// order — so reports are byte-identical at any width.
+// Sleep sets: instead of carrying per-node sleep sets on the stack
+// entries, the merge keeps one spawn ledger keyed by (decision-path
+// hash, branch) — node identity is the exact decision sequence that
+// reaches it, so the cumulative path hash names the node and childKey
+// folds the branch in. The merge first marks the branch each run took
+// at every node of its own path, then test-and-adds the run's proposed
+// children, pushing only the ones not yet in the ledger. A branch
+// explored or already scheduled anywhere in the tree is never
+// re-spawned. The mark-before-spawn order matters: a child prefix is
+// only pushed after its spawner ledgered its own choices, so a
+// descendant proposing the spawner's branch always finds it marked.
 //
 // Runs whose event trace overflowed monitor.DefaultTraceLimit (spinning,
 // budget-bound schedules) fall back to full alternative enumeration over
@@ -40,17 +46,25 @@
 package explore
 
 import (
+	"context"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 
 	"parcoach/internal/chaos"
 	"parcoach/internal/interp"
 	"parcoach/internal/monitor"
+	"parcoach/internal/pipeline"
 	"parcoach/internal/sched"
 )
 
-// dporState is one worker's reusable DPOR machinery: the recording
+// dfsRoundWidth is how many pending prefixes one DFS round pops and runs
+// on the pool. It is a constant, not the worker count: the round
+// structure decides which prefixes a budget cut leaves unexplored, so
+// deriving it from the width would make truncated reports depend on the
+// machine. It also caps a DFS's parallelism at 16 workers.
+const dfsRoundWidth = 16
+
+// dporState is one item's reusable DPOR machinery: the recording
 // scheduler (with its event trace), the vector-clock analysis, and the
 // path-hash / candidate scratch buffers.
 type dporState struct {
@@ -80,64 +94,157 @@ func (st *dporState) pathHashes(trace []sched.ThreadID) []uint64 {
 	return ph
 }
 
-// execDPOR is the DPOR body: run the prefix, mark its path in the
-// ledger, then spawn exactly the reversal prefixes the run's race pairs
-// require.
-func (f *stealFrontier) execDPOR(w int, prefix []sched.ThreadID) {
+// spawn is one child a run proposes: take thread q at decision d of
+// the run's trace. key is its ledger entry. race marks a race reversal,
+// which counts toward Report.SleepSkips when the ledger already holds
+// it; an overflowed run's untaken alternative does not.
+type spawn struct {
+	key  uint64
+	d    int
+	q    sched.ThreadID
+	race bool
+}
+
+// pending is a prefix on the stack, named by where it branches off an
+// explored run: take thread q at decision d of runs[run]'s trace. The
+// runs are kept for the report anyway, so the stack holds no copies of
+// traces; the round item that runs the entry builds its prefix. run < 0
+// names the root (empty) prefix.
+type pending struct {
+	run int
+	d   int
+	q   sched.ThreadID
+}
+
+// prefix builds the decision prefix p names.
+func (p pending) prefix(runs []dfsRun) []sched.ThreadID {
+	if p.run < 0 {
+		return nil
+	}
+	return childPrefix(runs[p.run].trace, p.d, p.q)
+}
+
+// dporStep is one round item's result. marks are the ledger keys of
+// the branches the run took beyond its prefix; marks and spawns stay
+// empty for a run that spawns nothing. The slices are reused round
+// after round by the item in the same slot.
+type dporStep struct {
+	run         dfsRun
+	quarantined bool
+	marks       []uint64
+	spawns      []spawn
+}
+
+// dporFrontier explores sess's prefix tree in rounds (see the file
+// comment) until the stack drains, the budget is spent with prefixes
+// pending, or opts.Ctx is canceled. It returns the completed runs in
+// merge order; leftover reports that some subtree went unexplored.
+func dporFrontier(sess *interp.Session, opts Options, pool *pipeline.Pool, sink *progressSink) (runs []dfsRun, leftover bool, diverged, sleepSkips int) {
+	ledger := make(map[uint64]struct{})
+	stack := []pending{{run: -1}}
+	var round [dfsRoundWidth]pending
+	var steps [dfsRoundWidth]dporStep
+	started := 0
+	for len(stack) > 0 {
+		n := min(dfsRoundWidth, len(stack), opts.Schedules-started)
+		if ctxErr(opts.Ctx) != nil || n == 0 {
+			return runs, true, diverged, sleepSkips
+		}
+		for i := range n {
+			round[i] = stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+		}
+		started += n
+		// The items only read runs; the merge below appends to it.
+		pool.Map(n, func(i int) { steps[i].exec(opts.Ctx, sess, round[i].prefix(runs)) })
+
+		for i := range n {
+			step := &steps[i]
+			if step.run.outcome == interp.OutcomeCanceled {
+				// Aborted half-run: no verdict, and its subtree is lost.
+				// The context is canceled, so no further round starts.
+				leftover = true
+				continue
+			}
+			runs = append(runs, step.run)
+			sink.noteDFS(&runs[len(runs)-1])
+			switch {
+			case step.quarantined:
+				// Panicked run: the subtree below its prefix goes
+				// unexplored, so the report must not claim exhaustion.
+				leftover = true
+				continue
+			case step.run.diverged:
+				diverged++
+				continue
+			}
+			// Mark the branches this run took BEFORE any spawning:
+			// descendants proposing one of them must find it ledgered,
+			// or an already-explored subtree would be re-spawned.
+			for _, k := range step.marks {
+				ledger[k] = struct{}{}
+			}
+			for _, sp := range step.spawns {
+				if _, dup := ledger[sp.key]; dup {
+					if sp.race {
+						sleepSkips++
+					}
+					continue
+				}
+				ledger[sp.key] = struct{}{}
+				stack = append(stack, pending{run: len(runs) - 1, d: sp.d, q: sp.q})
+			}
+		}
+	}
+	return runs, leftover, diverged, sleepSkips
+}
+
+// exec is the DPOR body of one round item: run the prefix, then list
+// the ledger marks of the branches the run took beyond it and the
+// reversals the run's race pairs require. It reads no state shared
+// with the other items.
+func (s *dporStep) exec(ctx context.Context, sess *interp.Session, prefix []sched.ThreadID) {
+	s.marks, s.spawns = s.marks[:0], s.spawns[:0]
+	if ctxErr(ctx) != nil {
+		// Canceled before it started: skip the run.
+		s.run, s.quarantined = dfsRun{outcome: interp.OutcomeCanceled}, false
+		return
+	}
 	st := dporPool.Get().(*dporState)
 	st.rec.Reset(prefix)
-	dr, quarantined := f.runDPOR(st, prefix)
-	if quarantined {
-		// Panicked run: record the internal-error verdict, abandon the
-		// dporState (unknown state, never recycled), spawn nothing. The
-		// subtree below the prefix goes unexplored, so the frontier is
-		// left over: the report must not claim exhaustion.
-		f.results[w] = append(f.results[w], dr)
-		f.sink.noteDFS(&f.results[w][len(f.results[w])-1])
-		f.leftover.Store(true)
+	s.run, s.quarantined = runDPOR(ctx, sess, st, prefix)
+	if s.quarantined {
+		// Unknown state: the dporState is abandoned, never recycled.
 		return
 	}
-	if dr.outcome == interp.OutcomeCanceled {
-		// Aborted half-run: no verdict, no reversals; wind down via the
-		// ctx check in process.
-		dporPool.Put(st)
-		f.leftover.Store(true)
-		f.end()
-		return
-	}
-	f.results[w] = append(f.results[w], dr)
-	f.sink.noteDFS(&f.results[w][len(f.results[w])-1])
-	if dr.diverged {
-		dporPool.Put(st)
-		atomic.AddInt64(&f.diverged, 1)
+	defer dporPool.Put(st)
+	if s.run.outcome == interp.OutcomeCanceled || s.run.diverged {
 		return
 	}
 
-	trace := dr.trace
+	trace := s.run.trace
 	branches := st.rec.Branches
 	ph := st.pathHashes(trace)
-
-	// Mark the branch this run took at every node of its path BEFORE any
-	// spawning: descendants proposing one of these branches must find it
-	// ledgered, or an already-explored subtree would be re-spawned.
-	for bi := range branches {
-		f.ledger.TryAdd(childKey(ph[bi], trace[bi]))
+	// The run followed its prefix exactly (it did not diverge), so the
+	// marks along the prefix are already in the ledger: the spawner
+	// marked its own path, and the last prefix decision is this run's
+	// spawn key. Only the branches beyond the prefix are new.
+	for bi := len(prefix); bi < len(branches); bi++ {
+		s.marks = append(s.marks, childKey(ph[bi], trace[bi]))
 	}
 
 	if st.rec.Events.Overflowed() {
 		// Truncated trace: commutativity beyond the limit is unprovable,
-		// so expand every untaken alternative at every branch of this
-		// run, deduped through the ledger.
+		// so propose every untaken alternative at every branch of this
+		// run.
 		for bi := range branches {
 			b := &branches[bi]
 			for _, alt := range b.Enabled {
-				if alt == b.Chosen || !f.ledger.TryAdd(childKey(ph[bi], alt)) {
-					continue
+				if alt != b.Chosen {
+					s.spawns = append(s.spawns, spawn{key: childKey(ph[bi], alt), d: bi, q: alt})
 				}
-				f.pushChild(w, childPrefix(trace, bi, alt))
 			}
 		}
-		dporPool.Put(st)
 		return
 	}
 
@@ -149,21 +256,16 @@ func (f *stealFrontier) execDPOR(w int, prefix []sched.ThreadID) {
 		}
 		st.cands = st.rec.Candidates(st.an, rc, st.cands[:0])
 		for _, q := range st.cands {
-			if !f.ledger.TryAdd(childKey(ph[d], q)) {
-				atomic.AddInt64(&f.sleepSkips, 1)
-				continue
-			}
-			f.pushChild(w, childPrefix(trace, d, q))
+			s.spawns = append(s.spawns, spawn{key: childKey(ph[d], q), d: d, q: q, race: true})
 		}
 	}
-	dporPool.Put(st)
 }
 
 // runDPOR executes one DPOR prefix on st's recorder. It is a
 // quarantine boundary: quarantined=true means the run panicked and
 // dr carries the OutcomeInternalError verdict (and st must be abandoned,
 // not recycled).
-func (f *stealFrontier) runDPOR(st *dporState, prefix []sched.ThreadID) (dr dfsRun, quarantined bool) {
+func runDPOR(ctx context.Context, sess *interp.Session, st *dporState, prefix []sched.ThreadID) (dr dfsRun, quarantined bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			qerr := interp.NewQuarantineError("explore.run", r, debug.Stack())
@@ -174,7 +276,7 @@ func (f *stealFrontier) runDPOR(st *dporState, prefix []sched.ThreadID) (dr dfsR
 		}
 	}()
 	chaos.Here("explore.run")
-	res := f.sess.RunCtx(f.opts.Ctx, st.rec)
+	res := sess.RunCtx(ctx, st.rec)
 	dr = dfsRun{outcome: res.Outcome(), runErr: res.Err, trace: st.rec.Trace(), diverged: st.rec.Diverged()}
 	return dr, false
 }

@@ -8,6 +8,7 @@ package explore
 // exhaustive verdicts must cover everything the oracle observed.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -67,35 +68,59 @@ func sameAtWidths(t *testing.T, name string, prog *ast.Program, opts Options, w1
 	}
 }
 
-// TestDPORDeterministicAcrossWorkers pins the fixpoint property: without
-// budget truncation the explored set — and therefore the whole report —
-// is independent of worker count and steal order. Checked on the racers
-// and on every matrix seed the DFS exhausts within the matrix budget.
+// TestDPORDeterministicAcrossWorkers pins that a DFS report is a
+// function of the program and the options alone: byte-identical at
+// workers 1/4/8 whether the frontier drains or the budget cuts it
+// short. Checked on the racers, exhausted and at truncating budgets,
+// and on every matrix seed at the matrix budget.
 func TestDPORDeterministicAcrossWorkers(t *testing.T) {
-	for _, tc := range scheduleOnlyBugs {
-		prog := parser.MustParse(tc.name+".mh", tc.src)
-		opts := Options{Strategy: StrategyDFS, Schedules: 1 << 16, MaxSteps: 200_000, Workers: 1}
-		w1 := Explore(prog, opts)
-		if !w1.Exhausted {
-			t.Fatalf("%s: DFS did not exhaust in %d schedules", tc.name, w1.Schedules)
+	t.Run("racers", func(t *testing.T) {
+		for _, tc := range scheduleOnlyBugs {
+			prog := parser.MustParse(tc.name+".mh", tc.src)
+			opts := Options{Strategy: StrategyDFS, Schedules: 1 << 16, MaxSteps: 200_000, Workers: 1}
+			w1 := Explore(prog, opts)
+			if !w1.Exhausted {
+				t.Fatalf("%s: DFS did not exhaust in %d schedules", tc.name, w1.Schedules)
+			}
+			sameAtWidths(t, tc.name, prog, opts, w1)
 		}
-		sameAtWidths(t, tc.name, prog, opts, w1)
-	}
-	minChecked := 100
-	if raceEnabled {
-		minChecked = 20
-	}
-	checked := 0
-	for _, row := range mhgenMatrix() {
-		if row.dfs.Exhausted {
-			checked++
+	})
+	t.Run("truncated-racers", func(t *testing.T) {
+		truncated := 0
+		for _, tc := range scheduleOnlyBugs {
+			prog := parser.MustParse(tc.name+".mh", tc.src)
+			for _, budget := range []int{1, 2, 3, 7, 16, 64} {
+				opts := Options{Strategy: StrategyDFS, Schedules: budget, MaxSteps: 200_000, Workers: 1}
+				w1 := Explore(prog, opts)
+				if !w1.Exhausted {
+					truncated++
+				}
+				sameAtWidths(t, fmt.Sprintf("%s at budget %d", tc.name, budget), prog, opts, w1)
+			}
+		}
+		if truncated < 12 {
+			t.Errorf("only %d racer budgets truncated — the check lost its teeth", truncated)
+		}
+	})
+	t.Run("matrix", func(t *testing.T) {
+		minExhausted, minTruncated := 100, 60
+		if raceEnabled {
+			minExhausted, minTruncated = 20, 10
+		}
+		exhausted, truncated := 0, 0
+		for _, row := range mhgenMatrix() {
+			if row.dfs.Exhausted {
+				exhausted++
+			} else {
+				truncated++
+			}
 			sameAtWidths(t, row.name, row.prog, row.opts, row.dfs)
 		}
-	}
-	if checked < minChecked {
-		t.Errorf("only %d matrix seeds exhausted — the check lost its teeth", checked)
-	}
-	t.Logf("%d exhausted matrix seeds byte-identical at workers 1/4/8", checked)
+		if exhausted < minExhausted || truncated < minTruncated {
+			t.Errorf("only %d exhausted and %d truncated matrix seeds — the check lost its teeth", exhausted, truncated)
+		}
+		t.Logf("%d exhausted and %d truncated matrix seeds byte-identical at workers 1/4/8", exhausted, truncated)
+	})
 }
 
 // TestDPOREquivalenceMhgenMatrix sweeps the generated matrix: wherever

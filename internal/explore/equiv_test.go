@@ -75,7 +75,7 @@ var (
 // check different properties of the same reports. The pristine source
 // is explored — equivalence is about the enumeration, not the planted
 // instrumentation, so planted bugs surface as deadlocks or MPI errors.
-// The race gate exercises the concurrent frontier machinery on the
+// The race gate exercises the frontier's concurrent rounds on the
 // first 50 seeds; the full 200-seed proof runs in the regular suite.
 func mhgenMatrix() []matrixRow {
 	matrixOnce.Do(func() {

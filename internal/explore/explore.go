@@ -23,13 +23,15 @@
 //     reduction (dpor.go) — each run records its branch points and its
 //     happens-before event trace, and only the reversals its racing
 //     decisions require become new prefixes to explore, until the
-//     frontier drains or the budget is spent. Prefixes are distributed
-//     over work-stealing per-worker deques (steal.go).
+//     frontier drains or the budget is spent. The frontier runs in
+//     rounds of at most 16 prefixes whose results are merged serially,
+//     so the explored set does not depend on the worker count.
 //
 // Runs fan out over the shared compile worker pool
 // (internal/pipeline.Pool) and share one interp.Session, so the
 // compiled artifact and the pooled per-rank run state are reused by
-// every schedule instead of being rebuilt per run.
+// every schedule instead of being rebuilt per run. Every report is a
+// function of the program and the options alone, at any worker count.
 package explore
 
 import (
@@ -39,7 +41,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"parcoach/internal/ast"
 	"parcoach/internal/chaos"
@@ -121,25 +122,26 @@ type Options struct {
 	Threads  int
 	MaxSteps int64
 	// Workers is the worker-pool width for concurrent runs (0 =
-	// GOMAXPROCS). For the sampling strategies reports are identical
-	// for any width. A DFS that drains its frontier explores the same
-	// set at any width (see dpor.go), so its report is byte-identical
-	// too; a DFS the budget cuts short keeps whichever prefixes the
-	// workers reached first.
+	// GOMAXPROCS). Reports are byte-identical at any width, for every
+	// strategy, budget-truncated DFS included. A DFS runs at most 16
+	// prefixes at once (see dpor.go), so widths above 16 do not speed
+	// it up.
 	Workers int
 	// Frontier is ignored.
 	//
 	// Deprecated: DFS always runs dynamic partial-order reduction.
 	Frontier Frontier
-	// Progress, when non-nil, is called once per completed run, in
-	// completion order, serialized by the engine (implementations need
-	// no locking). It powers streamed exploration (parcoachd's NDJSON
-	// /explore): verdict deltas and failing replay tokens surface while
-	// the exploration is still running. Completion order is NOT the
-	// canonical order of the final Report — for DFS the report is
-	// reduced in trace order after the drain — so Done counts and First
-	// indices may differ between the stream and the report; the verdict
-	// *set* is identical.
+	// Progress, when non-nil, is called once per completed run,
+	// serialized by the engine (implementations need no locking). It
+	// powers streamed exploration (parcoachd's NDJSON /explore):
+	// verdict deltas and failing replay tokens surface while the
+	// exploration is still running. The sampling strategies call it in
+	// completion order; DFS calls it in merge order, so a DFS stream is
+	// the same at any worker count. Neither is the canonical order of
+	// the final Report — for DFS the report is reduced in trace order
+	// after the frontier ends — so Done counts and First indices may
+	// differ between the stream and the report; the verdict *set* is
+	// identical.
 	Progress func(ProgressEvent)
 	// Ctx, when non-nil, cancels the exploration: runs not yet started
 	// are skipped, the run in flight is aborted at its next statement
@@ -370,8 +372,7 @@ type run struct {
 
 // Explore runs prog under opts.Schedules interleavings and reduces the
 // outcomes. The report is deterministic for a fixed (program, options)
-// pair at any worker count, except for a DFS the budget cuts short (see
-// Options.Workers).
+// pair at any worker count.
 func Explore(prog *ast.Program, opts Options) *Report {
 	// One session for the whole exploration: the compiled artifact,
 	// resolved entry point and pooled per-rank run state are shared
@@ -507,10 +508,10 @@ func exploreSampled(sess *interp.Session, opts Options, pool *pipeline.Pool, rep
 //
 // Bounded-exhaustive DFS.
 //
-// The frontier (steal.go) enumerates the prefix tree by iterative
+// The frontier (dpor.go) enumerates the prefix tree by iterative
 // replay: each run follows a decision prefix and records every branch
-// point it passes, and the reversals its race analysis requires
-// (dpor.go) become new prefixes. mergeDFS reduces the completed runs.
+// point it passes, and the reversals its race analysis requires become
+// new prefixes. mergeDFS reduces the completed runs.
 //
 
 // dfsRun is one completed DFS schedule: its classified outcome plus the
@@ -565,10 +566,10 @@ func lessTrace(a, b []sched.ThreadID) bool {
 
 // mergeDFS reduces the completed runs into the report in canonical
 // trace order, so Verdict.First, FirstFailure and the report rendering
-// are a function of the explored *set* — not of which worker count or
-// steal interleaving discovered it first. Error text and replay tokens
-// are rendered only for the runs the report quotes (the first run of
-// each outcome class and the first failure).
+// are a function of the explored *set* — not of the order the frontier
+// discovered it in. Error text and replay tokens are rendered only for
+// the runs the report quotes (the first run of each outcome class and
+// the first failure).
 func mergeDFS(rep *Report, runs []dfsRun, leftover bool, diverged int) {
 	sort.Slice(runs, func(i, j int) bool { return lessTrace(runs[i].trace, runs[j].trace) })
 	for i := range runs {
@@ -594,12 +595,12 @@ func mergeDFS(rep *Report, runs []dfsRun, leftover bool, diverged int) {
 	rep.Exhausted = !leftover
 }
 
-// exploreDFS drains the prefix tree on the pool and reduces its runs.
+// exploreDFS runs the prefix tree's frontier on the pool and reduces
+// its runs.
 func exploreDFS(sess *interp.Session, opts Options, pool *pipeline.Pool, rep *Report, sink *progressSink) {
-	f := newStealFrontier(sess, opts, pool, sink)
-	runs, leftover, diverged := f.drain(pool)
+	runs, leftover, diverged, sleepSkips := dporFrontier(sess, opts, pool, sink)
 	mergeDFS(rep, runs, leftover, diverged)
-	rep.SleepSkips = int(atomic.LoadInt64(&f.sleepSkips))
+	rep.SleepSkips = sleepSkips
 }
 
 // noteDFS reports one completed DFS run to the sink (error text and

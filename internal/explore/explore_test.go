@@ -71,10 +71,11 @@ func TestDFSDeterministicAcrossWorkers(t *testing.T) {
 	})
 }
 
-// TestDFSBudgetNeverOvershoots: the per-run atomic budget reservation
-// bounds the schedule count exactly, at any width — including budgets
-// far narrower than the frontier gets wide. The flag-read racer needs
-// ~100 schedules to exhaust, so every budget here truncates.
+// TestDFSBudgetNeverOvershoots: a DFS round never takes more prefixes
+// than the budget has left, so the schedule count is bounded exactly,
+// at any width — including budgets far narrower than the frontier gets
+// wide. The flag-read racer needs ~100 schedules to exhaust, so every
+// budget here truncates.
 func TestDFSBudgetNeverOvershoots(t *testing.T) {
 	prog := parser.MustParse("racing-flag-read.mh", scheduleOnlyBugs[2].src)
 	for _, budget := range []int{1, 2, 3, 7, 16, 64} {

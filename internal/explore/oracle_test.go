@@ -12,7 +12,7 @@ import (
 // positional state signature (sched.Choice.Sig) the alternative is
 // taken from. Prefixes are kept on one LIFO stack with each run's
 // children pushed in increasing branch depth, so the deepest child runs
-// next — the order a single work-stealing worker drains its deque in.
+// next — the order the DFS frontier runs in at a round width of one.
 
 // sigRecorder is a sched.Recorder that also keeps the positional state
 // signature of every branch point it passes.

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"reflect"
 	"testing"
 
 	"parcoach/internal/interp"
@@ -10,17 +11,25 @@ import (
 // TestProgressEvents: the per-run progress hook must see every run
 // exactly once, in strictly increasing Done order, with NewVerdict
 // marking precisely the first appearance of each outcome class — the
-// contract the daemon's NDJSON streaming is built on.
+// contract the daemon's NDJSON streaming is built on. A DFS streams in
+// merge order, so its event sequence is the same at any worker count.
 func TestProgressEvents(t *testing.T) {
 	prog := parser.MustParse("racer.mh", BenchRacerSrc)
-	t.Run("dpor", func(t *testing.T) {
+	dfsEvents := func(workers int) ([]ProgressEvent, *Report) {
 		var events []ProgressEvent
 		rep := Explore(prog, Options{
 			Strategy:  StrategyDFS,
 			Schedules: 256,
-			Workers:   4,
+			Workers:   workers,
 			Progress:  func(ev ProgressEvent) { events = append(events, ev) },
 		})
+		return events, rep
+	}
+	t.Run("dpor", func(t *testing.T) {
+		events, rep := dfsEvents(4)
+		if w1, _ := dfsEvents(1); !reflect.DeepEqual(events, w1) {
+			t.Fatalf("DFS progress differs across worker counts:\n workers=1: %+v\n workers=4: %+v", w1, events)
+		}
 		if len(events) != rep.Schedules {
 			t.Fatalf("%d progress events for %d schedules", len(events), rep.Schedules)
 		}

@@ -47,6 +47,11 @@ const maxLiveThreads = 1024
 // RuntimeError before allocating.
 const maxArrayElems = 1 << 20
 
+// maxOutputBytes is a run's budget of print output, summed over every
+// line of every thread. A print whose line would pass it fails with a
+// RuntimeError before anything is written.
+const maxOutputBytes = 1 << 20
+
 // Options configures a run.
 type Options struct {
 	// Procs is the number of MPI processes (default 2, at most 256).
@@ -97,7 +102,8 @@ type Result struct {
 	// Err is nil for a clean run; otherwise the verification error,
 	// runtime mismatch, deadlock report, or execution error.
 	Err error
-	// Output is the captured print output ("r<rank>: ..." lines).
+	// Output is the captured print output ("r<rank>: ..." lines), at
+	// most 1 MiB: a print past that fails the run instead.
 	Output string
 	// ExitValues holds each rank's return value from main.
 	ExitValues []int64
@@ -162,10 +168,10 @@ type runner struct {
 	arrayElems int64
 }
 
-func (r *runner) printLine(rank int, line string) {
-	fmt.Fprintf(&r.output, "r%d: %s\n", rank, line)
+func (r *runner) printLine(line string) {
+	r.output.WriteString(line)
 	if r.opts.Stdout != nil {
-		fmt.Fprintf(r.opts.Stdout, "r%d: %s\n", rank, line)
+		io.WriteString(r.opts.Stdout, line)
 	}
 }
 
@@ -428,7 +434,12 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 				parts[i] = fmt.Sprint(v.i)
 			}
 		}
-		c.r.printLine(c.p.Rank(), strings.Join(parts, " "))
+		line := fmt.Sprintf("r%d: %s\n", c.p.Rank(), strings.Join(parts, " "))
+		if printed := c.r.output.Len(); len(line) > maxOutputBytes-printed {
+			return false, 0, c.errf(s.Pos(), "print of %d bytes exceeds the run's budget of %d output bytes (%d printed)",
+				len(line), maxOutputBytes, printed)
+		}
+		c.r.printLine(line)
 		return false, 0, nil
 
 	case *ast.MPIStmt:

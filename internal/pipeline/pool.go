@@ -1,9 +1,11 @@
 // Package pipeline provides the concurrent pass-manager machinery the
-// compile path runs on: a work-stealing worker pool sized to the machine,
-// call-graph SCC condensation for interprocedural scheduling, and a pass
-// manager in which every pass declares the per-function artifacts it
-// produces and consumes (folded AST, CFG, dominators, parallelism words,
-// analysis summaries, instrumented bodies, IR, allocations).
+// compile path runs on: a bounded worker pool sized to the machine (Map
+// fans a batch's indices out to the caller and borrowed helpers, one
+// shared counter handing out the next index), call-graph SCC
+// condensation for interprocedural scheduling, and a pass manager in
+// which every pass declares the per-function artifacts it produces and
+// consumes (folded AST, CFG, dominators, parallelism words, analysis
+// summaries, instrumented bodies, IR, allocations).
 //
 // The package is deliberately domain-free: it knows nothing about MPI or
 // MiniHybrid. The concrete passes are registered by package parcoach,

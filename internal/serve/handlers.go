@@ -297,7 +297,7 @@ type exploreRequest struct {
 	Seed      int64 `json:"seed,omitempty"`
 	PCTDepth  int   `json:"pctDepth,omitempty"`
 	// Workers widths the exploration's run fan-out (0 = GOMAXPROCS, at
-	// most maxWorkers).
+	// most maxWorkers). The report does not depend on it.
 	Workers int `json:"workers,omitempty"`
 	// Stream switches the response to NDJSON: one JSON object per line —
 	// "start", then "verdict" (first run of each outcome class),

@@ -209,11 +209,11 @@ func TestStatsSurfacesRobustness(t *testing.T) {
 }
 
 // TestOversizedRequestsAnswered: a process count, team size, nesting of
-// teams, array allocation, schedule budget, worker count or PCT depth
-// that would make one request allocate without bound — an out-of-memory
-// error ends the process past every panic quarantine — is refused with
-// a 400 or fails the run as a runtime error, and the daemon keeps
-// answering.
+// teams, array allocation, print output, schedule budget, worker count
+// or PCT depth that would make one request allocate without bound — an
+// out-of-memory error ends the process past every panic quarantine — is
+// refused with a 400 or fails the run as a runtime error, and the daemon
+// keeps answering.
 func TestOversizedRequestsAnswered(t *testing.T) {
 	defer leakcheck.Check(t)
 	_, ts := newTestServer(t, Config{})
@@ -253,6 +253,19 @@ func main() {
 	}
 	MPI_Finalize()
 }`
+	// Each print of the array is half the output budget, so the
+	// second print of the run fails.
+	const printLoopSrc = `
+func main() {
+	MPI_Init()
+	var a[262144]
+	var i = 0
+	while i < 100 {
+		print(a)
+		i = i + 1
+	}
+	MPI_Finalize()
+}`
 	const widthLimit, threadLimit = "limit of 256", "limit of 1024 live threads"
 	for _, tc := range []struct {
 		name, path string
@@ -268,6 +281,7 @@ func main() {
 		{"array", "/run", map[string]any{"source": hugeArraySrc}, http.StatusOK, "budget of 1048576 array elements (0 declared)"},
 		// The fifth quarter of the budget is the one that fails.
 		{"array-loop", "/run", map[string]any{"source": arrayLoopSrc, "procs": 1}, http.StatusOK, "budget of 1048576 array elements (1048576 declared)"},
+		{"print-loop", "/run", map[string]any{"source": printLoopSrc}, http.StatusOK, "budget of 1048576 output bytes (524294 printed)"},
 		{"schedules", "/explore", map[string]any{"source": cleanSrc, "schedules": 8_000_000_000}, http.StatusBadRequest, ""},
 		{"workers", "/explore", map[string]any{"source": cleanSrc, "workers": 2_000_000_000}, http.StatusBadRequest, ""},
 		{"pctDepth", "/explore", map[string]any{"source": cleanSrc, "strategy": "pct", "pctDepth": 1 << 40}, http.StatusBadRequest, ""},

@@ -357,7 +357,30 @@ func TestExploreStreamAndReplay(t *testing.T) {
 	}
 }
 
-// TestExploreUnstreamed: the plain JSON report path.
+// flagReadSrc is the flag-read racer: a plain read races a nowait
+// single's write, and about 100 DFS schedules exhaust it, so a budget
+// of 16 truncates.
+const flagReadSrc = `
+func main() {
+	MPI_Init()
+	var flag = 0
+	var join = 0
+	parallel num_threads(2) {
+		single nowait { flag = 1 }
+		if tid() == 1 {
+			if flag == 0 {
+				join = 1
+			}
+		}
+	}
+	if join == 1 {
+		MPI_Barrier()
+	}
+	MPI_Finalize()
+}`
+
+// TestExploreUnstreamed: the plain JSON report path. A DFS the budget
+// cuts short answers the same report at any worker count.
 func TestExploreUnstreamed(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	code, raw := postJSON(t, ts.URL+"/explore", map[string]any{
@@ -380,6 +403,28 @@ func TestExploreUnstreamed(t *testing.T) {
 	})
 	if code != http.StatusBadRequest || !bytes.Contains(raw, []byte(`unknown field \"frontier\"`)) {
 		t.Fatalf("explore with a frontier field: %d %s", code, raw)
+	}
+
+	// Compile first, so both explorations answer from the cache.
+	if code, raw := postJSON(t, ts.URL+"/compile", map[string]any{"name": "flag-read.mh", "source": flagReadSrc}); code != http.StatusOK {
+		t.Fatalf("compile: %d %s", code, raw)
+	}
+	var reports [2][]byte
+	for i, workers := range []int{1, 4} {
+		code, raw := postJSON(t, ts.URL+"/explore", map[string]any{
+			"name": "flag-read.mh", "source": flagReadSrc,
+			"strategy": "dfs", "schedules": 16, "workers": workers,
+		})
+		if code != http.StatusOK {
+			t.Fatalf("dfs at %d workers: %d %s", workers, code, raw)
+		}
+		if rep := decode[reportJSON](t, raw); rep.Exhausted || rep.Schedules != 16 {
+			t.Fatalf("dfs at %d workers: want a report truncated at 16 schedules, got %s", workers, raw)
+		}
+		reports[i] = raw
+	}
+	if !bytes.Equal(reports[0], reports[1]) {
+		t.Fatalf("truncated DFS report differs across workers:\n workers=1: %s\n workers=4: %s", reports[0], reports[1])
 	}
 }
 

@@ -7,7 +7,8 @@
 # daemon's /run and through hybridrun -replay → an oversized request
 # refused without taking the daemon down → warm sessions capped per
 # artifact → schedule-less runs answering byte-identically → nested
-# regions past the live-thread limit failing as a runtime error.
+# regions past the live-thread limit failing as a runtime error → a
+# budget-truncated DFS answering the same report at 1 and 4 workers.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -196,5 +197,39 @@ nested=$(jq -Rs '{name: "nested.mh", source: ., maxSteps: 200000}' "$workdir/nes
   || { echo "FAIL: nested regions answered $nested"; exit 1; }
 curl -sf "http://$addr/healthz" >/dev/null || { echo "FAIL: daemon unhealthy after nested regions"; exit 1; }
 echo "nested regions stopped at the live-thread limit, daemon healthy"
+
+# 12. A DFS the budget cuts short answers the same report at any worker
+# count. The flag-read racer needs about 100 schedules to exhaust (the
+# racer above exhausts in 9), so 16 truncates it.
+cat > "$workdir/flagread.mh" <<'EOF'
+func main() {
+	MPI_Init()
+	var flag = 0
+	var join = 0
+	parallel num_threads(2) {
+		single nowait { flag = 1 }
+		if tid() == 1 {
+			if flag == 0 {
+				join = 1
+			}
+		}
+	}
+	if join == 1 {
+		MPI_Barrier()
+	}
+	MPI_Finalize()
+}
+EOF
+fkey=$(jq -Rs '{name: "flagread.mh", source: .}' "$workdir/flagread.mh" \
+  | curl -sf -d @- "http://$addr/compile" | jq -r .key)
+dfs_w1=$(jq -n --arg key "$fkey" '{key: $key, strategy: "dfs", schedules: 16, workers: 1}' \
+  | curl -sf -d @- "http://$addr/explore")
+dfs_w4=$(jq -n --arg key "$fkey" '{key: $key, strategy: "dfs", schedules: 16, workers: 4}' \
+  | curl -sf -d @- "http://$addr/explore")
+[ "$(jq -r .exhausted <<<"$dfs_w1")" = "false" ] && [ "$(jq -r .schedules <<<"$dfs_w1")" = "16" ] \
+  || { echo "FAIL: flag-read DFS at budget 16 did not truncate: $dfs_w1"; exit 1; }
+[ "$dfs_w1" = "$dfs_w4" ] \
+  || { echo "FAIL: truncated DFS reports differ:"; echo "$dfs_w1"; echo "$dfs_w4"; exit 1; }
+echo "truncated DFS answered the same report at 1 and 4 workers"
 
 echo "PASS: daemon smoke complete"
