@@ -50,8 +50,9 @@ type Compiled struct {
 }
 
 // CompileFunc compiles one generated program for campaign execution.
-// The root package wires this to its artifact-cached compiler
-// (parcoach.Campaign); tests may inject lighter pipelines.
+// The root package wires this to the full compile pipeline on the
+// campaign's pool (parcoach.Campaign); tests may inject lighter
+// pipelines.
 type CompileFunc func(gp *mhgen.Program) (*Compiled, error)
 
 // Options configures a campaign.

@@ -133,8 +133,8 @@ func (c *state) report() *Report {
 // reduceMutant minimizes a detecting mutant before corpus commit: the
 // smallest program that still compiles and whose recorded failing
 // schedule still stops it with the same outcome class, replayed
-// without divergence (mhgen.Reduce memoizes the keep predicate, and
-// compilation goes through the campaign's — cached — compiler).
+// without divergence (mhgen.Reduce memoizes the keep predicate, so each
+// candidate compiles once).
 func (c *state) reduceMutant(e *entry) string {
 	want := c.replayOutcome(e.gp, e.gp.Source, e.failToken)
 	if want == interp.OutcomeClean {

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -70,6 +71,35 @@ func TestExploreAlreadyCanceled(t *testing.T) {
 	rep := Explore(prog, Options{Strategy: StrategyRandom, Schedules: 32, Ctx: ctx, MaxSteps: 100_000})
 	if !rep.Canceled || rep.Schedules != 0 || len(rep.Verdicts) != 0 {
 		t.Fatalf("pre-canceled exploration = %+v, want empty canceled report", rep)
+	}
+}
+
+// TestSampledExploreBuildsBlocks: a sampled exploration builds its
+// schedules a block at a time, so what it allocates before the first
+// result does not grow with the budget. A budget of 2^18 schedules,
+// canceled at the first progress event, must have allocated less than
+// 4 MB by then; building every schedule up front took about 27 MB.
+func TestSampledExploreBuildsBlocks(t *testing.T) {
+	defer leakcheck.Check(t)
+	prog := parser.MustParse("racer.mh", racerSrc)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var before, first runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep := Explore(prog, Options{
+		Strategy: StrategyRandom, Schedules: 1 << 18, MaxSteps: 100_000, Workers: 1, Ctx: ctx,
+		Progress: func(ProgressEvent) {
+			if first.TotalAlloc == 0 {
+				runtime.ReadMemStats(&first)
+				cancel()
+			}
+		},
+	})
+	if !rep.Canceled || rep.Schedules != 1 {
+		t.Fatalf("exploration canceled at its first event ran %d schedules (canceled=%t), want 1", rep.Schedules, rep.Canceled)
+	}
+	if got := first.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Fatalf("allocated %d bytes before the first result, want < 4 MB", got)
 	}
 }
 

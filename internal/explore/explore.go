@@ -461,47 +461,53 @@ func (r *Report) merge(one run) {
 	}
 }
 
-// exploreSampled runs the independent sampling strategies concurrently.
+// sampledBlock is the most sampled schedules built ahead of their
+// runs: memory before the first result stays flat in the budget.
+const sampledBlock = 1024
+
+// exploreSampled runs the independent sampling strategies concurrently,
+// a block at a time: each block's schedules are built, run on the pool
+// and merged before the next block is built.
 func exploreSampled(sess *interp.Session, opts Options, pool *pipeline.Pool, rep *Report, sink *progressSink) {
-	type job struct {
-		mk    func() sched.Scheduler
-		token string
-	}
-	jobs := make([]job, opts.Schedules)
-	for i := range jobs {
-		seed := opts.Seed + int64(i)
-		switch opts.Strategy {
-		case StrategyRoundRobin:
-			jobs[i] = job{func() sched.Scheduler { return sched.NewRoundRobin() }, sched.RoundRobinToken}
-		case StrategyPCT:
-			depth := opts.PCTDepth
-			jobs[i] = job{func() sched.Scheduler { return sched.NewPCT(seed, depth, 0) },
-				sched.PCTToken(seed, depth)}
-		default:
-			jobs[i] = job{func() sched.Scheduler { return sched.NewRandom(seed) }, sched.RandomToken(seed)}
+	results := make([]run, min(sampledBlock, opts.Schedules))
+	ran := make([]bool, len(results))
+	for first := 0; first < opts.Schedules && ctxErr(opts.Ctx) == nil; first += len(results) {
+		n := min(len(results), opts.Schedules-first)
+		clear(ran)
+		pool.MapCtx(opts.Ctx, n, func(i int) {
+			s, token := opts.sampled(opts.Seed + int64(first+i))
+			results[i] = runOne(opts.Ctx, sess, s, token)
+			ran[i] = true
+			one := &results[i]
+			if one.outcome == interp.OutcomeCanceled {
+				// An aborted half-run carries no verdict; don't stream it.
+				return
+			}
+			sink.note(one.outcome, func() string { return one.err }, one.schedule)
+		})
+		// Merge in submission order so the report (and
+		// FirstFailure.Index) is identical at any worker count.
+		// Schedules the cancellation skipped (never started) or aborted
+		// mid-run are excluded: the report reduces only completed runs.
+		for i := range n {
+			if !ran[i] || results[i].outcome == interp.OutcomeCanceled {
+				continue
+			}
+			rep.merge(results[i])
 		}
 	}
-	results := make([]run, len(jobs))
-	ran := make([]bool, len(jobs))
-	pool.MapCtx(opts.Ctx, len(jobs), func(i int) {
-		results[i] = runOne(opts.Ctx, sess, jobs[i].mk(), jobs[i].token)
-		ran[i] = true
-		one := &results[i]
-		if one.outcome == interp.OutcomeCanceled {
-			// An aborted half-run carries no verdict; don't stream it.
-			return
-		}
-		sink.note(one.outcome, func() string { return one.err }, one.schedule)
-	})
-	// Merge in submission order so the report (and FirstFailure.Index)
-	// is identical at any worker count. Schedules the cancellation
-	// skipped (never started) or aborted mid-run are excluded: the
-	// report reduces only completed runs.
-	for i := range results {
-		if !ran[i] || results[i].outcome == interp.OutcomeCanceled {
-			continue
-		}
-		rep.merge(results[i])
+}
+
+// sampled returns the sampling strategy's scheduler for one seed and
+// the replay token that names it.
+func (opts Options) sampled(seed int64) (sched.Scheduler, string) {
+	switch opts.Strategy {
+	case StrategyRoundRobin:
+		return sched.NewRoundRobin(), sched.RoundRobinToken
+	case StrategyPCT:
+		return sched.NewPCT(seed, opts.PCTDepth, 0), sched.PCTToken(seed, opts.PCTDepth)
+	default:
+		return sched.NewRandom(seed), sched.RandomToken(seed)
 	}
 }
 

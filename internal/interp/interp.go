@@ -464,7 +464,7 @@ func (c *thctx) execStmt(s ast.Stmt, e *env) (bool, int64, error) {
 		if teamSize <= 0 {
 			teamSize = c.rt.DefaultThreads()
 		}
-		if live, _ := c.r.world.Monitor().Stats(); live+teamSize-1 > maxLiveThreads {
+		if live := c.r.ctl.Live(); live+teamSize-1 > maxLiveThreads {
 			return false, 0, c.errf(s.Pos(), "team of %d threads would take the run past the limit of %d live threads (%d live)",
 				teamSize, maxLiveThreads, live)
 		}

@@ -29,9 +29,10 @@ const (
 	// init/finalize/thread-level usage error). On a real machine this
 	// class may hang or corrupt instead of failing cleanly.
 	OutcomeMPIError
-	// OutcomeDeadlock: the monitor's quiescence oracle fired — every live
-	// thread was blocked. This is the outcome the paper's tool must
-	// prevent from being reached uncaught.
+	// OutcomeDeadlock: the deadlock oracle fired — the run's controller
+	// found every live thread blocked, and the monitor reported the
+	// waits. This is the outcome the paper's tool must prevent from
+	// being reached uncaught.
 	OutcomeDeadlock
 	// OutcomeRuntimeError: a plain execution error (bad index, division
 	// by zero, missing function, ...).

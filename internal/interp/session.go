@@ -82,11 +82,6 @@ func NewSession(prog *ast.Program, opts Options) *Session {
 	return &Session{prog: prog, opts: opts, mainFn: prog.Func("main")}
 }
 
-// testWedge, when set by a test, runs against the world's monitor just
-// before the run starts — the regression hook that plants a phantom
-// live thread, one no gate runs.
-var testWedge func(world *mpi.World)
-
 // testStep, when set by a test, runs before every statement — the hook
 // that panics on a chosen statement.
 var testStep func(rank, tid, line int)
@@ -168,9 +163,6 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 		}
 	}
 	world.Monitor().SetSched(r.ctl)
-	if testWedge != nil {
-		testWedge(world)
-	}
 	guard := s.armGuard(ctx, world.Monitor())
 	ranks := make([]*rankState, opts.Procs)
 	err := world.Run(func(p *mpi.Proc) error {

@@ -1,14 +1,12 @@
 package interp
 
 import (
-	"errors"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"parcoach/internal/leakcheck"
-	"parcoach/internal/mpi"
 	"parcoach/internal/parser"
 	"parcoach/internal/sched"
 )
@@ -39,37 +37,51 @@ func runWithin(t *testing.T, sess *Session, s sched.Scheduler) *Result {
 	}
 }
 
-// TestSessionAbandonsWedgedRun: a run whose monitor never drains (here:
-// a phantom live thread that never exits, standing in for a thread
-// wedged outside the scheduler's control) must not block Session.Run,
-// which in a daemon's warm pool would leak the slot for good. The
-// driver returns once every real thread's coroutine has, so the default
-// run hands back its result at once with no drain wait; nothing leaks,
-// and the session's next run builds fresh state and completes.
+// sessionRacerSrc deadlocks only on a schedule that lets a team worker
+// win the nowait single on one rank: that rank then skips the barrier
+// its peer waits in. Round-robin runs it clean.
+const sessionRacerSrc = `
+func main() {
+	MPI_Init()
+	var winner = 0
+	parallel num_threads(2) {
+		single nowait { winner = tid() }
+	}
+	if winner == 0 {
+		MPI_Barrier()
+	}
+	MPI_Finalize()
+	return rank() + 1
+}
+`
+
+// TestSessionAbandonsWedgedRun: a run that deadlocks must not block
+// Session.Run or leave anything behind, which in a daemon's warm pool
+// would leak the slot for good. One session runs the racer on a
+// schedule that deadlocks, with no watchdog armed, then on one that
+// completes: nothing leaks, and the completing run returns its own
+// result.
 func TestSessionAbandonsWedgedRun(t *testing.T) {
 	leakcheck.Check(t)
-	prog := parser.MustParse("wedge.mh", sessionSrc)
+	prog := parser.MustParse("racer.mh", sessionRacerSrc)
 	sess := NewSession(prog, Options{Procs: 2, Threads: 2})
 
-	testWedge = func(w *mpi.World) { w.Monitor().ThreadStarted() }
-	res := runWithin(t, sess, nil)
-	testWedge = nil
-	if res.Err != nil || !slices.Equal(res.ExitValues, []int64{1, 1}) {
-		t.Fatalf("wedged-drain run: err %v, exit values %v; want the program's own result [1 1]", res.Err, res.ExitValues)
+	res := runWithin(t, sess, sched.NewRandom(0))
+	if got := res.Outcome(); got != OutcomeDeadlock {
+		t.Fatalf("racer under rand:0 classified %s (err %v), want %s", got, res.Err, OutcomeDeadlock)
 	}
-	res = runWithin(t, sess, nil)
-	if res.Err != nil || !slices.Equal(res.ExitValues, []int64{1, 1}) {
-		t.Fatalf("run after the wedged one: err %v, exit values %v; want [1 1]", res.Err, res.ExitValues)
+	res = runWithin(t, sess, sched.NewRoundRobin())
+	if res.Err != nil || !slices.Equal(res.ExitValues, []int64{1, 2}) {
+		t.Fatalf("run after the deadlocked one: err %v, exit values %v; want [1 2]", res.Err, res.ExitValues)
 	}
 }
 
-// TestSessionAbandonsWedgedSerializedRun: a phantom live thread, one
-// the monitor counts but no gate runs, hides the rank-divergent
-// barrier's deadlock from the monitor, so every real thread parks while
-// the run still counts a live one. With no watchdog armed, the driver
-// must end the run at once, under the default scheduler and an explicit
-// one alike, as an internal error that names the counts; nothing leaks,
-// and the session's next run takes its normal course.
+// TestSessionAbandonsWedgedSerializedRun: the rank-divergent barrier
+// leaves rank 0 parked while rank 1 returns from main. With no watchdog
+// armed, the driver must end the run at once as a deadlock, naming the
+// wait and the finalized rank, under the default scheduler and an
+// explicit one alike; nothing leaks, and the session's next run
+// deadlocks the same way.
 func TestSessionAbandonsWedgedSerializedRun(t *testing.T) {
 	leakcheck.Check(t)
 	prog := parser.MustParse("wedge.mh", guardedBarrierSrc)
@@ -78,19 +90,15 @@ func TestSessionAbandonsWedgedSerializedRun(t *testing.T) {
 		func() sched.Scheduler { return nil },
 		func() sched.Scheduler { return sched.NewRoundRobin() },
 	} {
-		testWedge = func(w *mpi.World) { w.Monitor().ThreadStarted() }
-		res := runWithin(t, sess, mk())
-		testWedge = nil
-		if got := res.Outcome(); got != OutcomeInternalError {
-			t.Fatalf("phantom-thread run classified %s (err %v), want %s", got, res.Err, OutcomeInternalError)
+		first := runWithin(t, sess, mk())
+		if got := first.Outcome(); got != OutcomeDeadlock {
+			t.Fatalf("divergent-barrier run classified %s (err %v), want %s", got, first.Err, OutcomeDeadlock)
 		}
-		var qe *QuarantineError
-		if !errors.As(res.Err, &qe) || qe.Op != "sched.drive" ||
-			!strings.Contains(res.Err.Error(), "2 live threads, 1 parked, none runnable") {
-			t.Fatalf("phantom-thread run error %v does not name the stalled driver and its counts", res.Err)
+		if msg := first.Err.Error(); !strings.Contains(msg, "MPI_Barrier") || !strings.Contains(msg, "rank 1: finalized") {
+			t.Fatalf("deadlock report %q does not name the wait and the finalized rank", msg)
 		}
-		if got := runWithin(t, sess, mk()).Outcome(); got != OutcomeDeadlock {
-			t.Fatalf("the run after the phantom classified %s, want %s", got, OutcomeDeadlock)
+		if next := runWithin(t, sess, mk()); next.Outcome() != OutcomeDeadlock || next.Err.Error() != first.Err.Error() {
+			t.Fatalf("the next run ended %s (err %v), want the same deadlock", next.Outcome(), next.Err)
 		}
 	}
 }

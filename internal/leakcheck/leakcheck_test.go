@@ -47,7 +47,7 @@ func TestInterestingGoroutinesCoroutines(t *testing.T) {
 
 	// One serialized thread leaves its coroutine idle in the pool.
 	c := sched.NewController(sched.NewRoundRobin())
-	c.Go(c.HolderExited)
+	c.Go(func() {})
 	c.Drive(nil, nil)
 	c.Recycle()
 	idle := goroutinesWith("sched.(*coro).idle")

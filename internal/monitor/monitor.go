@@ -3,14 +3,16 @@
 // operation (collective wait, message rendezvous, team barrier, single
 // election wait, critical acquisition, CC agreement) must pass.
 //
-// Because all thread liveness transitions and all waits are registered
-// here under one mutex, the monitor detects deadlock deterministically and
-// without timeouts: the instant every live thread is blocked, no further
-// progress is possible, and the monitor aborts the run with a report
-// listing what every thread was waiting for. This replaces the "job hangs
-// on the cluster until the batch limit" experience the paper's tool is
-// designed to prevent — and gives the test suite an exact oracle for the
-// error programs the validator must catch before this point.
+// The run's scheduling controller (internal/sched) is its one thread
+// table: it knows every thread's state, so it finds the deadlock the
+// instant it happens — threads remain, yet none can run — and calls back
+// into the monitor, which aborts the run with a report listing what
+// every thread was waiting for. Because every wait is registered here
+// under one mutex, that report is exact and needs no timeout. This
+// replaces the "job hangs on the cluster until the batch limit"
+// experience the paper's tool is designed to prevent — and gives the
+// test suite an exact oracle for the error programs the validator must
+// catch before this point.
 package monitor
 
 import (
@@ -25,8 +27,6 @@ import (
 // Monitor coordinates all blocking in one run.
 type Monitor struct {
 	mu       sync.Mutex
-	live     int
-	blocked  int
 	waiters  map[*Waiter]bool
 	aborted  atomic.Bool
 	err      error
@@ -42,27 +42,28 @@ type Monitor struct {
 
 // SchedHook is the scheduling controller interface (internal/sched): a
 // serializing scheduler that runs the run's threads itself and lets
-// exactly one run at a time. Every run has one. The monitor is the
+// exactly one run at a time. Every run has one. It tracks the run's
+// threads from Go until their functions return, and the monitor is the
 // single chokepoint every blocking transition passes through, so its
-// five transition callbacks are all a controller needs to keep its
-// runnable set exact. Waiter identities are passed as `any` so the
-// monitor stays free of scheduler types.
+// transition callbacks are all a controller needs to keep its runnable
+// set exact. Gates are passed as `any` so the monitor stays free of
+// scheduler types.
 //
-// HolderParked, WaiterWoken, HolderExited and ReleaseAll are called with
-// the monitor lock held. Resume is called lock-free from Await, before
-// the thread reads its wait's outcome, and suspends it until the
-// controller resumes it.
+// HolderParked, WaiterWoken and ReleaseAll are called with the monitor
+// lock held. Resume is called lock-free from Await, before the thread
+// reads its wait's outcome, and suspends it until the controller
+// resumes it.
 type SchedHook interface {
-	// HolderParked: the running thread just registered as blocked on w.
-	HolderParked(w any)
-	// WaiterWoken: w was released; its thread is runnable again.
-	WaiterWoken(w any)
-	// Resume: w's thread is about to wait. It suspends until the
-	// controller resumes it, which happens only once w was woken or the
-	// run aborted.
-	Resume(w any)
-	// HolderExited: the running thread is done.
-	HolderExited()
+	// HolderParked: the running thread just registered as blocked. It
+	// returns the thread's parked gate, nil when the run is released.
+	HolderParked() (gate any)
+	// WaiterWoken: the wait parked on gate was released; its thread is
+	// runnable again.
+	WaiterWoken(gate any)
+	// Resume: the thread parked on gate is about to wait. It suspends
+	// until the controller resumes it, which happens only once the wait
+	// was woken or the run aborted.
+	Resume(gate any)
 	// ReleaseAll: the run aborted; stop scheduling, free everything.
 	// holder reports whether the abort runs while the token holder
 	// cannot (on its own thread, or on the driver); only then may the
@@ -71,10 +72,10 @@ type SchedHook interface {
 	// Go starts fn as a thread of the run (see Monitor.Go).
 	Go(fn func())
 	// Drive runs the threads until every one has returned, handing each
-	// thread's panic to panicked, and calling stalled when threads remain
-	// but none is runnable although the run was not released (see
-	// Monitor.Drive).
-	Drive(panicked func(value any, stack []byte), stalled func(parked int))
+	// thread's panic to panicked, and calling deadlocked when threads
+	// remain but none is runnable although the run was not released
+	// (see Monitor.Drive).
+	Drive(panicked func(value any, stack []byte), deadlocked func())
 }
 
 // SetSched installs the scheduling controller. Must be called before the
@@ -87,29 +88,38 @@ func (m *Monitor) SetSched(h SchedHook) {
 }
 
 // Go runs fn as one of the run's threads, on one of the controller's
-// coroutines, resumed from Drive. The caller registered the thread with
-// ThreadStarted, and ThreadExited is fn's last act.
+// coroutines, resumed from Drive. The thread is live until fn returns.
 func (m *Monitor) Go(fn func()) { m.sched.Go(fn) }
 
 // Drive runs the run's threads on the calling goroutine until every
 // thread started with Go has returned. A thread that panics aborts the
 // run with a QuarantineError carrying the panic value and the thread's
-// stack, and counts as exited. A run whose remaining threads are all
-// parked while the monitor counts a live thread that no gate runs (no
-// deadlock, yet nothing can run) is aborted with a QuarantineError at
-// "sched.drive".
-func (m *Monitor) Drive() { m.sched.Drive(m.threadPanicked, m.stalled) }
+// stack. When threads remain but none can run — every one is blocked,
+// or the last runnable one returned while the rest wait — the run is
+// deadlocked: Drive aborts it with a DeadlockError listing every wait
+// and every analyzer's context, and the threads unwind.
+func (m *Monitor) Drive() { m.sched.Drive(m.threadPanicked, m.deadlocked) }
 
 func (m *Monitor) threadPanicked(value any, stack []byte) {
 	m.Abort(&QuarantineError{Op: "sched.thread", Value: value, Stack: stack})
-	m.ThreadExited()
 }
 
-func (m *Monitor) stalled(parked int) {
+// deadlocked aborts the run with the deadlock report: nothing can ever
+// wake the remaining threads.
+func (m *Monitor) deadlocked() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.AbortLocked(&QuarantineError{Op: "sched.drive", Value: fmt.Sprintf(
-		"%d live threads, %d parked, none runnable", m.live, parked)})
+	var lines []string
+	for w := range m.waiters {
+		lines = append(lines, fmt.Sprintf("  %s: %s", w.Reason, w.detail()))
+	}
+	sort.Strings(lines)
+	for _, f := range m.analyzer {
+		for _, l := range f() {
+			lines = append(lines, "  "+l)
+		}
+	}
+	m.AbortLocked(&DeadlockError{Details: lines})
 }
 
 // New returns an empty monitor.
@@ -127,6 +137,9 @@ type Waiter struct {
 	// lock at report time, describing the (then frozen) deadlock state.
 	detail func() string
 	m      *Monitor
+	// gate is the controller's handle of the parked thread, nil when the
+	// wait never parked.
+	gate any
 	// err is the wait's outcome, written under the monitor lock by the
 	// abort that ended it (nil for a wake).
 	err error
@@ -134,7 +147,7 @@ type Waiter struct {
 
 // Lock acquires the global monitor mutex. Subsystems hold it while
 // inspecting or updating their shared state and while creating or waking
-// waiters, which is what makes the quiescence check exact.
+// waiters, which is what makes the deadlock report exact.
 func (m *Monitor) Lock() { m.mu.Lock() }
 
 // Unlock releases the global monitor mutex.
@@ -147,26 +160,6 @@ func (m *Monitor) AddAnalyzer(f func() []string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.analyzer = append(m.analyzer, f)
-}
-
-// ThreadStarted registers a new live thread (lock taken internally).
-func (m *Monitor) ThreadStarted() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.live++
-}
-
-// ThreadExited unregisters a live thread and re-checks for quiescence:
-// a thread exiting while every other one is blocked is a deadlock (e.g. a
-// process returning from main while its peers wait in a collective).
-// This must be the exiting thread's last monitor interaction: the
-// controller hands the run token to the next thread here.
-func (m *Monitor) ThreadExited() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.live--
-	m.checkQuiescenceLocked()
-	m.sched.HolderExited()
 }
 
 // NewWaiterLocked registers the calling thread as blocked. The caller must
@@ -184,16 +177,11 @@ func (m *Monitor) NewWaiterLocked(reason string, detail func() string) *Waiter {
 	}
 	if m.aborted.Load() {
 		// The run already failed; never park new arrivals.
-		w.err = m.err
+		w.gate, w.err = nil, m.err
 		return w
 	}
 	m.waiters[w] = true
-	m.blocked++
-	// The quiescence check runs first: if parking this thread completed
-	// a deadlock, the run is aborted and the controller is already
-	// released, so no token handoff happens after the abort.
-	m.checkQuiescenceLocked()
-	m.sched.HolderParked(w)
+	w.gate = m.sched.HolderParked()
 	return w
 }
 
@@ -205,8 +193,7 @@ func (m *Monitor) WakeLocked(w *Waiter) {
 		return
 	}
 	delete(m.waiters, w)
-	m.blocked--
-	m.sched.WaiterWoken(w)
+	m.sched.WaiterWoken(w.gate)
 }
 
 // Await blocks until woken or aborted, returning the abort error if the
@@ -219,7 +206,7 @@ func (m *Monitor) WakeLocked(w *Waiter) {
 // free list, so callers must not retain it.
 func (w *Waiter) Await() error {
 	m := w.m
-	m.sched.Resume(w)
+	m.sched.Resume(w.gate)
 	m.mu.Lock()
 	err := w.err
 	m.free = append(m.free, w)
@@ -260,7 +247,6 @@ func (m *Monitor) abortLocked(err error, holder bool) {
 	m.aborted.Store(true)
 	for w := range m.waiters {
 		delete(m.waiters, w)
-		m.blocked--
 		w.err = err
 	}
 }
@@ -279,46 +265,18 @@ func (m *Monitor) Err() error {
 // ErrLocked is Err for callers already holding the (non-reentrant) lock.
 func (m *Monitor) ErrLocked() error { return m.err }
 
-// Stats reports the current liveness counters (for tests).
-func (m *Monitor) Stats() (live, blocked int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.live, m.blocked
-}
-
 // Reset rearms the monitor for a fresh run, keeping the waiter free
 // list warm. Only call once the previous run's Drive has returned; the
 // next run installs its own controller.
 func (m *Monitor) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.live = 0
-	m.blocked = 0
 	clear(m.waiters)
 	m.aborted.Store(false)
 	m.err = nil
 	// Analyzers are kept: the owning world and verifier recycle along
 	// with the monitor and their registrations stay valid.
 	m.sched = nil
-}
-
-// checkQuiescenceLocked fires the deadlock detection: every live thread is
-// blocked, so nothing can ever wake them.
-func (m *Monitor) checkQuiescenceLocked() {
-	if m.aborted.Load() || m.live == 0 || m.blocked != m.live {
-		return
-	}
-	var lines []string
-	for w := range m.waiters {
-		lines = append(lines, fmt.Sprintf("  %s: %s", w.Reason, w.detail()))
-	}
-	sort.Strings(lines)
-	for _, f := range m.analyzer {
-		for _, l := range f() {
-			lines = append(lines, "  "+l)
-		}
-	}
-	m.AbortLocked(&DeadlockError{Details: lines})
 }
 
 // IsDeadlock reports whether err is (or wraps) the monitor's deadlock

@@ -271,20 +271,13 @@ func (w *World) Level() ThreadLevel { return w.cfg.Level }
 // Proc returns the process with the given rank.
 func (w *World) Proc(rank int) *Proc { return w.procs[rank] }
 
-// Run executes body once per rank, each on its own thread registered
-// with the monitor, and returns the first error (abort, deadlock, or a
-// body error). A nil return means every process completed. The threads
-// run on the monitor's scheduling controller, driven from the calling
-// goroutine; the rank mains get thread ids 0..procs-1 in rank order.
-// Run returns once every thread of the run, team workers included, has
-// returned.
+// Run executes body once per rank, each on its own thread of the
+// monitor's scheduling controller, and returns the first error (abort,
+// deadlock, or a body error). A nil return means every process
+// completed. The threads are driven from the calling goroutine; the
+// rank mains get thread ids 0..procs-1 in rank order. Run returns once
+// every thread of the run, team workers included, has returned.
 func (w *World) Run(body func(p *Proc) error) error {
-	// Register every rank as live before launching any: otherwise the
-	// first process to block could trip the quiescence check while its
-	// peers have not started yet.
-	for range w.procs {
-		w.mon.ThreadStarted()
-	}
 	for _, p := range w.procs {
 		w.mon.Go(func() {
 			err := body(p)
@@ -294,7 +287,6 @@ func (w *World) Run(body func(p *Proc) error) error {
 			w.mon.Lock()
 			p.exited = true
 			w.mon.Unlock()
-			w.mon.ThreadExited()
 		})
 	}
 	w.mon.Drive()

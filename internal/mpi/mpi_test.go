@@ -366,10 +366,8 @@ func TestConcurrentCollectiveCallsSameRank(t *testing.T) {
 			return err
 		}
 		if p.Rank() == 0 {
-			w.Monitor().ThreadStarted()
 			w.Monitor().Go(func() {
 				_, _, second = p.Collective(2, OpBcast, RedSum, 0, 0, nil, "")
-				w.Monitor().ThreadExited()
 			})
 			_, _, err := p.Collective(3, OpReduce, RedSum, 0, 0, nil, "")
 			return err

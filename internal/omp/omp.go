@@ -260,20 +260,10 @@ func (rt *Runtime) Parallel(cur *Thread, n int, body func(*Thread) error) error 
 	team := rt.newTeam(n, cur.team.level+1)
 	master := rt.newThread(team, 0, cur.id)
 
-	// Register workers as live before starting any so the quiescence
-	// check cannot fire spuriously while the team starts. Workers take
-	// the next thread ids in member order.
-	for i := 1; i < n; i++ {
-		rt.mon.ThreadStarted()
-	}
+	// Workers take the next thread ids in member order.
 	for i := 1; i < n; i++ {
 		worker := rt.newThread(team, i, 0)
-		rt.mon.Go(func() {
-			rt.runMember(worker, body)
-			// Not deferred: the driver counts a panicked thread out
-			// itself, after aborting the run.
-			rt.mon.ThreadExited()
-		})
+		rt.mon.Go(func() { rt.runMember(worker, body) })
 	}
 	rt.runMember(master, body)
 	if rt.mon.Aborted() {

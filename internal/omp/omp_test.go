@@ -11,14 +11,13 @@ import (
 	"parcoach/internal/sched"
 )
 
-// start creates a runtime with a registered initial thread, whose
-// monitor serializes the run under the default schedule.
+// start creates a runtime and its initial thread, whose monitor
+// serializes the run under the default schedule.
 func start(t *testing.T, threads int, policy Policy) (*Runtime, *Thread) {
 	t.Helper()
 	mon := monitor.New()
 	mon.SetSched(sched.NewController(nil))
 	rt := New(mon, threads, policy)
-	mon.ThreadStarted()
 	return rt, rt.InitialThread()
 }
 
@@ -26,10 +25,7 @@ func start(t *testing.T, threads int, policy Policy) (*Runtime, *Thread) {
 // drives the run until every thread has returned.
 func parallel(rt *Runtime, th0 *Thread, n int, body func(*Thread) error) (err error) {
 	mon := rt.Monitor()
-	mon.Go(func() {
-		err = rt.Parallel(th0, n, body)
-		mon.ThreadExited()
-	})
+	mon.Go(func() { err = rt.Parallel(th0, n, body) })
 	mon.Drive()
 	return err
 }

@@ -5,23 +5,25 @@
 // run is serialized; a run given no scheduler uses the default one, a
 // quantum round-robin.
 //
-// The Controller owns a run's threads. Go registers each one and binds
-// it to a pooled coroutine, and Drive, on the goroutine that runs the
-// world, resumes whichever thread the scheduler picked. A thread hands
-// the run token on by suspending back to the driver, so a switch costs
-// two coroutine switches on one OS thread, and no two threads ever run
-// at once.
+// The Controller is a run's one thread table. Go registers each thread
+// and binds it to a pooled coroutine, and Drive, on the goroutine that
+// runs the world, resumes whichever thread the scheduler picked. A
+// thread hands the run token on by suspending back to the driver, so a
+// switch costs two coroutine switches on one OS thread, and no two
+// threads ever run at once. A thread exits by returning: the driver sees
+// its coroutine finish, retires it and picks the next holder, and when
+// threads remain but none can run, it reports the deadlock.
 //
 // The Controller piggybacks on the blocking kernel (internal/monitor):
 // every wait in the simulated runtimes already funnels through
 // monitor.NewWaiterLocked / Waiter.Await, so the monitor's scheduler
-// hooks tell the controller precisely when the running thread parks,
-// when a parked thread becomes runnable again, and when a thread
-// exits. Between those transitions the interpreter calls Gate.Yield at
-// each statement, giving the Scheduler statement-level interleaving
-// control. Because only the token holder ever touches simulation state,
-// a run is a deterministic function of the scheduler's decisions — which
-// is what makes recorded schedules replayable and exhaustive enumeration
+// hooks tell the controller precisely when the running thread parks and
+// when a parked thread becomes runnable again. Between those
+// transitions the interpreter calls Gate.Yield at each statement,
+// giving the Scheduler statement-level interleaving control. Because
+// only the token holder ever touches simulation state, a run is a
+// deterministic function of the scheduler's decisions — which is what
+// makes recorded schedules replayable and exhaustive enumeration
 // (internal/explore) possible. For the same reason the controller takes
 // no lock: only the running thread or the driver touches it, one at a
 // time, and an abort from outside the run only raises a flag.
@@ -162,7 +164,9 @@ type Controller struct {
 	holder ThreadID // token holder, -1 when none
 	seq    int64
 	isOff  atomic.Bool
-	owner  map[interface{}]*Gate // monitor waiter → parked gate, until woken
+	// live counts the threads started with Go whose functions have not
+	// returned.
+	live int
 
 	// running is the gate whose thread the driver is running (see
 	// Running). panics queues the recovered panics of threads for the
@@ -225,11 +229,7 @@ func NewController(s Scheduler) *Controller {
 	c.holder = -1
 	c.seq = 0
 	c.isOff.Store(false)
-	if c.owner == nil {
-		c.owner = make(map[interface{}]*Gate)
-	} else {
-		clear(c.owner)
-	}
+	c.live = 0
 	c.xsig = 0
 	c.dirty = c.dirty[:0]
 	c.ready = c.ready[:0]
@@ -299,7 +299,6 @@ func (c *Controller) Recycle() {
 	c.freeGates = append(c.freeGates, c.gates...)
 	c.gates = c.gates[:0]
 	c.sched = nil
-	clear(c.owner)
 	c.dirty = c.dirty[:0]
 	c.ready = c.ready[:0]
 	c.xsig = 0
@@ -310,12 +309,17 @@ func (c *Controller) Recycle() {
 
 // Go registers fn as a new thread of the run: it gets the next thread
 // id and an enabled gate, and its coroutine starts the first time the
-// driver resumes the gate. The caller — the token holder, or the
-// goroutine about to Drive — keeps the token, so ids follow the order
-// of Go calls.
+// driver resumes the gate. The thread is live until fn returns. The
+// caller — the token holder, or the goroutine about to Drive — keeps
+// the token, so ids follow the order of Go calls.
 func (c *Controller) Go(fn func()) {
 	c.newGate().co = getCoro(fn)
+	c.live++
 }
+
+// Live returns the number of threads started with Go that have not
+// returned.
+func (c *Controller) Live() int { return c.live }
 
 // Running returns the gate of the running thread: the one the driver
 // resumed. A thread started with Go calls it to find its own gate.
@@ -341,23 +345,23 @@ func (g *Gate) Yield(line int) {
 // Drive runs the run on the calling goroutine until every thread
 // started with Go has returned: it makes the run's first scheduling
 // decision, then resumes the token holder each time the running thread
-// suspends. Once ReleaseAll has run it resumes the remaining threads,
-// lowest id first, until each has returned. A thread whose fn panicked
-// releases the run and counts as returned; Drive hands its panic value
-// and stack to panicked while no thread runs.
+// suspends. When a thread returns, the driver retires it and the
+// scheduler picks the next holder. Once ReleaseAll has run it resumes
+// the remaining threads, lowest id first, until each has returned. A
+// thread whose fn panicked releases the run and counts as returned;
+// Drive hands its panic value and stack to panicked while no thread
+// runs.
 //
-// A run not released that has no holder while threads remain has every
-// remaining thread parked although the monitor saw no deadlock: it
-// counts a live thread no gate runs. Resuming a parked thread would
-// return from its wait as if it had been woken, so Drive calls stalled
-// with the parked count instead, which must abort the run; the threads
-// then unwind like any aborted run's.
-func (c *Controller) Drive(panicked func(value any, stack []byte), stalled func(parked int)) {
+// A run not released that has no holder while threads remain is
+// deadlocked: every remaining thread is parked and none can wake
+// another. Drive calls deadlocked, which must abort the run, while no
+// thread runs; the threads then unwind like any aborted run's.
+func (c *Controller) Drive(panicked func(value any, stack []byte), deadlocked func()) {
 	if !c.isOff.Load() {
 		c.choose(-1)
 	}
 	for {
-		g := c.resumable(stalled)
+		g := c.resumable(deadlocked)
 		if g == nil {
 			return
 		}
@@ -366,8 +370,7 @@ func (c *Controller) Drive(panicked func(value any, stack []byte), stalled func(
 		co.resume()
 		c.running = nil
 		if co.done {
-			g.co = nil
-			c.retire(co)
+			c.retire(g)
 		}
 		c.reportPanics(panicked)
 	}
@@ -376,21 +379,15 @@ func (c *Controller) Drive(panicked func(value any, stack []byte), stalled func(
 // resumable returns the gate whose thread the driver resumes next: the
 // token holder, or after ReleaseAll the lowest-id thread that has not
 // returned. nil means every thread has returned.
-func (c *Controller) resumable(stalled func(parked int)) *Gate {
+func (c *Controller) resumable(deadlocked func()) *Gate {
+	if c.live == 0 {
+		return nil
+	}
 	if !c.isOff.Load() {
 		if c.holder >= 0 {
 			return c.gates[c.holder]
 		}
-		parked := 0
-		for _, g := range c.gates {
-			if g.co != nil {
-				parked++
-			}
-		}
-		if parked == 0 {
-			return nil
-		}
-		stalled(parked)
+		deadlocked()
 	}
 	for _, g := range c.gates {
 		if g.co != nil {
@@ -400,16 +397,27 @@ func (c *Controller) resumable(stalled func(parked int)) *Gate {
 	return nil
 }
 
-// retire returns a finished thread's coroutine to the pool. A thread
-// that panicked releases the run first, so no scheduling decision
+// retire ends a returned thread: its coroutine goes back to the pool,
+// its gate is done, and the scheduler picks the next holder. A thread
+// that panicked releases the run instead, so no scheduling decision
 // follows the panic, and queues the panic for the driver to report.
-func (c *Controller) retire(co *coro) {
-	if co.panicked == nil {
-		co.put()
+func (c *Controller) retire(g *Gate) {
+	co := g.co
+	g.co = nil
+	c.live--
+	if co.panicked != nil {
+		c.ReleaseAll(true)
+		c.panics = append(c.panics, co)
 		return
 	}
-	c.ReleaseAll(true)
-	c.panics = append(c.panics, co)
+	co.put()
+	if c.isOff.Load() {
+		return
+	}
+	g.state = gateDone
+	c.readyRemove(g.id)
+	c.markDirty(g)
+	c.choose(-1)
 }
 
 // reportPanics hands every queued panic to panicked. The driver calls
@@ -531,58 +539,45 @@ func (c *Controller) choose(cur ThreadID) ThreadID {
 
 //
 // Monitor hook implementation. The monitor calls HolderParked,
-// WaiterWoken, HolderExited and ReleaseAll with its lock held.
+// WaiterWoken and ReleaseAll with its lock held.
 //
 
-// HolderParked records that the token holder blocked on w and hands the
-// token to the scheduler's next pick; the holder suspends in Resume.
-func (c *Controller) HolderParked(w interface{}) {
+// HolderParked records that the token holder blocked and hands the
+// token to the scheduler's next pick; the holder suspends in Resume. It
+// returns the parked gate, or nil when the run is released.
+func (c *Controller) HolderParked() any {
 	if c.isOff.Load() || c.holder < 0 {
-		return
+		return nil
 	}
 	g := c.gates[c.holder]
 	g.state = gateParked
 	c.readyRemove(g.id)
 	c.markDirty(g)
-	c.owner[w] = g
 	c.choose(-1)
+	return g
 }
 
-// WaiterWoken marks w's thread runnable again. The waker keeps the
-// token; the woken thread runs on once the scheduler picks it.
-func (c *Controller) WaiterWoken(w interface{}) {
-	g := c.owner[w]
+// WaiterWoken marks the thread parked on gate runnable again. The waker
+// keeps the token; the woken thread runs on once the scheduler picks
+// it.
+func (c *Controller) WaiterWoken(gate any) {
+	g, _ := gate.(*Gate)
 	if g == nil || c.isOff.Load() {
 		return
 	}
-	// The entry must live until here: the parked thread looked its gate
-	// up in Resume before suspending, and only this wake needs it now.
-	delete(c.owner, w)
 	g.state = gateReady
 	c.readyAdd(g.id)
 	c.markDirty(g)
 }
 
-// Resume suspends the thread that just parked on w until the driver
-// resumes it: once WaiterWoken made it runnable and the scheduler picked
-// it, or once ReleaseAll ended the serialization. Called without locks.
-func (c *Controller) Resume(w interface{}) {
-	if g := c.owner[w]; g != nil && !c.isOff.Load() {
+// Resume suspends the thread parked on gate until the driver resumes
+// it: once WaiterWoken made it runnable and the scheduler picked it, or
+// once ReleaseAll ended the serialization. A thread whose wait was
+// woken before it got here runs on. Called without locks.
+func (c *Controller) Resume(gate any) {
+	if g, _ := gate.(*Gate); g != nil && g.state == gateParked && !c.isOff.Load() {
 		g.co.suspend()
 	}
-}
-
-// HolderExited records that the token holder's thread is done (its
-// last monitor interaction) and schedules the next thread.
-func (c *Controller) HolderExited() {
-	if c.isOff.Load() || c.holder < 0 {
-		return
-	}
-	g := c.gates[c.holder]
-	g.state = gateDone
-	c.readyRemove(g.id)
-	c.markDirty(g)
-	c.choose(-1)
 }
 
 // ReleaseAll ends the serialization: the run aborted, so every later

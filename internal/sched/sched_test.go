@@ -337,7 +337,6 @@ func TestDriveInterleavesRoundRobin(t *testing.T) {
 					g.Yield(step)
 				}
 				log = append(log, fmt.Sprintf("%d.exit", id))
-				c.HolderExited()
 			})
 		}
 		c.Drive(nil, nil)
@@ -352,25 +351,23 @@ func TestDriveInterleavesRoundRobin(t *testing.T) {
 	}
 }
 
-// TestDriveStalledRun: a run not released whose remaining threads are
-// all parked has no thread to resume. Drive reports the parked count
-// to stalled, which must release the run, then resumes the parked
-// thread so it unwinds.
+// TestDriveStalledRun: a run not released whose remaining thread parks
+// with nobody to wake it is deadlocked. Drive calls deadlocked exactly
+// once, while the thread is still live, and deadlocked must release the
+// run; then Drive resumes the parked thread so it unwinds.
 func TestDriveStalledRun(t *testing.T) {
 	c := NewController(nil)
 	var log []string
 	c.Go(func() {
-		g := c.Running()
-		c.HolderParked(g)
-		c.Resume(g)
+		c.Resume(c.HolderParked())
 		log = append(log, "resumed")
 	})
-	c.Drive(nil, func(parked int) {
-		log = append(log, fmt.Sprintf("stalled with %d parked", parked))
+	c.Drive(nil, func() {
+		log = append(log, fmt.Sprintf("deadlocked with %d live", c.Live()))
 		c.ReleaseAll(true)
 	})
 	c.Recycle()
-	if got, want := strings.Join(log, ", "), "stalled with 1 parked, resumed"; got != want {
-		t.Fatalf("stalled run: %s, want %s", got, want)
+	if got, want := strings.Join(log, ", "), "deadlocked with 1 live, resumed"; got != want {
+		t.Fatalf("deadlocked run: %s, want %s", got, want)
 	}
 }

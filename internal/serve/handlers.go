@@ -360,11 +360,12 @@ type streamEvent struct {
 	Report *reportJSON `json:"report,omitempty"`
 }
 
-// Exploration request bounds. Past them one request allocates without
-// bound — the sampling strategies make a job per schedule before the
-// first run, and the pool starts a concurrent run per worker — which
-// can exhaust the daemon's memory and end the process where the panic
-// quarantine cannot catch it.
+// Exploration request bounds on outside input. The schedule budget
+// caps the run time one request can hold the daemon for. The worker
+// count caps its concurrent runs: the pool starts one per worker, each
+// holding a run's state, so past it one request could exhaust the
+// daemon's memory and end the process where the panic quarantine
+// cannot catch it.
 const (
 	maxSchedules = 1 << 16
 	maxWorkers   = 256

@@ -101,11 +101,7 @@ func TestCCDuplicateEntrySameRank(t *testing.T) {
 		if p.Rank() == 0 {
 			// Two threads of rank 0 enter CC concurrently: the second
 			// entry must be flagged (collectives issued concurrently).
-			w.Monitor().ThreadStarted()
-			w.Monitor().Go(func() {
-				_ = v.CC(p, "MPI_Bcast", pos(2))
-				w.Monitor().ThreadExited()
-			})
+			w.Monitor().Go(func() { _ = v.CC(p, "MPI_Bcast", pos(2)) })
 			return v.CC(p, "MPI_Reduce", pos(3))
 		}
 		// Rank 1 never participates so rank 0's first CC blocks.

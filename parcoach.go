@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
 	"parcoach/internal/ast"
@@ -236,27 +235,8 @@ func CacheKey(name, src string, opts Options) string {
 // shared across every compilation for the life of the value, so a
 // server compiling on demand (cmd/parcoachd) keeps its workers warm
 // instead of rebuilding a pool per request. Safe for concurrent use.
-//
-// Cached additionally memoizes compiled artifacts by CacheKey, so
-// harnesses that resubmit the same source under the same options (the
-// differential sweep's replay paths, a campaign's corpus re-runs) pay
-// for each distinct artifact once.
 type Compiler struct {
 	pool *pipeline.Pool
-
-	mu     sync.Mutex
-	cache  map[string]*cacheEntry
-	hits   uint64
-	misses uint64
-}
-
-// cacheEntry is one memoized artifact; the Once gives Cached
-// singleflight semantics — concurrent requests for the same key block
-// on one compilation instead of duplicating it.
-type cacheEntry struct {
-	once sync.Once
-	prog *Program
-	err  error
 }
 
 // NewCompiler builds a compiler around a persistent pool of the given
@@ -279,57 +259,6 @@ func (c *Compiler) Compile(name, src string, opts Options) (*Program, error) {
 // that cache errors must take care not to cache those.
 func (c *Compiler) CompileCtx(ctx context.Context, name, src string, opts Options) (*Program, error) {
 	return compileCtx(ctx, name, src, opts, c.pool)
-}
-
-// Cached is Compile through the compiler's artifact cache: the first
-// request for a CacheKey compiles (errors are cached too — a source
-// that fails to parse fails identically on every resubmission), and
-// every later request for the same key returns the same *Program.
-// Callers therefore share the artifact; Program is read-only after
-// compilation and safe for concurrent Run/Explore.
-func (c *Compiler) Cached(name, src string, opts Options) (*Program, error) {
-	key := CacheKey(name, src, opts)
-	c.mu.Lock()
-	if c.cache == nil {
-		c.cache = make(map[string]*cacheEntry)
-	}
-	e, ok := c.cache[key]
-	if ok {
-		c.hits++
-	} else {
-		e = new(cacheEntry)
-		c.cache[key] = e
-		c.misses++
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		// Quarantine a panicking compile INSIDE the once: sync.Once marks
-		// itself done even when f panics, so without this a panic would be
-		// cached forever as a (nil, nil) artifact — every later request for
-		// the key would get a nil Program and no error. The panic becomes a
-		// cached QuarantineError instead, which is at least a loud,
-		// deterministic failure for this source.
-		defer func() {
-			if r := recover(); r != nil {
-				e.prog, e.err = nil, interp.NewQuarantineError("compile", r, debug.Stack())
-			}
-		}()
-		e.prog, e.err = compile(name, src, opts, c.pool)
-	})
-	return e.prog, e.err
-}
-
-// CompilerStats reports the artifact cache's traffic.
-type CompilerStats struct {
-	Hits   uint64 // Cached requests served from the artifact cache
-	Misses uint64 // Cached requests that had to compile
-}
-
-// CacheStats returns a snapshot of the artifact cache counters.
-func (c *Compiler) CacheStats() CompilerStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CompilerStats{Hits: c.hits, Misses: c.misses}
 }
 
 // compile builds and runs the pass pipeline for one source file on the
@@ -873,14 +802,13 @@ type CampaignReport = campaign.Report
 const campaignMaxSteps = 2_000_000
 
 // Campaign runs a coverage-guided exploration campaign: every corpus
-// entry compiles once through a shared artifact-cached Compiler
-// (ModeFull, so planted checks and the value oracle are armed), and
-// all schedule execution fans out on one worker pool.
+// entry, mutant and reduction candidate compiles on the campaign's
+// worker pool (ModeFull, so planted checks and the value oracle are
+// armed), and all schedule execution fans out on the same pool.
 func Campaign(opts CampaignOptions) (*CampaignReport, error) {
 	pool := pipeline.NewPool(opts.Workers)
-	comp := &Compiler{pool: pool}
 	compile := func(gp *mhgen.Program) (*campaign.Compiled, error) {
-		p, err := comp.Cached(gp.Name+".mh", gp.Source, Options{Mode: ModeFull})
+		p, err := compileQuarantined(gp.Name+".mh", gp.Source, Options{Mode: ModeFull}, pool)
 		if err != nil {
 			return nil, err
 		}
@@ -893,4 +821,16 @@ func Campaign(opts CampaignOptions) (*CampaignReport, error) {
 		return &campaign.Compiled{Session: sess, StaticKinds: p.WarningKinds()}, nil
 	}
 	return campaign.Run(opts, compile, pool)
+}
+
+// compileQuarantined is compile with a panic in the pipeline caught and
+// returned as a QuarantineError at "compile": a generated program that
+// crashes the compiler fails that entry's compile, not the campaign.
+func compileQuarantined(name, src string, opts Options, pool *pipeline.Pool) (p *Program, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p, err = nil, interp.NewQuarantineError("compile", r, debug.Stack())
+		}
+	}()
+	return compile(name, src, opts, pool)
 }
