@@ -11,12 +11,12 @@ import (
 // its post-pooling budget. Two programs, two budgets:
 //
 //   - a statement-heavy loop, where the cost model is per executed
-//     statement: environment arenas, the waiter/gate pools and the
-//     incremental scheduler signature brought this from ~0.7 to under
-//     0.01 objects per step;
+//     statement: frame arenas, the waiter/gate pools and the
+//     incremental scheduler signature brought this from ~0.7 to about
+//     0.001 objects per step;
 //   - a region-heavy loop, where the residual cost is per parallel
-//     region instance (fork/join closures, the worker-gate slice):
-//     a handful of objects per region, invariant in the body size.
+//     region instance (the fork/join closures): about three objects per
+//     region, invariant in the body size.
 //
 // Both run through a Session with warm-up runs first, the way schedule
 // exploration uses the interpreter.
@@ -63,7 +63,7 @@ func main() {
 `)
 	perStep := perRun / float64(steps)
 	t.Logf("allocs/run=%.0f steps=%d allocs/step=%.4f", perRun, steps, perStep)
-	const ceiling = 0.05 // was ~0.7 before the arena/pool work
+	const ceiling = 0.005 // was ~0.7 before the arena/pool work
 	if perStep > ceiling {
 		t.Errorf("serialized round-robin path allocates %.4f objects/step (%.0f over %d steps); ceiling %.2f",
 			perStep, perRun, steps, ceiling)
@@ -91,7 +91,7 @@ func main() {
 `)
 	perRegion := perRun / float64(iters*ranks)
 	t.Logf("allocs/run=%.0f steps=%d allocs/region=%.2f", perRun, steps, perRegion)
-	const ceiling = 12.0 // fork/join closures and the worker-gate slice; was ~3x higher pre-pooling
+	const ceiling = 6.0 // the fork/join closures; was ~3x higher pre-pooling
 	if perRegion > ceiling {
 		t.Errorf("serialized fork/join path allocates %.2f objects/region (%.0f over %d regions); ceiling %.0f",
 			perRegion, perRun, iters*ranks, ceiling)

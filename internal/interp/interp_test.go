@@ -420,15 +420,50 @@ func main() {
 	}
 }
 
+// TestRuntimeErrors pins the full text and location of the
+// interpreter's runtime errors. Each row runs on parser output, so the
+// errors only a tree that skipped sem can reach are covered too:
+// unbound names, calls of unknown functions or with the wrong arity,
+// and arrays and scalars used in each other's place.
 func TestRuntimeErrors(t *testing.T) {
 	tests := []struct {
 		name, src, want string
 	}{
-		{"div-zero", "func main() { var x = 1 / (rank() * 0) }", "division by zero"},
-		{"mod-zero", "func main() { var x = 1 % (rank() * 0) }", "modulo by zero"},
-		{"index-oob", "func main() { var a[3]\na[5] = 1 }", "out of range"},
-		{"neg-size", "func main() { var a[0 - 2] }", "invalid array size"},
-		{"no-main", "func other() { }", "no main function"},
+		{"div-zero", "func main() { var x = 1 / (rank() * 0) }", "t.mh:1:25: division by zero"},
+		{"mod-zero", "func main() { var x = 1 % (rank() * 0) }", "t.mh:1:25: modulo by zero"},
+		{"index-oob", "func main() { var a[3]\na[5] = 1 }", `t.mh:2:1: index 5 out of range for "a" (len 3)`},
+		{"neg-size", "func main() { var a[0 - 2] }", `t.mh:1:15: invalid array size -2 for "a"`},
+		{"no-main", "func other() { }", "t.mh:1:6: program has no main function"},
+		{"undefined-read", "func main() {\n\tvar x = 1 + y\n}",
+			`t.mh:2:14: undefined variable "y"`},
+		{"undefined-write", "func main() {\n\ty = 1\n}",
+			`t.mh:2:2: undefined variable "y"`},
+		{"undefined-indexed-write", "func main() {\n\tb[0] = 1\n}",
+			`t.mh:2:2: undefined variable "b"`},
+		{"undefined-vector-destination", "func main() {\n\tMPI_Init()\n\tMPI_Allgather(zz, 1)\n}",
+			`t.mh:3:16: undefined variable "zz"`},
+		{"undefined-function", "func main() {\n\tvar x = f(1)\n}",
+			`t.mh:2:10: call to undefined function "f"`},
+		{"arity", "func f(a) {\n\treturn a\n}\nfunc main() {\n\tvar x = f(1, 2)\n}",
+			`t.mh:5:10: function "f" expects 1 argument(s), got 2`},
+		{"intrinsic-arity", "func main() {\n\tvar x = len()\n}",
+			`t.mh:2:10: len expects 1 argument`},
+		{"array-as-value", "func main() {\n\tvar a[2]\n\tvar x = a + 1\n}",
+			`t.mh:3:10: array used as a scalar value`},
+		{"array-as-scalar", "func main() {\n\tvar a[2]\n\ta = 1\n}",
+			`t.mh:3:2: array "a" used as a scalar`},
+		{"scalar-indexed", "func main() {\n\tvar x = 1\n\tvar y = x[0]\n}",
+			`t.mh:3:10: scalar "x" indexed like an array`},
+		{"len-non-array", "func main() {\n\tvar x = len(3)\n}",
+			`t.mh:2:10: len of a non-array`},
+		{"vector-destination-element", "func main() {\n\tMPI_Init()\n\tvar a[2]\n\tMPI_Allgather(a[0], 1)\n}",
+			`t.mh:4:16: vector destination must be an array variable`},
+		{"vector-destination-scalar", "func main() {\n\tMPI_Init()\n\tvar x = 0\n\tMPI_Allgather(x, 1)\n}",
+			`t.mh:4:16: vector destination "x" must be an array`},
+		{"bcast-array", "func main() {\n\tMPI_Init()\n\tvar a[2]\n\tMPI_Bcast(a, 0)\n}",
+			`t.mh:4:12: array used where a scalar is needed`},
+		{"scatter-scalar", "func main() {\n\tMPI_Init()\n\tvar x = 0\n\tMPI_Scatter(x, 5, 0)\n}",
+			`t.mh:4:17: array expected`},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -437,8 +472,9 @@ func TestRuntimeErrors(t *testing.T) {
 				t.Fatal(err)
 			}
 			res := Run(prog, Options{Procs: 1})
-			if res.Err == nil || !strings.Contains(res.Err.Error(), tt.want) {
-				t.Errorf("want %q error, got %v", tt.want, res.Err)
+			want := "runtime error on rank 0 at " + tt.want
+			if res.Err == nil || res.Err.Error() != want {
+				t.Errorf("error = %v\nwant    %s", res.Err, want)
 			}
 		})
 	}

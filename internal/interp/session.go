@@ -1,13 +1,14 @@
 // Session: amortized per-run setup for schedule exploration.
 //
-// A single Run is a one-shot: resolve main, build the simulated world,
-// allocate per-rank runtime state, execute, tear down. Schedule
+// A single Run is a one-shot: resolve the program, build the simulated
+// world, allocate per-rank runtime state, execute, tear down. Schedule
 // exploration runs the same compiled artifact thousands of times, so
 // Session hoists everything that depends only on (program, options) —
-// option normalization, the main-function lookup — and recycles the
-// per-run state (runner scratch, per-rank threading runtime and
-// environment arenas, the scheduling controller's gates) through pools,
-// bringing per-schedule setup close to zero.
+// option normalization, and resolving the program into the closures
+// every run executes (resolve.go) — and recycles the per-run state
+// (runner scratch, per-rank threading runtime and frame arenas, the
+// scheduling controller and its gates) through pools, bringing
+// per-schedule setup close to zero.
 //
 // A run's World.Run returns only once every thread of the run has
 // returned, so nothing can touch the run state afterwards: clean and
@@ -29,12 +30,15 @@ import (
 
 // Session is a reusable harness for running one compiled program many
 // times (typically under different schedulers — see internal/explore).
+// NewSession resolves the program once; every run executes the result.
 // It is safe for concurrent use: independent runs may execute on many
-// goroutines at once.
+// goroutines at once, sharing the resolved closures read-only.
 type Session struct {
-	prog   *ast.Program
-	opts   Options
-	mainFn *ast.FuncDecl
+	prog *ast.Program
+	opts Options
+	// main is the program resolved into closures (see resolve.go),
+	// shared read-only by every run; nil when there is no main.
+	main *funcCode
 	// envs pools complete run environments — world, monitor (with its
 	// waiter free list), verifier, runner scratch — across this
 	// session's runs.
@@ -64,8 +68,9 @@ type runEnv struct {
 	r     *runner
 }
 
-// NewSession prepares prog for repeated runs under opts (normalized
-// once here; each Run names its own scheduler).
+// NewSession prepares prog for repeated runs under opts: the options
+// are normalized and the program resolved into closures once here, and
+// each Run names its own scheduler.
 func NewSession(prog *ast.Program, opts Options) *Session {
 	if opts.Procs <= 0 {
 		opts.Procs = 2
@@ -79,14 +84,14 @@ func NewSession(prog *ast.Program, opts Options) *Session {
 	if opts.MaxSteps <= 0 {
 		opts.MaxSteps = 50_000_000
 	}
-	return &Session{prog: prog, opts: opts, mainFn: prog.Func("main")}
+	return &Session{prog: prog, opts: opts, main: resolve(prog)}
 }
 
 // testStep, when set by a test, runs before every statement — the hook
 // that panics on a chosen statement.
 var testStep func(rank, tid, line int)
 
-// rankState is the per-rank run state — the thread-local environment
+// rankState is the per-rank run state — the thread-local frame
 // arena and the per-process threading runtime — recycled across runs so
 // each explored schedule reuses the previous one's allocations instead
 // of rebuilding them.
@@ -127,7 +132,7 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 		}
 	}
 	res := &Result{ExitValues: make([]int64, opts.Procs)}
-	if s.mainFn == nil {
+	if s.main == nil {
 		res.Err = &RuntimeError{Pos: s.prog.Pos(), Msg: "program has no main function"}
 		return res
 	}
@@ -152,7 +157,7 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 	}
 	world := env.world
 	r := env.r
-	r.rebind(s.prog, opts, world)
+	r.rebind(opts, world)
 	r.ctl = sched.NewController(scheduler)
 	_, tracing := scheduler.(sched.TraceSource)
 	if tracing {
@@ -175,8 +180,8 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 			rs.rt.Reset(world.Monitor(), opts.Threads, opts.Policy)
 		}
 		th := rs.rt.InitialThread()
-		c := &thctx{r: r, p: p, rt: rs.rt, th: th, fn: s.mainFn.Name, gate: gate, ar: rs.ar, trace: tracing}
-		ret, err := c.callFunction(s.mainFn, nil, s.mainFn.NamePos)
+		c := &thctx{r: r, p: p, rt: rs.rt, th: th, gate: gate, ar: rs.ar, trace: tracing}
+		ret, err := c.runMain(s.main)
 		if err != nil {
 			return err
 		}
@@ -218,8 +223,7 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 }
 
 // rebind points a (new or recycled) runner at the next run.
-func (r *runner) rebind(prog *ast.Program, opts Options, world *mpi.World) {
-	r.prog = prog
+func (r *runner) rebind(opts Options, world *mpi.World) {
 	r.opts = opts
 	r.world = world
 	r.output.Reset()

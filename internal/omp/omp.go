@@ -64,12 +64,13 @@ type Runtime struct {
 	// (guarded by the monitor's lock).
 	crit map[string]*critLock
 
-	// Teams and threads are handed out per parallel region and
-	// reclaimed in bulk by Reset once the run has ended, so a schedule
+	// Teams and threads are handed out per parallel region and go back
+	// to the free lists when the team's last member returns, so a run
+	// holds the teams of its live threads only, and a schedule
 	// exploration re-runs region-heavy programs without reallocating a
-	// single team or thread after warm-up.
-	teams       []*Team   // handed out during the current run
-	threads     []*Thread // handed out during the current run
+	// single team or thread after warm-up. The initial team goes back at
+	// Reset.
+	initial     *Team
 	freeTeams   []*Team
 	freeThreads []*Thread
 }
@@ -106,10 +107,10 @@ func (rt *Runtime) Reset(mon *monitor.Monitor, defaultThreads int, policy Policy
 	rt.nextThreadID = 0
 	rt.nextTeamID = 0
 	clear(rt.crit)
-	rt.freeTeams = append(rt.freeTeams, rt.teams...)
-	rt.teams = rt.teams[:0]
-	rt.freeThreads = append(rt.freeThreads, rt.threads...)
-	rt.threads = rt.threads[:0]
+	if rt.initial != nil {
+		rt.release(rt.initial)
+		rt.initial = nil
+	}
 }
 
 // DefaultThreads returns the default team size.
@@ -133,6 +134,11 @@ type Team struct {
 	// dyn holds the shared iteration counters of dynamic worksharing
 	// loops (lazily allocated, guarded by the monitor's lock).
 	dyn map[encKey]*int64
+
+	// members are the team's threads; running counts those whose
+	// region body has not returned.
+	members []*Thread
+	running int
 }
 
 // ID returns a runtime-unique team id.
@@ -197,7 +203,6 @@ func (rt *Runtime) newTeam(size, level int) *Team {
 	} else {
 		t = &Team{}
 	}
-	rt.teams = append(rt.teams, t)
 	rt.nextTeamID++
 	t.rt = rt
 	t.id = rt.nextTeamID
@@ -215,7 +220,21 @@ func (rt *Runtime) newTeam(size, level int) *Team {
 	if t.dyn != nil {
 		clear(t.dyn)
 	}
+	t.members = t.members[:0]
+	t.running = 0
 	return t
+}
+
+// release returns a team whose members have all returned, and its
+// threads, to the free lists.
+func (rt *Runtime) release(t *Team) {
+	for i, th := range t.members {
+		th.team = nil
+		rt.freeThreads = append(rt.freeThreads, th)
+		t.members[i] = nil
+	}
+	t.members = t.members[:0]
+	rt.freeTeams = append(rt.freeTeams, t)
 }
 
 func (rt *Runtime) newThread(team *Team, tid int, reuseID int64) *Thread {
@@ -231,7 +250,7 @@ func (rt *Runtime) newThread(team *Team, tid int, reuseID int64) *Thread {
 	} else {
 		th = &Thread{}
 	}
-	rt.threads = append(rt.threads, th)
+	team.members = append(team.members, th)
 	th.team = team
 	th.tid = tid
 	th.id = id
@@ -245,6 +264,7 @@ func (rt *Runtime) newThread(team *Team, tid int, reuseID int64) *Thread {
 // its single thread (the thread that calls MPI_Init).
 func (rt *Runtime) InitialThread() *Thread {
 	team := rt.newTeam(1, 0)
+	rt.initial = team
 	return rt.newThread(team, 0, 0)
 }
 
@@ -258,6 +278,7 @@ func (rt *Runtime) Parallel(cur *Thread, n int, body func(*Thread) error) error 
 		n = rt.defaultThreads
 	}
 	team := rt.newTeam(n, cur.team.level+1)
+	team.running = n
 	master := rt.newThread(team, 0, cur.id)
 
 	// Workers take the next thread ids in member order.
@@ -272,7 +293,8 @@ func (rt *Runtime) Parallel(cur *Thread, n int, body func(*Thread) error) error 
 	return nil
 }
 
-// runMember executes body then the join barrier.
+// runMember executes body then the join barrier. The team's last
+// member to return releases the team.
 func (rt *Runtime) runMember(th *Thread, body func(*Thread) error) {
 	if err := body(th); err != nil && !rt.mon.Aborted() {
 		rt.mon.Abort(err)
@@ -280,6 +302,11 @@ func (rt *Runtime) runMember(th *Thread, body func(*Thread) error) {
 	// Implicit join barrier; returns immediately (with the abort error)
 	// when the run has failed, so no thread hangs on a dead team.
 	_ = th.Barrier()
+	t := th.team
+	t.running--
+	if t.running == 0 {
+		rt.release(t)
+	}
 }
 
 // Barrier blocks until all team threads arrive, then advances the team's

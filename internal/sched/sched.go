@@ -53,9 +53,9 @@ type ThreadID int
 // and the context the scheduler may use to pick among them.
 type Choice struct {
 	// Enabled is the sorted, non-empty set of runnable threads. It is
-	// only valid for the duration of the Next call (the controller
-	// reuses its backing array); schedulers that retain it must copy,
-	// as the DFS Recorder does.
+	// the controller's own ready set, only valid for the duration of the
+	// Next call; schedulers must not modify it, and those that retain it
+	// must copy, as the DFS Recorder does.
 	Enabled []ThreadID
 	// Cur is the thread that just yielded, or -1 when the previous
 	// holder parked or exited (it is then absent from Enabled).
@@ -159,9 +159,12 @@ func (g *Gate) Access(o monitor.Obj, kind monitor.AccessKind) {
 // state, one at a time; the one exception is isOff, which an abort from
 // outside the run (ReleaseAll(false)) raises.
 type Controller struct {
-	sched  Scheduler
+	sched Scheduler
+	// gates holds the gates of the threads that have not returned, in id
+	// order; a thread's gate leaves it when the thread returns.
 	gates  []*Gate
-	holder ThreadID // token holder, -1 when none
+	holder *Gate // token holder, nil when none
+	nextID ThreadID
 	seq    int64
 	isOff  atomic.Bool
 	// live counts the threads started with Go whose functions have not
@@ -186,8 +189,8 @@ type Controller struct {
 	// runs quadratic (the step-limit abort of a reduced looping program
 	// would take hours instead of seconds).
 	ready []ThreadID
-
-	enabledScratch []ThreadID
+	// readyGates holds the gates of ready, in the same order.
+	readyGates []*Gate
 
 	// Incremental positional-state signature: xsig is the XOR of every
 	// gate's cached per-gate FNV contribution. Gates whose position
@@ -206,8 +209,9 @@ type Controller struct {
 	trace   *monitor.EventTrace
 	branchN int
 
-	// freeGates recycles gate structs across runs when the controller
-	// itself is recycled.
+	// freeGates recycles the gates of returned threads, within a run and
+	// across the runs of a recycled controller, so a run holds gates
+	// for its live threads only.
 	freeGates []*Gate
 }
 
@@ -226,13 +230,15 @@ func NewController(s Scheduler) *Controller {
 		s = &c.dflt
 	}
 	c.sched = s
-	c.holder = -1
+	c.holder = nil
+	c.nextID = 0
 	c.seq = 0
 	c.isOff.Store(false)
 	c.live = 0
 	c.xsig = 0
 	c.dirty = c.dirty[:0]
 	c.ready = c.ready[:0]
+	c.readyGates = c.readyGates[:0]
 	c.trace = nil
 	c.branchN = 0
 	if ts, ok := s.(TraceSource); ok {
@@ -251,7 +257,8 @@ func (c *Controller) newGate() *Gate {
 	}
 	g.ctl = c
 	g.co = nil
-	g.id = ThreadID(len(c.gates))
+	g.id = c.nextID
+	c.nextID++
 	g.state = gateReady
 	g.line = 0
 	g.steps = 0
@@ -261,46 +268,54 @@ func (c *Controller) newGate() *Gate {
 	g.sig = g.contribution()
 	c.xsig ^= g.sig
 	c.gates = append(c.gates, g)
-	c.readyAdd(g.id)
+	c.readyAdd(g)
 	return g
 }
 
-// readyAdd inserts id into the sorted ready set. Freshly forked gates
+// readyAdd inserts g into the sorted ready set. Freshly forked gates
 // carry the highest id so far, so forks take the append fast path; only
 // wakes of low-id threads pay the insertion walk.
-func (c *Controller) readyAdd(id ThreadID) {
+func (c *Controller) readyAdd(g *Gate) {
 	n := len(c.ready)
-	if n == 0 || c.ready[n-1] < id {
-		c.ready = append(c.ready, id)
+	if n == 0 || c.ready[n-1] < g.id {
+		c.ready = append(c.ready, g.id)
+		c.readyGates = append(c.readyGates, g)
 		return
 	}
-	i := sort.Search(n, func(k int) bool { return c.ready[k] >= id })
-	if i < n && c.ready[i] == id {
+	i := sort.Search(n, func(k int) bool { return c.ready[k] >= g.id })
+	if i < n && c.ready[i] == g.id {
 		return
 	}
 	c.ready = append(c.ready, 0)
 	copy(c.ready[i+1:], c.ready[i:])
-	c.ready[i] = id
+	c.ready[i] = g.id
+	c.readyGates = append(c.readyGates, nil)
+	copy(c.readyGates[i+1:], c.readyGates[i:])
+	c.readyGates[i] = g
 }
 
-// readyRemove deletes id from the sorted ready set.
-func (c *Controller) readyRemove(id ThreadID) {
-	i := sort.Search(len(c.ready), func(k int) bool { return c.ready[k] >= id })
-	if i < len(c.ready) && c.ready[i] == id {
+// readyRemove deletes g from the sorted ready set.
+func (c *Controller) readyRemove(g *Gate) {
+	i := sort.Search(len(c.ready), func(k int) bool { return c.ready[k] >= g.id })
+	if i < len(c.ready) && c.ready[i] == g.id {
 		c.ready = append(c.ready[:i], c.ready[i+1:]...)
+		c.readyGates = append(c.readyGates[:i], c.readyGates[i+1:]...)
 	}
 }
 
-// Recycle returns the controller and its gates to the pool. Only call
-// once Drive has returned: every thread has then returned, so nothing
-// can reach the controller, and clean and aborted runs alike recycle
-// here.
+// Recycle returns the controller to the pool. Only call once Drive has
+// returned: every thread has then returned and its gate is on the free
+// list, so nothing can reach the controller, and clean and aborted runs
+// alike recycle here.
 func (c *Controller) Recycle() {
 	c.freeGates = append(c.freeGates, c.gates...)
 	c.gates = c.gates[:0]
+	c.holder = nil
 	c.sched = nil
 	c.dirty = c.dirty[:0]
 	c.ready = c.ready[:0]
+	clear(c.readyGates)
+	c.readyGates = c.readyGates[:0]
 	c.xsig = 0
 	c.trace = nil
 	c.running = nil
@@ -372,7 +387,9 @@ func (c *Controller) Drive(panicked func(value any, stack []byte), deadlocked fu
 		if co.done {
 			c.retire(g)
 		}
-		c.reportPanics(panicked)
+		if len(c.panics) > 0 {
+			c.reportPanics(panicked)
+		}
 	}
 }
 
@@ -384,27 +401,28 @@ func (c *Controller) resumable(deadlocked func()) *Gate {
 		return nil
 	}
 	if !c.isOff.Load() {
-		if c.holder >= 0 {
-			return c.gates[c.holder]
+		if c.holder != nil {
+			return c.holder
 		}
 		deadlocked()
 	}
-	for _, g := range c.gates {
-		if g.co != nil {
-			return g
-		}
+	// Every gate left belongs to a thread that has not returned.
+	if len(c.gates) == 0 {
+		return nil
 	}
-	return nil
+	return c.gates[0]
 }
 
 // retire ends a returned thread: its coroutine goes back to the pool,
-// its gate is done, and the scheduler picks the next holder. A thread
-// that panicked releases the run instead, so no scheduling decision
-// follows the panic, and queues the panic for the driver to report.
+// its gate is done, the scheduler picks the next holder, and the gate
+// goes to the free list. A thread that panicked releases the run
+// instead, so no scheduling decision follows the panic, and queues the
+// panic for the driver to report.
 func (c *Controller) retire(g *Gate) {
 	co := g.co
 	g.co = nil
 	c.live--
+	defer c.free(g)
 	if co.panicked != nil {
 		c.ReleaseAll(true)
 		c.panics = append(c.panics, co)
@@ -415,9 +433,33 @@ func (c *Controller) retire(g *Gate) {
 		return
 	}
 	g.state = gateDone
-	c.readyRemove(g.id)
+	c.readyRemove(g)
 	c.markDirty(g)
 	c.choose(-1)
+}
+
+// free takes a returned thread's gate out of the run. Its final
+// position stays in the signature: the contribution is folded into xsig
+// now and the gate leaves the dirty list, so Choice.Sig reads as if the
+// gate were still there.
+func (c *Controller) free(g *Gate) {
+	if g.dirty {
+		c.xsig ^= g.sig
+		g.sig = g.contribution()
+		c.xsig ^= g.sig
+		g.dirty = false
+		for i, d := range c.dirty {
+			if d == g {
+				last := len(c.dirty) - 1
+				c.dirty[i] = c.dirty[last]
+				c.dirty = c.dirty[:last]
+				break
+			}
+		}
+	}
+	i := sort.Search(len(c.gates), func(k int) bool { return c.gates[k].id >= g.id })
+	c.gates = append(c.gates[:i], c.gates[i+1:]...)
+	c.freeGates = append(c.freeGates, g)
 }
 
 // reportPanics hands every queued panic to panicked. The driver calls
@@ -429,17 +471,6 @@ func (c *Controller) reportPanics(panicked func(value any, stack []byte)) {
 		c.panics[i] = nil
 	}
 	c.panics = c.panics[:0]
-}
-
-// enabled returns the sorted runnable set in the controller's scratch
-// slice — one scheduling decision per statement makes this the hottest
-// allocation site, so the backing array is reused; Next implementations
-// must not retain it. The set is a copy of the incrementally maintained
-// ready list, so the cost is O(enabled), not O(every gate ever forked).
-func (c *Controller) enabled() []ThreadID {
-	out := append(c.enabledScratch[:0], c.ready...)
-	c.enabledScratch = out
-	return out
 }
 
 // contribution hashes the gate's position — (id, liveness, last line,
@@ -489,10 +520,10 @@ func (c *Controller) sig() uint64 {
 // thread or on the driver, so reading g.acc here never races the
 // owner-side appends.
 func (c *Controller) flushEvent() {
-	if c.holder < 0 {
+	g := c.holder
+	if g == nil {
 		return
 	}
-	g := c.gates[c.holder]
 	if len(g.acc) > 0 {
 		c.trace.Append(g.acc)
 		g.acc = g.acc[:0]
@@ -507,9 +538,9 @@ func (c *Controller) choose(cur ThreadID) ThreadID {
 	if c.trace != nil {
 		c.flushEvent()
 	}
-	enabled := c.enabled()
+	enabled := c.ready
 	if len(enabled) == 0 {
-		c.holder = -1
+		c.holder = nil
 		return -1
 	}
 	ch := Choice{Enabled: enabled, Cur: cur, Seq: c.seq, ctl: c}
@@ -520,17 +551,15 @@ func (c *Controller) choose(cur ThreadID) ThreadID {
 	}
 	c.seq++
 	id := c.sched.Next(ch)
-	valid := false
-	for _, e := range enabled {
+	k := 0 // invalid picks fall back to the lowest enabled id
+	for i, e := range enabled {
 		if e == id {
-			valid = true
+			k = i
 			break
 		}
 	}
-	if !valid {
-		id = enabled[0]
-	}
-	c.holder = id
+	id = enabled[k]
+	c.holder = c.readyGates[k]
 	if c.trace != nil {
 		c.trace.Open(int(id), branch)
 	}
@@ -546,12 +575,12 @@ func (c *Controller) choose(cur ThreadID) ThreadID {
 // token to the scheduler's next pick; the holder suspends in Resume. It
 // returns the parked gate, or nil when the run is released.
 func (c *Controller) HolderParked() any {
-	if c.isOff.Load() || c.holder < 0 {
+	if c.isOff.Load() || c.holder == nil {
 		return nil
 	}
-	g := c.gates[c.holder]
+	g := c.holder
 	g.state = gateParked
-	c.readyRemove(g.id)
+	c.readyRemove(g)
 	c.markDirty(g)
 	c.choose(-1)
 	return g
@@ -566,7 +595,7 @@ func (c *Controller) WaiterWoken(gate any) {
 		return
 	}
 	g.state = gateReady
-	c.readyAdd(g.id)
+	c.readyAdd(g)
 	c.markDirty(g)
 }
 
