@@ -1,7 +1,10 @@
 package parcoach_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -146,37 +149,57 @@ func TestCompileBatchPartialFailure(t *testing.T) {
 	}
 }
 
-// TestPassTimingsPopulated checks the per-pass timing view the batch API
-// exposes.
+// TestPassTimingsPopulated pins the per-pass timing view: every mode
+// records its stages under fixed names in execution order (bench/'s
+// trace and probes and Timing's buckets key on these names), with
+// nonzero total time, and the cached graphs cover every function.
 func TestPassTimingsPopulated(t *testing.T) {
-	p, err := parcoach.Compile("clean.mh", cleanSrc, parcoach.Options{Mode: parcoach.ModeFull, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Timing.Passes) == 0 {
-		t.Fatal("no pass timings recorded")
-	}
-	want := map[string]bool{
-		"frontend": false, "fold": false, "cfg": false, "dominators": false,
-		"summaries": false, "check": false, "instrument": false,
-		"dce": false, "lower": false, "regalloc": false,
-	}
-	var sum int64
-	for _, pt := range p.Timing.Passes {
-		if _, ok := want[pt.Name]; ok {
-			want[pt.Name] = true
+	for _, tc := range []struct {
+		mode parcoach.Mode
+		want []string
+	}{
+		{parcoach.ModeBaseline, []string{"frontend", "fold", "cfg", "dce", "lower", "regalloc"}},
+		{parcoach.ModeAnalyze, []string{"frontend", "fold", "cfg",
+			"dominators", "analysis-begin", "analysis-prepare", "taint", "contexts", "summaries", "check", "analysis-finish",
+			"dce", "lower", "regalloc"}},
+		{parcoach.ModeFull, []string{"frontend", "fold", "cfg",
+			"dominators", "analysis-begin", "analysis-prepare", "taint", "contexts", "summaries", "check", "analysis-finish",
+			"instrument", "dce", "lower", "regalloc"}},
+	} {
+		p, err := parcoach.Compile("clean.mh", cleanSrc, parcoach.Options{Mode: tc.mode})
+		if err != nil {
+			t.Fatal(err)
 		}
-		sum += int64(pt.Duration)
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("pass %q missing from timings: %+v", name, p.Timing.Passes)
+		var names []string
+		var sum int64
+		for _, pt := range p.Timing.Passes {
+			names = append(names, pt.Name)
+			sum += int64(pt.Duration)
+		}
+		if !slices.Equal(names, tc.want) {
+			t.Errorf("%s: passes %v, want %v", tc.mode, names, tc.want)
+		}
+		if sum == 0 {
+			t.Errorf("%s: pass durations all zero", tc.mode)
+		}
+		if p.Graphs == nil || len(p.Graphs) != p.Stats.Functions {
+			t.Errorf("%s: cached graphs missing: %d graphs for %d functions", tc.mode, len(p.Graphs), p.Stats.Functions)
 		}
 	}
-	if sum == 0 {
-		t.Error("pass durations all zero")
+}
+
+// TestCompileCtxCanceled: a compile under an already canceled context
+// stops before its first stage and returns the cancellation cause,
+// with no program.
+func TestCompileCtxCanceled(t *testing.T) {
+	cause := errors.New("client went away")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	p, err := parcoach.CompileCtx(ctx, "clean.mh", cleanSrc, parcoach.Options{Mode: parcoach.ModeFull})
+	if !errors.Is(err, cause) {
+		t.Errorf("err = %v, want the cancellation cause %v", err, cause)
 	}
-	if p.Graphs == nil || len(p.Graphs) != p.Stats.Functions {
-		t.Errorf("cached graphs missing: %d graphs for %d functions", len(p.Graphs), p.Stats.Functions)
+	if p != nil {
+		t.Errorf("canceled compile returned a program: %+v", p)
 	}
 }

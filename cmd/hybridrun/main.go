@@ -30,9 +30,8 @@
 //	-explore S     explore schedules with strategy rr|random|pct|dfs
 //	-schedules N   exploration run budget (default 16)
 //	-sched-seed N  base seed of the random/pct samplers
-//	-workers N     worker pool width for the compile and for -explore's
-//	               runs (0 = all cores, 1 = serial); reports do not
-//	               depend on it
+//	-workers N     worker pool width for -explore's runs (0 = all
+//	               cores, 1 = serial); reports do not depend on it
 //	-replay TOK    run the single schedule named by a replay token
 //	-timeout D     wall-clock bound: a single run is aborted by the
 //	               watchdog after D; an exploration is canceled at the
@@ -66,7 +65,7 @@ func main() {
 	level := flag.String("level", "multiple", "MPI thread level")
 	policy := flag.String("policy", "first-arrival", "single election policy")
 	maxSteps := flag.Int64("max-steps", 0, "statement budget (0 = default)")
-	workers := flag.Int("workers", 0, "worker pool width for the compile and for -explore's runs (0 = all cores, 1 = serial)")
+	workers := flag.Int("workers", 0, "worker pool width for -explore's runs (0 = all cores, 1 = serial)")
 	exploreStrat := flag.String("explore", "", "explore the schedule space: rr|random|pct|dfs")
 	schedules := flag.Int("schedules", 16, "exploration schedule budget")
 	schedSeed := flag.Int64("sched-seed", 0, "base seed of the random/pct schedule samplers")
@@ -104,7 +103,7 @@ func main() {
 	if !*instrumented && *exploreStrat == "" {
 		mode = parcoach.ModeBaseline
 	}
-	prog, err := parcoach.Compile(file, string(src), parcoach.Options{Mode: mode, Workers: *workers})
+	prog, err := parcoach.Compile(file, string(src), parcoach.Options{Mode: mode})
 	if err != nil {
 		fatal(err)
 	}

@@ -59,7 +59,7 @@ func main() {
 		bugName = flag.String("bug", "", "force a bug class (none, multithreaded-collective, ...); default derives from the seed")
 		size    = flag.String("size", "", "force a size (small, medium); default derives from the seed")
 		eval    = flag.Bool("eval", false, "compile and run under the differential harness")
-		workers = flag.Int("workers", 0, "compile worker-pool width (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "-eval's exploration worker-pool width (0 = GOMAXPROCS)")
 		corpus  = flag.String("corpus", "", "write the fuzz seed corpus under this directory and exit")
 		shards  = flag.Int("shards", 1, "partition the seed range round-robin into this many shards (CI matrix jobs)")
 		shard   = flag.Int("shard", 0, "process this shard of the partition (0-based)")

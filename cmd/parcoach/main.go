@@ -3,7 +3,8 @@
 // warnings (with collective names and source lines, as the paper
 // requires), and can dump the CFG, the parallelism-word analysis
 // artifacts, the instrumented source and the lowered IR. Multiple files
-// compile concurrently on one shared worker pool (the CompileBatch API).
+// compile concurrently, -workers of them at once (the CompileBatch API);
+// each file's compile is serial.
 //
 // Usage:
 //
@@ -12,7 +13,7 @@
 //	-initial multithreaded   assume main may start inside a parallel region
 //	-raw-pdf                 disable the rank-dependence refinement (ablation)
 //	-mode baseline|analyze|full
-//	-workers N               compile worker pool width (0 = all cores)
+//	-workers N               files compiled at once (0 = all cores)
 //	-dot func                write the function's CFG in Graphviz DOT to stdout
 //	-ir func                 dump the function's lowered IR
 //	-dump-instrumented       print the instrumented program
@@ -33,7 +34,7 @@ func main() {
 	initial := flag.String("initial", "monothreaded", "initial context: monothreaded or multithreaded")
 	rawPDF := flag.Bool("raw-pdf", false, "disable the rank-dependence refinement of phase 3")
 	mode := flag.String("mode", "full", "compilation mode: baseline, analyze or full")
-	workers := flag.Int("workers", 0, "compile worker pool width (0 = all cores, 1 = serial)")
+	workers := flag.Int("workers", 0, "files compiled at once (0 = all cores, 1 = one at a time)")
 	dotFunc := flag.String("dot", "", "dump the CFG of the named function as DOT")
 	irFunc := flag.String("ir", "", "dump the lowered IR of the named function")
 	dumpInst := flag.Bool("dump-instrumented", false, "print the instrumented program")

@@ -8,7 +8,6 @@
 //	parcoachd [flags]
 //
 //	-addr A            listen address (default 127.0.0.1:7489)
-//	-workers N         compile worker pool width (0 = all cores)
 //	-cache-cap N       artifact cache capacity (LRU beyond it)
 //	-max-concurrent N  requests executing at once (0 = NumCPU)
 //	-queue-depth N     requests waiting for a slot before 429
@@ -47,7 +46,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7489", "listen address")
-	workers := flag.Int("workers", 0, "compile worker pool width (0 = all cores)")
 	cacheCap := flag.Int("cache-cap", 0, "artifact cache capacity (0 = default)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "concurrent request slots (0 = NumCPU)")
 	queueDepth := flag.Int("queue-depth", 0, "queued requests before 429 (0 = default)")
@@ -59,7 +57,6 @@ func main() {
 		os.Exit(2)
 	}
 	srv := serve.New(serve.Config{
-		Workers:       *workers,
 		CacheCap:      *cacheCap,
 		MaxConcurrent: *maxConcurrent,
 		QueueDepth:    *queueDepth,

@@ -49,27 +49,37 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzCompile: the full ModeFull pipeline never panics on any parseable
-// input, and its diagnostics are identical at any worker count.
+// FuzzCompile: the full ModeFull compile never panics on any parseable
+// input; ModeAnalyze reports byte-identical diagnostics (codegen never
+// changes the analysis: the diff harness's analyze≡full property, on
+// fuzzed source), and a second ModeFull compile equals the first.
 func FuzzCompile(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
-		p1, err := parcoach.Compile("fuzz.mh", src, parcoach.Options{Mode: parcoach.ModeFull, Workers: 1})
+		full, err := parcoach.Compile("fuzz.mh", src, parcoach.Options{Mode: parcoach.ModeFull})
 		if err != nil {
 			return
 		}
-		p4, err := parcoach.Compile("fuzz.mh", src, parcoach.Options{Mode: parcoach.ModeFull, Workers: 4})
+		analyze, err := parcoach.Compile("fuzz.mh", src, parcoach.Options{Mode: parcoach.ModeAnalyze})
 		if err != nil {
-			t.Fatalf("compile succeeded serial but failed with workers: %v", err)
+			t.Fatalf("ModeFull compiled but ModeAnalyze failed: %v", err)
 		}
-		d1, d4 := p1.Diagnostics(), p4.Diagnostics()
-		if len(d1) != len(d4) {
-			t.Fatalf("diagnostic count differs by worker count: %d vs %d", len(d1), len(d4))
+		if got, want := diagString(analyze), diagString(full); got != want {
+			t.Fatalf("ModeAnalyze diagnostics differ from ModeFull's:\n%s\nvs:\n%s", got, want)
 		}
-		for i := range d1 {
-			if d1[i].String() != d4[i].String() {
-				t.Fatalf("diagnostic %d differs by worker count:\n%s\n%s", i, d1[i], d4[i])
-			}
+		again, err := parcoach.Compile("fuzz.mh", src, parcoach.Options{Mode: parcoach.ModeFull})
+		if err != nil {
+			t.Fatalf("second ModeFull compile failed: %v", err)
+		}
+		if got, want := diagString(again), diagString(full); got != want {
+			t.Fatalf("second ModeFull compile's diagnostics differ:\n%s\nvs:\n%s", got, want)
+		}
+		if again.Stats != full.Stats {
+			t.Fatalf("second ModeFull compile's stats differ: %+v vs %+v", again.Stats, full.Stats)
+		}
+		if (again.Instrumented == nil) != (full.Instrumented == nil) ||
+			full.Instrumented != nil && ast.String(again.Instrumented) != ast.String(full.Instrumented) {
+			t.Fatal("second ModeFull compile's instrumented tree differs")
 		}
 	})
 }

@@ -22,16 +22,15 @@
 // collective node in its caller, and the multithreading context propagates
 // along the call graph.
 //
-// The analysis is staged so the compile pipeline can schedule it across a
-// worker pool: Begin sets up the call-graph condensation, Prepare computes
-// the per-function artifacts (dominators, parallelism words, postdominance
-// frontiers — embarrassingly parallel), ComputeTaint/ComputeContexts/
-// ComputeSummaries run the interprocedural fixpoints in SCC order
-// (callees before callers, independent components of one wave in
-// parallel), Check runs the three per-function verification phases in
-// parallel, and Finish merges everything into a deterministic Result.
-// Analyze drives all stages in order and is equivalent to the serial
-// analysis regardless of the runner's parallelism.
+// The analysis runs in stages, so the compiler can time each one as a
+// pass of its own: Begin sets up the call-graph condensation, Prepare
+// computes the per-function artifacts (dominators, parallelism words,
+// postdominance frontiers), ComputeTaint/ComputeContexts/ComputeSummaries
+// run the interprocedural fixpoints over the condensation (summaries
+// callees first, contexts callers first), Check runs the three
+// verification phases function by function, and Finish assembles the
+// sorted Result. Analyze drives all stages in order. Every stage is
+// serial.
 package core
 
 import (
@@ -42,7 +41,6 @@ import (
 	"parcoach/internal/cfg"
 	"parcoach/internal/dom"
 	"parcoach/internal/mpi"
-	"parcoach/internal/pipeline"
 	"parcoach/internal/pword"
 	"parcoach/internal/source"
 )
@@ -74,19 +72,15 @@ type Options struct {
 	// reports every conditional in PDF+(O_c), including process-invariant
 	// ones (ablation mode; more warnings, more instrumentation).
 	RawPDF bool
-	// Graphs supplies pre-built CFGs keyed by function name. The compile
-	// pipeline passes the backend's graphs here so the analysis rides on
-	// the compiler's existing CFG, as PARCOACH does inside GCC; when nil
-	// the analysis builds its own.
+	// Graphs supplies pre-built CFGs keyed by function name. The compiler
+	// passes the backend's graphs here so the analysis rides on the
+	// compiler's existing CFG, as PARCOACH does inside GCC; when nil the
+	// analysis builds its own.
 	Graphs map[string]*cfg.Graph
 	// Doms supplies pre-built dominator trees keyed by function name
-	// (cached artifacts from the pipeline's dominator pass); missing
-	// entries are computed on demand during Prepare.
+	// (the compiler's dominators stage); missing entries are computed
+	// on demand during Prepare.
 	Doms map[string]*dom.Tree
-	// Runner schedules the parallel stages (artifact preparation, summary
-	// waves, per-function checking). Nil means a serial pool. The
-	// analysis result is identical for any pool width.
-	Runner *pipeline.Pool
 }
 
 // Summary is the interprocedural collective signature of one function.
@@ -141,14 +135,7 @@ type FuncAnalysis struct {
 	NeedsCC bool
 	// NeedsInstrumentation is true when any phase produced findings.
 	NeedsInstrumentation bool
-
-	// diags buffers this function's diagnostics so Check can run for many
-	// functions in parallel without contending on the Result; Finish
-	// merges the buffers in declaration order and sorts.
-	diags []Diagnostic
 }
-
-func (fa *FuncAnalysis) diag(d Diagnostic) { fa.diags = append(fa.diags, d) }
 
 // Result is the whole-program analysis output.
 type Result struct {
@@ -184,8 +171,7 @@ func (r *Result) NeedsInstrumentation() bool {
 }
 
 // Analyze runs the full compile-time verification on a parsed and
-// semantically valid program, driving every stage of the staged analyzer
-// on opts.Runner (serial when nil).
+// semantically valid program, driving every stage in order.
 func Analyze(prog *ast.Program, opts Options) *Result {
 	an := Begin(prog, opts)
 	an.Prepare()
@@ -196,25 +182,16 @@ func Analyze(prog *ast.Program, opts Options) *Result {
 	return an.Finish()
 }
 
-// Analysis is the staged analyzer. Stages must run in order — Prepare,
-// ComputeTaint, ComputeContexts, ComputeSummaries, Check, Finish — but
-// each stage's per-item entry points (PrepareFunc, ComputeSummarySCC,
-// CheckFunc) are safe to call concurrently for distinct items, which is
-// what the compile pipeline's pass manager does.
+// Analysis is the staged analyzer. Stages must run in order: Prepare,
+// ComputeTaint, ComputeContexts, ComputeSummaries, Check, Finish.
 type Analysis struct {
-	a *analyzer
-}
-
-type analyzer struct {
 	prog   *ast.Program
 	opts   Options
-	run    *pipeline.Pool
 	graphs map[string]*cfg.Graph
 	res    *Result
 
-	// funcs/index give every function a dense id; all per-function
-	// artifact caches below are slices indexed by it, so parallel stages
-	// write disjoint slots and never touch a shared map.
+	// funcs/index give every function a dense id; the per-function
+	// artifact caches below are slices indexed by it.
 	funcs []*ast.FuncDecl
 	index map[string]int
 
@@ -229,7 +206,7 @@ type analyzer struct {
 	taints map[string]*rankTaint
 	// pdfs caches per-function postdominance frontiers — one per function
 	// regardless of context. (Dominator trees are consumed inside
-	// PrepareFunc by the parallelism-word computation and not retained.)
+	// Prepare by the parallelism-word computation and not retained.)
 	pdfs []map[*cfg.Node][]*cfg.Node
 
 	// kinds/exposed are the summary fixpoint state; summaries holds the
@@ -243,24 +220,18 @@ type analyzer struct {
 	fas []*FuncAnalysis
 
 	// sccs is the call-graph condensation in reverse topological order
-	// (callees first); waves groups mutually independent SCC indices.
-	sccs  [][]string
-	waves [][]int
+	// (callees first).
+	sccs [][]string
 }
 
-// Begin sets up the analysis: defaults, CFGs (built in parallel when not
+// Begin sets up the analysis: defaults, CFGs (built here when not
 // supplied), and the call-graph condensation that orders the
 // interprocedural stages.
 func Begin(prog *ast.Program, opts Options) *Analysis {
-	run := opts.Runner
-	if run == nil {
-		run = pipeline.NewPool(1) // inline-serial
-	}
 	n := len(prog.Funcs)
-	a := &analyzer{
+	a := &Analysis{
 		prog:  prog,
 		opts:  opts,
-		run:   run,
 		funcs: prog.Funcs,
 		index: make(map[string]int, n),
 		res: &Result{
@@ -283,11 +254,9 @@ func Begin(prog *ast.Program, opts Options) *Analysis {
 	}
 	a.graphs = opts.Graphs
 	if a.graphs == nil {
-		built := make([]*cfg.Graph, n)
-		run.Map(n, func(i int) { built[i] = cfg.Build(prog.Funcs[i]) })
 		a.graphs = make(map[string]*cfg.Graph, n)
-		for i, f := range prog.Funcs {
-			a.graphs[f.Name] = built[i]
+		for _, f := range prog.Funcs {
+			a.graphs[f.Name] = cfg.Build(f)
 		}
 	}
 	a.res.Graphs = a.graphs
@@ -304,66 +273,46 @@ func Begin(prog *ast.Program, opts Options) *Analysis {
 		}
 		adj[f.Name] = callees
 	}
-	a.sccs = pipeline.SCCs(adj, order)
-	// Re-express the string waves as indices into a.sccs.
-	at := make(map[string]int, len(a.sccs))
-	for i, c := range a.sccs {
-		at[c[0]] = i
-	}
-	for _, wave := range pipeline.Waves(adj, a.sccs) {
-		var idx []int
-		for _, comp := range wave {
-			idx = append(idx, at[comp[0]])
-		}
-		a.waves = append(a.waves, idx)
-	}
-	return &Analysis{a: a}
+	a.sccs = SCCs(adj, order)
+	return a
 }
 
-// NumFuncs returns the number of functions (the item count of the
-// per-function parallel stages).
-func (an *Analysis) NumFuncs() int { return len(an.a.funcs) }
-
-// Prepare computes every function's artifacts on the runner.
-func (an *Analysis) Prepare() { an.a.run.Map(an.NumFuncs(), an.PrepareFunc) }
-
-// PrepareFunc computes the per-function artifacts of function i:
-// dominator tree, parallelism words and postdominance frontier. Safe to
-// call concurrently for distinct i.
-func (an *Analysis) PrepareFunc(i int) {
-	a := an.a
-	name := a.funcs[i].Name
-	g := a.graphs[name]
-	t := a.opts.Doms[name]
-	if t == nil {
-		t = dom.Dominators(g)
+// Prepare computes every function's artifacts: dominator tree,
+// parallelism words and postdominance frontier.
+func (a *Analysis) Prepare() {
+	for i, f := range a.funcs {
+		g := a.graphs[f.Name]
+		t := a.opts.Doms[f.Name]
+		if t == nil {
+			t = dom.Dominators(g)
+		}
+		a.words[i] = pword.ComputeWithDom(g, pword.Empty, t)
+		a.pdfs[i] = dom.PostDominanceFrontier(g)
 	}
-	a.words[i] = pword.ComputeWithDom(g, pword.Empty, t)
-	a.pdfs[i] = dom.PostDominanceFrontier(g)
 }
 
 // ComputeTaint runs the interprocedural rank-taint fixpoint (phase 3's
 // divergence refinement reads it).
-func (an *Analysis) ComputeTaint() { an.a.taints = computeProgramTaint(an.a.prog) }
+func (a *Analysis) ComputeTaint() { a.taints = computeProgramTaint(a.prog) }
 
-func (a *analyzer) pdfFor(name string) map[*cfg.Node][]*cfg.Node {
+func (a *Analysis) pdfFor(name string) map[*cfg.Node][]*cfg.Node {
 	return a.pdfs[a.index[name]]
 }
 
 // taintFor returns the function's rank-taint set. ComputeTaint must have
-// run; afterwards this is a read-only lookup safe for parallel phases.
-func (a *analyzer) taintFor(name string) *rankTaint {
+// run.
+func (a *Analysis) taintFor(name string) *rankTaint {
 	if t, ok := a.taints[name]; ok {
 		return t
 	}
 	return &rankTaint{vars: map[string]bool{}}
 }
 
-func (a *analyzer) wordsOf(name string) *pword.Result {
+func (a *Analysis) wordsOf(name string) *pword.Result {
 	return a.words[a.index[name]]
 }
 
-func (a *analyzer) summaryOf(name string) (Summary, bool) {
+func (a *Analysis) summaryOf(name string) (Summary, bool) {
 	i, ok := a.index[name]
 	if !ok {
 		return Summary{}, false
@@ -399,8 +348,7 @@ func displayWord(w pword.Word, multi bool) string {
 // Context flows caller→callee, so one walk of the condensation in forward
 // topological order (callers first) suffices, with a local fixpoint
 // inside each SCC for recursion.
-func (an *Analysis) ComputeContexts() {
-	a := an.a
+func (a *Analysis) ComputeContexts() {
 	if a.opts.Initial == ContextMultithreaded {
 		a.multiCtx[entryFunc] = true
 	}
@@ -451,27 +399,18 @@ func (an *Analysis) ComputeContexts() {
 }
 
 // ComputeSummaries runs the interprocedural fixpoint for collective
-// signatures (Kinds and Exposed) wave by wave over the call-graph
-// condensation: each wave's SCCs only call into finished waves, so the
-// runner fans the SCCs of one wave across workers.
-func (an *Analysis) ComputeSummaries() {
-	for _, wave := range an.SummaryWaves() {
-		an.a.run.Map(len(wave), func(i int) { an.ComputeSummarySCC(wave[i]) })
+// signatures (Kinds and Exposed) over the call-graph condensation,
+// callees first, so the summaries of every function an SCC calls are
+// final before the SCC is summarized.
+func (a *Analysis) ComputeSummaries() {
+	for _, comp := range a.sccs {
+		a.summarize(comp)
 	}
 }
 
-// SummaryWaves returns ordered groups of SCC indices for
-// ComputeSummarySCC: groups must run in order, members of one group may
-// run concurrently.
-func (an *Analysis) SummaryWaves() [][]int { return an.a.waves }
-
-// ComputeSummarySCC computes the collective summaries of the functions in
-// SCC scc (a local fixpoint for recursion); the summaries of every
-// function the SCC calls must already be final. Safe to call concurrently
-// for the SCCs of one wave.
-func (an *Analysis) ComputeSummarySCC(scc int) {
-	a := an.a
-	comp := a.sccs[scc]
+// summarize computes the collective summaries of the functions of one
+// SCC, with a local fixpoint for recursion.
+func (a *Analysis) summarize(comp []string) {
 	for changed := true; changed; {
 		changed = false
 		for _, name := range comp {
@@ -542,7 +481,7 @@ func sortedKinds(set map[ast.MPIKind]bool) []ast.MPIKind {
 // through calls: for call nodes the relevant kinds come from the callee
 // summary. The exposedOnly flag restricts call contributions to exposed
 // kinds (used by phase 1, where an internally-protected callee is safe).
-func (a *analyzer) collNodes(g *cfg.Graph, exposedOnly bool) map[*cfg.Node][]ast.MPIKind {
+func (a *Analysis) collNodes(g *cfg.Graph, exposedOnly bool) map[*cfg.Node][]ast.MPIKind {
 	out := make(map[*cfg.Node][]ast.MPIKind)
 	for _, n := range g.Nodes {
 		if n.Kind == cfg.KindCollective {
@@ -568,17 +507,16 @@ func (a *analyzer) collNodes(g *cfg.Graph, exposedOnly bool) map[*cfg.Node][]ast
 	return out
 }
 
-// Check runs the three verification phases for every function on the
-// runner.
-func (an *Analysis) Check() { an.a.run.Map(an.NumFuncs(), an.CheckFunc) }
+// Check runs the three verification phases for every function, in
+// declaration order. All interprocedural stages must be finished.
+func (a *Analysis) Check() {
+	for i, f := range a.funcs {
+		a.fas[i] = a.check(f)
+	}
+}
 
-// CheckFunc runs phases 1–3 for function i. All interprocedural stages
-// must be finished; the per-function state it writes (the FuncAnalysis
-// and its diagnostic buffer) is private to i, so distinct functions check
-// concurrently.
-func (an *Analysis) CheckFunc(i int) {
-	a := an.a
-	f := a.funcs[i]
+// check runs phases 1–3 for f.
+func (a *Analysis) check(f *ast.FuncDecl) *FuncAnalysis {
 	g := a.graphs[f.Name]
 	multi := a.multiCtx[f.Name]
 	words := a.wordsOf(f.Name)
@@ -589,11 +527,10 @@ func (an *Analysis) CheckFunc(i int) {
 		Multithreaded: multi,
 		SeqWarn:       make(map[string][]*cfg.Node),
 	}
-	a.fas[i] = fa
 
 	// Report word conflicts (non-conforming barrier placement) once per node.
 	for _, c := range words.Conflicts {
-		fa.diag(Diagnostic{
+		a.diag(Diagnostic{
 			Kind: DiagAmbiguousWord,
 			Pos:  c.Pos,
 			Func: f.Name,
@@ -607,20 +544,19 @@ func (an *Analysis) CheckFunc(i int) {
 	a.phase2(f, fa)
 	a.phase3(f, fa)
 	fa.NeedsInstrumentation = len(fa.MultithreadedColls) > 0 || len(fa.ConcPairs) > 0 || fa.NeedsCC
+	return fa
 }
 
-// Finish assembles the deterministic Result: per-function results and
-// summaries keyed by name, diagnostics merged in declaration order plus
-// the thread-level note, sorted into a canonical order independent of how
-// the parallel stages were scheduled.
-func (an *Analysis) Finish() *Result {
-	a := an.a
+func (a *Analysis) diag(d Diagnostic) { a.res.Diags = append(a.res.Diags, d) }
+
+// Finish assembles the Result: per-function results and summaries keyed
+// by name, and the diagnostics plus the thread-level note in canonical
+// order.
+func (a *Analysis) Finish() *Result {
 	for i, f := range a.funcs {
 		a.res.Summaries[f.Name] = a.summaries[i]
 		if fa := a.fas[i]; fa != nil {
 			a.res.Funcs[f.Name] = fa
-			a.res.Diags = append(a.res.Diags, fa.diags...)
-			fa.diags = nil
 		}
 	}
 	a.res.RequiredLevel = a.requiredLevel()
@@ -636,7 +572,7 @@ func (an *Analysis) Finish() *Result {
 
 // phase1 checks that every collective (or exposed callee collective) sits
 // at a monothreaded parallelism word.
-func (a *analyzer) phase1(f *ast.FuncDecl, fa *FuncAnalysis) {
+func (a *Analysis) phase1(f *ast.FuncDecl, fa *FuncAnalysis) {
 	colls := a.collNodes(fa.Graph, true)
 	ids := sortedNodeKeys(colls)
 	for _, n := range ids {
@@ -662,7 +598,7 @@ func (a *analyzer) phase1(f *ast.FuncDecl, fa *FuncAnalysis) {
 			if dominator != nil && dominator.Pos.IsValid() {
 				d.Related = append(d.Related, dominator.Pos)
 			}
-			fa.diag(d)
+			a.diag(d)
 		}
 	}
 }
@@ -670,7 +606,7 @@ func (a *analyzer) phase1(f *ast.FuncDecl, fa *FuncAnalysis) {
 // contextNode locates the Sipw node for a multithreaded word: the begin
 // node of the innermost open parallel region, or the entry node when the
 // multithreading comes from the unknown initial prefix.
-func (a *analyzer) contextNode(g *cfg.Graph, w pword.Word, multi bool) *cfg.Node {
+func (a *Analysis) contextNode(g *cfg.Graph, w pword.Word, multi bool) *cfg.Node {
 	for i := w.Len() - 1; i >= 0; i-- {
 		l := w.At(i)
 		if l.Kind == pword.P {
@@ -688,7 +624,7 @@ func (a *analyzer) contextNode(g *cfg.Graph, w pword.Word, multi bool) *cfg.Node
 }
 
 // phase2 finds pairs of collectives in concurrent monothreaded regions.
-func (a *analyzer) phase2(f *ast.FuncDecl, fa *FuncAnalysis) {
+func (a *Analysis) phase2(f *ast.FuncDecl, fa *FuncAnalysis) {
 	colls := a.collNodes(fa.Graph, false)
 	nodes := sortedNodeKeys(colls)
 	for i := 0; i < len(nodes); i++ {
@@ -709,7 +645,7 @@ func (a *analyzer) phase2(f *ast.FuncDecl, fa *FuncAnalysis) {
 					fa.Scc = appendUnique(fa.Scc, begin)
 				}
 			}
-			fa.diag(Diagnostic{
+			a.diag(Diagnostic{
 				Kind:       DiagConcurrentCollectives,
 				Pos:        n1.Pos,
 				Func:       f.Name,
@@ -747,7 +683,7 @@ func regionBegin(g *cfg.Graph, id int) *cfg.Node {
 
 // phase3 is PARCOACH Algorithm 1: for each collective kind, warn at every
 // conditional in the iterated postdominance frontier of its call sites.
-func (a *analyzer) phase3(f *ast.FuncDecl, fa *FuncAnalysis) {
+func (a *Analysis) phase3(f *ast.FuncDecl, fa *FuncAnalysis) {
 	g := fa.Graph
 	pdf := a.pdfFor(f.Name)
 	colls := a.collNodes(g, false)
@@ -778,7 +714,7 @@ func (a *analyzer) phase3(f *ast.FuncDecl, fa *FuncAnalysis) {
 			for _, n := range set {
 				rel = append(rel, n.Pos)
 			}
-			fa.diag(Diagnostic{
+			a.diag(Diagnostic{
 				Kind:       DiagCollectiveMismatch,
 				Pos:        d.Pos,
 				Func:       f.Name,
@@ -824,7 +760,7 @@ func filterDivergers(nodes []*cfg.Node, taint *rankTaint, raw bool) []*cfg.Node 
 }
 
 // requiredLevel derives the minimum MPI thread level over all collectives.
-func (a *analyzer) requiredLevel() mpi.ThreadLevel {
+func (a *Analysis) requiredLevel() mpi.ThreadLevel {
 	level := mpi.ThreadSingle
 	hasParallel := false
 	for _, f := range a.prog.Funcs {

@@ -84,9 +84,8 @@ func (d Diagnostic) String() string {
 }
 
 // SortDiagnostics orders diagnostics by file, line, column, then kind,
-// function, collective and message. The ordering is total over distinct
-// diagnostics, so the sorted output is byte-identical no matter how the
-// parallel analysis stages were scheduled.
+// function, collective and message. The sort is stable and the ordering
+// total over distinct diagnostics, so the output is canonical.
 func SortDiagnostics(diags []Diagnostic) {
 	sort.SliceStable(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

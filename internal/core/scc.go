@@ -1,4 +1,4 @@
-package pipeline
+package core
 
 // SCCs computes the strongly connected components of a directed graph
 // given as an adjacency map (edges to unknown vertices are ignored) and
@@ -99,46 +99,4 @@ func SCCs(adj map[string][]string, order []string) [][]string {
 		}
 	}
 	return comps
-}
-
-// Waves groups components (as returned by SCCs, reverse topological
-// order) into dependency levels: every component in wave k only has edges
-// into waves < k. Components within one wave are mutually independent, so
-// a scheduler may fan them across workers while still honoring SCC order
-// wave by wave — this is how the interprocedural summary pass guarantees
-// callee summaries exist before a caller is summarized.
-func Waves(adj map[string][]string, comps [][]string) [][][]string {
-	compOf := make(map[string]int, len(adj))
-	for i, c := range comps {
-		for _, v := range c {
-			compOf[v] = i
-		}
-	}
-	level := make([]int, len(comps))
-	for i, c := range comps {
-		// comps is in reverse topological order, so every dependency of
-		// component i has an index < i and its level is already final.
-		for _, v := range c {
-			for _, w := range adj[v] {
-				j, ok := compOf[w]
-				if !ok || j == i {
-					continue
-				}
-				if level[j]+1 > level[i] {
-					level[i] = level[j] + 1
-				}
-			}
-		}
-	}
-	maxLevel := -1
-	for _, l := range level {
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	waves := make([][][]string, maxLevel+1)
-	for i, c := range comps {
-		waves[level[i]] = append(waves[level[i]], c)
-	}
-	return waves
 }

@@ -27,11 +27,11 @@
 //     rounds of at most 16 prefixes whose results are merged serially,
 //     so the explored set does not depend on the worker count.
 //
-// Runs fan out over the shared compile worker pool
-// (internal/pipeline.Pool) and share one interp.Session, so the
-// compiled artifact and the pooled per-rank run state are reused by
-// every schedule instead of being rebuilt per run. Every report is a
-// function of the program and the options alone, at any worker count.
+// Runs fan out over a worker pool (internal/pipeline.Pool) and share
+// one interp.Session, so the compiled artifact and the pooled per-rank
+// run state are reused by every schedule instead of being rebuilt per
+// run. Every report is a function of the program and the options alone,
+// at any worker count.
 package explore
 
 import (

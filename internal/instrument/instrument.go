@@ -32,28 +32,20 @@ import (
 func Program(prog *ast.Program, res *core.Result) *ast.Program {
 	clone := ast.CloneProgram(prog)
 	for _, f := range clone.Funcs {
-		Func(f, res.Funcs[f.Name], res)
-	}
-	return clone
-}
-
-// Func rewrites one already-cloned function in place according to its
-// analysis (no-op when the function has no findings). It touches only f
-// and reads res, so the compile pipeline instruments distinct functions
-// concurrently.
-func Func(f *ast.FuncDecl, fa *core.FuncAnalysis, res *core.Result) {
-	if fa == nil || !fa.NeedsInstrumentation {
-		return
-	}
-	ins := newInserter(fa, res)
-	ins.rewriteBlock(f.Body)
-	if fa.NeedsCC {
-		// Check at function end for processes that fall off the end
-		// while others still expect collectives.
-		if n := len(f.Body.Stmts); n == 0 || !isReturn(f.Body.Stmts[n-1]) {
-			f.Body.Stmts = append(f.Body.Stmts, &ast.InstrCCReturn{At: f.NamePos})
+		fa := res.Funcs[f.Name]
+		if fa == nil || !fa.NeedsInstrumentation {
+			continue
+		}
+		newInserter(fa, res).rewriteBlock(f.Body)
+		if fa.NeedsCC {
+			// Check at function end for processes that fall off the end
+			// while others still expect collectives.
+			if n := len(f.Body.Stmts); n == 0 || !isReturn(f.Body.Stmts[n-1]) {
+				f.Body.Stmts = append(f.Body.Stmts, &ast.InstrCCReturn{At: f.NamePos})
+			}
 		}
 	}
+	return clone
 }
 
 // Stats summarizes what was inserted; the benchmark harness reports it.

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"testing"
 
 	"parcoach/internal/parser"
@@ -71,29 +72,43 @@ func main() {
 }
 
 // TestSerializedRegionAllocations pins the per-region-instance budget
-// on a fork/join-heavy program (a team fork, nowait single and join
-// barrier per iteration on every rank).
+// on fork/join-heavy programs (a team fork, one nowait worksharing
+// construct and the join barrier per iteration on every rank).
 func TestSerializedRegionAllocations(t *testing.T) {
 	const iters = 200
 	const ranks = 2
-	perRun, steps := measureAllocs(t, `
+	for _, tc := range []struct{ name, construct string }{
+		{"single nowait", "single nowait { x = x + 1 }"},
+		{"sections nowait", "sections nowait { section { x = x + 1 } section { x = x + 2 } }"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			perRun, steps := measureAllocs(t, fmt.Sprintf(`
 func main() {
 	MPI_Init()
 	var x = 0
-	for i = 0 .. 200 {
+	for i = 0 .. %d {
 		parallel num_threads(2) {
-			single nowait { x = x + 1 }
+			%s
 		}
 	}
 	MPI_Allreduce(x, x, sum)
 	MPI_Finalize()
 }
-`)
-	perRegion := perRun / float64(iters*ranks)
-	t.Logf("allocs/run=%.0f steps=%d allocs/region=%.2f", perRun, steps, perRegion)
-	const ceiling = 6.0 // the fork/join closures; was ~3x higher pre-pooling
-	if perRegion > ceiling {
-		t.Errorf("serialized fork/join path allocates %.2f objects/region (%.0f over %d regions); ceiling %.0f",
-			perRegion, perRun, iters*ranks, ceiling)
+`, iters, tc.construct))
+			perRegion := perRun / float64(iters*ranks)
+			t.Logf("allocs/run=%.0f steps=%d allocs/region=%.2f", perRun, steps, perRegion)
+			// The fork/join closures; was ~3x higher pre-pooling. Under
+			// the race detector pooled run state is reallocated whenever
+			// sync.Pool drops it (4.36 objects per single nowait region),
+			// so that build keeps the earlier ceiling of 6.
+			ceiling := 4.0
+			if raceEnabled {
+				ceiling = 6.0
+			}
+			if perRegion > ceiling {
+				t.Errorf("serialized fork/join path allocates %.2f objects/region (%.0f over %d regions); ceiling %.0f",
+					perRegion, perRun, iters*ranks, ceiling)
+			}
+		})
 	}
 }

@@ -232,6 +232,9 @@ type thctx struct {
 	// phases within it; together they key barrier arrival slots.
 	regionTag uint64
 	barSeq    uint64
+	// forked is the id of the team this thread's latest parallel
+	// region forked, set by the team's master.
+	forked int64
 	// ret is the value of the return statement being unwound.
 	ret int64
 }

@@ -574,7 +574,8 @@ func (b *builder) stmt(s ast.Stmt) func(*thctx, *frame) error {
 		}
 		id, nowait := s.RegionID, s.Nowait
 		return func(c *thctx, f *frame) error {
-			for _, idx := range c.th.Sections(id, len(bodies)) {
+			first, stride := c.th.Sections(id)
+			for idx := first; idx < len(bodies); idx += stride {
 				if err := bodies[idx].run(c, f); err != nil {
 					return err
 				}
@@ -661,6 +662,8 @@ func (c *thctx) parallel(pos source.Pos, n int, body block, slots int, f *frame)
 		ar, gate := c.ar, c.gate
 		if th.TID() != 0 {
 			ar, gate = getArena(), c.r.ctl.Running()
+		} else {
+			c.forked = th.Team().ID()
 		}
 		child := ar.newThctx()
 		child.r, child.p, child.rt, child.th = c.r, c.p, c.rt, th
@@ -686,6 +689,9 @@ func (c *thctx) parallel(pos source.Pos, n int, body block, slots int, f *frame)
 		}
 		return nil
 	})
+	// Every member has passed the join barrier, so none counts a
+	// collective in the team again.
+	c.r.ver.EndTeam(c.p, c.forked)
 	if c.trace && err == nil {
 		for tid := 0; tid < teamSize; tid++ {
 			c.tagAcq(joinObj(c.p.Rank(), tid, regionTag))

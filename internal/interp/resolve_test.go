@@ -298,3 +298,60 @@ func main() {
 		t.Errorf("heap grew by %d B from 2000 to 20000 regions; want under 1 MiB", growth)
 	}
 }
+
+// TestVerifierMemoryBoundedByLiveTeams: the verifier's run state
+// follows the live teams, not the regions or barrier phases a run has
+// executed. Each program runs a flagged collective under a phase count
+// once per region (the loop of regions) or once per barrier phase of
+// one region; ten times the iterations must not hold more heap at the
+// run's last statement.
+func TestVerifierMemoryBoundedByLiveTeams(t *testing.T) {
+	for _, tc := range []struct {
+		name, loop string
+	}{
+		{"regions", `
+	for i = 0 .. %d {
+		parallel num_threads(2) {
+			if tid() == 0 { MPI_Allreduce(x, x, sum) }
+		}
+	}`},
+		{"phases", `
+	parallel num_threads(2) {
+		for i = 0 .. %d {
+			if tid() == 0 { MPI_Allreduce(x, x, sum) }
+			barrier
+		}
+	}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			heapAtEnd := func(n int) uint64 {
+				src := "\nfunc main() {\n\tMPI_Init()\n\tvar x = 1" + fmt.Sprintf(tc.loop, n) + "\n\tMPI_Finalize()\n}"
+				last := strings.Count(src, "\n")
+				var heap uint64
+				defer SetTestStep(func(rank, tid, line int) {
+					if line == last {
+						runtime.GC()
+						var ms runtime.MemStats
+						runtime.ReadMemStats(&ms)
+						heap = ms.HeapAlloc
+					}
+				})()
+				prog := instrumented(t, src)
+				res := Run(prog, Options{Procs: 2, Threads: 2})
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				if res.Stats.PhaseChecks < n {
+					t.Fatalf("%d phase checks for %d iterations: the collective is not phase-counted", res.Stats.PhaseChecks, n)
+				}
+				return heap
+			}
+			small, large := heapAtEnd(2_000), heapAtEnd(20_000)
+			growth := int64(large) - int64(small)
+			t.Logf("heap at the last statement: %d B after 2000 iterations, %d B after 20000", small, large)
+			if growth > 1<<20 {
+				t.Errorf("heap grew by %d B from 2000 to 20000 iterations; want under 1 MiB", growth)
+			}
+		})
+	}
+}

@@ -33,7 +33,8 @@ import (
 
 // Options configures an evaluation.
 type Options struct {
-	// Workers is the compile worker-pool width (0 = GOMAXPROCS).
+	// Workers is the width of the exploration's run pool (0 =
+	// GOMAXPROCS). Each compile runs serially.
 	Workers int
 }
 
@@ -51,7 +52,7 @@ const (
 
 // compile builds (name, src) in the given mode.
 func (o Options) compile(name, src string, mode parcoach.Mode) (*parcoach.Program, error) {
-	return parcoach.Compile(name, src, parcoach.Options{Mode: mode, Workers: o.Workers})
+	return parcoach.Compile(name, src, parcoach.Options{Mode: mode})
 }
 
 // scheduleDependent reports whether a bug class needs a particular

@@ -383,18 +383,13 @@ func (th *Thread) Single(regionID int) bool {
 // Master reports whether this thread is the team master.
 func (th *Thread) Master() bool { return th.tid == 0 }
 
-// Sections returns the indices of the construct's section bodies this
-// thread executes (deterministic round-robin distribution). The caller
-// runs them in order, then calls Barrier unless nowait.
-func (th *Thread) Sections(regionID, count int) []int {
+// Sections returns the index of the first section body this thread
+// executes and the stride to its next one: the bodies are dealt
+// round-robin, so thread tid runs bodies tid, tid+size, tid+2·size, …
+// The caller runs them in order, then calls Barrier unless nowait.
+func (th *Thread) Sections(regionID int) (first, stride int) {
 	th.encounter(regionID)
-	var mine []int
-	for i := 0; i < count; i++ {
-		if i%th.team.size == th.tid {
-			mine = append(mine, i)
-		}
-	}
-	return mine
+	return th.tid, th.team.size
 }
 
 // ForLoop describes this thread's share of a worksharing loop.

@@ -189,7 +189,8 @@ func TestSectionsDistribution(t *testing.T) {
 	var mu sync.Mutex
 	ran := map[int]int{}
 	err := parallel(rt, th0, 2, func(th *Thread) error {
-		for _, idx := range th.Sections(9, 5) {
+		first, stride := th.Sections(9)
+		for idx := first; idx < 5; idx += stride {
 			mu.Lock()
 			ran[idx]++
 			mu.Unlock()

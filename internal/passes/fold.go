@@ -25,28 +25,11 @@ type FoldStats struct {
 // statistics. The input program is never modified.
 func FoldProgram(prog *ast.Program) (*ast.Program, FoldStats) {
 	clone := ast.CloneProgram(prog)
-	var total FoldStats
-	for _, fn := range clone.Funcs {
-		total = total.Add(FoldFunc(fn))
-	}
-	return clone, total
-}
-
-// FoldFunc constant-folds one (already cloned) function in place and
-// returns its fold statistics. Distinct functions fold independently, so
-// the compile pipeline fans this across workers.
-func FoldFunc(fn *ast.FuncDecl) FoldStats {
 	f := &folder{}
-	f.foldBlock(fn.Body)
-	return f.stats
-}
-
-// Add sums fold statistics (used to merge per-function results).
-func (s FoldStats) Add(o FoldStats) FoldStats {
-	s.ExprsFolded += o.ExprsFolded
-	s.BranchesResolved += o.BranchesResolved
-	s.LoopsRemoved += o.LoopsRemoved
-	return s
+	for _, fn := range clone.Funcs {
+		f.foldBlock(fn.Body)
+	}
+	return clone, f.stats
 }
 
 type folder struct {

@@ -1,17 +1,12 @@
-// Package pipeline provides the concurrent pass-manager machinery the
-// compile path runs on: a bounded worker pool sized to the machine (Map
-// fans a batch's indices out to the caller and borrowed helpers, one
-// shared counter handing out the next index), call-graph SCC
-// condensation for interprocedural scheduling, and a pass manager in
-// which every pass declares the per-function artifacts it produces and
-// consumes (folded AST, CFG, dominators, parallelism words, analysis
-// summaries, instrumented bodies, IR, allocations).
+// Package pipeline provides the bounded worker pool that the
+// coarse-grained parallelism of the repository runs on: CompileBatch's
+// files, schedule exploration's runs and a campaign's jobs. Map fans a
+// batch's indices out to the caller and borrowed helpers, one shared
+// counter handing out the next index. A single compile runs serially
+// and does not use it.
 //
 // The package is deliberately domain-free: it knows nothing about MPI or
-// MiniHybrid. The concrete passes are registered by package parcoach,
-// which closes over internal/core, internal/instrument and
-// internal/passes; internal/core uses only the Pool and SCC pieces, so no
-// import cycle arises.
+// MiniHybrid.
 package pipeline
 
 import (
@@ -21,12 +16,9 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a bounded worker pool shared across compilations. Map fans a
-// batch of independent work items across the pool; the calling goroutine
-// always participates in the work, so nested Map calls (a batch compile
-// whose per-file compiles each fan per-function work out again) can never
-// deadlock: at worst a nested call finds no free workers and degrades to
-// running inline on its caller.
+// Pool is a bounded worker pool. Map fans a batch of independent work
+// items across the pool; the calling goroutine always participates in
+// the work, so a Map makes progress even when no helper is free.
 type Pool struct {
 	workers int
 	// sem bounds the number of borrowed helper goroutines across all
@@ -35,8 +27,7 @@ type Pool struct {
 }
 
 // NewPool returns a pool of the given width. Zero or negative means
-// runtime.GOMAXPROCS(0); one means fully serial (Map runs inline, which
-// is the deterministic reference the batch benchmarks compare against).
+// runtime.GOMAXPROCS(0); one means fully serial (Map runs inline).
 func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -57,12 +48,12 @@ func (p *Pool) Serial() bool { return p.workers <= 1 }
 // Map runs fn(0) … fn(n-1) across the pool and returns when all calls
 // have finished. The caller's goroutine works too; helper goroutines are
 // recruited only while free slots exist, so total concurrency stays
-// bounded near the pool width even under nesting.
+// bounded near the pool width across concurrent Map calls.
 //
 // A panic in any item is captured and re-raised on the caller's
 // goroutine once the batch has drained, so Map panics the same way
-// regardless of which worker hit it — a recover() around a pooled
-// compile behaves exactly like one around a serial compile.
+// regardless of which worker hit it — a recover() around a Map behaves
+// exactly like one around a serial loop.
 func (p *Pool) Map(n int, fn func(i int)) {
 	switch {
 	case n <= 0:

@@ -1,8 +1,7 @@
 // Artifact cache: the content-addressed heart of the daemon.
 //
 // Every compile request is named by parcoach.CacheKey — SHA-256 of the
-// source bytes plus the canonicalized compile options (worker count
-// excluded: it cannot change the artifact) — and resolves to one
+// source bytes plus the canonicalized compile options — and resolves to one
 // cached artifact holding the compiled *parcoach.Program, its
 // diagnostics, and the warm interp.Session pool for that artifact.
 // Concurrent identical submissions are deduplicated singleflight-style:
@@ -102,20 +101,20 @@ func (s *Server) artifactFor(ctx context.Context, name, source string, opts parc
 	s.evictLocked()
 	s.mu.Unlock()
 	s.misses.Add(1)
-	// Compile on the requesting goroutine — it holds a concurrency slot
-	// already, so the compile pool's width is the only parallelism knob.
-	// A panic inside the pipeline is quarantined into a cached error (the
-	// source deterministically breaks this compiler — recompiling it for
-	// the next client would panic again); a context cancellation is NOT
-	// cached: the entry is evicted so the next client gets a real compile.
-	opts.Workers = 0 // the compiler's shared pool decides
+	// Compile serially on the requesting goroutine — it holds a
+	// concurrency slot already, so MaxConcurrent is the only parallelism
+	// knob. A panic inside the compile is quarantined into a cached error
+	// (the source deterministically breaks this compiler — recompiling it
+	// for the next client would panic again); a context cancellation is
+	// NOT cached: the entry is evicted so the next client gets a real
+	// compile.
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
 				a.prog, a.err = nil, interp.NewQuarantineError("serve.compile", r, debug.Stack())
 			}
 		}()
-		a.prog, a.err = s.compiler.CompileCtx(ctx, name, source, opts)
+		a.prog, a.err = parcoach.CompileCtx(ctx, name, source, opts)
 	}()
 	if a.err != nil && ctx.Err() != nil {
 		s.mu.Lock()

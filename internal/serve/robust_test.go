@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -303,5 +304,33 @@ func main() {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after oversized requests: %d", resp.StatusCode)
+	}
+}
+
+// TestCompileCanceledNotCached: a /compile whose request context is
+// already canceled leaves no error in the cache, so the next /compile
+// of the same source compiles and answers with its diagnostics.
+func TestCompileCanceledNotCached(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	req := map[string]any{"name": "buggy.mh", "source": buggySrc}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := httptest.NewRequest(http.MethodPost, "/compile", bytes.NewReader(body)).WithContext(ctx)
+	s.ServeHTTP(httptest.NewRecorder(), r)
+
+	code, raw := postJSON(t, ts.URL+"/compile", req)
+	if code != http.StatusOK {
+		t.Fatalf("compile after a canceled one: %d %s", code, raw)
+	}
+	resp := decode[compileResponse](t, raw)
+	if resp.Cached || len(resp.Diagnostics) == 0 {
+		t.Errorf("want a fresh compile with diagnostics, got %+v", resp)
+	}
+	if st := s.Snapshot(); st.Cache.Misses != 2 {
+		t.Errorf("misses = %d, want 2: the canceled request's and the fresh compile", st.Cache.Misses)
 	}
 }

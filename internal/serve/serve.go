@@ -36,16 +36,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"parcoach"
 	"parcoach/internal/chaos"
 	"parcoach/internal/interp"
 )
 
-// Config sizes the daemon.
+// Config sizes the daemon. Each request, a compile included, runs on
+// its own goroutine, so MaxConcurrent is the daemon's only parallelism
+// knob.
 type Config struct {
-	// Workers is the compile pool width (0 = GOMAXPROCS) — one persistent
-	// pool shared by every compilation for the server's lifetime.
-	Workers int
 	// CacheCap bounds the artifact cache (LRU beyond it; default 128).
 	CacheCap int
 	// MaxConcurrent bounds requests executing at once (default
@@ -87,13 +85,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the daemon state: the artifact cache, the shared compiler
-// pool, and the admission machinery. Mount it as an http.Handler.
+// Server is the daemon state: the artifact cache and the admission
+// machinery. Mount it as an http.Handler.
 type Server struct {
-	cfg      Config
-	compiler *parcoach.Compiler
-	mux      *http.ServeMux
-	start    time.Time
+	cfg   Config
+	mux   *http.ServeMux
+	start time.Time
 
 	// slots is the concurrency semaphore; queued counts waiters,
 	// rejected counts 429s.
@@ -125,12 +122,11 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:      cfg,
-		compiler: parcoach.NewCompiler(cfg.Workers),
-		mux:      http.NewServeMux(),
-		start:    time.Now(),
-		slots:    make(chan struct{}, cfg.MaxConcurrent),
-		cache:    make(map[string]*artifact),
+		cfg:   cfg,
+		mux:   http.NewServeMux(),
+		start: time.Now(),
+		slots: make(chan struct{}, cfg.MaxConcurrent),
+		cache: make(map[string]*artifact),
 	}
 	s.mux.HandleFunc("POST /compile", s.guarded(s.handleCompile))
 	s.mux.HandleFunc("POST /run", s.guarded(s.handleRun))

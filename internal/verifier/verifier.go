@@ -86,10 +86,12 @@ type Verifier struct {
 	ccArrived map[int]*ccEntry
 	ccRound   int
 
-	// Phase counting: executions per (process, team, phase).
-	phases map[phaseKey][]*phaseEntry
+	// Phase counting: the counted executions of each live team's
+	// current barrier phase. A team's entry goes when the team ends.
+	phases map[teamKey]*teamPhase
 
-	// Region attribution per thread (Scc bracketing); key is (proc, thread id).
+	// Region attribution per thread (Scc bracketing); key is (proc,
+	// thread id), present only while the thread is inside an Scc region.
 	regions map[threadKey][]int
 
 	// MonoCheck recordings: region id -> last observed team size.
@@ -107,10 +109,17 @@ type ccEntry struct {
 	waiter *monitor.Waiter
 }
 
-type phaseKey struct {
-	proc  int
-	team  int64
-	phase int
+type teamKey struct {
+	proc int
+	team int64
+}
+
+// teamPhase holds the executions one team has counted in its current
+// barrier phase. A count in a later phase replaces them: a team's phase
+// only advances.
+type teamPhase struct {
+	phase   int
+	entries []phaseEntry
 }
 
 type phaseEntry struct {
@@ -133,7 +142,7 @@ func New(mon *monitor.Monitor, nprocs int) *Verifier {
 		mon:       mon,
 		nprocs:    nprocs,
 		ccArrived: make(map[int]*ccEntry),
-		phases:    make(map[phaseKey][]*phaseEntry),
+		phases:    make(map[teamKey]*teamPhase),
 		regions:   make(map[threadKey][]int),
 		teamSizes: make(map[int]int),
 	}
@@ -284,14 +293,22 @@ func (v *Verifier) PhaseCount(p *mpi.Proc, th *omp.Thread, nodeID int, kind stri
 	}
 	v.phaseChecks++
 	team := th.Team()
-	key := phaseKey{proc: p.Rank(), team: team.ID(), phase: teamPhaseLocked(team)}
-	tk := threadKey{proc: p.Rank(), thread: th.ID()}
+	key := teamKey{proc: p.Rank(), team: team.ID()}
+	phase := teamPhaseLocked(team)
+	tp := v.phases[key]
+	if tp == nil {
+		tp = &teamPhase{phase: phase}
+		v.phases[key] = tp
+	} else if tp.phase != phase {
+		tp.phase = phase
+		tp.entries = tp.entries[:0]
+	}
 	regionID := -1
-	if stack := v.regions[tk]; len(stack) > 0 {
+	if stack := v.regions[threadKey{proc: p.Rank(), thread: th.ID()}]; len(stack) > 0 {
 		regionID = stack[len(stack)-1]
 	}
-	entry := &phaseEntry{thread: th.ID(), tid: th.TID(), nodeID: nodeID, kind: kind, pos: pos, regionID: regionID}
-	for _, prev := range v.phases[key] {
+	entry := phaseEntry{thread: th.ID(), tid: th.TID(), nodeID: nodeID, kind: kind, pos: pos, regionID: regionID}
+	for _, prev := range tp.entries {
 		if prev.thread == entry.thread {
 			continue // same thread: ordered by program order
 		}
@@ -310,8 +327,17 @@ func (v *Verifier) PhaseCount(p *mpi.Proc, th *omp.Thread, nodeID int, kind stri
 		m.AbortLocked(err)
 		return err
 	}
-	v.phases[key] = append(v.phases[key], entry)
+	tp.entries = append(tp.entries, entry)
 	return nil
+}
+
+// EndTeam drops the phase counts of proc's team once every member has
+// passed its join barrier: no member counts in it again, and team ids
+// are never reused within a run.
+func (v *Verifier) EndTeam(p *mpi.Proc, team int64) {
+	v.mon.Lock()
+	defer v.mon.Unlock()
+	delete(v.phases, teamKey{proc: p.Rank(), team: team})
 }
 
 // teamPhaseLocked reads the team phase; the caller already holds the
@@ -341,12 +367,19 @@ func (v *Verifier) ConcEnter(p *mpi.Proc, th *omp.Thread, regionID int) {
 	v.regions[tk] = append(v.regions[tk], regionID)
 }
 
-// ConcExit pops the thread's attribution stack.
+// ConcExit pops the thread's attribution stack, and drops the thread's
+// key once the stack is empty.
 func (v *Verifier) ConcExit(p *mpi.Proc, th *omp.Thread, regionID int) {
 	v.mon.Lock()
 	defer v.mon.Unlock()
 	tk := threadKey{proc: p.Rank(), thread: th.ID()}
-	if stack := v.regions[tk]; len(stack) > 0 && stack[len(stack)-1] == regionID {
+	stack := v.regions[tk]
+	if len(stack) == 0 || stack[len(stack)-1] != regionID {
+		return
+	}
+	if len(stack) == 1 {
+		delete(v.regions, tk)
+	} else {
 		v.regions[tk] = stack[:len(stack)-1]
 	}
 }

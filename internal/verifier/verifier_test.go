@@ -189,6 +189,44 @@ func TestPhaseCountSeparatedByBarrier(t *testing.T) {
 	}
 }
 
+// TestEndTeamDropsPhaseCounts: a team holds only the counts of its
+// current phase while it runs, and none once it has ended.
+func TestEndTeamDropsPhaseCounts(t *testing.T) {
+	w, v, rt := phaseEnv(t)
+	err := w.Run(func(p *mpi.Proc) error {
+		var team int64
+		err := rt.Parallel(rt.InitialThread(), 2, func(th *omp.Thread) error {
+			team = th.Team().ID()
+			for phase := 0; phase < 3; phase++ {
+				if th.TID() == 0 {
+					if err := v.PhaseCount(p, th, 20, "MPI_Bcast", pos(6)); err != nil {
+						return err
+					}
+				}
+				if err := th.Barrier(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		key := teamKey{proc: p.Rank(), team: team}
+		if tp := v.phases[key]; len(v.phases) != 1 || tp == nil || tp.phase != 2 || len(tp.entries) != 1 {
+			t.Errorf("phase counts after three phases: %d teams, %+v; want the one entry of phase 2", len(v.phases), tp)
+		}
+		v.EndTeam(p, team)
+		if len(v.phases) != 0 {
+			t.Errorf("ended team kept its phase counts: %+v", v.phases)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMonoCheckRecordsTeamSize(t *testing.T) {
 	w, v, rt := phaseEnv(t)
 	err := w.Run(func(p *mpi.Proc) error {
@@ -223,6 +261,9 @@ func TestConcNotesTrackRegions(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(v.regions) != 0 {
+		t.Errorf("a thread outside every Scc region kept its key: %v", v.regions)
 	}
 }
 

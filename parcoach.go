@@ -14,14 +14,12 @@
 // thread teams, where the planted runtime checks stop erroneous runs with
 // located error messages before they deadlock.
 //
-// The compile path runs on the internal/pipeline pass manager: every pass
-// declares the per-function artifacts it produces and consumes (folded
-// AST, CFG, dominators, parallelism words, summaries, analysis,
-// instrumented bodies, IR, allocations), and function-level work fans out
-// across a worker pool, with the interprocedural summary stage walking
-// the call graph in SCC order so callee summaries exist before their
-// callers are analysed. CompileBatch shares one pool across many
-// programs; diagnostics and stats are identical for any worker count.
+// A compile is one straight-line sequence of stages on the caller's
+// goroutine, each timed under its name in Timing.Passes, the way the
+// paper's analysis runs as one more pass of GCC's middle end, function
+// by function. Parallelism is coarse-grained: CompileBatch compiles
+// whole files at once on a worker pool, and exploration and campaigns
+// fan their runs and jobs out on theirs.
 //
 // Typical use:
 //
@@ -103,18 +101,17 @@ type Options struct {
 	// RawPDF disables the rank-dependence refinement of phase 3
 	// (ablation: the unrefined PDF+ of PARCOACH Algorithm 1).
 	RawPDF bool
-	// Workers sets the width of the compile worker pool: per-function
-	// pipeline work (folding, CFG and dominator construction, the
-	// parallelism-word and checking phases, instrumentation, lowering and
-	// register allocation) fans across this many workers, and
-	// CompileBatch additionally compiles whole files concurrently on the
-	// same pool. 0 means runtime.GOMAXPROCS(0); 1 means fully serial.
-	// Diagnostics, stats and generated code are identical for any value.
+	// Workers sets how many files CompileBatch compiles at once (0 means
+	// runtime.GOMAXPROCS(0)). Compile ignores it: every compile runs its
+	// stages serially on the caller's goroutine.
 	Workers int
 }
 
-// PassTime re-exports the pipeline's per-pass timing entry.
-type PassTime = pipeline.PassTime
+// PassTime records the wall-clock time of one compile stage.
+type PassTime struct {
+	Name     string
+	Duration time.Duration
+}
 
 // Timing records where compilation time went; the Figure 1 harness reads
 // it to separate analysis and instrumentation cost from the baseline.
@@ -124,7 +121,7 @@ type Timing struct {
 	Instrument time.Duration // verification-code generation
 	Backend    time.Duration // folding, CFG, DCE, lowering
 	Total      time.Duration
-	// Passes holds the wall-clock time of every pipeline pass in
+	// Passes holds the wall-clock time of every compile stage in
 	// execution order (the fine-grained view the buckets above sum up).
 	Passes []PassTime
 }
@@ -175,35 +172,31 @@ type File struct {
 	Source string
 }
 
-// Compile runs the pipeline on src. Parse and semantic errors abort; the
-// verification phases never fail compilation — they produce Diagnostics.
+// Compile runs the compile stages on src. Parse and semantic errors
+// abort; the verification phases never fail compilation — they produce
+// Diagnostics.
 //
-// The pipeline mirrors how PARCOACH sits in GCC's middle end: the baseline
+// The stages mirror how PARCOACH sits in GCC's middle end: the baseline
 // compiler folds constants and builds the CFG anyway; the analysis is an
 // extra pass over those existing graphs; verification-code generation
 // rewrites only the flagged functions (selective instrumentation) and
 // rebuilds just their graphs before the common DCE + lowering backend
 // finishes the job.
 func Compile(name, src string, opts Options) (*Program, error) {
-	return compile(name, src, opts, pipeline.NewPool(opts.Workers))
+	return CompileCtx(context.Background(), name, src, opts)
 }
 
-// CompileBatch compiles many programs on one shared worker pool — the
-// entry point for serving heavy compile traffic. Whole files compile
-// concurrently and each file's per-function pipeline work fans out on the
-// same pool, so the hardware stays busy whether the batch is many small
-// programs or a few large ones.
+// CompileBatch compiles many programs, opts.Workers files at once on a
+// worker pool — the entry point for heavy compile traffic.
 //
 // The returned slice is parallel to files; entries whose compilation
 // failed are nil and their errors are joined into the returned error.
-// Every program's diagnostics, stats and code are identical to what a
-// serial Compile of that file produces.
+// Every program is identical to what a Compile of that file produces.
 func CompileBatch(files []File, opts Options) ([]*Program, error) {
-	pool := pipeline.NewPool(opts.Workers)
 	progs := make([]*Program, len(files))
 	errs := make([]error, len(files))
-	pool.Map(len(files), func(i int) {
-		progs[i], errs[i] = compile(files[i].Name, files[i].Source, opts, pool)
+	pipeline.NewPool(opts.Workers).Map(len(files), func(i int) {
+		progs[i], errs[i] = Compile(files[i].Name, files[i].Source, opts)
 	})
 	return progs, errors.Join(errs...)
 }
@@ -215,11 +208,9 @@ func CompileBatch(files []File, opts Options) ([]*Program, error) {
 // cache) may serve either's Program for both.
 //
 // Canonicalization: only the fields that change the compiled artifact
-// participate — Mode, Initial, RawPDF. Workers is deliberately
-// excluded (diagnostics, stats and generated code are identical for
-// any worker count; letting pool width fragment the cache would make
-// the hit rate depend on a knob that cannot change the answer). The
-// name participates because diagnostics embed it in their positions.
+// participate — Mode, Initial, RawPDF. Workers is excluded: it sets
+// only CompileBatch's width and cannot change a program. The name
+// participates because diagnostics embed it in their positions.
 func CacheKey(name, src string, opts Options) string {
 	h := sha256.New()
 	h.Write([]byte("parcoach-artifact-v1\x00"))
@@ -231,234 +222,174 @@ func CacheKey(name, src string, opts Options) string {
 	return "sha256:" + hex.EncodeToString(h.Sum(nil))
 }
 
-// Compiler is the long-lived form of CompileBatch: one worker pool
-// shared across every compilation for the life of the value, so a
-// server compiling on demand (cmd/parcoachd) keeps its workers warm
-// instead of rebuilding a pool per request. Safe for concurrent use.
-type Compiler struct {
-	pool *pipeline.Pool
-}
+// Compiler compiles exactly like Compile; it keeps callers of the
+// earlier pooled compiler building.
+//
+// Deprecated: call Compile or CompileCtx.
+type Compiler struct{}
 
-// NewCompiler builds a compiler around a persistent pool of the given
-// width (0 = GOMAXPROCS, 1 = serial), matching Options.Workers
-// semantics. The Workers field of per-call Options is ignored — the
-// shared pool is the width.
-func NewCompiler(workers int) *Compiler {
-	return &Compiler{pool: pipeline.NewPool(workers)}
-}
+// NewCompiler returns a Compiler. The width is ignored.
+//
+// Deprecated: call Compile or CompileCtx.
+func NewCompiler(workers int) *Compiler { return &Compiler{} }
 
-// Compile runs the pipeline on src using the compiler's shared pool.
-// Output is identical to a standalone Compile of the same inputs.
+// Compile is the package-level Compile.
+//
+// Deprecated: call Compile.
 func (c *Compiler) Compile(name, src string, opts Options) (*Program, error) {
-	return compile(name, src, opts, c.pool)
+	return Compile(name, src, opts)
 }
 
-// CompileCtx is Compile with cooperative cancellation at pass
-// boundaries; the daemon uses it so a disconnected client's compile
-// stops early. Canceled compiles return the context's cause — callers
-// that cache errors must take care not to cache those.
-func (c *Compiler) CompileCtx(ctx context.Context, name, src string, opts Options) (*Program, error) {
-	return compileCtx(ctx, name, src, opts, c.pool)
+// stages times a compile's stages laid end to end: next ends the
+// running stage, checks the context and starts the named one.
+type stages struct {
+	ctx    context.Context
+	passes []PassTime
+	at     time.Time
 }
 
-// compile builds and runs the pass pipeline for one source file on the
-// given pool.
-func compile(name, src string, opts Options, pool *pipeline.Pool) (*Program, error) {
-	return compileCtx(nil, name, src, opts, pool)
+func (s *stages) next(name string) error {
+	s.end()
+	if err := context.Cause(s.ctx); err != nil {
+		return err
+	}
+	s.passes = append(s.passes, PassTime{Name: name})
+	s.at = time.Now()
+	return nil
 }
 
-// compileCtx is compile under a context: cancellation is observed at
-// pass boundaries, so an abandoned request stops compiling within one
-// pass instead of running the pipeline to completion for nobody.
-func compileCtx(ctx context.Context, name, src string, opts Options, pool *pipeline.Pool) (*Program, error) {
+// end records the running stage's time.
+func (s *stages) end() {
+	if n := len(s.passes); n > 0 {
+		s.passes[n-1].Duration = time.Since(s.at)
+	}
+}
+
+// CompileCtx is Compile under a context, checked before each stage, so
+// an abandoned request (the daemon's disconnected client) stops within
+// one stage. A canceled compile returns context.Cause(ctx) and no
+// program; callers that cache errors must not cache those.
+func CompileCtx(ctx context.Context, name, src string, opts Options) (*Program, error) {
 	start := time.Now()
 	p := &Program{Name: name, opts: opts}
-	m := pipeline.New(pool)
+	st := stages{ctx: ctx}
 
-	// Artifacts flowing between the passes below. Per-function slices are
-	// indexed by position in Funcs; fan-out passes write disjoint slots.
-	var (
-		prog      *ast.Program // parsed + semantically checked
-		folded    *ast.Program // constant-folded clone (the analysed tree)
-		foldStats []passes.FoldStats
-		graphs    map[string]*cfg.Graph
-		glist     []*cfg.Graph // graphs in function order
-		deadNodes []int
-		doms      map[string]*dom.Tree
-		an        *core.Analysis
-		final     *ast.Program // tree the backend lowers
-		irs       []*passes.FuncIR
-		allocs    []*passes.Allocation
-	)
-
-	m.Add(pipeline.Pass{
-		Name:     "frontend",
-		Produces: []pipeline.Artifact{pipeline.ArtAST},
-		Run: func() error {
-			var err error
-			if prog, err = parser.Parse(name, src); err != nil {
-				return err
-			}
-			if err = sem.Check(prog); err != nil {
-				return err
-			}
-			p.Source = prog
-			return nil
-		},
-	})
-
-	m.Add(pipeline.Pass{
-		Name:     "fold",
-		Consumes: []pipeline.Artifact{pipeline.ArtAST},
-		Produces: []pipeline.Artifact{pipeline.ArtFoldedAST},
-		Setup: func() error {
-			folded = &ast.Program{
-				File:    prog.File,
-				Regions: prog.Regions,
-				Funcs:   make([]*ast.FuncDecl, len(prog.Funcs)),
-				ByName:  make(map[string]*ast.FuncDecl, len(prog.Funcs)),
-			}
-			foldStats = make([]passes.FoldStats, len(prog.Funcs))
-			return nil
-		},
-		Items: func() int { return len(prog.Funcs) },
-		RunItem: func(i int) error {
-			fn := ast.CloneFunc(prog.Funcs[i])
-			st := passes.FoldFunc(fn)
-			folded.Funcs[i] = fn
-			foldStats[i] = st
-			return nil
-		},
-		After: func() error {
-			for i, fn := range folded.Funcs {
-				folded.ByName[fn.Name] = fn
-				p.Stats.Folds = p.Stats.Folds.Add(foldStats[i])
-			}
-			final = folded
-			return nil
-		},
-	})
-
-	m.Add(pipeline.Pass{
-		Name:     "cfg",
-		Consumes: []pipeline.Artifact{pipeline.ArtFoldedAST},
-		Produces: []pipeline.Artifact{pipeline.ArtCFG},
-		Setup: func() error {
-			glist = make([]*cfg.Graph, len(folded.Funcs))
-			return nil
-		},
-		Items: func() int { return len(folded.Funcs) },
-		RunItem: func(i int) error {
-			glist[i] = cfg.Build(folded.Funcs[i])
-			return nil
-		},
-		After: func() error {
-			graphs = make(map[string]*cfg.Graph, len(glist))
-			for i, fn := range folded.Funcs {
-				graphs[fn.Name] = glist[i]
-			}
-			return nil
-		},
-	})
-
-	if opts.Mode >= ModeAnalyze {
-		addAnalysisPasses(m, p, opts, &folded, &graphs, &doms, &an)
-	}
-
-	if opts.Mode >= ModeFull {
-		addInstrumentPass(m, p, &folded, &graphs, &final)
-	}
-
-	// The backend reads `final` and the graphs, which the instrument pass
-	// rewrites in ModeFull — declare that, so the manager's wiring
-	// validation catches any registration reorder that would silently
-	// lower the un-instrumented tree.
-	backendInputs := []pipeline.Artifact{pipeline.ArtCFG, pipeline.ArtFoldedAST}
-	if opts.Mode >= ModeFull {
-		backendInputs = append(backendInputs, pipeline.ArtInstrumented)
-	}
-
-	m.Add(pipeline.Pass{
-		Name:     "dce",
-		Consumes: backendInputs,
-		Setup: func() error {
-			// Re-snapshot: instrumentation may have swapped flagged
-			// functions' graphs.
-			glist = glist[:0]
-			for _, fn := range final.Funcs {
-				glist = append(glist, graphs[fn.Name])
-			}
-			deadNodes = make([]int, len(glist))
-			return nil
-		},
-		Items: func() int { return len(glist) },
-		RunItem: func(i int) error {
-			deadNodes[i] = passes.EliminateDead(glist[i])
-			return nil
-		},
-		After: func() error {
-			for i, g := range glist {
-				p.Stats.DeadNodes += deadNodes[i]
-				nodes, edges := g.Size()
-				p.Stats.CFGNodes += nodes
-				p.Stats.CFGEdges += edges
-			}
-			p.Graphs = graphs
-			return nil
-		},
-	})
-
-	m.Add(pipeline.Pass{
-		Name:     "lower",
-		Consumes: backendInputs,
-		Produces: []pipeline.Artifact{pipeline.ArtIR},
-		Setup: func() error {
-			irs = make([]*passes.FuncIR, len(final.Funcs))
-			return nil
-		},
-		Items: func() int { return len(final.Funcs) },
-		RunItem: func(i int) error {
-			irs[i] = passes.Lower(final.Funcs[i])
-			return nil
-		},
-		After: func() error {
-			p.IR = make(map[string]*passes.FuncIR, len(irs))
-			for i, fn := range final.Funcs {
-				p.IR[fn.Name] = irs[i]
-				p.Stats.IRInsts += len(irs[i].Insts)
-			}
-			return nil
-		},
-	})
-
-	m.Add(pipeline.Pass{
-		Name:     "regalloc",
-		Consumes: []pipeline.Artifact{pipeline.ArtIR},
-		Produces: []pipeline.Artifact{pipeline.ArtAllocation},
-		Setup: func() error {
-			allocs = make([]*passes.Allocation, len(irs))
-			return nil
-		},
-		Items: func() int { return len(irs) },
-		RunItem: func(i int) error {
-			allocs[i] = passes.Optimize(irs[i])
-			return nil
-		},
-		After: func() error {
-			p.Allocations = make(map[string]*passes.Allocation, len(irs))
-			for i, fn := range final.Funcs {
-				p.Allocations[fn.Name] = allocs[i]
-				p.Stats.Spills += allocs[i].Spills
-			}
-			return nil
-		},
-	})
-
-	if err := m.RunCtx(ctx); err != nil {
+	if err := st.next("frontend"); err != nil {
 		return nil, err
 	}
+	prog, err := parser.Parse(name, src)
+	if err != nil {
+		return nil, err
+	}
+	if err := sem.Check(prog); err != nil {
+		return nil, err
+	}
+	p.Source = prog
 
-	p.Timing.Passes = m.Timings()
+	if err := st.next("fold"); err != nil {
+		return nil, err
+	}
+	// final is the tree the backend lowers: the folded clone, or its
+	// instrumented copy in ModeFull.
+	folded, foldStats := passes.FoldProgram(prog)
+	p.Stats.Folds = foldStats
+	final := folded
+
+	if err := st.next("cfg"); err != nil {
+		return nil, err
+	}
+	graphs := make(map[string]*cfg.Graph, len(folded.Funcs))
+	for _, fn := range folded.Funcs {
+		graphs[fn.Name] = cfg.Build(fn)
+	}
+
+	if opts.Mode >= ModeAnalyze {
+		if err := st.next("dominators"); err != nil {
+			return nil, err
+		}
+		doms := make(map[string]*dom.Tree, len(folded.Funcs))
+		for _, fn := range folded.Funcs {
+			doms[fn.Name] = dom.Dominators(graphs[fn.Name])
+		}
+		if err := st.next("analysis-begin"); err != nil {
+			return nil, err
+		}
+		an := core.Begin(folded, core.Options{
+			Initial: opts.Initial, RawPDF: opts.RawPDF, Graphs: graphs, Doms: doms,
+		})
+		for _, stage := range []struct {
+			name string
+			run  func()
+		}{
+			{"analysis-prepare", an.Prepare},
+			{"taint", an.ComputeTaint},
+			{"contexts", an.ComputeContexts},
+			{"summaries", an.ComputeSummaries},
+			{"check", an.Check},
+		} {
+			if err := st.next(stage.name); err != nil {
+				return nil, err
+			}
+			stage.run()
+		}
+		if err := st.next("analysis-finish"); err != nil {
+			return nil, err
+		}
+		p.Analysis = an.Finish()
+	}
+
+	if opts.Mode >= ModeFull {
+		// Selective instrumentation: only flagged functions are rewritten
+		// and get fresh graphs; with no findings the folded tree ships.
+		if err := st.next("instrument"); err != nil {
+			return nil, err
+		}
+		if p.Analysis.NeedsInstrumentation() {
+			final = instrument.Program(folded, p.Analysis)
+			for _, fn := range final.Funcs {
+				if fa := p.Analysis.Funcs[fn.Name]; fa != nil && fa.NeedsInstrumentation {
+					graphs[fn.Name] = cfg.Build(fn)
+				}
+			}
+			p.Instrumented = final
+			p.Stats.Checks = instrument.Count(final)
+		}
+	}
+
+	if err := st.next("dce"); err != nil {
+		return nil, err
+	}
+	for _, fn := range final.Funcs {
+		g := graphs[fn.Name]
+		p.Stats.DeadNodes += passes.EliminateDead(g)
+		nodes, edges := g.Size()
+		p.Stats.CFGNodes += nodes
+		p.Stats.CFGEdges += edges
+	}
+	p.Graphs = graphs
+
+	if err := st.next("lower"); err != nil {
+		return nil, err
+	}
+	p.IR = make(map[string]*passes.FuncIR, len(final.Funcs))
+	for _, fn := range final.Funcs {
+		ir := passes.Lower(fn)
+		p.IR[fn.Name] = ir
+		p.Stats.IRInsts += len(ir.Insts)
+	}
+
+	if err := st.next("regalloc"); err != nil {
+		return nil, err
+	}
+	p.Allocations = make(map[string]*passes.Allocation, len(final.Funcs))
+	for _, fn := range final.Funcs {
+		alloc := passes.Optimize(p.IR[fn.Name])
+		p.Allocations[fn.Name] = alloc
+		p.Stats.Spills += alloc.Spills
+	}
+	st.end()
+
+	p.Timing.Passes = st.passes
 	for _, pt := range p.Timing.Passes {
 		switch pt.Name {
 		case "frontend":
@@ -478,153 +409,8 @@ func compileCtx(ctx context.Context, name, src string, opts Options, pool *pipel
 	return p, nil
 }
 
-// addAnalysisPasses registers the compile-time verification stages: the
-// dominator artifacts, the staged core analyzer (prepare → taint →
-// contexts → SCC-ordered summaries → parallel per-function checking →
-// deterministic merge). Parameters are pointers because the artifacts
-// they read are only assigned when the earlier passes execute.
-func addAnalysisPasses(m *pipeline.Manager, p *Program, opts Options,
-	folded **ast.Program, graphs *map[string]*cfg.Graph, doms *map[string]*dom.Tree, an **core.Analysis) {
-
-	var dlist []*dom.Tree
-	m.Add(pipeline.Pass{
-		Name:     "dominators",
-		Consumes: []pipeline.Artifact{pipeline.ArtCFG},
-		Produces: []pipeline.Artifact{pipeline.ArtDominators},
-		Setup: func() error {
-			dlist = make([]*dom.Tree, len((*folded).Funcs))
-			return nil
-		},
-		Items: func() int { return len((*folded).Funcs) },
-		RunItem: func(i int) error {
-			dlist[i] = dom.Dominators((*graphs)[(*folded).Funcs[i].Name])
-			return nil
-		},
-		After: func() error {
-			*doms = make(map[string]*dom.Tree, len(dlist))
-			for i, fn := range (*folded).Funcs {
-				(*doms)[fn.Name] = dlist[i]
-			}
-			return nil
-		},
-	})
-	m.Add(pipeline.Pass{
-		Name:     "analysis-begin",
-		Consumes: []pipeline.Artifact{pipeline.ArtFoldedAST, pipeline.ArtCFG, pipeline.ArtDominators},
-		Produces: []pipeline.Artifact{pipeline.ArtCallGraph},
-		Run: func() error {
-			*an = core.Begin(*folded, core.Options{
-				Initial: opts.Initial, RawPDF: opts.RawPDF,
-				Graphs: *graphs, Doms: *doms, Runner: m.Pool(),
-			})
-			return nil
-		},
-	})
-	m.Add(pipeline.Pass{
-		Name:     "analysis-prepare",
-		Consumes: []pipeline.Artifact{pipeline.ArtCFG, pipeline.ArtDominators, pipeline.ArtCallGraph},
-		Produces: []pipeline.Artifact{pipeline.ArtPWords},
-		Items:    func() int { return (*an).NumFuncs() },
-		RunItem:  func(i int) error { (*an).PrepareFunc(i); return nil },
-	})
-	m.Add(pipeline.Pass{
-		Name:     "taint",
-		Consumes: []pipeline.Artifact{pipeline.ArtFoldedAST},
-		Produces: []pipeline.Artifact{pipeline.ArtTaint},
-		Run:      func() error { (*an).ComputeTaint(); return nil },
-	})
-	m.Add(pipeline.Pass{
-		Name:     "contexts",
-		Consumes: []pipeline.Artifact{pipeline.ArtPWords, pipeline.ArtCallGraph},
-		Produces: []pipeline.Artifact{pipeline.ArtContexts},
-		Run:      func() error { (*an).ComputeContexts(); return nil },
-	})
-	m.Add(pipeline.Pass{
-		Name:     "summaries",
-		Consumes: []pipeline.Artifact{pipeline.ArtPWords, pipeline.ArtContexts, pipeline.ArtCallGraph},
-		Produces: []pipeline.Artifact{pipeline.ArtSummary},
-		Waves:    func() [][]int { return (*an).SummaryWaves() },
-		RunItem:  func(i int) error { (*an).ComputeSummarySCC(i); return nil },
-	})
-	m.Add(pipeline.Pass{
-		Name: "check",
-		Consumes: []pipeline.Artifact{
-			pipeline.ArtPWords, pipeline.ArtTaint, pipeline.ArtContexts, pipeline.ArtSummary,
-		},
-		Items:   func() int { return (*an).NumFuncs() },
-		RunItem: func(i int) error { (*an).CheckFunc(i); return nil },
-	})
-	m.Add(pipeline.Pass{
-		Name:     "analysis-finish",
-		Consumes: []pipeline.Artifact{pipeline.ArtSummary},
-		Produces: []pipeline.Artifact{pipeline.ArtAnalysis},
-		Run:      func() error { p.Analysis = (*an).Finish(); return nil },
-	})
-}
-
-// addInstrumentPass registers verification-code generation: every
-// function of the folded tree is cloned, flagged functions are rewritten
-// with runtime checks and get fresh CFGs — all fanned per function. When
-// the analysis found nothing the pass degenerates to zero items and the
-// folded tree ships unchanged.
-func addInstrumentPass(m *pipeline.Manager, p *Program,
-	folded **ast.Program, graphs *map[string]*cfg.Graph, final **ast.Program) {
-
-	var inst *ast.Program
-	var newGraphs []*cfg.Graph
-	m.Add(pipeline.Pass{
-		Name:     "instrument",
-		Consumes: []pipeline.Artifact{pipeline.ArtFoldedAST, pipeline.ArtAnalysis},
-		Produces: []pipeline.Artifact{pipeline.ArtInstrumented},
-		Setup: func() error {
-			if p.Analysis == nil || !p.Analysis.NeedsInstrumentation() {
-				inst = nil
-				return nil
-			}
-			inst = &ast.Program{
-				File:    (*folded).File,
-				Regions: (*folded).Regions,
-				Funcs:   make([]*ast.FuncDecl, len((*folded).Funcs)),
-				ByName:  make(map[string]*ast.FuncDecl, len((*folded).Funcs)),
-			}
-			newGraphs = make([]*cfg.Graph, len((*folded).Funcs))
-			return nil
-		},
-		Items: func() int {
-			if inst == nil {
-				return 0
-			}
-			return len((*folded).Funcs)
-		},
-		RunItem: func(i int) error {
-			fn := ast.CloneFunc((*folded).Funcs[i])
-			inst.Funcs[i] = fn
-			if fa := p.Analysis.Funcs[fn.Name]; fa != nil && fa.NeedsInstrumentation {
-				instrument.Func(fn, fa, p.Analysis)
-				newGraphs[i] = cfg.Build(fn)
-			}
-			return nil
-		},
-		After: func() error {
-			if inst == nil {
-				return nil
-			}
-			for i, fn := range inst.Funcs {
-				inst.ByName[fn.Name] = fn
-				if newGraphs[i] != nil {
-					(*graphs)[fn.Name] = newGraphs[i]
-				}
-			}
-			p.Instrumented = inst
-			p.Stats.Checks = instrument.Count(inst)
-			*final = inst
-			return nil
-		},
-	})
-}
-
 // Diagnostics returns the analysis warnings (empty in ModeBaseline),
-// sorted into a canonical order independent of the worker count.
+// sorted into a canonical order.
 func (p *Program) Diagnostics() []Diagnostic {
 	if p.Analysis == nil {
 		return nil
@@ -801,14 +587,14 @@ type CampaignReport = campaign.Report
 // harness does.
 const campaignMaxSteps = 2_000_000
 
-// Campaign runs a coverage-guided exploration campaign: every corpus
-// entry, mutant and reduction candidate compiles on the campaign's
-// worker pool (ModeFull, so planted checks and the value oracle are
-// armed), and all schedule execution fans out on the same pool.
+// Campaign runs a coverage-guided exploration campaign on one worker
+// pool: every corpus entry, mutant and reduction candidate compiles
+// (ModeFull, so planted checks and the value oracle are armed) inside
+// the campaign's pooled jobs, and all schedule execution fans out on the
+// same pool.
 func Campaign(opts CampaignOptions) (*CampaignReport, error) {
-	pool := pipeline.NewPool(opts.Workers)
 	compile := func(gp *mhgen.Program) (*campaign.Compiled, error) {
-		p, err := compileQuarantined(gp.Name+".mh", gp.Source, Options{Mode: ModeFull}, pool)
+		p, err := compileQuarantined(gp.Name+".mh", gp.Source, Options{Mode: ModeFull})
 		if err != nil {
 			return nil, err
 		}
@@ -820,17 +606,17 @@ func Campaign(opts CampaignOptions) (*CampaignReport, error) {
 		}, false)
 		return &campaign.Compiled{Session: sess, StaticKinds: p.WarningKinds()}, nil
 	}
-	return campaign.Run(opts, compile, pool)
+	return campaign.Run(opts, compile, pipeline.NewPool(opts.Workers))
 }
 
-// compileQuarantined is compile with a panic in the pipeline caught and
-// returned as a QuarantineError at "compile": a generated program that
-// crashes the compiler fails that entry's compile, not the campaign.
-func compileQuarantined(name, src string, opts Options, pool *pipeline.Pool) (p *Program, err error) {
+// compileQuarantined is Compile with a panic caught and returned as a
+// QuarantineError at "compile": a generated program that crashes the
+// compiler fails that entry's compile, not the campaign.
+func compileQuarantined(name, src string, opts Options) (p *Program, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p, err = nil, interp.NewQuarantineError("compile", r, debug.Stack())
 		}
 	}()
-	return compile(name, src, opts, pool)
+	return Compile(name, src, opts)
 }
