@@ -63,19 +63,9 @@ func (t *tracer) Next(c sched.Choice) sched.ThreadID {
 	t.nbranch++
 	var pick sched.ThreadID
 	if pos < len(t.prefix) {
-		rec := t.prefix[pos]
-		found := false
-		for _, id := range c.Enabled {
-			if id == rec {
-				found = true
-				break
-			}
-		}
-		if found {
-			pick = rec
-		} else {
+		var ok bool
+		if pick, ok = sched.Follow(c.Enabled, t.prefix[pos]); !ok {
 			t.diverged = true
-			pick = c.Enabled[0]
 		}
 	} else {
 		pick = c.Enabled[t.rng.Intn(len(c.Enabled))]

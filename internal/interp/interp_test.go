@@ -312,6 +312,33 @@ func main() {
 	}
 }
 
+// TestAtomicTargetCallsAtomic: an atomic update whose target index
+// calls a function that runs an atomic update of its own completes. The
+// calls nest on one thread, and an atomic takes no lock, so nothing
+// re-enters one.
+func TestAtomicTargetCallsAtomic(t *testing.T) {
+	res := runSrc(t, `
+func bump() {
+	var x = 0
+	atomic x += 1
+	return 0
+}
+
+func main() {
+	var a[2]
+	parallel num_threads(2) {
+		atomic a[bump()] += 1
+	}
+	print(a)
+}`, Options{Procs: 1})
+	if res.Err != nil {
+		t.Fatalf("run failed: %v", res.Err)
+	}
+	if !strings.Contains(res.Output, "r0: [2 0]") {
+		t.Errorf("nested atomic lost updates: %s", res.Output)
+	}
+}
+
 func TestCriticalProtectsUpdates(t *testing.T) {
 	res := runSrc(t, `
 func main() {

@@ -510,16 +510,14 @@ func (b *builder) stmt(s ast.Stmt) func(*thctx, *frame) error {
 	case *ast.AtomicStmt:
 		val, store := b.intExpr(s.Value), b.store(s.Target, s.Op)
 		return func(c *thctx, f *frame) error {
+			// No statement boundary falls between the store's read and its
+			// write, so no other thread runs in between: under
+			// serialization the update is atomic.
 			v, err := val(c, f)
 			if err != nil {
 				return err
 			}
-			// The monitor lock serializes atomic updates process-wide; they
-			// never block so this cannot deadlock.
-			c.r.world.Monitor().Lock()
-			err = store(c, f, v)
-			c.r.world.Monitor().Unlock()
-			return err
+			return store(c, f, v)
 		}
 
 	case *ast.PforStmt:

@@ -1,10 +1,11 @@
 // Fault-tolerant execution: external cancellation, per-run wall-clock
 // watchdogs, and panic quarantine.
 //
-// The cancellation lever is the monitor: Abort(err) wakes every parked
-// waiter with the error, tells the scheduling controller to release
-// everything, and flips the abort flag that every statement boundary
-// polls — so once a guard fires, a run stops within one statement.
+// The cancellation lever is the monitor: Interrupt(err) publishes the
+// abort cause, which every statement boundary polls, then raises the
+// scheduling controller's release flag, which lets every parked thread
+// run and end its wait with the cause — so once a guard fires, a run
+// stops within one statement. It touches nothing else of the run.
 // RunCtx arms a guard from a context (context.AfterFunc) and
 // Options.WallTimeout arms one from a timer; both go through the same
 // mutex-disciplined runGuard so a late firing can never abort the *next*

@@ -3,9 +3,11 @@ package interp
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
+	"parcoach/internal/leakcheck"
 	"parcoach/internal/parser"
 	"parcoach/internal/sched"
 )
@@ -170,5 +172,115 @@ func TestClassifyRobustOutcomes(t *testing.T) {
 		if got := ClassifyError(tc.err); got != tc.want {
 			t.Errorf("ClassifyError(%T) = %s, want %s", tc.err, got, tc.want)
 		}
+	}
+}
+
+// waitsSrc keeps its threads in every kind of wait: each round checks
+// an MPI_Allreduce result, runs a region whose threads meet in a
+// critical section, at a barrier and at a single, and checks an
+// MPI_Send/MPI_Recv payload. It returns how many values it found wrong.
+const waitsSrc = `
+func main() {
+	MPI_Init()
+	var bad = 0
+	for it = 0 .. 100 {
+		var s = 0
+		MPI_Allreduce(s, rank() + it, sum)
+		if s != 1 + 2 * it {
+			bad = bad + 1
+		}
+		var c = 0
+		var once = 0
+		parallel {
+			critical {
+				c += 1
+			}
+			barrier
+			single {
+				once += 1
+			}
+		}
+		if c != 2 || once != 1 {
+			bad = bad + 1
+		}
+		var v = 0
+		if rank() == 0 {
+			MPI_Send(7 * it, 1, 3)
+		} else {
+			MPI_Recv(v, 0, 3)
+			if v != 7 * it {
+				bad = bad + 1
+			}
+		}
+	}
+	MPI_Finalize()
+	return bad
+}
+`
+
+// TestInterruptDuringWaits: aborts from outside the run (a canceled
+// context, a wall-clock watchdog) land at random points of random
+// schedules, while threads are parked in waits and wakes are in
+// flight. Every run must end either interrupted or clean with correct
+// values: an outside abort must never surface as a deadlock, a
+// mismatch, a wrong value or an internal error.
+func TestInterruptDuringWaits(t *testing.T) {
+	leakcheck.Check(t)
+	prog := parser.MustParse("waits.mh", waitsSrc)
+	opts := Options{Procs: 2, Threads: 2}
+
+	// A clean run's duration bounds the abort delays, so most aborts
+	// land mid-run.
+	sess := NewSession(prog, opts)
+	var span time.Duration
+	for seed := int64(0); seed < 3; seed++ {
+		start := time.Now()
+		res := sess.Run(sched.NewRandom(seed))
+		span = max(span, time.Since(start))
+		if res.Err != nil || res.ExitValues[0] != 0 || res.ExitValues[1] != 0 {
+			t.Fatalf("uninterrupted run: err %v, exit values %v", res.Err, res.ExitValues)
+		}
+	}
+
+	rows := []struct {
+		name        string
+		interrupted Outcome
+		run         func(seed int64, delay time.Duration) *Result
+	}{
+		{"context", OutcomeCanceled, func(seed int64, delay time.Duration) *Result {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			timer := time.AfterFunc(delay, cancel)
+			defer timer.Stop()
+			return sess.RunCtx(ctx, sched.NewRandom(seed))
+		}},
+		{"watchdog", OutcomeTimeout, func(seed int64, delay time.Duration) *Result {
+			o := opts
+			o.WallTimeout = delay
+			return NewSession(prog, o).Run(sched.NewRandom(seed))
+		}},
+	}
+	const runs = 200
+	rng := rand.New(rand.NewSource(1))
+	for _, row := range rows {
+		interrupted := 0
+		for seed := int64(0); seed < runs; seed++ {
+			delay := 1 + time.Duration(rng.Int63n(int64(span)))
+			res := row.run(seed, delay)
+			switch res.Outcome() {
+			case row.interrupted:
+				interrupted++
+			case OutcomeClean:
+				if res.ExitValues[0] != 0 || res.ExitValues[1] != 0 {
+					t.Fatalf("%s: rand:%d aborted after %v ran clean with wrong values %v", row.name, seed, delay, res.ExitValues)
+				}
+			default:
+				t.Fatalf("%s: rand:%d aborted after %v ended %s: %v", row.name, seed, delay, res.Outcome(), res.Err)
+			}
+		}
+		if interrupted == 0 {
+			t.Errorf("%s: none of %d runs was interrupted; the delays (up to %v) land after the runs", row.name, runs, span)
+		}
+		t.Logf("%s: %d of %d runs interrupted", row.name, interrupted, runs)
 	}
 }

@@ -7,12 +7,29 @@
 // table: it knows every thread's state, so it finds the deadlock the
 // instant it happens — threads remain, yet none can run — and calls back
 // into the monitor, which aborts the run with a report listing what
-// every thread was waiting for. Because every wait is registered here
-// under one mutex, that report is exact and needs no timeout. This
-// replaces the "job hangs on the cluster until the batch limit"
-// experience the paper's tool is designed to prevent — and gives the
-// test suite an exact oracle for the error programs the validator must
-// catch before this point.
+// every thread was waiting for. Because every wait is registered here,
+// that report is exact and needs no timeout. This replaces the "job
+// hangs on the cluster until the batch limit" experience the paper's
+// tool is designed to prevent — and gives the test suite an exact oracle
+// for the error programs the validator must catch before this point.
+//
+// A run takes no lock. Its threads run one at a time under the
+// controller, so the waiter table, the free list and the state of the
+// subsystems built on the monitor are only ever touched by the running
+// thread, or by the driver while no thread runs. The one caller from
+// outside the run is Interrupt (a canceled context or a watchdog), and
+// three invariants order it against the run instead of a lock:
+//
+//  1. The abort cause is the only monitor field written from outside the
+//     run: one atomic pointer, set by the first abort. Besides it,
+//     Interrupt touches only the controller's release flag.
+//  2. Every abort publishes its cause before it releases the controller,
+//     so a thread the release lets run always reads the cause. An abort
+//     that loses the race for the cause still releases, so the run is
+//     released once any abort has returned.
+//  3. A wait ends either by a wake, and Await returns nil, or by the
+//     abort, and Await returns the cause. A wake after the abort does
+//     nothing, and a waiter created after the abort never parks.
 package monitor
 
 import (
@@ -20,16 +37,14 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
 // Monitor coordinates all blocking in one run.
 type Monitor struct {
-	mu       sync.Mutex
+	// cause is the run's abort error, nil while the run is healthy.
+	cause    atomic.Pointer[error]
 	waiters  map[*Waiter]bool
-	aborted  atomic.Bool
-	err      error
 	analyzer []func() []string
 	sched    SchedHook
 	// free recycles Waiter structs: a thread that blocks in a loop —
@@ -49,10 +64,9 @@ type Monitor struct {
 // set exact. Gates are passed as `any` so the monitor stays free of
 // scheduler types.
 //
-// HolderParked, WaiterWoken and ReleaseAll are called with the monitor
-// lock held. Resume is called lock-free from Await, before the thread
-// reads its wait's outcome, and suspends it until the controller
-// resumes it.
+// HolderParked, WaiterWoken and Resume are called on the running
+// thread. ReleaseAll is called there or on the driver, and by Interrupt
+// from outside the run.
 type SchedHook interface {
 	// HolderParked: the running thread just registered as blocked. It
 	// returns the thread's parked gate, nil when the run is released.
@@ -64,10 +78,12 @@ type SchedHook interface {
 	// until the controller resumes it, which happens only once the wait
 	// was woken or the run aborted.
 	Resume(gate any)
-	// ReleaseAll: the run aborted; stop scheduling, free everything.
-	// holder reports whether the abort runs while the token holder
-	// cannot (on its own thread, or on the driver); only then may the
-	// controller read the holder's per-thread state.
+	// ReleaseAll: the run aborted; stop scheduling, free everything. It
+	// must be idempotent. holder reports whether the abort runs while the
+	// token holder cannot (on its own thread, or on the driver); only
+	// then may the controller read the holder's per-thread state.
+	// Called with holder false, from outside the run, it may only raise
+	// its release flag.
 	ReleaseAll(holder bool)
 	// Go starts fn as a thread of the run (see Monitor.Go).
 	Go(fn func())
@@ -81,11 +97,7 @@ type SchedHook interface {
 // SetSched installs the scheduling controller. Must be called before the
 // run starts: a monitor with no controller cannot run threads, and Go
 // panics.
-func (m *Monitor) SetSched(h SchedHook) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sched = h
-}
+func (m *Monitor) SetSched(h SchedHook) { m.sched = h }
 
 // Go runs fn as one of the run's threads, on one of the controller's
 // coroutines, resumed from Drive. The thread is live until fn returns.
@@ -107,8 +119,6 @@ func (m *Monitor) threadPanicked(value any, stack []byte) {
 // deadlocked aborts the run with the deadlock report: nothing can ever
 // wake the remaining threads.
 func (m *Monitor) deadlocked() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var lines []string
 	for w := range m.waiters {
 		lines = append(lines, fmt.Sprintf("  %s: %s", w.Reason, w.detail()))
@@ -119,7 +129,7 @@ func (m *Monitor) deadlocked() {
 			lines = append(lines, "  "+l)
 		}
 	}
-	m.AbortLocked(&DeadlockError{Details: lines})
+	m.Abort(&DeadlockError{Details: lines})
 }
 
 // New returns an empty monitor.
@@ -133,147 +143,108 @@ type Waiter struct {
 	Reason string
 	// detail lazily describes the instance ("rank 2: MPI_Bcast (call
 	// #14)"); it is only invoked when a deadlock report is built, so the
-	// hot path never pays the formatting. It runs under the monitor
-	// lock at report time, describing the (then frozen) deadlock state.
+	// hot path never pays the formatting. It runs on the driver at report
+	// time, describing the (then frozen) deadlock state.
 	detail func() string
 	m      *Monitor
 	// gate is the controller's handle of the parked thread, nil when the
 	// wait never parked.
 	gate any
-	// err is the wait's outcome, written under the monitor lock by the
-	// abort that ended it (nil for a wake).
-	err error
 }
-
-// Lock acquires the global monitor mutex. Subsystems hold it while
-// inspecting or updating their shared state and while creating or waking
-// waiters, which is what makes the deadlock report exact.
-func (m *Monitor) Lock() { m.mu.Lock() }
-
-// Unlock releases the global monitor mutex.
-func (m *Monitor) Unlock() { m.mu.Unlock() }
 
 // AddAnalyzer registers a callback that contributes context lines to the
 // deadlock report (e.g. the MPI matcher describing which ranks already
 // finalized). Must be called before the run starts.
-func (m *Monitor) AddAnalyzer(f func() []string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.analyzer = append(m.analyzer, f)
-}
+func (m *Monitor) AddAnalyzer(f func() []string) { m.analyzer = append(m.analyzer, f) }
 
-// NewWaiterLocked registers the calling thread as blocked. The caller must
-// hold the monitor lock, release it, then Await outside the lock. detail
-// is deferred: it is only called (under the monitor lock) if the wait
-// ends up in a deadlock report.
-func (m *Monitor) NewWaiterLocked(reason string, detail func() string) *Waiter {
+// NewWaiter registers the running thread as blocked; the thread then
+// calls Await on the returned waiter. detail is deferred: it is only
+// called if the wait ends up in a deadlock report. A waiter created after the abort never
+// parks: its Await returns the cause at once.
+func (m *Monitor) NewWaiter(reason string, detail func() string) *Waiter {
 	var w *Waiter
 	if n := len(m.free); n > 0 {
 		w = m.free[n-1]
 		m.free = m.free[:n-1]
-		w.Reason, w.detail, w.err = reason, detail, nil
+		w.Reason, w.detail, w.gate = reason, detail, nil
 	} else {
 		w = &Waiter{Reason: reason, detail: detail, m: m}
 	}
-	if m.aborted.Load() {
-		// The run already failed; never park new arrivals.
-		w.gate, w.err = nil, m.err
-		return w
-	}
 	m.waiters[w] = true
-	w.gate = m.sched.HolderParked()
+	if !m.Aborted() {
+		w.gate = m.sched.HolderParked()
+	}
 	return w
 }
 
-// WakeLocked releases a waiter. Wakes are precise: the waker has already
-// established the condition the waiter was blocked on. The caller must
-// hold the monitor lock.
-func (m *Monitor) WakeLocked(w *Waiter) {
-	if !m.waiters[w] {
+// Wake releases a waiter. Wakes are precise: the waker has already
+// established the condition the waiter was blocked on. A second wake of
+// one wait does nothing, and so does a wake after the abort: that wait
+// ends with the cause.
+func (m *Monitor) Wake(w *Waiter) {
+	if !m.waiters[w] || m.Aborted() {
 		return
 	}
 	delete(m.waiters, w)
 	m.sched.WaiterWoken(w.gate)
 }
 
-// Await blocks until woken or aborted, returning the abort error if the
-// run failed. Must be called without the lock held. The thread suspends
-// in the controller's Resume until the controller resumes it, by when
-// the wake or the abort has happened. The error is read under the lock:
-// an abort releases the controller before it writes the waiters' errors,
-// so a driver that saw the release can resume this thread first. The
-// waiter is dead after Await returns — it goes back on the monitor's
-// free list, so callers must not retain it.
+// Await blocks until woken or aborted, returning nil for a wake and the
+// cause for an abort. The thread suspends in the controller's Resume
+// until the controller resumes it, by when the wake or the abort has
+// happened. A wait still registered then was not woken, so the abort
+// ended it, and its cause was published before the release that let the
+// thread run. The waiter is dead after Await returns — it goes back on
+// the monitor's free list, so callers must not retain it.
 func (w *Waiter) Await() error {
 	m := w.m
 	m.sched.Resume(w.gate)
-	m.mu.Lock()
-	err := w.err
+	var err error
+	if m.waiters[w] {
+		delete(m.waiters, w)
+		err = m.Err()
+	}
 	m.free = append(m.free, w)
-	m.mu.Unlock()
 	return err
 }
 
-// Abort fails the run: the first error wins, every current waiter is woken
-// with it, and Aborted flips so running threads stop at their next check.
-// Only the run's own threads call it; callers outside the run use
+// Abort fails the run: the first cause wins, Aborted flips so running
+// threads stop at their next check, and the controller releases the
+// run, so every parked wait ends with the cause. Only the run's own
+// threads and its driver call it; callers outside the run use
 // Interrupt.
-func (m *Monitor) Abort(err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.AbortLocked(err)
-}
-
-// AbortLocked is Abort for callers already holding the lock.
-func (m *Monitor) AbortLocked(err error) { m.abortLocked(err, true) }
+func (m *Monitor) Abort(err error) { m.abort(err, true) }
 
 // Interrupt is Abort for callers outside the run's threads (cancellation
-// and watchdogs): the token holder may still be mid-step, so the
-// controller must leave its state alone.
-func (m *Monitor) Interrupt(err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.abortLocked(err, false)
-}
+// and watchdogs): the token holder may still be mid-step, so it writes
+// only the cause and the controller's release flag, and the run's
+// threads notice at their next check.
+func (m *Monitor) Interrupt(err error) { m.abort(err, false) }
 
-func (m *Monitor) abortLocked(err error, holder bool) {
-	if m.aborted.Load() {
-		return
-	}
-	// Release the scheduler before waking anyone so abort unwinding runs
-	// each thread to its end instead of queueing on the run token.
+func (m *Monitor) abort(err error, holder bool) {
+	m.cause.CompareAndSwap(nil, &err)
 	m.sched.ReleaseAll(holder)
-	m.err = err
-	m.aborted.Store(true)
-	for w := range m.waiters {
-		delete(m.waiters, w)
-		w.err = err
-	}
 }
 
-// Aborted reports whether the run failed; lock-free so interpreters can
-// poll it on every statement.
-func (m *Monitor) Aborted() bool { return m.aborted.Load() }
+// Aborted reports whether the run failed: one atomic load, so
+// interpreters can poll it on every statement.
+func (m *Monitor) Aborted() bool { return m.cause.Load() != nil }
 
-// Err returns the abort error, if any.
+// Err returns the abort cause, if any.
 func (m *Monitor) Err() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err
+	if p := m.cause.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
-
-// ErrLocked is Err for callers already holding the (non-reentrant) lock.
-func (m *Monitor) ErrLocked() error { return m.err }
 
 // Reset rearms the monitor for a fresh run, keeping the waiter free
-// list warm. Only call once the previous run's Drive has returned; the
-// next run installs its own controller.
+// list warm. Only call once the previous run's Drive has returned and
+// nothing outside the run can still Interrupt it; the next run installs
+// its own controller.
 func (m *Monitor) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	clear(m.waiters)
-	m.aborted.Store(false)
-	m.err = nil
+	m.cause.Store(nil)
 	// Analyzers are kept: the owning world and verifier recycle along
 	// with the monitor and their registrations stay valid.
 	m.sched = nil

@@ -37,28 +37,20 @@ func newMonitor() (*Monitor, *fakeSched) {
 
 func TestWakeBeforeAwait(t *testing.T) {
 	m, _ := newMonitor()
-	m.Lock()
-	w := m.NewWaiterLocked("test", func() string { return "w1" })
-	m.WakeLocked(w)
-	m.Unlock()
+	w := m.NewWaiter("test", func() string { return "w1" })
+	m.Wake(w)
 	if err := w.Await(); err != nil {
 		t.Errorf("Await after wake = %v", err)
 	}
 }
 
 // TestAwaitBlocksUntilWake: Await suspends in the controller's Resume
-// and returns what the wake or the abort that ended the wait wrote
-// while it was suspended.
+// and returns what ended the wait while it was suspended: nil for a
+// wake, the cause for an abort.
 func TestAwaitBlocksUntilWake(t *testing.T) {
 	m, f := newMonitor()
-	m.Lock()
-	w := m.NewWaiterLocked("test", func() string { return "w1" })
-	m.Unlock()
-	f.onResume = func() {
-		m.Lock()
-		m.WakeLocked(w)
-		m.Unlock()
-	}
+	w := m.NewWaiter("test", func() string { return "w1" })
+	f.onResume = func() { m.Wake(w) }
 	if err := w.Await(); err != nil {
 		t.Errorf("Await = %v", err)
 	}
@@ -66,13 +58,27 @@ func TestAwaitBlocksUntilWake(t *testing.T) {
 		t.Errorf("transitions %q, want %q", got, want)
 	}
 
-	m.Lock()
-	w = m.NewWaiterLocked("test", func() string { return "w2" })
-	m.Unlock()
+	w = m.NewWaiter("test", func() string { return "w2" })
 	boom := errors.New("boom")
 	f.onResume = func() { m.Interrupt(boom) }
 	if err := w.Await(); err != boom {
 		t.Errorf("Await interrupted while suspended = %v, want boom", err)
+	}
+
+	// An Interrupt lands while the thread is suspended, then a thread of
+	// the run that has not reached its next check wakes the wait: the
+	// wake does nothing, and the wait ends with the cause.
+	m, f = newMonitor()
+	w = m.NewWaiter("test", func() string { return "w3" })
+	f.onResume = func() {
+		m.Interrupt(boom)
+		m.Wake(w)
+	}
+	if err := w.Await(); err != boom {
+		t.Errorf("Await woken after an Interrupt = %v, want boom", err)
+	}
+	if got, want := strings.Join(f.log, " "), "parked resume released"; got != want {
+		t.Errorf("transitions %q, want %q: a wake after the abort must not reach the controller", got, want)
 	}
 }
 
@@ -80,11 +86,9 @@ func TestAbortWakesAllWithError(t *testing.T) {
 	m, _ := newMonitor()
 	boom := errors.New("boom")
 	var ws []*Waiter
-	m.Lock()
 	for i := 0; i < 2; i++ {
-		ws = append(ws, m.NewWaiterLocked("test", func() string { return "w" }))
+		ws = append(ws, m.NewWaiter("test", func() string { return "w" }))
 	}
-	m.Unlock()
 	m.Abort(boom)
 	for _, w := range ws {
 		if err := w.Await(); err != boom {
@@ -110,9 +114,7 @@ func TestWaiterAfterAbortWakesImmediately(t *testing.T) {
 	m, f := newMonitor()
 	boom := errors.New("boom")
 	m.Abort(boom)
-	m.Lock()
-	w := m.NewWaiterLocked("test", func() string { return "late" })
-	m.Unlock()
+	w := m.NewWaiter("test", func() string { return "late" })
 	if err := w.Await(); err != boom {
 		t.Errorf("late waiter error = %v", err)
 	}
@@ -123,11 +125,9 @@ func TestWaiterAfterAbortWakesImmediately(t *testing.T) {
 
 func TestWakeLockedIdempotent(t *testing.T) {
 	m, f := newMonitor()
-	m.Lock()
-	w := m.NewWaiterLocked("test", func() string { return "w" })
-	m.WakeLocked(w)
-	m.WakeLocked(w) // second wake must be a no-op
-	m.Unlock()
+	w := m.NewWaiter("test", func() string { return "w" })
+	m.Wake(w)
+	m.Wake(w) // second wake must be a no-op
 	if err := w.Await(); err != nil {
 		t.Errorf("Await = %v", err)
 	}

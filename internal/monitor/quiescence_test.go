@@ -30,9 +30,7 @@ func runThreads(m *monitor.Monitor, fns ...func()) {
 // park registers the calling thread as blocked and returns the waiter
 // it must Await.
 func park(m *monitor.Monitor, reason, detail string) *monitor.Waiter {
-	m.Lock()
-	defer m.Unlock()
-	return m.NewWaiterLocked(reason, func() string { return detail })
+	return m.NewWaiter(reason, func() string { return detail })
 }
 
 // TestQuiescenceDetectsAllBlocked: the last thread to park completes
@@ -94,9 +92,7 @@ func TestNoFalseQuiescenceWhileRunnable(t *testing.T) {
 			if m.Aborted() {
 				t.Error("false quiescence")
 			}
-			m.Lock()
-			m.WakeLocked(w)
-			m.Unlock()
+			m.Wake(w)
 		},
 	)
 	if err != nil || m.Err() != nil {

@@ -173,7 +173,7 @@ type World struct {
 	mon   *monitor.Monitor
 	procs []*Proc
 
-	// collective matcher state, guarded by mon's lock
+	// collective matcher state, touched only by the running thread
 	arrived map[int]*pendingCall
 	round   int
 
@@ -183,7 +183,7 @@ type World struct {
 	// deliberately NOT cleared by Reset, like the monitor's analyzers.
 	observer func(round int, calls []CollCall) error
 
-	// point-to-point state, guarded by mon's lock
+	// point-to-point state, touched only by the running thread
 	sends map[p2pKey][]*pendingSend
 	recvs map[p2pKey][]*pendingRecv
 }
@@ -207,15 +207,12 @@ type CollCall struct {
 }
 
 // SetRoundObserver installs the per-round collective observer (the
-// verifier's value oracle). The hook runs under the monitor's lock after
-// the round's results are computed but before any participant resumes;
-// returning an error aborts the run with it. The observer survives Reset
-// so pooled worlds stay instrumented across schedule-exploration runs.
-func (w *World) SetRoundObserver(fn func(round int, calls []CollCall) error) {
-	w.mon.Lock()
-	w.observer = fn
-	w.mon.Unlock()
-}
+// verifier's value oracle). The hook runs on the round's last arriving
+// thread after the round's results are computed but before any
+// participant resumes; returning an error aborts the run with it. The
+// observer survives Reset so pooled worlds stay instrumented across
+// schedule-exploration runs. Install it between runs.
+func (w *World) SetRoundObserver(fn func(round int, calls []CollCall) error) { w.observer = fn }
 
 // NewWorld creates a world with its own monitor.
 func NewWorld(cfg Config) (*World, error) {
@@ -284,9 +281,7 @@ func (w *World) Run(body func(p *Proc) error) error {
 			if err != nil && !w.mon.Aborted() {
 				w.mon.Abort(err)
 			}
-			w.mon.Lock()
 			p.exited = true
-			w.mon.Unlock()
 		})
 	}
 	w.mon.Drive()

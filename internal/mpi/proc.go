@@ -13,7 +13,8 @@ type Proc struct {
 	world *World
 	rank  int
 
-	// All fields below are guarded by the world monitor's lock.
+	// The fields below are touched only by the running thread of the
+	// world's run.
 	initialized bool
 	finalized   bool
 	exited      bool
@@ -35,15 +36,7 @@ func (p *Proc) World() *World { return p.world }
 
 // Finalized reports whether MPI_Finalize was called (used by the verifier
 // to skip end-of-function checks after finalization).
-func (p *Proc) Finalized() bool {
-	p.world.mon.Lock()
-	defer p.world.mon.Unlock()
-	return p.finalized
-}
-
-// FinalizedLocked is Finalized for callers already holding the world
-// monitor's lock (it is not reentrant).
-func (p *Proc) FinalizedLocked() bool { return p.finalized }
+func (p *Proc) Finalized() bool { return p.finalized }
 
 // UsageError is a violation of MPI calling rules (init/finalize ordering
 // or thread-level discipline) — the class of error tools like Marmot
@@ -103,9 +96,6 @@ func joinComma(parts []string) string {
 // Init records MPI_Init; threadID identifies the calling thread for
 // thread-level enforcement (the interpreter passes its thread handle id).
 func (p *Proc) Init(threadID int64) error {
-	m := p.world.mon
-	m.Lock()
-	defer m.Unlock()
 	if p.initialized {
 		return &UsageError{Rank: p.rank, Msg: "MPI_Init called twice"}
 	}
@@ -116,19 +106,16 @@ func (p *Proc) Init(threadID int64) error {
 
 // Finalize records MPI_Finalize.
 func (p *Proc) Finalize(threadID int64) error {
-	m := p.world.mon
-	m.Lock()
-	defer m.Unlock()
-	if err := p.checkCallLocked(threadID, "MPI_Finalize"); err != nil {
+	if err := p.checkCall(threadID, "MPI_Finalize"); err != nil {
 		return err
 	}
 	p.finalized = true
 	return nil
 }
 
-// checkCallLocked validates init/finalize ordering and the thread level
+// checkCall validates init/finalize ordering and the thread level
 // for a call made by threadID.
-func (p *Proc) checkCallLocked(threadID int64, what string) error {
+func (p *Proc) checkCall(threadID int64, what string) error {
 	if !p.initialized {
 		return &UsageError{Rank: p.rank, Msg: what + " before MPI_Init"}
 	}
@@ -183,33 +170,26 @@ func (p *Proc) Collective(threadID int64, op Op, red RedOp, root int, value int6
 func (p *Proc) CollectiveLive(threadID int64, op Op, red RedOp, root int, value int64, vector, live []int64, loc string) (int64, []int64, error) {
 	w := p.world
 	m := w.mon
-	m.Lock()
-	if m.Aborted() {
-		err := m.ErrLocked()
-		m.Unlock()
+	if err := m.Err(); err != nil {
 		return 0, nil, err
 	}
-	if err := p.checkCallLocked(threadID, op.String()); err != nil {
-		m.AbortLocked(err)
-		m.Unlock()
+	if err := p.checkCall(threadID, op.String()); err != nil {
+		m.Abort(err)
 		return 0, nil, err
 	}
 	if root < 0 || root >= w.cfg.Procs {
 		err := &UsageError{Rank: p.rank, Msg: fmt.Sprintf("%s root %d out of range", op, root)}
-		m.AbortLocked(err)
-		m.Unlock()
+		m.Abort(err)
 		return 0, nil, err
 	}
 	if !red.Valid() {
 		err := &UsageError{Rank: p.rank, Msg: fmt.Sprintf("%s reduction op %d out of range", op, int(red))}
-		m.AbortLocked(err)
-		m.Unlock()
+		m.Abort(err)
 		return 0, nil, err
 	}
 	if prev, dup := w.arrived[p.rank]; dup {
 		err := &ConcurrentCallError{Rank: p.rank, OpA: prev.op.String(), OpB: op.String()}
-		m.AbortLocked(err)
-		m.Unlock()
+		m.Abort(err)
 		return 0, nil, err
 	}
 	p.inMPI++
@@ -224,46 +204,34 @@ func (p *Proc) CollectiveLive(threadID int64, op Op, red RedOp, root int, value 
 	if len(w.arrived) == w.cfg.Procs {
 		// Last arrival: validate, compute, let the observer audit the
 		// round, then release the waiters.
-		if err := w.validateRoundLocked(); err != nil {
+		if err := w.validateRound(); err != nil {
 			p.inMPI--
-			m.AbortLocked(err)
-			m.Unlock()
+			m.Abort(err)
 			return 0, nil, err
 		}
-		w.computeRoundLocked()
+		w.computeRound()
 		if w.observer != nil {
-			if err := w.observer(w.round, w.observedRoundLocked()); err != nil {
+			if err := w.observer(w.round, w.observedRound()); err != nil {
 				p.inMPI--
-				m.AbortLocked(err)
-				m.Unlock()
+				m.Abort(err)
 				return 0, nil, err
 			}
 		}
-		w.finishRoundLocked()
+		w.finishRound()
 		p.inMPI--
-		out := pc.outValue
-		outV := pc.outVector
-		m.Unlock()
-		return out, outV, nil
+		return pc.outValue, pc.outVector, nil
 	}
 
 	callSeq := p.callSeq
-	pc.waiter = m.NewWaiterLocked("MPI collective", func() string {
+	pc.waiter = m.NewWaiter("MPI collective", func() string {
 		return fmt.Sprintf("rank %d: %s (call #%d)%s", p.rank, op, callSeq, locSuffix(loc))
 	})
-	m.Unlock()
-	if err := pc.waiter.Await(); err != nil {
-		m.Lock()
-		p.inMPI--
-		m.Unlock()
+	err := pc.waiter.Await()
+	p.inMPI--
+	if err != nil {
 		return 0, nil, err
 	}
-	m.Lock()
-	p.inMPI--
-	out := pc.outValue
-	outV := pc.outVector
-	m.Unlock()
-	return out, outV, nil
+	return pc.outValue, pc.outVector, nil
 }
 
 func locSuffix(loc string) string {
@@ -273,12 +241,12 @@ func locSuffix(loc string) string {
 	return " at " + loc
 }
 
-// validateRoundLocked checks that all arrived calls agree on op — and on
+// validateRound checks that all arrived calls agree on op — and on
 // root when no round observer is installed. With an observer present,
 // root divergence is deliberately left to it: the value oracle reports a
 // wrong-root as its own verdict class instead of the matcher's generic
 // mismatch, while uninstrumented runs keep the ground-truth MismatchError.
-func (w *World) validateRoundLocked() error {
+func (w *World) validateRound() error {
 	var first *pendingCall
 	agree := true
 	checkRoot := w.observer == nil
@@ -316,11 +284,11 @@ func opHasRoot(op Op) bool {
 	return false
 }
 
-// computeRoundLocked computes every rank's result into the pending
-// calls' out slots; finishRoundLocked then wakes the waiters. The round
+// computeRound computes every rank's result into the pending calls'
+// out slots; finishRound then wakes the waiters. The round
 // observer runs between the two, seeing contributions and results while
 // every participant is still parked.
-func (w *World) computeRoundLocked() {
+func (w *World) computeRound() {
 	n := w.cfg.Procs
 	calls := make([]*pendingCall, n)
 	for r, pc := range w.arrived {
@@ -402,8 +370,8 @@ func (w *World) computeRoundLocked() {
 	}
 }
 
-// observedRoundLocked snapshots the completed round for the observer.
-func (w *World) observedRoundLocked() []CollCall {
+// observedRound snapshots the completed round for the observer.
+func (w *World) observedRound() []CollCall {
 	calls := make([]CollCall, 0, len(w.arrived))
 	for r := 0; r < w.cfg.Procs; r++ {
 		pc := w.arrived[r]
@@ -416,11 +384,11 @@ func (w *World) observedRoundLocked() []CollCall {
 	return calls
 }
 
-// finishRoundLocked wakes the round's waiters and rearms the matcher.
-func (w *World) finishRoundLocked() {
+// finishRound wakes the round's waiters and rearms the matcher.
+func (w *World) finishRound() {
 	for _, pc := range w.arrived {
 		if pc.waiter != nil {
-			w.mon.WakeLocked(pc.waiter)
+			w.mon.Wake(pc.waiter)
 		}
 	}
 	w.arrived = make(map[int]*pendingCall)
@@ -451,21 +419,16 @@ type pendingRecv struct {
 func (p *Proc) Send(threadID int64, value int64, dest, tag int, loc string) error {
 	w := p.world
 	m := w.mon
-	m.Lock()
-	if m.Aborted() {
-		err := m.ErrLocked()
-		m.Unlock()
+	if err := m.Err(); err != nil {
 		return err
 	}
-	if err := p.checkCallLocked(threadID, "MPI_Send"); err != nil {
-		m.AbortLocked(err)
-		m.Unlock()
+	if err := p.checkCall(threadID, "MPI_Send"); err != nil {
+		m.Abort(err)
 		return err
 	}
 	if dest < 0 || dest >= w.cfg.Procs {
 		err := &UsageError{Rank: p.rank, Msg: fmt.Sprintf("MPI_Send destination %d out of range", dest)}
-		m.AbortLocked(err)
-		m.Unlock()
+		m.Abort(err)
 		return err
 	}
 	key := p2pKey{src: p.rank, dst: dest, tag: tag}
@@ -474,21 +437,17 @@ func (p *Proc) Send(threadID int64, value int64, dest, tag int, loc string) erro
 		w.recvs[key] = q[1:]
 		r.value = value
 		r.filled = true
-		m.WakeLocked(r.waiter)
-		m.Unlock()
+		m.Wake(r.waiter)
 		return nil
 	}
 	p.inMPI++
 	ps := &pendingSend{value: value}
-	ps.waiter = m.NewWaiterLocked("MPI send", func() string {
+	ps.waiter = m.NewWaiter("MPI send", func() string {
 		return fmt.Sprintf("rank %d: MPI_Send to %d tag %d%s", p.rank, dest, tag, locSuffix(loc))
 	})
 	w.sends[key] = append(w.sends[key], ps)
-	m.Unlock()
 	err := ps.waiter.Await()
-	m.Lock()
 	p.inMPI--
-	m.Unlock()
 	return err
 }
 
@@ -497,43 +456,33 @@ func (p *Proc) Send(threadID int64, value int64, dest, tag int, loc string) erro
 func (p *Proc) Recv(threadID int64, src, tag int, loc string) (int64, error) {
 	w := p.world
 	m := w.mon
-	m.Lock()
-	if m.Aborted() {
-		err := m.ErrLocked()
-		m.Unlock()
+	if err := m.Err(); err != nil {
 		return 0, err
 	}
-	if err := p.checkCallLocked(threadID, "MPI_Recv"); err != nil {
-		m.AbortLocked(err)
-		m.Unlock()
+	if err := p.checkCall(threadID, "MPI_Recv"); err != nil {
+		m.Abort(err)
 		return 0, err
 	}
 	if src < 0 || src >= w.cfg.Procs {
 		err := &UsageError{Rank: p.rank, Msg: fmt.Sprintf("MPI_Recv source %d out of range", src)}
-		m.AbortLocked(err)
-		m.Unlock()
+		m.Abort(err)
 		return 0, err
 	}
 	key := p2pKey{src: src, dst: p.rank, tag: tag}
 	if q := w.sends[key]; len(q) > 0 {
 		s := q[0]
 		w.sends[key] = q[1:]
-		v := s.value
-		m.WakeLocked(s.waiter)
-		m.Unlock()
-		return v, nil
+		m.Wake(s.waiter)
+		return s.value, nil
 	}
 	p.inMPI++
 	pr := &pendingRecv{}
-	pr.waiter = m.NewWaiterLocked("MPI recv", func() string {
+	pr.waiter = m.NewWaiter("MPI recv", func() string {
 		return fmt.Sprintf("rank %d: MPI_Recv from %d tag %d%s", p.rank, src, tag, locSuffix(loc))
 	})
 	w.recvs[key] = append(w.recvs[key], pr)
-	m.Unlock()
 	err := pr.waiter.Await()
-	m.Lock()
 	p.inMPI--
-	m.Unlock()
 	if err != nil {
 		return 0, err
 	}

@@ -60,8 +60,7 @@ type Runtime struct {
 	nextThreadID int64
 	nextTeamID   int64
 
-	// crit maps critical-section names to process-wide locks
-	// (guarded by the monitor's lock).
+	// crit maps critical-section names to process-wide locks.
 	crit map[string]*critLock
 
 	// Teams and threads are handed out per parallel region and go back
@@ -123,16 +122,16 @@ type Team struct {
 	size  int
 	level int
 
-	// Barrier state, guarded by the monitor's lock.
+	// Barrier state.
 	arrived int
 	phase   int
 	waiters []*monitor.Waiter
 
 	// claimed tracks single elections under FirstArrival (lazily
-	// allocated on first use, guarded by the monitor's lock).
+	// allocated on first use).
 	claimed map[encKey]bool
 	// dyn holds the shared iteration counters of dynamic worksharing
-	// loops (lazily allocated, guarded by the monitor's lock).
+	// loops (lazily allocated).
 	dyn map[encKey]*int64
 
 	// members are the team's threads; running counts those whose
@@ -153,15 +152,7 @@ func (t *Team) Level() int { return t.level }
 // Phase returns the team's barrier phase: the number of completed team
 // barriers (implicit or explicit). The verifier counts collective
 // executions per phase.
-func (t *Team) Phase() int {
-	t.rt.mon.Lock()
-	defer t.rt.mon.Unlock()
-	return t.phase
-}
-
-// PhaseLocked returns the barrier phase; the caller must already hold the
-// monitor lock (non-reentrant).
-func (t *Team) PhaseLocked() int { return t.phase }
+func (t *Team) Phase() int { return t.phase }
 
 // encKey identifies the k-th encounter of a threading construct by a team.
 type encKey struct {
@@ -314,10 +305,7 @@ func (rt *Runtime) runMember(th *Thread, body func(*Thread) error) {
 func (th *Thread) Barrier() error {
 	t := th.team
 	m := t.rt.mon
-	m.Lock()
-	if m.Aborted() {
-		err := m.ErrLocked()
-		m.Unlock()
+	if err := m.Err(); err != nil {
 		return err
 	}
 	t.arrived++
@@ -325,18 +313,16 @@ func (th *Thread) Barrier() error {
 		t.arrived = 0
 		t.phase++
 		for i, w := range t.waiters {
-			m.WakeLocked(w)
+			m.Wake(w)
 			t.waiters[i] = nil
 		}
 		t.waiters = t.waiters[:0] // keep capacity for the next round
-		m.Unlock()
 		return nil
 	}
-	w := m.NewWaiterLocked("team barrier", func() string {
+	w := m.NewWaiter("team barrier", func() string {
 		return fmt.Sprintf("%s waiting at barrier (phase %d, %d/%d arrived)", th, t.phase, t.arrived, t.size)
 	})
 	t.waiters = append(t.waiters, w)
-	m.Unlock()
 	return w.Await()
 }
 
@@ -366,9 +352,6 @@ func (th *Thread) Single(regionID int) bool {
 		// the schedule that makes concurrent-single bugs manifest.
 		return th.tid == (regionID+idx)%t.size
 	}
-	m := t.rt.mon
-	m.Lock()
-	defer m.Unlock()
 	if t.claimed == nil {
 		t.claimed = make(map[encKey]bool)
 	}
@@ -413,8 +396,6 @@ func (th *Thread) StaticFor(regionID int, from, to int64) *ForLoop {
 func (th *Thread) DynamicFor(regionID int, from, to int64) *ForLoop {
 	idx := th.encounter(regionID)
 	t := th.team
-	m := t.rt.mon
-	m.Lock()
 	if t.dyn == nil {
 		t.dyn = make(map[encKey]*int64)
 	}
@@ -425,7 +406,6 @@ func (th *Thread) DynamicFor(regionID int, from, to int64) *ForLoop {
 		c = &v
 		t.dyn[key] = c
 	}
-	m.Unlock()
 	return &ForLoop{th: th, from: from, to: to, counter: c}
 }
 
@@ -462,10 +442,7 @@ type critLock struct {
 // visible in deadlock reports.
 func (rt *Runtime) CriticalEnter(th *Thread, name string) error {
 	m := rt.mon
-	m.Lock()
-	if m.Aborted() {
-		err := m.ErrLocked()
-		m.Unlock()
+	if err := m.Err(); err != nil {
 		return err
 	}
 	l := rt.crit[name]
@@ -475,22 +452,17 @@ func (rt *Runtime) CriticalEnter(th *Thread, name string) error {
 	}
 	if !l.held {
 		l.held = true
-		m.Unlock()
 		return nil
 	}
-	w := m.NewWaiterLocked("critical section", func() string {
+	w := m.NewWaiter("critical section", func() string {
 		return fmt.Sprintf("%s waiting for critical(%s)", th, critName(name))
 	})
 	l.queue = append(l.queue, w)
-	m.Unlock()
 	return w.Await()
 }
 
 // CriticalExit releases the lock, handing it to the first queued waiter.
 func (rt *Runtime) CriticalExit(th *Thread, name string) {
-	m := rt.mon
-	m.Lock()
-	defer m.Unlock()
 	l := rt.crit[name]
 	if l == nil {
 		return
@@ -499,7 +471,7 @@ func (rt *Runtime) CriticalExit(th *Thread, name string) {
 		w := l.queue[0]
 		l.queue = l.queue[1:]
 		// Ownership transfers directly to the woken waiter.
-		m.WakeLocked(w)
+		rt.mon.Wake(w)
 		return
 	}
 	l.held = false

@@ -16,17 +16,18 @@
 //
 // The Controller piggybacks on the blocking kernel (internal/monitor):
 // every wait in the simulated runtimes already funnels through
-// monitor.NewWaiterLocked / Waiter.Await, so the monitor's scheduler
-// hooks tell the controller precisely when the running thread parks and
-// when a parked thread becomes runnable again. Between those
-// transitions the interpreter calls Gate.Yield at each statement,
-// giving the Scheduler statement-level interleaving control. Because
-// only the token holder ever touches simulation state, a run is a
-// deterministic function of the scheduler's decisions — which is what
-// makes recorded schedules replayable and exhaustive enumeration
-// (internal/explore) possible. For the same reason the controller takes
-// no lock: only the running thread or the driver touches it, one at a
-// time, and an abort from outside the run only raises a flag.
+// monitor.NewWaiter / Waiter.Await, so the monitor's scheduler hooks
+// tell the controller precisely when the running thread parks and when
+// a parked thread becomes runnable again. Between those transitions the
+// interpreter calls Gate.Yield at each statement, giving the Scheduler
+// statement-level interleaving control. Because only the token holder
+// ever touches simulation state, a run is a deterministic function of
+// the scheduler's decisions — which is what makes recorded schedules
+// replayable and exhaustive enumeration (internal/explore) possible.
+// For the same reason a run takes no lock, here or in the monitor: only
+// the running thread or the driver touches run state, one at a time,
+// and an abort from outside the run only publishes the monitor's
+// atomic cause and raises the controller's release flag.
 package sched
 
 import (
@@ -568,7 +569,8 @@ func (c *Controller) choose(cur ThreadID) ThreadID {
 
 //
 // Monitor hook implementation. The monitor calls HolderParked,
-// WaiterWoken and ReleaseAll with its lock held.
+// WaiterWoken and Resume on the running thread, and ReleaseAll there,
+// on the driver, or from outside the run.
 //
 
 // HolderParked records that the token holder blocked and hands the
@@ -602,7 +604,7 @@ func (c *Controller) WaiterWoken(gate any) {
 // Resume suspends the thread parked on gate until the driver resumes
 // it: once WaiterWoken made it runnable and the scheduler picked it, or
 // once ReleaseAll ended the serialization. A thread whose wait was
-// woken before it got here runs on. Called without locks.
+// woken before it got here runs on.
 func (c *Controller) Resume(gate any) {
 	if g, _ := gate.(*Gate); g != nil && g.state == gateParked && !c.isOff.Load() {
 		g.co.suspend()
@@ -775,22 +777,26 @@ func (s *Replay) Next(c Choice) ThreadID {
 	}
 	pick := c.Enabled[0]
 	if s.pos < len(s.Trace) {
-		rec := s.Trace[s.pos]
-		found := false
-		for _, id := range c.Enabled {
-			if id == rec {
-				found = true
-				break
-			}
-		}
-		if found {
-			pick = rec
-		} else {
+		var ok bool
+		if pick, ok = Follow(c.Enabled, s.Trace[s.pos]); !ok {
 			s.diverged = true
 		}
 	}
 	s.pos++
 	return pick
+}
+
+// Follow is the prefix step shared by the schedulers that replay
+// recorded branch decisions: it takes the recorded pick rec if rec is
+// enabled, and otherwise reports the divergence and falls back to the
+// lowest enabled id.
+func Follow(enabled []ThreadID, rec ThreadID) (pick ThreadID, ok bool) {
+	for _, id := range enabled {
+		if id == rec {
+			return rec, true
+		}
+	}
+	return enabled[0], false
 }
 
 // Diverged reports whether the replay failed to reproduce the recorded
@@ -844,17 +850,8 @@ func (s *Recorder) Next(c Choice) ThreadID {
 	pos := len(s.Branches)
 	pick := c.Enabled[0]
 	if pos < len(s.Prefix) {
-		rec := s.Prefix[pos]
-		found := false
-		for _, id := range c.Enabled {
-			if id == rec {
-				found = true
-				break
-			}
-		}
-		if found {
-			pick = rec
-		} else {
+		var ok bool
+		if pick, ok = Follow(c.Enabled, s.Prefix[pos]); !ok {
 			s.diverged = true
 		}
 	}

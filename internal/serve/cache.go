@@ -7,11 +7,13 @@
 // Concurrent identical submissions are deduplicated singleflight-style:
 // the first requester compiles, everyone else parks on the artifact's
 // ready channel and serves the same result, so a thundering herd of
-// identical sources costs exactly one compilation.
+// identical sources costs exactly one compilation. A compile its
+// requester canceled is shared with no one: the parked requests retry.
 package serve
 
 import (
 	"context"
+	"errors"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -44,6 +46,12 @@ type artifact struct {
 }
 
 func (a *artifact) touch() { a.lastUsed.Store(time.Now().UnixNano()) }
+
+// canceled reports, once ready is closed, whether the leader's context
+// cut the compile short (CompileCtx then returns the context's error).
+func (a *artifact) canceled() bool {
+	return errors.Is(a.err, context.Canceled) || errors.Is(a.err, context.DeadlineExceeded)
+}
 
 // maxWarmSessions caps one artifact's warm sessions. A client varying
 // its run block from request to request (a new maxSteps each time)
@@ -84,16 +92,19 @@ func (a *artifact) warmSessions() int {
 func (s *Server) artifactFor(ctx context.Context, name, source string, opts parcoach.Options) (*artifact, bool, error) {
 	key := parcoach.CacheKey(name, source, opts)
 	s.mu.Lock()
-	if a, ok := s.cache[key]; ok {
+	for a, ok := s.cache[key]; ok; a, ok = s.cache[key] {
 		s.mu.Unlock()
 		select {
 		case <-a.ready:
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
-		a.touch()
-		s.hits.Add(1)
-		return a, true, nil
+		if !a.canceled() {
+			a.touch()
+			s.hits.Add(1)
+			return a, true, nil
+		}
+		s.mu.Lock()
 	}
 	a := &artifact{key: key, name: name, ready: make(chan struct{})}
 	a.touch()
@@ -107,7 +118,8 @@ func (s *Server) artifactFor(ctx context.Context, name, source string, opts parc
 	// (the source deterministically breaks this compiler — recompiling it
 	// for the next client would panic again); a context cancellation is
 	// NOT cached: the entry is evicted so the next client gets a real
-	// compile.
+	// compile, and the followers parked on it join the next leader or
+	// become it.
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -116,7 +128,7 @@ func (s *Server) artifactFor(ctx context.Context, name, source string, opts parc
 		}()
 		a.prog, a.err = parcoach.CompileCtx(ctx, name, source, opts)
 	}()
-	if a.err != nil && ctx.Err() != nil {
+	if a.canceled() {
 		s.mu.Lock()
 		if s.cache[key] == a {
 			delete(s.cache, key)
@@ -128,7 +140,7 @@ func (s *Server) artifactFor(ctx context.Context, name, source string, opts parc
 }
 
 // lookup resolves a key the client obtained from a previous /compile;
-// nil when the key is unknown (or was evicted).
+// nil when the key is unknown or was evicted (a canceled compile is).
 func (s *Server) lookup(ctx context.Context, key string) (*artifact, error) {
 	s.mu.Lock()
 	a := s.cache[key]
@@ -141,12 +153,13 @@ func (s *Server) lookup(ctx context.Context, key string) (*artifact, error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+	if a.canceled() {
+		return nil, nil
+	}
 	a.touch()
-	a.touchIsHit(s)
+	s.hits.Add(1)
 	return a, nil
 }
-
-func (a *artifact) touchIsHit(s *Server) { s.hits.Add(1) }
 
 // evictLocked drops least-recently-used artifacts beyond the cache cap.
 // Entries still compiling (ready open) are never evicted — the

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"parcoach"
 	"parcoach/internal/chaos"
 	"parcoach/internal/leakcheck"
 )
@@ -332,5 +333,60 @@ func TestCompileCanceledNotCached(t *testing.T) {
 	}
 	if st := s.Snapshot(); st.Cache.Misses != 2 {
 		t.Errorf("misses = %d, want 2: the canceled request's and the fresh compile", st.Cache.Misses)
+	}
+}
+
+// TestFollowerOfCanceledCompile: a request parked on a compile in
+// flight whose leader's context is canceled does not inherit the
+// cancellation. A request with inline source compiles under its own
+// context; a request by key finds the key unknown, as for an evicted
+// entry.
+func TestFollowerOfCanceledCompile(t *testing.T) {
+	leakcheck.Check(t)
+	for _, byKey := range []bool{false, true} {
+		s := New(Config{})
+		var opts parcoach.Options
+		key := parcoach.CacheKey("buggy.mh", buggySrc, opts)
+		leader := &artifact{key: key, name: "buggy.mh", ready: make(chan struct{})}
+		s.mu.Lock()
+		s.cache[key] = leader
+		s.mu.Unlock()
+
+		type result struct {
+			a   *artifact
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			var r result
+			if byKey {
+				r.a, r.err = s.lookup(context.Background(), key)
+			} else {
+				r.a, _, r.err = s.artifactFor(context.Background(), "buggy.mh", buggySrc, opts)
+			}
+			done <- r
+		}()
+		time.Sleep(50 * time.Millisecond) // let the follower park on ready
+		// Act as the leader whose request was canceled mid-compile.
+		leader.err = context.Canceled
+		s.mu.Lock()
+		delete(s.cache, key)
+		s.mu.Unlock()
+		close(leader.ready)
+
+		var r result
+		select {
+		case r = <-done:
+		case <-time.After(disconnectBound):
+			t.Fatalf("byKey=%v: follower still parked %v after its leader gave up", byKey, disconnectBound)
+		}
+		switch {
+		case r.err != nil:
+			t.Errorf("byKey=%v: follower failed with its own context live: %v", byKey, r.err)
+		case byKey && r.a != nil:
+			t.Errorf("byKey=%v: lookup served the canceled compile (err %v), want an unknown key", byKey, r.a.err)
+		case !byKey && (r.a == leader || r.a.err != nil || r.a.prog == nil):
+			t.Errorf("byKey=%v: follower got err %v, want its own compile", byKey, r.a.err)
+		}
 	}
 }

@@ -72,8 +72,8 @@ func (v *Verifier) AttachWorld(w *mpi.World) {
 	w.SetRoundObserver(v.checkRound)
 }
 
-// checkRound is the value oracle. It runs under the monitor's lock with
-// every participant of the round still parked: calls carries each rank's
+// checkRound is the value oracle. It runs on the round's last arriving
+// thread with every other participant of the round still parked: calls carries each rank's
 // arguments, its call-time source snapshot, the live buffer the snapshot
 // was taken from, and the results the matcher computed. The matcher has
 // already validated that the operation kinds agree.

@@ -82,7 +82,7 @@ type Verifier struct {
 	mon    *monitor.Monitor
 	nprocs int
 
-	// CC agreement state (guarded by the monitor's lock).
+	// CC agreement state.
 	ccArrived map[int]*ccEntry
 	ccRound   int
 
@@ -167,8 +167,6 @@ func (v *Verifier) Reset() {
 
 // Stats reports how many checks executed (for the overhead experiments).
 func (v *Verifier) Stats() (ccChecks, phaseChecks, valueChecks int) {
-	v.mon.Lock()
-	defer v.mon.Unlock()
 	return v.ccChecks, v.phaseChecks, v.valueChecks
 }
 
@@ -190,15 +188,11 @@ func (v *Verifier) describeState() []string {
 // process has announced. Disagreement aborts the run.
 func (v *Verifier) CC(p *mpi.Proc, op string, pos source.Pos) error {
 	m := v.mon
-	m.Lock()
-	if m.Aborted() {
-		err := m.ErrLocked()
-		m.Unlock()
+	if err := m.Err(); err != nil {
 		return err
 	}
-	if p.FinalizedLocked() {
+	if p.Finalized() {
 		// End-of-main check after MPI_Finalize: nothing to verify.
-		m.Unlock()
 		return nil
 	}
 	v.ccChecks++
@@ -210,22 +204,18 @@ func (v *Verifier) CC(p *mpi.Proc, op string, pos source.Pos) error {
 				p.Rank(), op, prev.op),
 			Related: []source.Pos{prev.pos},
 		}
-		m.AbortLocked(err)
-		m.Unlock()
+		m.Abort(err)
 		return err
 	}
 	entry := &ccEntry{op: op, pos: pos}
 	v.ccArrived[p.Rank()] = entry
 
 	if len(v.ccArrived) == v.nprocs {
-		err := v.completeCCLocked()
-		m.Unlock()
-		return err
+		return v.completeCC()
 	}
-	entry.waiter = m.NewWaiterLocked("CC check", func() string {
+	entry.waiter = m.NewWaiter("CC check", func() string {
 		return fmt.Sprintf("rank %d announced %s%s", p.Rank(), op, posSuffix(pos))
 	})
-	m.Unlock()
 	return entry.waiter.Await()
 }
 
@@ -236,8 +226,8 @@ func posSuffix(pos source.Pos) string {
 	return " at " + pos.String()
 }
 
-// completeCCLocked validates the full round and wakes the waiters.
-func (v *Verifier) completeCCLocked() error {
+// completeCC validates the full round and wakes the waiters.
+func (v *Verifier) completeCC() error {
 	first := ""
 	agree := true
 	for _, e := range v.ccArrived {
@@ -268,12 +258,12 @@ func (v *Verifier) completeCCLocked() error {
 			Msg: "processes are about to execute different collective sequences: " +
 				strings.Join(parts, ", "),
 		}
-		v.mon.AbortLocked(err)
+		v.mon.Abort(err)
 		return err
 	}
 	for _, e := range v.ccArrived {
 		if e.waiter != nil {
-			v.mon.WakeLocked(e.waiter)
+			v.mon.Wake(e.waiter)
 		}
 	}
 	v.ccArrived = make(map[int]*ccEntry)
@@ -286,15 +276,13 @@ func (v *Verifier) completeCCLocked() error {
 // counted collective in the same phase.
 func (v *Verifier) PhaseCount(p *mpi.Proc, th *omp.Thread, nodeID int, kind string, pos source.Pos) error {
 	m := v.mon
-	m.Lock()
-	defer m.Unlock()
-	if m.Aborted() {
-		return m.ErrLocked()
+	if err := m.Err(); err != nil {
+		return err
 	}
 	v.phaseChecks++
 	team := th.Team()
 	key := teamKey{proc: p.Rank(), team: team.ID()}
-	phase := teamPhaseLocked(team)
+	phase := team.Phase()
 	tp := v.phases[key]
 	if tp == nil {
 		tp = &teamPhase{phase: phase}
@@ -324,7 +312,7 @@ func (v *Verifier) PhaseCount(p *mpi.Proc, th *omp.Thread, nodeID int, kind stri
 				entry.kind, prev.tid, entry.tid, p.Rank(), size)
 		}
 		err := &Error{Kind: kindErr, Pos: pos, Related: []source.Pos{prev.pos}, Msg: msg}
-		m.AbortLocked(err)
+		m.Abort(err)
 		return err
 	}
 	tp.entries = append(tp.entries, entry)
@@ -335,34 +323,22 @@ func (v *Verifier) PhaseCount(p *mpi.Proc, th *omp.Thread, nodeID int, kind stri
 // passed its join barrier: no member counts in it again, and team ids
 // are never reused within a run.
 func (v *Verifier) EndTeam(p *mpi.Proc, team int64) {
-	v.mon.Lock()
-	defer v.mon.Unlock()
 	delete(v.phases, teamKey{proc: p.Rank(), team: team})
 }
-
-// teamPhaseLocked reads the team phase; the caller already holds the
-// monitor lock (Team.Phase would deadlock re-acquiring it).
-func teamPhaseLocked(t *omp.Team) int { return t.PhaseLocked() }
 
 // MonoCheck records the observed team size of a flagged parallel region
 // (the paper's Sipw dynamic check).
 func (v *Verifier) MonoCheck(th *omp.Thread, regionID int) {
-	v.mon.Lock()
-	defer v.mon.Unlock()
 	v.teamSizes[regionID] = th.Team().Size()
 }
 
 // TeamSize returns the recorded team size of a region, or 0.
 func (v *Verifier) TeamSize(regionID int) int {
-	v.mon.Lock()
-	defer v.mon.Unlock()
 	return v.teamSizes[regionID]
 }
 
 // ConcEnter pushes an Scc region onto the thread's attribution stack.
 func (v *Verifier) ConcEnter(p *mpi.Proc, th *omp.Thread, regionID int) {
-	v.mon.Lock()
-	defer v.mon.Unlock()
 	tk := threadKey{proc: p.Rank(), thread: th.ID()}
 	v.regions[tk] = append(v.regions[tk], regionID)
 }
@@ -370,8 +346,6 @@ func (v *Verifier) ConcEnter(p *mpi.Proc, th *omp.Thread, regionID int) {
 // ConcExit pops the thread's attribution stack, and drops the thread's
 // key once the stack is empty.
 func (v *Verifier) ConcExit(p *mpi.Proc, th *omp.Thread, regionID int) {
-	v.mon.Lock()
-	defer v.mon.Unlock()
 	tk := threadKey{proc: p.Rank(), thread: th.ID()}
 	stack := v.regions[tk]
 	if len(stack) == 0 || stack[len(stack)-1] != regionID {
