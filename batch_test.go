@@ -119,11 +119,14 @@ func TestCompileBatchConcurrent(t *testing.T) {
 		if p == nil {
 			t.Fatalf("program %d missing", i)
 		}
-		if len(p.IR) == 0 {
-			t.Errorf("%s: no IR", p.Name)
+		if len(p.Graphs) == 0 {
+			t.Errorf("%s: no CFGs", p.Name)
 		}
 		if p.Stats.Functions == 0 || p.Stats.CFGNodes == 0 {
 			t.Errorf("%s: stats empty: %+v", p.Name, p.Stats)
+		}
+		if p.Stats.IRInsts != 0 || p.Stats.Spills != 0 {
+			t.Errorf("%s: deprecated IR stats written: %+v", p.Name, p.Stats)
 		}
 	}
 }
@@ -150,21 +153,22 @@ func TestCompileBatchPartialFailure(t *testing.T) {
 }
 
 // TestPassTimingsPopulated pins the per-pass timing view: every mode
-// records its stages under fixed names in execution order (bench/'s
-// trace and probes and Timing's buckets key on these names), with
-// nonzero total time, and the cached graphs cover every function.
+// records its stages under fixed names in execution order, ending at
+// dce (bench/'s trace and probes and Timing's buckets key on these
+// names), with nonzero total time, the cached graphs cover every
+// function, and nothing writes the deprecated IR stats.
 func TestPassTimingsPopulated(t *testing.T) {
 	for _, tc := range []struct {
 		mode parcoach.Mode
 		want []string
 	}{
-		{parcoach.ModeBaseline, []string{"frontend", "fold", "cfg", "dce", "lower", "regalloc"}},
+		{parcoach.ModeBaseline, []string{"frontend", "fold", "cfg", "dce"}},
 		{parcoach.ModeAnalyze, []string{"frontend", "fold", "cfg",
 			"dominators", "analysis-begin", "analysis-prepare", "taint", "contexts", "summaries", "check", "analysis-finish",
-			"dce", "lower", "regalloc"}},
+			"dce"}},
 		{parcoach.ModeFull, []string{"frontend", "fold", "cfg",
 			"dominators", "analysis-begin", "analysis-prepare", "taint", "contexts", "summaries", "check", "analysis-finish",
-			"instrument", "dce", "lower", "regalloc"}},
+			"instrument", "dce"}},
 	} {
 		p, err := parcoach.Compile("clean.mh", cleanSrc, parcoach.Options{Mode: tc.mode})
 		if err != nil {
@@ -184,6 +188,9 @@ func TestPassTimingsPopulated(t *testing.T) {
 		}
 		if p.Graphs == nil || len(p.Graphs) != p.Stats.Functions {
 			t.Errorf("%s: cached graphs missing: %d graphs for %d functions", tc.mode, len(p.Graphs), p.Stats.Functions)
+		}
+		if p.Stats.IRInsts != 0 || p.Stats.Spills != 0 {
+			t.Errorf("%s: deprecated IR stats written: ir=%d spills=%d", tc.mode, p.Stats.IRInsts, p.Stats.Spills)
 		}
 	}
 }

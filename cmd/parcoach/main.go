@@ -1,10 +1,10 @@
 // Command parcoach is the static-analysis front end: it compiles one or
 // more MiniHybrid source files, prints the compile-time verification
 // warnings (with collective names and source lines, as the paper
-// requires), and can dump the CFG, the parallelism-word analysis
-// artifacts, the instrumented source and the lowered IR. Multiple files
-// compile concurrently, -workers of them at once (the CompileBatch API);
-// each file's compile is serial.
+// requires), and can dump the per-function analysis summary, the
+// post-DCE CFG and the instrumented source. Multiple files compile
+// concurrently, -workers of them at once (the CompileBatch API); each
+// file's compile is serial.
 //
 // Usage:
 //
@@ -15,7 +15,6 @@
 //	-mode baseline|analyze|full
 //	-workers N               files compiled at once (0 = all cores)
 //	-dot func                write the function's CFG in Graphviz DOT to stdout
-//	-ir func                 dump the function's lowered IR
 //	-dump-instrumented       print the instrumented program
 //	-summary                 print per-function analysis summary
 //	-timings                 print per-pass pipeline timings
@@ -36,7 +35,6 @@ func main() {
 	mode := flag.String("mode", "full", "compilation mode: baseline, analyze or full")
 	workers := flag.Int("workers", 0, "files compiled at once (0 = all cores, 1 = one at a time)")
 	dotFunc := flag.String("dot", "", "dump the CFG of the named function as DOT")
-	irFunc := flag.String("ir", "", "dump the lowered IR of the named function")
 	dumpInst := flag.Bool("dump-instrumented", false, "print the instrumented program")
 	summary := flag.Bool("summary", false, "print per-function analysis summary")
 	timings := flag.Bool("timings", false, "print per-pass pipeline timings")
@@ -85,7 +83,7 @@ func main() {
 		if prog == nil {
 			continue
 		}
-		dumped = report(prog, len(progs) > 1, *summary, *timings, *dotFunc, *irFunc, *dumpInst) || dumped
+		dumped = report(prog, len(progs) > 1, *summary, *timings, *dotFunc, *dumpInst) || dumped
 		if len(prog.Warnings()) > 0 {
 			anyWarnings = true
 		}
@@ -93,23 +91,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// A -dot/-ir function name that matched no input at all is a usage
+	// A -dot function name that matched no input at all is a usage
 	// error in multi-file mode too, same as the single-file exit 2.
-	if (*dotFunc != "" || *irFunc != "") && !dumped {
-		name := *dotFunc
-		if name == "" {
-			name = *irFunc
-		}
-		fatal(fmt.Errorf("no function %q in any input", name))
+	if *dotFunc != "" && !dumped {
+		fatal(fmt.Errorf("no function %q in any input", *dotFunc))
 	}
 	if anyWarnings {
 		os.Exit(1)
 	}
 }
 
-// report prints one program's results; it returns whether a -dot/-ir
-// dump matched this program.
-func report(prog *parcoach.Program, multi, summary, timings bool, dotFunc, irFunc string, dumpInst bool) bool {
+// report prints one program's results; it returns whether a -dot dump
+// matched this program.
+func report(prog *parcoach.Program, multi, summary, timings bool, dotFunc string, dumpInst bool) bool {
 	if multi {
 		fmt.Printf("== %s ==\n", prog.Name)
 	}
@@ -150,18 +144,6 @@ func report(prog *parcoach.Program, multi, summary, timings bool, dotFunc, irFun
 			dumped = true
 		} else if multi {
 			fmt.Fprintf(os.Stderr, "parcoach: %s: no function %q\n", prog.Name, dotFunc)
-		}
-	}
-
-	if irFunc != "" {
-		if ir, ok := prog.IR[irFunc]; ok {
-			fmt.Print(ir.String())
-			if alloc := prog.Allocations[irFunc]; alloc != nil {
-				fmt.Printf("spills: %d, max live: %d\n", alloc.Spills, alloc.MaxLive)
-			}
-			dumped = true
-		} else if multi {
-			fmt.Fprintf(os.Stderr, "parcoach: %s: no IR for function %q\n", prog.Name, irFunc)
 		}
 	}
 

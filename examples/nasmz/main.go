@@ -18,8 +18,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("BT-MZ: %d functions, %d statements, %d CFG nodes, %d IR instructions\n",
-		prog.Stats.Functions, prog.Stats.Statements, prog.Stats.CFGNodes, prog.Stats.IRInsts)
+	fmt.Printf("BT-MZ: %d functions, %d statements, %d CFG nodes\n",
+		prog.Stats.Functions, prog.Stats.Statements, prog.Stats.CFGNodes)
 	fmt.Printf("compile: frontend=%v backend=%v analysis=%v instrument=%v\n",
 		prog.Timing.Frontend, prog.Timing.Backend, prog.Timing.Analysis, prog.Timing.Instrument)
 

@@ -83,9 +83,8 @@ func describe(t *testing.T, gp goldenProgram, mkSched func() sched.Scheduler) st
 			t.Fatalf("%s %s: %v", gp.name, mode, err)
 		}
 		fmt.Fprintf(&b, "\n== mode %s ==\n", mode)
-		fmt.Fprintf(&b, "functions=%d statements=%d cfg=%d/%d dead=%d ir=%d spills=%d\n",
-			p.Stats.Functions, p.Stats.Statements, p.Stats.CFGNodes, p.Stats.CFGEdges,
-			p.Stats.DeadNodes, p.Stats.IRInsts, p.Stats.Spills)
+		fmt.Fprintf(&b, "functions=%d statements=%d cfg=%d/%d dead=%d\n",
+			p.Stats.Functions, p.Stats.Statements, p.Stats.CFGNodes, p.Stats.CFGEdges, p.Stats.DeadNodes)
 		fmt.Fprintf(&b, "folds=%+v\n", p.Stats.Folds)
 		if mode >= parcoach.ModeFull {
 			fmt.Fprintf(&b, "checks=%+v instrumented=%v\n", p.Stats.Checks, p.Instrumented != nil)

@@ -28,7 +28,7 @@ var explorePaths = []struct {
 // report: Canceled set, fewer schedules than the budget, and the
 // rendered report carrying the marker.
 func TestExploreCancelPartialReport(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	prog := parser.MustParse("racer.mh", racerSrc)
 	for _, path := range explorePaths {
 		t.Run(path.name, func(t *testing.T) {
@@ -64,7 +64,7 @@ func TestExploreCancelPartialReport(t *testing.T) {
 // starts yields an empty well-formed report instead of one refused run
 // per budgeted schedule.
 func TestExploreAlreadyCanceled(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	prog := parser.MustParse("racer.mh", racerSrc)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -80,7 +80,7 @@ func TestExploreAlreadyCanceled(t *testing.T) {
 // canceled at the first progress event, must have allocated less than
 // 4 MB by then; building every schedule up front took about 27 MB.
 func TestSampledExploreBuildsBlocks(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	prog := parser.MustParse("racer.mh", racerSrc)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -110,7 +110,7 @@ func TestSampledExploreBuildsBlocks(t *testing.T) {
 // not report exhaustion, even when the root run is the one that
 // panicked.
 func TestExploreQuarantinesPanickingRun(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	prog := parser.MustParse("racer.mh", racerSrc)
 	for _, path := range explorePaths {
 		t.Run(path.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package leakcheck
 
 import (
+	"fmt"
 	"iter"
 	"runtime"
 	"strings"
@@ -59,5 +60,53 @@ func TestInterestingGoroutinesCoroutines(t *testing.T) {
 		if _, ok := interesting[id]; ok {
 			t.Errorf("idle pooled coroutine listed as interesting:\n%s", g)
 		}
+	}
+}
+
+// recordingTB runs a Check outside the testing harness: it keeps the
+// cleanups Check registers, to run them on demand, and the errors they
+// report.
+type recordingTB struct {
+	testing.TB
+	cleanups []func()
+	errs     []string
+}
+
+func (r *recordingTB) Helper()           {}
+func (r *recordingTB) Cleanup(fn func()) { r.cleanups = append(r.cleanups, fn) }
+func (r *recordingTB) Failed() bool      { return len(r.errs) > 0 }
+func (r *recordingTB) Errorf(format string, args ...any) {
+	r.errs = append(r.errs, fmt.Sprintf(format, args...))
+}
+
+// finish runs the recorded cleanups last registered first, as the
+// testing package does when a test ends.
+func (r *recordingTB) finish() {
+	for i := len(r.cleanups) - 1; i >= 0; i-- {
+		r.cleanups[i]()
+	}
+}
+
+// TestCheckReportsGoroutinesStartedAfterIt pins Check's contract: the
+// snapshot is taken when Check is called, so a goroutine started after
+// it and still parked when the cleanups run is reported, and once that
+// goroutine is released a fresh Check reports nothing.
+func TestCheckReportsGoroutinesStartedAfterIt(t *testing.T) {
+	release := make(chan struct{})
+	leaky := &recordingTB{TB: t}
+	Check(leaky)
+	go func() { <-release }()
+	leaky.finish()
+	if len(leaky.errs) != 1 || !strings.Contains(leaky.errs[0], "1 goroutine(s) leaked") ||
+		!strings.Contains(leaky.errs[0], "TestCheckReportsGoroutinesStartedAfterIt") {
+		t.Errorf("parked goroutine not reported: %q", leaky.errs)
+	}
+
+	close(release)
+	clean := &recordingTB{TB: t}
+	Check(clean)
+	clean.finish()
+	if len(clean.errs) != 0 {
+		t.Errorf("released goroutine reported: %q", clean.errs)
 	}
 }

@@ -1,12 +1,13 @@
 // Package passes implements the baseline backend of the compilation
-// pipeline: constant folding, constant-branch simplification, unreachable
-// CFG-node elimination and lowering to a linear register IR.
+// pipeline: constant folding, constant-branch simplification and
+// unreachable CFG-node elimination.
 //
-// These passes exist for fidelity of the paper's Figure 1 experiment: the
-// compile-time overhead of verification is measured against a compiler
-// that does real work besides parsing — exactly as PARCOACH's overhead is
-// measured against the rest of GCC's pipeline. The lowered IR is also the
-// "object code" artifact the CLI can dump.
+// The folded tree is what the analysis reads and instrumentation
+// rewrites, and the post-DCE graphs are the compile's CFG artifacts.
+// These passes are also the work the paper's Figure 1 overhead is
+// measured against: the baseline compile is the frontend plus fold, CFG
+// and DCE, as PARCOACH's overhead is measured against the rest of GCC's
+// pipeline.
 package passes
 
 import (

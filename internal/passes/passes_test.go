@@ -253,182 +253,3 @@ func TestEliminateDeadNoop(t *testing.T) {
 		t.Errorf("live graph lost %d nodes", removed)
 	}
 }
-
-//
-// Lowering
-//
-
-func lowerMain(t *testing.T, body string) *FuncIR {
-	t.Helper()
-	prog := parse(t, "func main() {\n"+body+"\n}")
-	ir := Lower(prog.Func("main"))
-	if err := ir.Validate(); err != nil {
-		t.Fatalf("IR invalid: %v\n%s", err, ir)
-	}
-	return ir
-}
-
-func TestLowerStraightLine(t *testing.T) {
-	ir := lowerMain(t, "var x = 1\nvar y = x + 2\nprint(y)")
-	var hasConst, hasBin, hasPrint, hasRet bool
-	for _, in := range ir.Insts {
-		switch in.Op {
-		case OpConst:
-			hasConst = true
-		case OpBin:
-			hasBin = true
-		case OpPrint:
-			hasPrint = true
-		case OpRet:
-			hasRet = true
-		}
-	}
-	if !hasConst || !hasBin || !hasPrint || !hasRet {
-		t.Errorf("missing opcodes:\n%s", ir)
-	}
-}
-
-func TestLowerBranchTargets(t *testing.T) {
-	ir := lowerMain(t, "var x = 1\nif x > 0 { x = 2 } else { x = 3 }\nx = 4")
-	jumps := 0
-	for _, in := range ir.Insts {
-		if in.Op == OpJump || in.Op == OpJumpZ {
-			jumps++
-			if in.Imm <= 0 || in.Imm > int64(len(ir.Insts)) {
-				t.Errorf("bad jump target %d", in.Imm)
-			}
-		}
-	}
-	if jumps != 2 {
-		t.Errorf("if/else needs 2 jumps, got %d", jumps)
-	}
-}
-
-func TestLowerLoopsJumpBackwards(t *testing.T) {
-	ir := lowerMain(t, "var s = 0\nfor i = 0 .. 10 { s += i }\nwhile s > 0 { s -= 1 }")
-	backward := 0
-	for idx, in := range ir.Insts {
-		if in.Op == OpJump && in.Imm <= int64(idx) {
-			backward++
-		}
-	}
-	if backward != 2 {
-		t.Errorf("want 2 backward jumps, got %d\n%s", backward, ir)
-	}
-}
-
-func TestLowerArrays(t *testing.T) {
-	ir := lowerMain(t, "var a[8]\na[2] = 5\na[3] += 1\nvar v = a[2]")
-	var newArr, store, load int
-	for _, in := range ir.Insts {
-		switch in.Op {
-		case OpNewArr:
-			newArr++
-		case OpStoreIdx:
-			store++
-		case OpLoadIdx:
-			load++
-		}
-	}
-	if newArr != 1 || store != 2 || load < 2 {
-		t.Errorf("array ops: new=%d store=%d load=%d\n%s", newArr, store, load, ir)
-	}
-}
-
-func TestLowerMPIAndRegions(t *testing.T) {
-	ir := lowerMain(t, `
-MPI_Init()
-var x = 0
-parallel {
-	single {
-		MPI_Allreduce(x, x, sum)
-	}
-	barrier
-}
-MPI_Finalize()`)
-	var mpiOps, regions []string
-	for _, in := range ir.Insts {
-		switch in.Op {
-		case OpMPI:
-			mpiOps = append(mpiOps, in.Sym)
-		case OpRegion:
-			regions = append(regions, in.Sym)
-		}
-	}
-	wantMPI := []string{"MPI_Init", "MPI_Allreduce", "MPI_Finalize"}
-	for i, w := range wantMPI {
-		if mpiOps[i] != w {
-			t.Errorf("mpi[%d] = %s, want %s", i, mpiOps[i], w)
-		}
-	}
-	joined := strings.Join(regions, " ")
-	for _, w := range []string{"parallel.begin", "single.begin", "single.end", "barrier", "parallel.end"} {
-		if !strings.Contains(joined, w) {
-			t.Errorf("missing region marker %s in %v", w, regions)
-		}
-	}
-}
-
-func TestLowerChecks(t *testing.T) {
-	prog := parse(t, "func main() { var x = 0\nMPI_Bcast(x) }")
-	fn := prog.Func("main")
-	// Inject instrumentation nodes manually.
-	fn.Body.Stmts = append([]ast.Stmt{
-		&ast.InstrCC{CollKind: ast.MPIBcast},
-		&ast.InstrMonoCheck{RegionID: 2},
-		&ast.InstrPhaseCount{NodeID: 5, CollKind: ast.MPIBcast},
-		&ast.InstrConcNote{RegionID: 2, Enter: true},
-		&ast.InstrCCReturn{},
-	}, fn.Body.Stmts...)
-	ir := Lower(fn)
-	if err := ir.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	var syms []string
-	for _, in := range ir.Insts {
-		if in.Op == OpCheck {
-			syms = append(syms, in.Sym)
-		}
-	}
-	joined := strings.Join(syms, " ")
-	for _, w := range []string{"cc:MPI_Bcast", "mono:2", "phase:5", "conc:enter:2", "cc:return"} {
-		if !strings.Contains(joined, w) {
-			t.Errorf("missing check %s in %v", w, syms)
-		}
-	}
-}
-
-func TestLowerProgramAllFunctions(t *testing.T) {
-	prog := parse(t, "func a() { return 1 }\nfunc b(x) { return x }")
-	irs := LowerProgram(prog)
-	if len(irs) != 2 || irs["a"] == nil || irs["b"] == nil {
-		t.Fatal("LowerProgram incomplete")
-	}
-	if irs["b"].Params != 1 {
-		t.Error("param count wrong")
-	}
-	for _, ir := range irs {
-		if err := ir.Validate(); err != nil {
-			t.Error(err)
-		}
-	}
-}
-
-func TestValidateCatchesBadIR(t *testing.T) {
-	bad := &FuncIR{Name: "x", NumRegs: 1, Insts: []Inst{{Op: OpJump, Imm: 99}}}
-	if bad.Validate() == nil {
-		t.Error("bad jump target accepted")
-	}
-	bad2 := &FuncIR{Name: "y", NumRegs: 1, Insts: []Inst{{Op: OpBin, Dst: 5, A: 0, B: 0}}}
-	if bad2.Validate() == nil {
-		t.Error("bad register accepted")
-	}
-}
-
-func TestInstStrings(t *testing.T) {
-	ir := lowerMain(t, "var x = 1\nif x > 0 { print(x) }\nreturn x")
-	dump := ir.String()
-	if !strings.Contains(dump, "func main") || !strings.Contains(dump, "jumpz") {
-		t.Errorf("dump malformed:\n%s", dump)
-	}
-}

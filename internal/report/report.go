@@ -85,7 +85,9 @@ func MeasureCompile(w workload.Workload, iters int) (CompileTimes, error) {
 
 // Figure1 reproduces the paper's Figure 1: average compilation overhead
 // with and without verification code generation for BT-MZ, SP-MZ, LU-MZ,
-// the EPCC suite and HERA.
+// the EPCC suite and HERA. The baseline is the frontend plus fold, CFG
+// and DCE, far less than the rest of GCC the paper measures against, so
+// the percentages read higher than the paper's.
 func Figure1(sc workload.Scale, iters int) (string, error) {
 	var b strings.Builder
 	b.WriteString("Figure 1 — compile-time overhead of the verification (vs baseline compile)\n\n")
@@ -100,7 +102,8 @@ func Figure1(sc workload.Scale, iters int) (string, error) {
 			ct.Name, fmtDur(ct.Baseline), fmtDur(ct.Analyze), fmtDur(ct.Full),
 			ct.OverheadAnalyze(), ct.OverheadFull())
 	}
-	b.WriteString("\npaper's shape: both overheads small (≤6%), codegen ≥ warnings-only\n")
+	b.WriteString("\nbaseline: frontend + fold/CFG/DCE, no code generation, so both overheads\n" +
+		"read higher than the paper's ≤6% against all of GCC; codegen ≥ warnings-only\n")
 	return b.String(), nil
 }
 

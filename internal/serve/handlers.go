@@ -163,7 +163,6 @@ type compileResponse struct {
 	WarningKinds []string `json:"warningKinds"`
 	Functions    int      `json:"functions"`
 	Statements   int      `json:"statements"`
-	IRInsts      int      `json:"irInsts"`
 	Instrumented bool     `json:"instrumented"`
 }
 
@@ -196,7 +195,6 @@ func compileResult(a *artifact, cached bool) compileResponse {
 		WarningKinds: p.WarningKinds(),
 		Functions:    p.Stats.Functions,
 		Statements:   p.Stats.Statements,
-		IRInsts:      p.Stats.IRInsts,
 		Instrumented: p.Instrumented != nil,
 	}
 	if resp.WarningKinds == nil {

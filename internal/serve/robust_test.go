@@ -49,7 +49,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // mid-run gets its run aborted within a bounded interval — the slot
 // frees, the counters move, and the daemon serves the next request.
 func TestRunClientDisconnectCancelsRun(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	s, ts := newTestServer(t, Config{})
 	before := s.Snapshot()
 
@@ -92,7 +92,7 @@ func TestRunClientDisconnectCancelsRun(t *testing.T) {
 // event and vanishes must cancel the exploration within a bounded
 // interval instead of running the remaining budget for nobody.
 func TestExploreStreamClientDisconnect(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	s, ts := newTestServer(t, Config{})
 	before := s.Snapshot()
 
@@ -139,7 +139,7 @@ func TestExploreStreamClientDisconnect(t *testing.T) {
 // middleware — the client gets a 500 with an error envelope, the
 // counter moves, and the daemon keeps serving.
 func TestGuardedPanicAnswers500(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	s, ts := newTestServer(t, Config{})
 	disarm := chaos.Arm(chaos.Config{
 		"serve.request": {First: 1, Action: chaos.ActPanic},
@@ -167,7 +167,7 @@ func TestGuardedPanicAnswers500(t *testing.T) {
 // TestRunTimeoutWatchdog: Config.RunTimeout turns a wedged run into an
 // answered request with outcome "timeout" instead of a hung slot.
 func TestRunTimeoutWatchdog(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	s, ts := newTestServer(t, Config{RunTimeout: 100 * time.Millisecond})
 	before := s.Snapshot()
 
@@ -217,7 +217,7 @@ func TestStatsSurfacesRobustness(t *testing.T) {
 // refused with a 400 or fails the run as a runtime error, and the daemon
 // keeps answering.
 func TestOversizedRequestsAnswered(t *testing.T) {
-	defer leakcheck.Check(t)
+	leakcheck.Check(t)
 	_, ts := newTestServer(t, Config{})
 	const wideSrc = `
 func main() {

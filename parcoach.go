@@ -6,9 +6,9 @@
 // The package compiles MiniHybrid programs (a small MPI+OpenMP-shaped
 // language, see internal/parser) through a full pipeline:
 //
-//	parse → semantic checks → [compile-time verification] →
-//	constant folding → CFG + dead-node elimination → linear IR
-//	[→ selective instrumentation of flagged functions]
+//	parse → semantic checks → constant folding → CFG
+//	[→ compile-time verification] [→ selective instrumentation of
+//	flagged functions] → dead-node elimination
 //
 // and can execute the result on a simulated MPI world with fork/join
 // thread teams, where the planted runtime checks stop erroneous runs with
@@ -63,7 +63,7 @@ const (
 	// ModeAnalyze adds the compile-time verification (warnings only).
 	ModeAnalyze
 	// ModeFull adds verification-code generation: flagged functions are
-	// instrumented and the instrumented code is what gets lowered and run.
+	// instrumented and the instrumented code is what gets run.
 	ModeFull
 )
 
@@ -119,7 +119,7 @@ type Timing struct {
 	Frontend   time.Duration // lex, parse, semantic checks
 	Analysis   time.Duration // the paper's three compile-time phases
 	Instrument time.Duration // verification-code generation
-	Backend    time.Duration // folding, CFG, DCE, lowering
+	Backend    time.Duration // fold, cfg and dce
 	Total      time.Duration
 	// Passes holds the wall-clock time of every compile stage in
 	// execution order (the fine-grained view the buckets above sum up).
@@ -134,9 +134,16 @@ type CompileStats struct {
 	CFGEdges   int
 	Folds      passes.FoldStats
 	DeadNodes  int
-	IRInsts    int
-	Spills     int
 	Checks     instrument.Stats
+
+	// IRInsts is always 0: no compile stage lowers to an IR.
+	//
+	// Deprecated: nothing writes it.
+	IRInsts int
+	// Spills is always 0: no compile stage allocates registers.
+	//
+	// Deprecated: nothing writes it.
+	Spills int
 }
 
 // Program is a compiled MiniHybrid program.
@@ -150,15 +157,10 @@ type Program struct {
 	// Analysis holds the compile-time verification result (nil in
 	// ModeBaseline).
 	Analysis *core.Result
-	// Graphs holds the backend's final per-function CFGs (of the
-	// instrumented functions where codegen rewrote them): the cached
-	// artifacts the analysis rode on, after dead-node elimination.
+	// Graphs holds the compile's final artifact: the per-function CFGs
+	// the analysis rode on (rebuilt for the functions codegen
+	// rewrote), after dead-node elimination, the last stage.
 	Graphs map[string]*cfg.Graph
-	// IR is the lowered object code per function (of the instrumented
-	// tree when present, else the folded source).
-	IR map[string]*passes.FuncIR
-	// Allocations holds the per-function register allocation results.
-	Allocations map[string]*passes.Allocation
 	// Timing and Stats describe the compilation itself.
 	Timing Timing
 	Stats  CompileStats
@@ -180,8 +182,8 @@ type File struct {
 // compiler folds constants and builds the CFG anyway; the analysis is an
 // extra pass over those existing graphs; verification-code generation
 // rewrites only the flagged functions (selective instrumentation) and
-// rebuilds just their graphs before the common DCE + lowering backend
-// finishes the job.
+// rebuilds just their graphs before dead-node elimination, the last
+// stage, finishes the job.
 func Compile(name, src string, opts Options) (*Program, error) {
 	return CompileCtx(context.Background(), name, src, opts)
 }
@@ -204,8 +206,8 @@ func CompileBatch(files []File, opts Options) ([]*Program, error) {
 // CacheKey names the compiled artifact of (name, src, opts): a
 // versioned SHA-256 over the source bytes and the canonicalized
 // options. Two submissions with the same key compile to byte-identical
-// diagnostics, stats and code, so a cache (cmd/parcoachd's artifact
-// cache) may serve either's Program for both.
+// diagnostics, stats, instrumented trees and graphs, so a cache
+// (cmd/parcoachd's artifact cache) may serve either's Program for both.
 //
 // Canonicalization: only the fields that change the compiled artifact
 // participate — Mode, Initial, RawPDF. Workers is excluded: it sets
@@ -289,11 +291,8 @@ func CompileCtx(ctx context.Context, name, src string, opts Options) (*Program, 
 	if err := st.next("fold"); err != nil {
 		return nil, err
 	}
-	// final is the tree the backend lowers: the folded clone, or its
-	// instrumented copy in ModeFull.
 	folded, foldStats := passes.FoldProgram(prog)
 	p.Stats.Folds = foldStats
-	final := folded
 
 	if err := st.next("cfg"); err != nil {
 		return nil, err
@@ -345,21 +344,20 @@ func CompileCtx(ctx context.Context, name, src string, opts Options) (*Program, 
 			return nil, err
 		}
 		if p.Analysis.NeedsInstrumentation() {
-			final = instrument.Program(folded, p.Analysis)
-			for _, fn := range final.Funcs {
+			p.Instrumented = instrument.Program(folded, p.Analysis)
+			for _, fn := range p.Instrumented.Funcs {
 				if fa := p.Analysis.Funcs[fn.Name]; fa != nil && fa.NeedsInstrumentation {
 					graphs[fn.Name] = cfg.Build(fn)
 				}
 			}
-			p.Instrumented = final
-			p.Stats.Checks = instrument.Count(final)
+			p.Stats.Checks = instrument.Count(p.Instrumented)
 		}
 	}
 
 	if err := st.next("dce"); err != nil {
 		return nil, err
 	}
-	for _, fn := range final.Funcs {
+	for _, fn := range folded.Funcs {
 		g := graphs[fn.Name]
 		p.Stats.DeadNodes += passes.EliminateDead(g)
 		nodes, edges := g.Size()
@@ -367,26 +365,6 @@ func CompileCtx(ctx context.Context, name, src string, opts Options) (*Program, 
 		p.Stats.CFGEdges += edges
 	}
 	p.Graphs = graphs
-
-	if err := st.next("lower"); err != nil {
-		return nil, err
-	}
-	p.IR = make(map[string]*passes.FuncIR, len(final.Funcs))
-	for _, fn := range final.Funcs {
-		ir := passes.Lower(fn)
-		p.IR[fn.Name] = ir
-		p.Stats.IRInsts += len(ir.Insts)
-	}
-
-	if err := st.next("regalloc"); err != nil {
-		return nil, err
-	}
-	p.Allocations = make(map[string]*passes.Allocation, len(final.Funcs))
-	for _, fn := range final.Funcs {
-		alloc := passes.Optimize(p.IR[fn.Name])
-		p.Allocations[fn.Name] = alloc
-		p.Stats.Spills += alloc.Spills
-	}
 	st.end()
 
 	p.Timing.Passes = st.passes
@@ -399,7 +377,7 @@ func CompileCtx(ctx context.Context, name, src string, opts Options) (*Program, 
 		case "dominators", "analysis-begin", "analysis-prepare", "taint",
 			"contexts", "summaries", "check", "analysis-finish":
 			p.Timing.Analysis += pt.Duration
-		default: // fold, cfg, dce, lower, regalloc
+		default: // fold, cfg, dce
 			p.Timing.Backend += pt.Duration
 		}
 	}

@@ -49,8 +49,11 @@ func TestCompileBaselineHasNoAnalysis(t *testing.T) {
 	if p.Timing.Analysis != 0 || p.Timing.Instrument != 0 {
 		t.Error("baseline mode must not spend verification time")
 	}
-	if len(p.IR) == 0 || p.Stats.IRInsts == 0 {
-		t.Error("baseline must still produce IR")
+	if len(p.Graphs) == 0 || p.Stats.CFGNodes == 0 {
+		t.Error("baseline must still produce CFGs")
+	}
+	if p.Stats.IRInsts != 0 || p.Stats.Spills != 0 {
+		t.Errorf("deprecated IR stats written: ir=%d spills=%d", p.Stats.IRInsts, p.Stats.Spills)
 	}
 }
 
