@@ -87,10 +87,11 @@ func FuzzCompile(f *testing.F) {
 // TestDifferentialMatrix is the acceptance harness of the generated
 // corpus: 200 seeded programs — every planted bug class plus clean
 // programs at both sizes — compiled in all three modes and executed
-// under the monitor's deadlock oracle, with the verdicts cross-checked
-// against the ground-truth labels. Any soundness violation fails with a
-// greedily reduced reproducer; the full detection matrix is locked
-// against testdata/golden/mhgen-matrix.golden (regenerate with -update).
+// under the run controller's deadlock oracle, with the verdicts
+// cross-checked against the ground-truth labels. Any soundness
+// violation fails with a greedily reduced reproducer; the full
+// detection matrix is locked against testdata/golden/mhgen-matrix.golden
+// (regenerate with -update).
 func TestDifferentialMatrix(t *testing.T) {
 	const seeds = 200
 	opts := diff.Options{Workers: 4}

@@ -153,7 +153,8 @@ type runner struct {
 	opts  Options
 	world *mpi.World
 	ver   *verifier.Verifier
-	// ctl serializes the run.
+	// ctl is the world's controller: it serializes the run, and every
+	// wait and abort goes through it.
 	ctl *sched.Controller
 	// tr holds the event-tracing round counters when the scheduler
 	// records an event trace for DPOR (see trace.go); nil otherwise.
@@ -243,26 +244,20 @@ func (c *thctx) errf(pos source.Pos, format string, args ...any) error {
 	return &RuntimeError{Rank: c.p.Rank(), Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-// step counts one executed statement, polls the abort flag, and offers
-// a context switch, making every statement boundary a scheduling point.
+// step counts one executed statement and offers a context switch,
+// making every statement boundary a scheduling point; the switch
+// returns the abort cause once the run has aborted.
 func (c *thctx) step(pos source.Pos) error {
 	c.r.steps++
 	if c.r.steps > c.r.opts.MaxSteps {
 		err := &StepLimitError{Rank: c.p.Rank(), Pos: pos, Limit: c.r.opts.MaxSteps}
-		c.r.world.Monitor().Abort(err)
+		c.r.ctl.Abort(err)
 		return err
 	}
-	if c.r.world.Monitor().Aborted() {
-		return c.r.world.Monitor().Err()
-	}
-	if testStep != nil {
+	if testStep != nil && !c.r.ctl.Aborted() {
 		testStep(c.p.Rank(), c.th.TID(), pos.Line)
 	}
-	c.gate.Yield(pos.Line)
-	if c.r.world.Monitor().Aborted() {
-		return c.r.world.Monitor().Err()
-	}
-	return nil
+	return c.gate.Yield(pos.Line)
 }
 
 // execCC runs a process-level CC agreement. At sites every team thread

@@ -12,7 +12,7 @@ import (
 // runtime stack into the categories the differential validation harness
 // (internal/mhgen/diff) and the report tables reason about: did a planted
 // check stop the run, did the simulated MPI library object, did the
-// monitor's deadlock oracle fire, or did plain execution fail.
+// run controller's deadlock oracle fire, or did plain execution fail.
 type Outcome int
 
 // Run outcome classes, ordered from best to worst for a validator: a
@@ -30,9 +30,9 @@ const (
 	// class may hang or corrupt instead of failing cleanly.
 	OutcomeMPIError
 	// OutcomeDeadlock: the deadlock oracle fired — the run's controller
-	// found every live thread blocked, and the monitor reported the
-	// waits. This is the outcome the paper's tool must prevent from
-	// being reached uncaught.
+	// found every live thread blocked and reported their waits. This is
+	// the outcome the paper's tool must prevent from being reached
+	// uncaught.
 	OutcomeDeadlock
 	// OutcomeRuntimeError: a plain execution error (bad index, division
 	// by zero, missing function, ...).
@@ -56,7 +56,7 @@ const (
 	// OutcomeTimeout: the per-run wall-clock watchdog
 	// (Options.WallTimeout) fired. Complements OutcomeBudget: a budget
 	// overrun counts statements, a watchdog counts seconds — a run that
-	// wedges without executing statements (outside the monitor's
+	// wedges without executing statements (outside the controller's
 	// control) only the watchdog can stop.
 	OutcomeTimeout
 	// OutcomeInternalError: the run (or its compile) panicked and was

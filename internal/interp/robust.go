@@ -1,11 +1,11 @@
 // Fault-tolerant execution: external cancellation, per-run wall-clock
 // watchdogs, and panic quarantine.
 //
-// The cancellation lever is the monitor: Interrupt(err) publishes the
-// abort cause, which every statement boundary polls, then raises the
-// scheduling controller's release flag, which lets every parked thread
-// run and end its wait with the cause — so once a guard fires, a run
-// stops within one statement. It touches nothing else of the run.
+// The cancellation lever is the run's scheduling controller:
+// Interrupt(err) publishes the abort cause, which every statement
+// boundary polls and which releases the run, so every parked thread runs
+// and ends its wait with the cause — once a guard fires, a run stops
+// within one statement. It touches nothing else of the run.
 // RunCtx arms a guard from a context (context.AfterFunc) and
 // Options.WallTimeout arms one from a timer; both go through the same
 // mutex-disciplined runGuard so a late firing can never abort the *next*
@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"parcoach/internal/monitor"
+	"parcoach/internal/sched"
 )
 
 // CancelError reports that a run was stopped by external cancellation
@@ -51,8 +52,9 @@ func (e *WatchdogError) Error() string {
 }
 
 // QuarantineError wraps a panic caught at a pool, job or thread
-// boundary; it classifies as OutcomeInternalError. The monitor defines
-// it because a run's driver quarantines thread panics there.
+// boundary; it classifies as OutcomeInternalError. Package monitor
+// defines it because a run's controller (internal/sched) quarantines
+// thread panics with it.
 type QuarantineError = monitor.QuarantineError
 
 // NewQuarantineError builds the quarantined form of a recovered panic.
@@ -79,11 +81,11 @@ func WatchdogRuns() int64 { return watchdogRuns.Load() }
 // watchdog expiry, or both. The mutex is the recycling discipline —
 // disarm() takes it after stopping both triggers, so once disarm
 // returns no late callback can touch the (about to be recycled)
-// monitor, and a callback that lost the race to disarm sees done and
+// controller, and a callback that lost the race to disarm sees done and
 // leaves.
 type runGuard struct {
 	mu       sync.Mutex
-	mon      *monitor.Monitor
+	ctl      *sched.Controller
 	done     bool
 	canceled bool
 	timedOut bool
@@ -95,13 +97,13 @@ type runGuard struct {
 // armGuard installs the run's external-abort triggers; nil when neither
 // a cancelable context nor a wall timeout is configured (the zero-cost
 // hot path of plain Run).
-func (s *Session) armGuard(ctx context.Context, mon *monitor.Monitor) *runGuard {
+func (s *Session) armGuard(ctx context.Context, ctl *sched.Controller) *runGuard {
 	hasCtx := ctx != nil && ctx.Done() != nil
 	wall := s.opts.WallTimeout
 	if !hasCtx && wall <= 0 {
 		return nil
 	}
-	g := &runGuard{mon: mon}
+	g := &runGuard{ctl: ctl}
 	if hasCtx {
 		g.stopCtx = context.AfterFunc(ctx, func() {
 			g.fire(true, &CancelError{Cause: context.Cause(ctx)})
@@ -127,13 +129,13 @@ func (g *runGuard) fire(isCancel bool, err error) {
 	} else {
 		g.timedOut = true
 	}
-	// First error wins inside the monitor: a run that already failed on
-	// its own keeps its error.
-	g.mon.Interrupt(err)
+	// The first cause wins: a run that already failed on its own keeps
+	// its error.
+	g.ctl.Interrupt(err)
 }
 
 // disarm stops both triggers and waits out any in-flight firing. After
-// it returns the monitor is safe to recycle. Reports which triggers
+// it returns the controller is safe to recycle. Reports which triggers
 // fired during the run.
 func (g *runGuard) disarm() (canceled, timedOut bool) {
 	if g.timer != nil {

@@ -36,12 +36,13 @@ const cancelLatencyBound = 5 * time.Second
 
 // TestRunCtxCancelBoundedLatency: canceling the context aborts an
 // in-flight run within a bounded interval, the result classifies as
-// OutcomeCanceled carrying the cancellation cause, and the counters
-// record it.
+// OutcomeCanceled carrying the cancellation cause, and the process-wide
+// counters record it.
 func TestRunCtxCancelBoundedLatency(t *testing.T) {
 	prog := parser.MustParse("spin.mh", spinSrc)
 	sess := NewSession(prog, Options{Procs: 2, Threads: 2})
 	ctx, cancel := context.WithCancelCause(context.Background())
+	canceled, watchdogs := CanceledRuns(), WatchdogRuns()
 
 	done := make(chan *Result, 1)
 	go func() { done <- sess.RunCtx(ctx, sched.NewRoundRobin()) }()
@@ -66,11 +67,11 @@ func TestRunCtxCancelBoundedLatency(t *testing.T) {
 	if !errors.As(res.Err, &ce) || !errors.Is(ce.Cause, cause) {
 		t.Fatalf("canceled run error %v does not carry the cancellation cause", res.Err)
 	}
-	if got := sess.Canceled(); got != 1 {
-		t.Fatalf("Canceled() = %d, want 1", got)
+	if got := CanceledRuns() - canceled; got != 1 {
+		t.Fatalf("CanceledRuns() moved by %d, want 1", got)
 	}
-	if got := sess.Watchdogs(); got != 0 {
-		t.Fatalf("cancellation bumped Watchdogs() to %d", got)
+	if got := WatchdogRuns() - watchdogs; got != 0 {
+		t.Fatalf("cancellation moved WatchdogRuns() by %d", got)
 	}
 }
 
@@ -83,6 +84,7 @@ func TestRunCtxRefusesCanceledContext(t *testing.T) {
 	sess := NewSession(prog, Options{Procs: 2, Threads: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	canceled := CanceledRuns()
 
 	start := time.Now()
 	res := sess.RunCtx(ctx, sched.NewRoundRobin())
@@ -95,8 +97,8 @@ func TestRunCtxRefusesCanceledContext(t *testing.T) {
 	if res.Stats.Steps != 0 {
 		t.Fatalf("pre-canceled run executed %d steps", res.Stats.Steps)
 	}
-	if got := sess.Canceled(); got != 1 {
-		t.Fatalf("Canceled() = %d, want 1", got)
+	if got := CanceledRuns() - canceled; got != 1 {
+		t.Fatalf("CanceledRuns() moved by %d, want 1", got)
 	}
 }
 
@@ -107,6 +109,7 @@ func TestRunCtxRefusesCanceledContext(t *testing.T) {
 func TestWallTimeoutWatchdog(t *testing.T) {
 	prog := parser.MustParse("spin.mh", spinSrc)
 	sess := NewSession(prog, Options{Procs: 2, Threads: 2, WallTimeout: 50 * time.Millisecond})
+	canceled, watchdogs := CanceledRuns(), WatchdogRuns()
 
 	for i := 1; i <= 2; i++ {
 		done := make(chan *Result, 1)
@@ -124,12 +127,12 @@ func TestWallTimeoutWatchdog(t *testing.T) {
 		if !errors.As(res.Err, &we) || we.Timeout != 50*time.Millisecond {
 			t.Fatalf("run %d error %v is not the watchdog's", i, res.Err)
 		}
-		if got := sess.Watchdogs(); got != int64(i) {
-			t.Fatalf("after run %d: Watchdogs() = %d, want %d", i, got, i)
+		if got := WatchdogRuns() - watchdogs; got != int64(i) {
+			t.Fatalf("after run %d: WatchdogRuns() moved by %d, want %d", i, got, i)
 		}
 	}
-	if got := sess.Canceled(); got != 0 {
-		t.Fatalf("watchdog aborts bumped Canceled() to %d", got)
+	if got := CanceledRuns() - canceled; got != 0 {
+		t.Fatalf("watchdog aborts moved CanceledRuns() by %d", got)
 	}
 }
 
@@ -140,6 +143,7 @@ func TestWallTimeoutWatchdog(t *testing.T) {
 func TestGuardDisarmedBeforeRecycle(t *testing.T) {
 	prog := parser.MustParse("clean.mh", sessionSrc)
 	sess := NewSession(prog, Options{Procs: 2, Threads: 2})
+	canceled := CanceledRuns()
 
 	for i := 0; i < 8; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -151,7 +155,7 @@ func TestGuardDisarmedBeforeRecycle(t *testing.T) {
 			t.Fatalf("run %d after a late cancel failed: %v — a stale guard aborted a recycled env", i, res.Err)
 		}
 	}
-	if got := sess.Canceled(); got != 0 {
+	if got := CanceledRuns() - canceled; got != 0 {
 		t.Fatalf("completed runs counted as canceled: %d", got)
 	}
 }

@@ -6,8 +6,8 @@
 // Session hoists everything that depends only on (program, options) —
 // option normalization, and resolving the program into the closures
 // every run executes (resolve.go) — and recycles the per-run state
-// (runner scratch, per-rank threading runtime and frame arenas, the
-// scheduling controller and its gates) through pools, bringing
+// (the world with its scheduling controller and gates, runner scratch,
+// per-rank threading runtime and frame arenas) through pools, bringing
 // per-schedule setup close to zero.
 //
 // A run's World.Run returns only once every thread of the run has
@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"parcoach/internal/ast"
 	"parcoach/internal/mpi"
@@ -39,30 +38,15 @@ type Session struct {
 	// main is the program resolved into closures (see resolve.go),
 	// shared read-only by every run; nil when there is no main.
 	main *funcCode
-	// envs pools complete run environments — world, monitor (with its
-	// waiter free list), verifier, runner scratch — across this
-	// session's runs.
+	// envs pools complete run environments — world, controller,
+	// verifier, runner scratch — across this session's runs.
 	envs sync.Pool
-	// watchdogs counts runs the wall-clock watchdog aborted; canceled
-	// counts runs stopped by context cancellation.
-	watchdogs atomic.Int64
-	canceled  atomic.Int64
 }
 
-// Watchdogs reports how many of this session's runs were aborted by the
-// wall-clock watchdog (Options.WallTimeout); Canceled how many were
-// stopped by context cancellation (RunCtx). Both leave the session
-// fully usable — aborted runs recycle.
-func (s *Session) Watchdogs() int64 { return s.watchdogs.Load() }
-
-// Canceled reports how many of this session's runs a canceled context
-// stopped (including runs refused before starting).
-func (s *Session) Canceled() int64 { return s.canceled.Load() }
-
 // runEnv bundles the per-run machinery that recycles as a unit: the
-// simulated world (whose monitor keeps the world's and verifier's
-// deadlock analyzers registered across resets), the verifier hanging
-// off that monitor, and the runner scratch.
+// simulated world and its scheduling controller (which keeps the
+// world's and verifier's deadlock analyzers registered across resets),
+// the verifier waiting through that controller, and the runner scratch.
 type runEnv struct {
 	world *mpi.World
 	r     *runner
@@ -126,7 +110,6 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 		if err := context.Cause(ctx); err != nil {
 			// Refuse to start: a canceled caller wants its slot back, not
 			// one more full run.
-			s.canceled.Add(1)
 			canceledRuns.Add(1)
 			return &Result{Err: &CancelError{Cause: err}, ExitValues: make([]int64, opts.Procs)}
 		}
@@ -139,7 +122,6 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 	var env *runEnv
 	if v := s.envs.Get(); v != nil {
 		env = v.(*runEnv)
-		env.world.Reset()
 		env.r.ver.Reset()
 	} else {
 		world, err := mpi.NewWorld(mpi.Config{Procs: opts.Procs, Level: opts.Level})
@@ -148,17 +130,18 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 			return res
 		}
 		env = &runEnv{world: world, r: new(runner)}
-		env.r.ver = verifier.New(world.Monitor(), opts.Procs)
+		env.r.ver = verifier.New(world.Controller(), opts.Procs)
 		if opts.ValueCheck {
-			// The round observer survives World.Reset (like the monitor's
-			// analyzers), so pooled envs stay armed across reuse.
+			// The round observer survives World.Reset (like the
+			// controller's analyzers), so pooled envs stay armed across
+			// reuse.
 			env.r.ver.AttachWorld(world)
 		}
 	}
 	world := env.world
+	world.Reset(scheduler)
 	r := env.r
 	r.rebind(opts, world)
-	r.ctl = sched.NewController(scheduler)
 	_, tracing := scheduler.(sched.TraceSource)
 	if tracing {
 		if r.tr == nil || len(r.tr.collSeq) != opts.Procs {
@@ -167,17 +150,16 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 			r.tr.reset()
 		}
 	}
-	world.Monitor().SetSched(r.ctl)
-	guard := s.armGuard(ctx, world.Monitor())
+	guard := s.armGuard(ctx, r.ctl)
 	ranks := make([]*rankState, opts.Procs)
 	err := world.Run(func(p *mpi.Proc) error {
 		gate := r.ctl.Running()
 		rs := rankPool.Get().(*rankState)
 		ranks[p.Rank()] = rs // disjoint slot per rank
 		if rs.rt == nil {
-			rs.rt = omp.New(world.Monitor(), opts.Threads, opts.Policy)
+			rs.rt = omp.New(r.ctl, opts.Threads, opts.Policy)
 		} else {
-			rs.rt.Reset(world.Monitor(), opts.Threads, opts.Policy)
+			rs.rt.Reset(r.ctl, opts.Threads, opts.Policy)
 		}
 		th := rs.rt.InitialThread()
 		c := &thctx{r: r, p: p, rt: rs.rt, th: th, gate: gate, ar: rs.ar, trace: tracing}
@@ -191,15 +173,13 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 	res.Err = err
 	if guard != nil {
 		// Disarm before any recycling: after disarm returns, no late
-		// guard callback can abort the monitor this env is about to
-		// recycle into its next run.
+		// guard callback can interrupt the controller this env is about
+		// to recycle into its next run.
 		canceled, timedOut := guard.disarm()
 		if canceled {
-			s.canceled.Add(1)
 			canceledRuns.Add(1)
 		}
 		if timedOut {
-			s.watchdogs.Add(1)
 			watchdogRuns.Add(1)
 		}
 	}
@@ -216,8 +196,6 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 			rankPool.Put(rs)
 		}
 	}
-	r.ctl.Recycle()
-	r.ctl = nil
 	s.envs.Put(env)
 	return res
 }
@@ -226,6 +204,7 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 func (r *runner) rebind(opts Options, world *mpi.World) {
 	r.opts = opts
 	r.world = world
+	r.ctl = world.Controller()
 	r.output.Reset()
 	r.steps = 0
 	r.collectives = 0

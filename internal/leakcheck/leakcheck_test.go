@@ -49,8 +49,7 @@ func TestInterestingGoroutinesCoroutines(t *testing.T) {
 	// One serialized thread leaves its coroutine idle in the pool.
 	c := sched.NewController(sched.NewRoundRobin())
 	c.Go(func() {})
-	c.Drive(nil, nil)
-	c.Recycle()
+	c.Drive()
 	idle := goroutinesWith("sched.(*coro).idle")
 	if len(idle) == 0 {
 		t.Fatal("no idle pooled coroutine after a serialized run")

@@ -1,9 +1,9 @@
 // Package diff is the differential static/dynamic validation harness
 // over generated MiniHybrid programs (internal/mhgen): each program is
 // compiled in all three modes, executed instrumented and uninstrumented
-// under the monitor's deadlock oracle, and the three verdicts — static
-// diagnostics, runtime check aborts, deadlock reports — are cross-checked
-// against the generator's ground-truth bug label.
+// under the run controller's deadlock oracle, and the three verdicts —
+// static diagnostics, runtime check aborts, deadlock reports — are
+// cross-checked against the generator's ground-truth bug label.
 //
 // The harness enforces the paper's soundness contract and turns the rest
 // into a detection matrix like the paper's table:

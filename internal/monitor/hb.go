@@ -23,8 +23,10 @@
 // The monitor owns this layer (rather than sched) because object
 // identity is a runtime notion: the runtimes and the interpreter know
 // what a step touched, the scheduler only knows who ran. Everything here
-// is plain data — no locks; the controller appends under its own mutex
-// and analysis runs after the run completes.
+// is plain data — no locks: the controller appends on the running
+// thread or its driver, one at a time, and analysis runs after the run
+// completes.
+
 package monitor
 
 import "encoding/binary"

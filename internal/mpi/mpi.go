@@ -7,11 +7,12 @@
 // matcher observes every call, so a run that would deadlock or corrupt on
 // a cluster instead terminates deterministically with a precise error —
 // mismatched collective kinds once all ranks arrive, concurrent collective
-// calls from one process, or a quiescence deadlock report from the shared
-// monitor when some ranks exit while others wait. The validator
-// (internal/verifier) is expected to abort *earlier* with a better
-// message; these runtime errors are the ground truth the test suite and
-// the detection-matrix experiment compare against.
+// calls from one process, or the deadlock report of the world's
+// scheduling controller (internal/sched), the blocking kernel every wait
+// of the run parks in, when some ranks exit while others wait. The
+// validator (internal/verifier) is expected to abort *earlier* with a
+// better message; these runtime errors are the ground truth the test
+// suite and the detection-matrix experiment compare against.
 package mpi
 
 import (
@@ -19,7 +20,7 @@ import (
 	"sort"
 	"strings"
 
-	"parcoach/internal/monitor"
+	"parcoach/internal/sched"
 )
 
 // Op identifies a collective operation.
@@ -170,17 +171,20 @@ type Config struct {
 // World is one simulated MPI job.
 type World struct {
 	cfg   Config
-	mon   *monitor.Monitor
+	ctl   *sched.Controller
 	procs []*Proc
 
-	// collective matcher state, touched only by the running thread
-	arrived map[int]*pendingCall
-	round   int
+	// collective matcher state, touched only by the running thread:
+	// arrived holds each rank's call in the current round by rank (nil
+	// for a rank yet to arrive), and nArrived counts the calls.
+	arrived  []*pendingCall
+	nArrived int
+	round    int
 
 	// observer, if set, sees every completed collective round (all
 	// contributions plus computed results) before the waiters wake; a
 	// non-nil error aborts the run. Installed once (SetRoundObserver) and
-	// deliberately NOT cleared by Reset, like the monitor's analyzers.
+	// deliberately NOT cleared by Reset, like the controller's analyzers.
 	observer func(round int, calls []CollCall) error
 
 	// point-to-point state, touched only by the running thread
@@ -214,38 +218,43 @@ type CollCall struct {
 // schedule-exploration runs. Install it between runs.
 func (w *World) SetRoundObserver(fn func(round int, calls []CollCall) error) { w.observer = fn }
 
-// NewWorld creates a world with its own monitor.
+// NewWorld creates a world with its own scheduling controller, which
+// serializes its runs under the default schedule until Reset names
+// another.
 func NewWorld(cfg Config) (*World, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("mpi: world needs at least 1 process, got %d", cfg.Procs)
 	}
 	w := &World{
 		cfg:     cfg,
-		mon:     monitor.New(),
-		arrived: make(map[int]*pendingCall),
+		ctl:     sched.NewController(nil),
+		arrived: make([]*pendingCall, cfg.Procs),
 		sends:   make(map[p2pKey][]*pendingSend),
 		recvs:   make(map[p2pKey][]*pendingRecv),
 	}
 	for r := 0; r < cfg.Procs; r++ {
 		w.procs = append(w.procs, &Proc{world: w, rank: r})
 	}
-	w.mon.AddAnalyzer(w.describeState)
+	w.ctl.AddAnalyzer(w.describeState)
 	return w, nil
 }
 
-// Monitor exposes the shared blocking kernel so the threading runtime and
-// the verifier integrate with the same deadlock detection.
-func (w *World) Monitor() *monitor.Monitor { return w.mon }
+// Controller returns the world's scheduling controller, the blocking
+// kernel the threading runtime and the verifier share, so every wait of
+// a run is in one deadlock report.
+func (w *World) Controller() *sched.Controller { return w.ctl }
 
-// Reset rearms the world (and its monitor) for a fresh run with the
-// same configuration, so repeated runs of one program — schedule
-// exploration — reuse the world, its processes and the monitor's waiter
-// pool instead of rebuilding them per schedule. Registered deadlock
-// analyzers survive the reset. Only call once the previous Run has
-// returned, and install the next run's controller after it.
-func (w *World) Reset() {
-	w.mon.Reset()
+// Reset rearms the world and its controller for a fresh run with the
+// same configuration, driven by s (nil for the default schedule), so
+// repeated runs of one program — schedule exploration — reuse the
+// world, its processes and the controller's gates instead of rebuilding
+// them per schedule. Registered deadlock analyzers survive the reset.
+// Only call once the previous Run has returned and nothing outside the
+// run can still interrupt it.
+func (w *World) Reset(s sched.Scheduler) {
+	w.ctl.Reset(s)
 	clear(w.arrived)
+	w.nArrived = 0
 	clear(w.sends)
 	clear(w.recvs)
 	w.round = 0
@@ -269,23 +278,22 @@ func (w *World) Level() ThreadLevel { return w.cfg.Level }
 func (w *World) Proc(rank int) *Proc { return w.procs[rank] }
 
 // Run executes body once per rank, each on its own thread of the
-// monitor's scheduling controller, and returns the first error (abort,
+// world's scheduling controller, and returns the first error (abort,
 // deadlock, or a body error). A nil return means every process
 // completed. The threads are driven from the calling goroutine; the
 // rank mains get thread ids 0..procs-1 in rank order. Run returns once
 // every thread of the run, team workers included, has returned.
 func (w *World) Run(body func(p *Proc) error) error {
 	for _, p := range w.procs {
-		w.mon.Go(func() {
-			err := body(p)
-			if err != nil && !w.mon.Aborted() {
-				w.mon.Abort(err)
+		w.ctl.Go(func() {
+			if err := body(p); err != nil {
+				w.ctl.Abort(err)
 			}
 			p.exited = true
 		})
 	}
-	w.mon.Drive()
-	return w.mon.Err()
+	w.ctl.Drive()
+	return w.ctl.Err()
 }
 
 // describeState contributes matcher context to deadlock reports.
@@ -299,10 +307,12 @@ func (w *World) describeState() []string {
 			lines = append(lines, fmt.Sprintf("rank %d: exited without MPI_Finalize", p.rank))
 		}
 	}
-	if len(w.arrived) > 0 {
+	if w.nArrived > 0 {
 		var parts []string
 		for r, pc := range w.arrived {
-			parts = append(parts, fmt.Sprintf("rank %d in %s", r, pc.op))
+			if pc != nil {
+				parts = append(parts, fmt.Sprintf("rank %d in %s", r, pc.op))
+			}
 		}
 		sort.Strings(parts)
 		lines = append(lines, "collective round "+fmt.Sprint(w.round)+": "+strings.Join(parts, ", "))

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"parcoach/internal/monitor"
-	"parcoach/internal/sched"
 )
 
 // newWorld returns a world whose next Run is serialized under the
@@ -17,7 +16,6 @@ func newWorld(t *testing.T, n int, level ThreadLevel) *World {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Monitor().SetSched(sched.NewController(nil))
 	return w
 }
 
@@ -366,7 +364,7 @@ func TestConcurrentCollectiveCallsSameRank(t *testing.T) {
 			return err
 		}
 		if p.Rank() == 0 {
-			w.Monitor().Go(func() {
+			w.Controller().Go(func() {
 				_, _, second = p.Collective(2, OpBcast, RedSum, 0, 0, nil, "")
 			})
 			_, _, err := p.Collective(3, OpReduce, RedSum, 0, 0, nil, "")
@@ -509,8 +507,7 @@ func TestRoundObserverSurvivesReset(t *testing.T) {
 	if first == 0 {
 		t.Fatal("observer never fired")
 	}
-	w.Reset()
-	w.Monitor().SetSched(sched.NewController(nil))
+	w.Reset(nil)
 	if err := w.Run(body); err != nil {
 		t.Fatal(err)
 	}

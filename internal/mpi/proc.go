@@ -3,7 +3,7 @@ package mpi
 import (
 	"fmt"
 
-	"parcoach/internal/monitor"
+	"parcoach/internal/sched"
 )
 
 // Proc is one MPI process. Its methods are called by the interpreter (or
@@ -149,7 +149,9 @@ type pendingCall struct {
 	live []int64
 	loc  string
 
-	waiter *monitor.Waiter
+	// gate is the waiting rank's thread, nil for the round's last
+	// arrival, which never waits.
+	gate *sched.Gate
 	// result slots filled by the completing rank
 	outValue  int64
 	outVector []int64
@@ -169,27 +171,27 @@ func (p *Proc) Collective(threadID int64, op Op, red RedOp, root int, value int6
 // was in flight. live may be nil (value-only collectives, or no oracle).
 func (p *Proc) CollectiveLive(threadID int64, op Op, red RedOp, root int, value int64, vector, live []int64, loc string) (int64, []int64, error) {
 	w := p.world
-	m := w.mon
-	if err := m.Err(); err != nil {
+	ctl := w.ctl
+	if err := ctl.Err(); err != nil {
 		return 0, nil, err
 	}
 	if err := p.checkCall(threadID, op.String()); err != nil {
-		m.Abort(err)
+		ctl.Abort(err)
 		return 0, nil, err
 	}
 	if root < 0 || root >= w.cfg.Procs {
 		err := &UsageError{Rank: p.rank, Msg: fmt.Sprintf("%s root %d out of range", op, root)}
-		m.Abort(err)
+		ctl.Abort(err)
 		return 0, nil, err
 	}
 	if !red.Valid() {
 		err := &UsageError{Rank: p.rank, Msg: fmt.Sprintf("%s reduction op %d out of range", op, int(red))}
-		m.Abort(err)
+		ctl.Abort(err)
 		return 0, nil, err
 	}
-	if prev, dup := w.arrived[p.rank]; dup {
+	if prev := w.arrived[p.rank]; prev != nil {
 		err := &ConcurrentCallError{Rank: p.rank, OpA: prev.op.String(), OpB: op.String()}
-		m.Abort(err)
+		ctl.Abort(err)
 		return 0, nil, err
 	}
 	p.inMPI++
@@ -200,20 +202,21 @@ func (p *Proc) CollectiveLive(threadID int64, op Op, red RedOp, root int, value 
 		live: live, loc: loc,
 	}
 	w.arrived[p.rank] = pc
+	w.nArrived++
 
-	if len(w.arrived) == w.cfg.Procs {
+	if w.nArrived == w.cfg.Procs {
 		// Last arrival: validate, compute, let the observer audit the
 		// round, then release the waiters.
 		if err := w.validateRound(); err != nil {
 			p.inMPI--
-			m.Abort(err)
+			ctl.Abort(err)
 			return 0, nil, err
 		}
 		w.computeRound()
 		if w.observer != nil {
 			if err := w.observer(w.round, w.observedRound()); err != nil {
 				p.inMPI--
-				m.Abort(err)
+				ctl.Abort(err)
 				return 0, nil, err
 			}
 		}
@@ -223,10 +226,10 @@ func (p *Proc) CollectiveLive(threadID int64, op Op, red RedOp, root int, value 
 	}
 
 	callSeq := p.callSeq
-	pc.waiter = m.NewWaiter("MPI collective", func() string {
+	pc.gate = ctl.Running()
+	err := ctl.Wait("MPI collective", func() string {
 		return fmt.Sprintf("rank %d: %s (call #%d)%s", p.rank, op, callSeq, locSuffix(loc))
 	})
-	err := pc.waiter.Await()
 	p.inMPI--
 	if err != nil {
 		return 0, nil, err
@@ -247,14 +250,10 @@ func locSuffix(loc string) string {
 // wrong-root as its own verdict class instead of the matcher's generic
 // mismatch, while uninstrumented runs keep the ground-truth MismatchError.
 func (w *World) validateRound() error {
-	var first *pendingCall
+	first := w.arrived[0]
 	agree := true
 	checkRoot := w.observer == nil
-	for _, pc := range w.arrived {
-		if first == nil {
-			first = pc
-			continue
-		}
+	for _, pc := range w.arrived[1:] {
 		if pc.op != first.op || (checkRoot && pc.root != first.root) {
 			agree = false
 		}
@@ -290,10 +289,7 @@ func opHasRoot(op Op) bool {
 // every participant is still parked.
 func (w *World) computeRound() {
 	n := w.cfg.Procs
-	calls := make([]*pendingCall, n)
-	for r, pc := range w.arrived {
-		calls[r] = pc
-	}
+	calls := w.arrived
 	op := calls[0].op
 	red := calls[0].red
 	root := calls[0].root
@@ -373,8 +369,7 @@ func (w *World) computeRound() {
 // observedRound snapshots the completed round for the observer.
 func (w *World) observedRound() []CollCall {
 	calls := make([]CollCall, 0, len(w.arrived))
-	for r := 0; r < w.cfg.Procs; r++ {
-		pc := w.arrived[r]
+	for r, pc := range w.arrived {
 		calls = append(calls, CollCall{
 			Rank: r, Op: pc.op, Red: pc.red, Root: pc.root,
 			Value: pc.value, Vector: pc.vector, Live: pc.live, Loc: pc.loc,
@@ -387,11 +382,12 @@ func (w *World) observedRound() []CollCall {
 // finishRound wakes the round's waiters and rearms the matcher.
 func (w *World) finishRound() {
 	for _, pc := range w.arrived {
-		if pc.waiter != nil {
-			w.mon.Wake(pc.waiter)
+		if pc.gate != nil {
+			w.ctl.Wake(pc.gate)
 		}
 	}
-	w.arrived = make(map[int]*pendingCall)
+	clear(w.arrived)
+	w.nArrived = 0
 	w.round++
 }
 
@@ -403,32 +399,33 @@ type p2pKey struct {
 	src, dst, tag int
 }
 
+// pendingSend and pendingRecv are a blocked sender's message and a
+// blocked receiver's slot; gate is the blocked thread.
 type pendingSend struct {
-	value  int64
-	waiter *monitor.Waiter
+	value int64
+	gate  *sched.Gate
 }
 
 type pendingRecv struct {
-	value  int64
-	waiter *monitor.Waiter
-	filled bool
+	value int64
+	gate  *sched.Gate
 }
 
 // Send delivers value to dest with the given tag, blocking until the
 // receiver arrives (synchronous-mode semantics, like MPI_Ssend).
 func (p *Proc) Send(threadID int64, value int64, dest, tag int, loc string) error {
 	w := p.world
-	m := w.mon
-	if err := m.Err(); err != nil {
+	ctl := w.ctl
+	if err := ctl.Err(); err != nil {
 		return err
 	}
 	if err := p.checkCall(threadID, "MPI_Send"); err != nil {
-		m.Abort(err)
+		ctl.Abort(err)
 		return err
 	}
 	if dest < 0 || dest >= w.cfg.Procs {
 		err := &UsageError{Rank: p.rank, Msg: fmt.Sprintf("MPI_Send destination %d out of range", dest)}
-		m.Abort(err)
+		ctl.Abort(err)
 		return err
 	}
 	key := p2pKey{src: p.rank, dst: dest, tag: tag}
@@ -436,17 +433,14 @@ func (p *Proc) Send(threadID int64, value int64, dest, tag int, loc string) erro
 		r := q[0]
 		w.recvs[key] = q[1:]
 		r.value = value
-		r.filled = true
-		m.Wake(r.waiter)
+		ctl.Wake(r.gate)
 		return nil
 	}
 	p.inMPI++
-	ps := &pendingSend{value: value}
-	ps.waiter = m.NewWaiter("MPI send", func() string {
+	w.sends[key] = append(w.sends[key], &pendingSend{value: value, gate: ctl.Running()})
+	err := ctl.Wait("MPI send", func() string {
 		return fmt.Sprintf("rank %d: MPI_Send to %d tag %d%s", p.rank, dest, tag, locSuffix(loc))
 	})
-	w.sends[key] = append(w.sends[key], ps)
-	err := ps.waiter.Await()
 	p.inMPI--
 	return err
 }
@@ -455,33 +449,32 @@ func (p *Proc) Send(threadID int64, value int64, dest, tag int, loc string) erro
 // arrives and returns its payload.
 func (p *Proc) Recv(threadID int64, src, tag int, loc string) (int64, error) {
 	w := p.world
-	m := w.mon
-	if err := m.Err(); err != nil {
+	ctl := w.ctl
+	if err := ctl.Err(); err != nil {
 		return 0, err
 	}
 	if err := p.checkCall(threadID, "MPI_Recv"); err != nil {
-		m.Abort(err)
+		ctl.Abort(err)
 		return 0, err
 	}
 	if src < 0 || src >= w.cfg.Procs {
 		err := &UsageError{Rank: p.rank, Msg: fmt.Sprintf("MPI_Recv source %d out of range", src)}
-		m.Abort(err)
+		ctl.Abort(err)
 		return 0, err
 	}
 	key := p2pKey{src: src, dst: p.rank, tag: tag}
 	if q := w.sends[key]; len(q) > 0 {
 		s := q[0]
 		w.sends[key] = q[1:]
-		m.Wake(s.waiter)
+		ctl.Wake(s.gate)
 		return s.value, nil
 	}
 	p.inMPI++
-	pr := &pendingRecv{}
-	pr.waiter = m.NewWaiter("MPI recv", func() string {
+	pr := &pendingRecv{gate: ctl.Running()}
+	w.recvs[key] = append(w.recvs[key], pr)
+	err := ctl.Wait("MPI recv", func() string {
 		return fmt.Sprintf("rank %d: MPI_Recv from %d tag %d%s", p.rank, src, tag, locSuffix(loc))
 	})
-	w.recvs[key] = append(w.recvs[key], pr)
-	err := pr.waiter.Await()
 	p.inMPI--
 	if err != nil {
 		return 0, err

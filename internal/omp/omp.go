@@ -5,17 +5,18 @@
 // and master constructs, sections, static/dynamic worksharing loops and
 // named critical sections.
 //
-// All blocking goes through the shared monitor (internal/monitor), so a
-// thread stuck on a team barrier while a sibling waits in an MPI
-// collective is detected as a deadlock with a full report, and the team
-// barrier phase counter gives the runtime verifier the exact "barrier
-// phase" notion the paper's dynamic checks count in.
+// Every team barrier and critical section waits through the MPI world's
+// scheduling controller (internal/sched), the blocking kernel the whole
+// run shares, so a thread stuck on a team barrier while a sibling waits
+// in an MPI collective is detected as a deadlock with a full report, and
+// the team barrier phase counter gives the runtime verifier the exact
+// "barrier phase" notion the paper's dynamic checks count in.
 package omp
 
 import (
 	"fmt"
 
-	"parcoach/internal/monitor"
+	"parcoach/internal/sched"
 )
 
 // Policy selects how single constructs elect their executing thread.
@@ -50,10 +51,10 @@ func ParsePolicy(name string) (Policy, error) {
 }
 
 // Runtime is the threading runtime of one process. Its threads run one
-// at a time under the monitor's scheduling controller, so only the
-// running thread touches the runtime and it needs no lock of its own.
+// at a time under the run's scheduling controller, so only the running
+// thread touches the runtime and it needs no lock of its own.
 type Runtime struct {
-	mon            *monitor.Monitor
+	ctl            *sched.Controller
 	defaultThreads int
 	policy         Policy
 
@@ -74,33 +75,30 @@ type Runtime struct {
 	freeThreads []*Thread
 }
 
-// New creates a runtime whose parallel regions default to defaultThreads
-// threads (minimum 1).
-func New(mon *monitor.Monitor, defaultThreads int, policy Policy) *Runtime {
+// New creates a runtime whose threads run under ctl and whose parallel
+// regions default to defaultThreads threads (minimum 1).
+func New(ctl *sched.Controller, defaultThreads int, policy Policy) *Runtime {
 	if defaultThreads < 1 {
 		defaultThreads = 1
 	}
 	return &Runtime{
-		mon:            mon,
+		ctl:            ctl,
 		defaultThreads: defaultThreads,
 		policy:         policy,
 		crit:           make(map[string]*critLock),
 	}
 }
 
-// Monitor returns the shared blocking kernel.
-func (rt *Runtime) Monitor() *monitor.Monitor { return rt.mon }
-
-// Reset rebinds a runtime to a fresh run — new monitor, default team
+// Reset rebinds a runtime to a fresh run — its controller, default team
 // size and policy, counters and critical-section table cleared — so a
 // schedule-exploration session can reuse one runtime per rank across
 // thousands of runs instead of reallocating it. Only safe once the
 // previous run has ended (its World.Run returned).
-func (rt *Runtime) Reset(mon *monitor.Monitor, defaultThreads int, policy Policy) {
+func (rt *Runtime) Reset(ctl *sched.Controller, defaultThreads int, policy Policy) {
 	if defaultThreads < 1 {
 		defaultThreads = 1
 	}
-	rt.mon = mon
+	rt.ctl = ctl
 	rt.defaultThreads = defaultThreads
 	rt.policy = policy
 	rt.nextThreadID = 0
@@ -122,10 +120,11 @@ type Team struct {
 	size  int
 	level int
 
-	// Barrier state.
+	// Barrier state: waiters holds the gates of the threads parked at
+	// the current barrier.
 	arrived int
 	phase   int
-	waiters []*monitor.Waiter
+	waiters []*sched.Gate
 
 	// claimed tracks single elections under FirstArrival (lazily
 	// allocated on first use).
@@ -275,20 +274,17 @@ func (rt *Runtime) Parallel(cur *Thread, n int, body func(*Thread) error) error 
 	// Workers take the next thread ids in member order.
 	for i := 1; i < n; i++ {
 		worker := rt.newThread(team, i, 0)
-		rt.mon.Go(func() { rt.runMember(worker, body) })
+		rt.ctl.Go(func() { rt.runMember(worker, body) })
 	}
 	rt.runMember(master, body)
-	if rt.mon.Aborted() {
-		return rt.mon.Err()
-	}
-	return nil
+	return rt.ctl.Err()
 }
 
 // runMember executes body then the join barrier. The team's last
 // member to return releases the team.
 func (rt *Runtime) runMember(th *Thread, body func(*Thread) error) {
-	if err := body(th); err != nil && !rt.mon.Aborted() {
-		rt.mon.Abort(err)
+	if err := body(th); err != nil {
+		rt.ctl.Abort(err)
 	}
 	// Implicit join barrier; returns immediately (with the abort error)
 	// when the run has failed, so no thread hangs on a dead team.
@@ -304,26 +300,25 @@ func (rt *Runtime) runMember(th *Thread, body func(*Thread) error) {
 // barrier phase. Returns the abort error if the run failed.
 func (th *Thread) Barrier() error {
 	t := th.team
-	m := t.rt.mon
-	if err := m.Err(); err != nil {
+	ctl := t.rt.ctl
+	if err := ctl.Err(); err != nil {
 		return err
 	}
 	t.arrived++
 	if t.arrived == t.size {
 		t.arrived = 0
 		t.phase++
-		for i, w := range t.waiters {
-			m.Wake(w)
+		for i, g := range t.waiters {
+			ctl.Wake(g)
 			t.waiters[i] = nil
 		}
 		t.waiters = t.waiters[:0] // keep capacity for the next round
 		return nil
 	}
-	w := m.NewWaiter("team barrier", func() string {
+	t.waiters = append(t.waiters, ctl.Running())
+	return ctl.Wait("team barrier", func() string {
 		return fmt.Sprintf("%s waiting at barrier (phase %d, %d/%d arrived)", th, t.phase, t.arrived, t.size)
 	})
-	t.waiters = append(t.waiters, w)
-	return w.Await()
 }
 
 // encounter advances this thread's per-construct encounter counter and
@@ -432,17 +427,19 @@ func (l *ForLoop) Next() (int64, bool) {
 // Critical sections
 //
 
+// critLock is one named critical lock; queue holds the gates of the
+// threads waiting for it, in arrival order.
 type critLock struct {
 	held  bool
-	queue []*monitor.Waiter
+	queue []*sched.Gate
 }
 
 // CriticalEnter acquires the process-wide named critical lock ("" is the
-// anonymous one), blocking through the monitor so a stuck holder is
+// anonymous one), waiting through the controller so a stuck holder is
 // visible in deadlock reports.
 func (rt *Runtime) CriticalEnter(th *Thread, name string) error {
-	m := rt.mon
-	if err := m.Err(); err != nil {
+	ctl := rt.ctl
+	if err := ctl.Err(); err != nil {
 		return err
 	}
 	l := rt.crit[name]
@@ -454,11 +451,10 @@ func (rt *Runtime) CriticalEnter(th *Thread, name string) error {
 		l.held = true
 		return nil
 	}
-	w := m.NewWaiter("critical section", func() string {
+	l.queue = append(l.queue, ctl.Running())
+	return ctl.Wait("critical section", func() string {
 		return fmt.Sprintf("%s waiting for critical(%s)", th, critName(name))
 	})
-	l.queue = append(l.queue, w)
-	return w.Await()
 }
 
 // CriticalExit releases the lock, handing it to the first queued waiter.
@@ -468,10 +464,10 @@ func (rt *Runtime) CriticalExit(th *Thread, name string) {
 		return
 	}
 	if len(l.queue) > 0 {
-		w := l.queue[0]
+		g := l.queue[0]
 		l.queue = l.queue[1:]
 		// Ownership transfers directly to the woken waiter.
-		rt.mon.Wake(w)
+		rt.ctl.Wake(g)
 		return
 	}
 	l.held = false

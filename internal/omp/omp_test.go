@@ -11,22 +11,19 @@ import (
 	"parcoach/internal/sched"
 )
 
-// start creates a runtime and its initial thread, whose monitor
+// start creates a runtime and its initial thread, whose controller
 // serializes the run under the default schedule.
 func start(t *testing.T, threads int, policy Policy) (*Runtime, *Thread) {
 	t.Helper()
-	mon := monitor.New()
-	mon.SetSched(sched.NewController(nil))
-	rt := New(mon, threads, policy)
+	rt := New(sched.NewController(nil), threads, policy)
 	return rt, rt.InitialThread()
 }
 
 // parallel runs rt.Parallel(th0, n, body) on the run's first thread and
 // drives the run until every thread has returned.
 func parallel(rt *Runtime, th0 *Thread, n int, body func(*Thread) error) (err error) {
-	mon := rt.Monitor()
-	mon.Go(func() { err = rt.Parallel(th0, n, body) })
-	mon.Drive()
+	rt.ctl.Go(func() { err = rt.Parallel(th0, n, body) })
+	rt.ctl.Drive()
 	return err
 }
 

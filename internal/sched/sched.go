@@ -1,9 +1,10 @@
 // Package sched runs the interpreter's (internal/interp) simulated
-// threads as a serialized schedule: exactly one simulated thread runs at
-// a time, and a pluggable Scheduler decides, at every statement boundary
-// and every blocking transition, which enabled thread runs next. Every
-// run is serialized; a run given no scheduler uses the default one, a
-// quantum round-robin.
+// threads as a serialized schedule and is the blocking kernel the
+// simulated MPI and OpenMP runtimes share: exactly one simulated thread
+// runs at a time, and a pluggable Scheduler decides, at every statement
+// boundary and every blocking transition, which enabled thread runs
+// next. Every run is serialized; a run given no scheduler uses the
+// default one, a quantum round-robin.
 //
 // The Controller is a run's one thread table. Go registers each thread
 // and binds it to a pooled coroutine, and Drive, on the goroutine that
@@ -11,23 +12,39 @@
 // thread hands the run token on by suspending back to the driver, so a
 // switch costs two coroutine switches on one OS thread, and no two
 // threads ever run at once. A thread exits by returning: the driver sees
-// its coroutine finish, retires it and picks the next holder, and when
-// threads remain but none can run, it reports the deadlock.
+// its coroutine finish, retires it and picks the next holder.
 //
-// The Controller piggybacks on the blocking kernel (internal/monitor):
-// every wait in the simulated runtimes already funnels through
-// monitor.NewWaiter / Waiter.Await, so the monitor's scheduler hooks
-// tell the controller precisely when the running thread parks and when
-// a parked thread becomes runnable again. Between those transitions the
+// Every blocking operation of the simulated runtimes (collective round,
+// message rendezvous, team barrier, critical section, CC agreement) is
+// one Wait call, which parks the running thread's gate until a waker
+// that kept the gate calls Wake. Between those transitions the
 // interpreter calls Gate.Yield at each statement, giving the Scheduler
-// statement-level interleaving control. Because only the token holder
-// ever touches simulation state, a run is a deterministic function of
-// the scheduler's decisions — which is what makes recorded schedules
-// replayable and exhaustive enumeration (internal/explore) possible.
-// For the same reason a run takes no lock, here or in the monitor: only
-// the running thread or the driver touches run state, one at a time,
-// and an abort from outside the run only publishes the monitor's
-// atomic cause and raises the controller's release flag.
+// statement-level interleaving control. Because every wait parks here,
+// the driver finds a deadlock the instant it happens — threads remain,
+// yet none can run — and aborts the run with a report of what every
+// parked thread waits for, exact and with no timeout. That report is
+// the oracle the validator (internal/verifier) must preempt, in place of
+// a job that hangs on the cluster until the batch limit. Because only
+// the token holder ever touches simulation state, a run is a
+// deterministic function of the scheduler's decisions — which is what
+// makes recorded schedules replayable and exhaustive enumeration
+// (internal/explore) possible.
+//
+// For the same reason a run takes no lock: only the running thread or
+// the driver touches run state, one at a time. The one caller from
+// outside the run is Interrupt (a canceled context or a watchdog), and
+// three invariants order it against the run instead of a lock:
+//
+//  1. The abort cause is the only field written from outside the run:
+//     one atomic pointer, set by the first abort. Interrupt writes
+//     nothing else.
+//  2. Publishing the cause releases the run: every later scheduling call
+//     returns at once, and the driver resumes each remaining thread until
+//     it has returned, so a thread the release lets run always reads the
+//     cause.
+//  3. A wait ends either by a wake, and Wait returns nil, or by the
+//     abort, and Wait returns the cause. A wake after the abort does
+//     nothing, and a wait made after the abort never parks.
 package sched
 
 import (
@@ -38,7 +55,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"parcoach/internal/monitor"
@@ -93,33 +109,39 @@ type Scheduler interface {
 // TraceSource is implemented by schedulers (the DPORRecorder) that want
 // the controller to record the run's event trace: one monitor.Event per
 // scheduling decision, tagged with the object accesses the chosen thread
-// performed until the next decision. NewController detects it and turns
-// on per-gate access buffering.
+// performed until the next decision. Reset detects it and turns on
+// per-gate access buffering.
 type TraceSource interface {
 	Scheduler
 	EventTrace() *monitor.EventTrace
 }
 
 //
-// Controller: the serialization token machine.
+// Controller: the serialization token machine and blocking kernel.
 //
 
 type gateState int
 
 const (
 	gateReady  gateState = iota // runnable, waiting for (or holding) the token
-	gateParked                  // blocked in the monitor
+	gateParked                  // blocked in Wait
 	gateDone                    // thread exited
 )
 
 // Gate is the controller-side handle of one simulated thread. The
-// interpreter threads carry their gate and call Yield on every statement.
+// interpreter threads carry their gate and call Yield on every
+// statement, and a waker keeps the gate of each thread it must Wake.
 type Gate struct {
 	ctl *Controller
 	id  ThreadID
 	// co is the coroutine running the gate's thread: bound by Go,
 	// cleared by the driver when the thread returns.
 	co *coro
+	// reason and detail describe the wait the gate is parked in. detail
+	// is only called when a deadlock report is built, on the driver while
+	// the run is frozen, so the hot path never pays the formatting.
+	reason string
+	detail func() string
 
 	state gateState
 	line  int   // last yielded source line
@@ -155,28 +177,30 @@ func (g *Gate) Access(o monitor.Obj, kind monitor.AccessKind) {
 	g.acc = append(g.acc, monitor.Access{Obj: o, Kind: kind})
 }
 
-// Controller serializes one run. It implements the monitor's scheduler
-// hook interface. Only the running thread and the driver touch its
-// state, one at a time; the one exception is isOff, which an abort from
-// outside the run (ReleaseAll(false)) raises.
+// Controller serializes one run and is its blocking kernel. Only the
+// running thread and the driver touch its state, one at a time; the one
+// exception is the abort cause, which Interrupt publishes from outside
+// the run. A controller serves run after run: Reset rearms it.
 type Controller struct {
 	sched Scheduler
+	// cause is the run's abort error, nil while the run is healthy.
+	cause atomic.Pointer[error]
+	// analyzers contribute context lines to the deadlock report; they
+	// stay registered across Reset.
+	analyzers []func() []string
 	// gates holds the gates of the threads that have not returned, in id
 	// order; a thread's gate leaves it when the thread returns.
 	gates  []*Gate
 	holder *Gate // token holder, nil when none
 	nextID ThreadID
 	seq    int64
-	isOff  atomic.Bool
 	// live counts the threads started with Go whose functions have not
 	// returned.
 	live int
 
 	// running is the gate whose thread the driver is running (see
-	// Running). panics queues the recovered panics of threads for the
-	// driver to report.
+	// Running).
 	running *Gate
-	panics  []*coro
 
 	// dflt is the default scheduler a nil Scheduler stands for, kept
 	// here so a default run allocates none.
@@ -211,42 +235,54 @@ type Controller struct {
 	branchN int
 
 	// freeGates recycles the gates of returned threads, within a run and
-	// across the runs of a recycled controller, so a run holds gates
-	// for its live threads only.
+	// across the runs of one controller, so a run holds gates for its
+	// live threads only.
 	freeGates []*Gate
 }
 
-// ctlPool recycles controllers across runs of an exploration; see
-// Recycle for the safety rule.
-var ctlPool = sync.Pool{New: func() any { return new(Controller) }}
-
-// NewController creates (or recycles) a controller driven by s; a nil s
-// means the default scheduler, a quantum round-robin that keeps the
-// running thread for up to 64 consecutive decisions before rotating
-// like RoundRobin. Threads join the run through Go.
+// NewController returns a controller driven by s; a nil s means the
+// default scheduler, a quantum round-robin that keeps the running thread
+// for up to 64 consecutive decisions before rotating like RoundRobin.
+// Threads join the run through Go.
 func NewController(s Scheduler) *Controller {
-	c := ctlPool.Get().(*Controller)
+	c := new(Controller)
+	c.Reset(s)
+	return c
+}
+
+// Reset rearms the controller for a fresh run driven by s (nil for the
+// default scheduler), keeping its gates warm and its analyzers
+// registered. Only call once the previous run's Drive has returned —
+// every thread has then returned and its gate is on the free list — and
+// nothing outside the run can still Interrupt it.
+func (c *Controller) Reset(s Scheduler) {
 	if s == nil {
 		c.dflt = quantumRR{rr: RoundRobin{last: -1}}
 		s = &c.dflt
 	}
 	c.sched = s
+	c.cause.Store(nil)
 	c.holder = nil
 	c.nextID = 0
 	c.seq = 0
-	c.isOff.Store(false)
 	c.live = 0
 	c.xsig = 0
 	c.dirty = c.dirty[:0]
 	c.ready = c.ready[:0]
+	clear(c.readyGates)
 	c.readyGates = c.readyGates[:0]
 	c.trace = nil
 	c.branchN = 0
 	if ts, ok := s.(TraceSource); ok {
 		c.trace = ts.EventTrace()
 	}
-	return c
 }
+
+// AddAnalyzer registers a callback that contributes context lines to
+// the deadlock report (e.g. the MPI matcher describing which ranks
+// already finalized). Call it between runs; it stays registered across
+// Reset.
+func (c *Controller) AddAnalyzer(f func() []string) { c.analyzers = append(c.analyzers, f) }
 
 func (c *Controller) newGate() *Gate {
 	var g *Gate
@@ -304,25 +340,6 @@ func (c *Controller) readyRemove(g *Gate) {
 	}
 }
 
-// Recycle returns the controller to the pool. Only call once Drive has
-// returned: every thread has then returned and its gate is on the free
-// list, so nothing can reach the controller, and clean and aborted runs
-// alike recycle here.
-func (c *Controller) Recycle() {
-	c.freeGates = append(c.freeGates, c.gates...)
-	c.gates = c.gates[:0]
-	c.holder = nil
-	c.sched = nil
-	c.dirty = c.dirty[:0]
-	c.ready = c.ready[:0]
-	clear(c.readyGates)
-	c.readyGates = c.readyGates[:0]
-	c.xsig = 0
-	c.trace = nil
-	c.running = nil
-	ctlPool.Put(c)
-}
-
 // Go registers fn as a new thread of the run: it gets the next thread
 // id and an enabled gate, and its coroutine starts the first time the
 // driver resumes the gate. The thread is live until fn returns. The
@@ -338,47 +355,130 @@ func (c *Controller) Go(fn func()) {
 func (c *Controller) Live() int { return c.live }
 
 // Running returns the gate of the running thread: the one the driver
-// resumed. A thread started with Go calls it to find its own gate.
+// resumed. A thread started with Go calls it to find its own gate, and
+// a thread about to Wait hands it to whoever will Wake it.
 func (c *Controller) Running() *Gate { return c.running }
 
 // Yield offers a context switch at a statement boundary on the given
 // source line. The calling thread must hold the token (it is the only
 // one running). If the scheduler picks another thread, the caller
-// suspends to the driver until the driver resumes it.
-func (g *Gate) Yield(line int) {
+// suspends to the driver until the driver resumes it. Once the run has
+// aborted, Yield takes no decision and returns the cause; it also
+// returns the cause when the abort came while the thread was suspended.
+func (g *Gate) Yield(line int) error {
 	c := g.ctl
-	if c.isOff.Load() {
-		return
+	if p := c.cause.Load(); p != nil {
+		return *p
 	}
 	g.line = line
 	g.steps++
 	c.markDirty(g)
 	if c.choose(g.id) != g.id {
 		g.co.suspend()
+		return c.Err()
 	}
+	return nil
+}
+
+// Wait parks the running thread, which must hold the token, until Wake
+// of its gate (see Running) or the abort of the run: it returns nil for
+// a wake and the cause for an abort. The scheduler picks the next holder
+// and the thread suspends until the driver resumes it, which happens
+// only once the wake or the abort has happened. reason names the class
+// of the wait ("MPI collective", "team barrier", ...) and detail
+// describes it; detail is only called if the wait ends up in a deadlock
+// report. A wait made after the abort never parks.
+func (c *Controller) Wait(reason string, detail func() string) error {
+	if p := c.cause.Load(); p != nil {
+		return *p
+	}
+	g := c.holder
+	g.state = gateParked
+	g.reason, g.detail = reason, detail
+	c.readyRemove(g)
+	c.markDirty(g)
+	c.choose(-1)
+	g.co.suspend()
+	g.detail = nil
+	if g.state == gateParked {
+		// Not woken, so the abort ended the wait: its cause was
+		// published before the driver let this thread run.
+		return c.Err()
+	}
+	return nil
+}
+
+// Wake makes the thread parked on g runnable again. Wakes are precise:
+// the waker has already established the condition the thread waits for,
+// and keeps the token; the woken thread runs on once the scheduler picks
+// it. A second wake of one wait does nothing, and so does a wake after
+// the abort: that wait ends with the cause.
+func (c *Controller) Wake(g *Gate) {
+	if g.state != gateParked || c.Aborted() {
+		return
+	}
+	g.state = gateReady
+	c.readyAdd(g)
+	c.markDirty(g)
+}
+
+// Abort fails the run: the first cause wins, running threads stop at
+// their next Yield or Wait, and the driver resumes every remaining
+// thread so each parked wait ends with the cause. Only the run's own
+// threads and its driver call it; callers outside the run use
+// Interrupt.
+func (c *Controller) Abort(err error) {
+	if c.cause.CompareAndSwap(nil, &err) && c.trace != nil {
+		// The aborting thread is the holder (only the token holder runs),
+		// or the driver runs while no thread does, so the holder's final
+		// accesses — e.g. the MPI call that completed a deadlock — flush
+		// safely here.
+		c.flushEvent()
+	}
+}
+
+// Interrupt is Abort for callers outside the run's threads (cancellation
+// and watchdogs): the token holder may still be mid-step, so it only
+// publishes the cause, and the run's threads notice at their next
+// check. The still-running holder's partial event is dropped with the
+// accesses made after the abort.
+func (c *Controller) Interrupt(err error) { c.cause.CompareAndSwap(nil, &err) }
+
+// Aborted reports whether the run failed: one atomic load.
+func (c *Controller) Aborted() bool { return c.cause.Load() != nil }
+
+// Err returns the abort cause, if any.
+func (c *Controller) Err() error {
+	if p := c.cause.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Drive runs the run on the calling goroutine until every thread
 // started with Go has returned: it makes the run's first scheduling
 // decision, then resumes the token holder each time the running thread
 // suspends. When a thread returns, the driver retires it and the
-// scheduler picks the next holder. Once ReleaseAll has run it resumes
+// scheduler picks the next holder. Once the run has aborted it resumes
 // the remaining threads, lowest id first, until each has returned. A
-// thread whose fn panicked releases the run and counts as returned;
-// Drive hands its panic value and stack to panicked while no thread
-// runs.
+// thread that panics aborts the run with a QuarantineError carrying the
+// panic value and the thread's stack, and counts as returned.
 //
-// A run not released that has no holder while threads remain is
+// A run not aborted that has no holder while threads remain is
 // deadlocked: every remaining thread is parked and none can wake
-// another. Drive calls deadlocked, which must abort the run, while no
-// thread runs; the threads then unwind like any aborted run's.
-func (c *Controller) Drive(panicked func(value any, stack []byte), deadlocked func()) {
-	if !c.isOff.Load() {
+// another. Drive aborts it with a DeadlockError listing every parked
+// wait and every analyzer's context, and the threads unwind like any
+// aborted run's.
+func (c *Controller) Drive() {
+	if !c.Aborted() {
 		c.choose(-1)
 	}
 	for {
-		g := c.resumable(deadlocked)
+		g := c.resumable()
 		if g == nil {
+			// The run is over: a controller waiting in a pool for its
+			// next Reset holds neither the scheduler nor its trace.
+			c.sched, c.trace = nil, nil
 			return
 		}
 		co := g.co
@@ -388,24 +488,21 @@ func (c *Controller) Drive(panicked func(value any, stack []byte), deadlocked fu
 		if co.done {
 			c.retire(g)
 		}
-		if len(c.panics) > 0 {
-			c.reportPanics(panicked)
-		}
 	}
 }
 
 // resumable returns the gate whose thread the driver resumes next: the
-// token holder, or after ReleaseAll the lowest-id thread that has not
-// returned. nil means every thread has returned.
-func (c *Controller) resumable(deadlocked func()) *Gate {
+// token holder, or once the run has aborted the lowest-id thread that
+// has not returned. nil means every thread has returned.
+func (c *Controller) resumable() *Gate {
 	if c.live == 0 {
 		return nil
 	}
-	if !c.isOff.Load() {
+	if !c.Aborted() {
 		if c.holder != nil {
 			return c.holder
 		}
-		deadlocked()
+		c.deadlocked()
 	}
 	// Every gate left belongs to a thread that has not returned.
 	if len(c.gates) == 0 {
@@ -414,23 +511,39 @@ func (c *Controller) resumable(deadlocked func()) *Gate {
 	return c.gates[0]
 }
 
+// deadlocked aborts the run with the deadlock report: nothing can ever
+// wake the remaining threads. The report lists every parked wait,
+// sorted, then every analyzer's lines.
+func (c *Controller) deadlocked() {
+	var lines []string
+	for _, g := range c.gates {
+		if g.state == gateParked {
+			lines = append(lines, fmt.Sprintf("  %s: %s", g.reason, g.detail()))
+		}
+	}
+	sort.Strings(lines)
+	for _, f := range c.analyzers {
+		for _, l := range f() {
+			lines = append(lines, "  "+l)
+		}
+	}
+	c.Abort(&monitor.DeadlockError{Details: lines})
+}
+
 // retire ends a returned thread: its coroutine goes back to the pool,
 // its gate is done, the scheduler picks the next holder, and the gate
-// goes to the free list. A thread that panicked releases the run
-// instead, so no scheduling decision follows the panic, and queues the
-// panic for the driver to report.
+// goes to the free list. A thread that panicked aborts the run instead,
+// so no scheduling decision follows the panic.
 func (c *Controller) retire(g *Gate) {
 	co := g.co
 	g.co = nil
 	c.live--
 	defer c.free(g)
 	if co.panicked != nil {
-		c.ReleaseAll(true)
-		c.panics = append(c.panics, co)
-		return
+		c.Abort(&monitor.QuarantineError{Op: "sched.thread", Value: co.panicked, Stack: co.stack})
 	}
 	co.put()
-	if c.isOff.Load() {
+	if c.Aborted() {
 		return
 	}
 	g.state = gateDone
@@ -461,17 +574,6 @@ func (c *Controller) free(g *Gate) {
 	i := sort.Search(len(c.gates), func(k int) bool { return c.gates[k].id >= g.id })
 	c.gates = append(c.gates[:i], c.gates[i+1:]...)
 	c.freeGates = append(c.freeGates, g)
-}
-
-// reportPanics hands every queued panic to panicked. The driver calls
-// it between resumes, so no thread runs.
-func (c *Controller) reportPanics(panicked func(value any, stack []byte)) {
-	for i, co := range c.panics {
-		panicked(co.panicked, co.stack)
-		co.put()
-		c.panics[i] = nil
-	}
-	c.panics = c.panics[:0]
 }
 
 // contribution hashes the gate's position — (id, liveness, last line,
@@ -565,71 +667,6 @@ func (c *Controller) choose(cur ThreadID) ThreadID {
 		c.trace.Open(int(id), branch)
 	}
 	return id
-}
-
-//
-// Monitor hook implementation. The monitor calls HolderParked,
-// WaiterWoken and Resume on the running thread, and ReleaseAll there,
-// on the driver, or from outside the run.
-//
-
-// HolderParked records that the token holder blocked and hands the
-// token to the scheduler's next pick; the holder suspends in Resume. It
-// returns the parked gate, or nil when the run is released.
-func (c *Controller) HolderParked() any {
-	if c.isOff.Load() || c.holder == nil {
-		return nil
-	}
-	g := c.holder
-	g.state = gateParked
-	c.readyRemove(g)
-	c.markDirty(g)
-	c.choose(-1)
-	return g
-}
-
-// WaiterWoken marks the thread parked on gate runnable again. The waker
-// keeps the token; the woken thread runs on once the scheduler picks
-// it.
-func (c *Controller) WaiterWoken(gate any) {
-	g, _ := gate.(*Gate)
-	if g == nil || c.isOff.Load() {
-		return
-	}
-	g.state = gateReady
-	c.readyAdd(g)
-	c.markDirty(g)
-}
-
-// Resume suspends the thread parked on gate until the driver resumes
-// it: once WaiterWoken made it runnable and the scheduler picked it, or
-// once ReleaseAll ended the serialization. A thread whose wait was
-// woken before it got here runs on.
-func (c *Controller) Resume(gate any) {
-	if g, _ := gate.(*Gate); g != nil && g.state == gateParked && !c.isOff.Load() {
-		g.co.suspend()
-	}
-}
-
-// ReleaseAll ends the serialization: the run aborted, so every later
-// scheduling call returns at once and the driver resumes each remaining
-// thread, lowest id first, until it has returned; abort unwinding never
-// waits on the scheduler. holder reports whether the call runs while
-// the token holder cannot: on the holder's own thread, or on the driver.
-// Called from outside the run (holder false), it only raises isOff.
-func (c *Controller) ReleaseAll(holder bool) {
-	if c.isOff.Load() {
-		return
-	}
-	if holder && c.trace != nil {
-		// The aborting thread is the holder (only the token holder runs),
-		// so its final accesses — e.g. the MPI call that completed a
-		// deadlock — flush safely here. An interruption from outside the
-		// run leaves the still-running holder's buffer alone: its partial
-		// event is dropped with the accesses made after the abort.
-		c.flushEvent()
-	}
-	c.isOff.Store(true)
 }
 
 //

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -236,9 +237,7 @@ func TestTokenReplayEquivalence(t *testing.T) {
 // that yielded for quantum consecutive decisions, then rotates like
 // RoundRobin; a thread that parks or exits (Cur -1) rotates at once.
 func TestQuantumKeepsThenRotates(t *testing.T) {
-	c := NewController(nil)
-	s := c.sched
-	c.Recycle()
+	s := NewController(nil).sched
 	if id := s.Next(synth(-1, 0, 0, 1, 2)); id != 0 {
 		t.Fatalf("first pick %v, want 0", id)
 	}
@@ -278,12 +277,14 @@ func TestCoroPoolCap(t *testing.T) {
 	}
 }
 
-// TestReleaseAllLeavesRunningHolder: an abort from outside the run
-// (cancellation, a watchdog) must not touch the token holder's access
-// buffer, which the still-running holder keeps appending to — under
-// -race that would be a data race — while an abort on the holder's own
-// thread flushes its final accesses into the trace.
+// TestReleaseAllLeavesRunningHolder: the release of an abort from
+// outside the run (Interrupt: cancellation, a watchdog) must not touch
+// the token holder's access buffer, which the still-running holder
+// keeps appending to — under -race that would be a data race — while an
+// Abort on the holder's own thread flushes its final accesses into the
+// trace.
 func TestReleaseAllLeavesRunningHolder(t *testing.T) {
+	boom := errors.New("boom")
 	for _, holder := range []bool{true, false} {
 		rec := new(DPORRecorder)
 		rec.Reset(nil)
@@ -292,18 +293,18 @@ func TestReleaseAllLeavesRunningHolder(t *testing.T) {
 			g := c.Running()
 			g.Access(1, monitor.AccWrite)
 			if holder {
-				c.ReleaseAll(true)
+				c.Abort(boom)
 				return
 			}
 			released := make(chan struct{})
 			go func() {
-				c.ReleaseAll(false)
+				c.Interrupt(boom)
 				close(released)
 			}()
 			g.Access(2, monitor.AccWrite)
 			<-released
 		})
-		c.Drive(nil, nil)
+		c.Drive()
 		want := 0
 		if holder {
 			want = 1
@@ -311,16 +312,18 @@ func TestReleaseAllLeavesRunningHolder(t *testing.T) {
 		if got := len(rec.Events.Accesses(rec.Events.Len() - 1)); got != want {
 			t.Errorf("holder=%t: last event has %d accesses, want %d", holder, got, want)
 		}
-		c.Recycle()
+		if c.Err() != boom {
+			t.Errorf("holder=%t: run error %v, want boom", holder, c.Err())
+		}
 	}
 }
 
 // TestDriveInterleavesRoundRobin: three threads started with Go and run
 // by Drive under RoundRobin take turns one statement at a time in id
-// order, and a ReleaseAll mid-run drains every thread: the releasing
-// thread runs to its end, then each remaining one, lowest id first.
+// order, and an Abort mid-run drains every thread: the aborting thread
+// runs to its end, then each remaining one, lowest id first.
 func TestDriveInterleavesRoundRobin(t *testing.T) {
-	run := func(releaseAt int) string {
+	run := func(abortAt int) string {
 		c := NewController(NewRoundRobin())
 		var log []string
 		for id := 0; id < 3; id++ {
@@ -331,43 +334,43 @@ func TestDriveInterleavesRoundRobin(t *testing.T) {
 				}
 				for step := 0; step < 3; step++ {
 					log = append(log, fmt.Sprintf("%d.%d", id, step))
-					if len(log) == releaseAt {
-						c.ReleaseAll(true)
+					if len(log) == abortAt {
+						c.Abort(errors.New("stop"))
 					}
 					g.Yield(step)
 				}
 				log = append(log, fmt.Sprintf("%d.exit", id))
 			})
 		}
-		c.Drive(nil, nil)
-		c.Recycle()
+		c.Drive()
 		return strings.Join(log, " ")
 	}
 	if got, want := run(0), "0.0 1.0 2.0 0.1 1.1 2.1 0.2 1.2 2.2 0.exit 1.exit 2.exit"; got != want {
 		t.Errorf("round-robin interleaving:\n got %s\nwant %s", got, want)
 	}
 	if got, want := run(4), "0.0 1.0 2.0 0.1 0.2 0.exit 1.1 1.2 1.exit 2.1 2.2 2.exit"; got != want {
-		t.Errorf("drain after ReleaseAll:\n got %s\nwant %s", got, want)
+		t.Errorf("drain after Abort:\n got %s\nwant %s", got, want)
 	}
 }
 
-// TestDriveStalledRun: a run not released whose remaining thread parks
-// with nobody to wake it is deadlocked. Drive calls deadlocked exactly
-// once, while the thread is still live, and deadlocked must release the
-// run; then Drive resumes the parked thread so it unwinds.
+// TestDriveStalledRun: a run not aborted whose remaining thread parks
+// with nobody to wake it is deadlocked. Drive builds the report exactly
+// once, while the thread is still live, and aborts the run with it;
+// then Drive resumes the parked thread, whose wait ends with the report.
 func TestDriveStalledRun(t *testing.T) {
 	c := NewController(nil)
 	var log []string
-	c.Go(func() {
-		c.Resume(c.HolderParked())
-		log = append(log, "resumed")
-	})
-	c.Drive(nil, func() {
+	c.AddAnalyzer(func() []string {
 		log = append(log, fmt.Sprintf("deadlocked with %d live", c.Live()))
-		c.ReleaseAll(true)
+		return nil
 	})
-	c.Recycle()
-	if got, want := strings.Join(log, ", "), "deadlocked with 1 live, resumed"; got != want {
-		t.Fatalf("deadlocked run: %s, want %s", got, want)
+	c.Go(func() {
+		err := c.Wait("test wait", func() string { return "stalled" })
+		log = append(log, fmt.Sprintf("resumed: %v", err))
+	})
+	c.Drive()
+	want := "deadlocked with 1 live, resumed: deadlock: every live thread is blocked\n  test wait: stalled"
+	if got := strings.Join(log, ", "); got != want {
+		t.Fatalf("deadlocked run: %q, want %q", got, want)
 	}
 }

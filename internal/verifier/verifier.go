@@ -26,9 +26,9 @@ import (
 	"sort"
 	"strings"
 
-	"parcoach/internal/monitor"
 	"parcoach/internal/mpi"
 	"parcoach/internal/omp"
+	"parcoach/internal/sched"
 	"parcoach/internal/source"
 )
 
@@ -79,7 +79,7 @@ func (e *Error) Error() string {
 
 // Verifier holds the dynamic-check state of one run.
 type Verifier struct {
-	mon    *monitor.Monitor
+	ctl    *sched.Controller
 	nprocs int
 
 	// CC agreement state.
@@ -103,10 +103,12 @@ type Verifier struct {
 	valueChecks int
 }
 
+// ccEntry is one rank's announcement in the current CC round; gate is
+// its waiting thread, nil for the round's last arrival.
 type ccEntry struct {
-	op     string
-	pos    source.Pos
-	waiter *monitor.Waiter
+	op   string
+	pos  source.Pos
+	gate *sched.Gate
 }
 
 type teamKey struct {
@@ -136,24 +138,25 @@ type threadKey struct {
 	thread int64
 }
 
-// New creates a verifier for a world of nprocs processes sharing mon.
-func New(mon *monitor.Monitor, nprocs int) *Verifier {
+// New creates a verifier for a world of nprocs processes whose runs
+// ctl serializes (the world's controller).
+func New(ctl *sched.Controller, nprocs int) *Verifier {
 	v := &Verifier{
-		mon:       mon,
+		ctl:       ctl,
 		nprocs:    nprocs,
 		ccArrived: make(map[int]*ccEntry),
 		phases:    make(map[teamKey]*teamPhase),
 		regions:   make(map[threadKey][]int),
 		teamSizes: make(map[int]int),
 	}
-	mon.AddAnalyzer(v.describeState)
+	ctl.AddAnalyzer(v.describeState)
 	return v
 }
 
 // Reset clears all per-run state so the verifier can serve another run
-// of the same world (its monitor registration survives — the monitor
-// keeps analyzers across its own Reset). Only call between runs, after
-// the previous run's World.Run returned.
+// of the same world (its deadlock analyzer stays registered — the
+// controller keeps analyzers across its own Reset). Only call between
+// runs, after the previous run's World.Run returned.
 func (v *Verifier) Reset() {
 	clear(v.ccArrived)
 	v.ccRound = 0
@@ -187,8 +190,8 @@ func (v *Verifier) describeState() []string {
 // "call:<fn>", or "return:<fn>") and blocks until every non-finalized
 // process has announced. Disagreement aborts the run.
 func (v *Verifier) CC(p *mpi.Proc, op string, pos source.Pos) error {
-	m := v.mon
-	if err := m.Err(); err != nil {
+	ctl := v.ctl
+	if err := ctl.Err(); err != nil {
 		return err
 	}
 	if p.Finalized() {
@@ -204,7 +207,7 @@ func (v *Verifier) CC(p *mpi.Proc, op string, pos source.Pos) error {
 				p.Rank(), op, prev.op),
 			Related: []source.Pos{prev.pos},
 		}
-		m.Abort(err)
+		ctl.Abort(err)
 		return err
 	}
 	entry := &ccEntry{op: op, pos: pos}
@@ -213,10 +216,10 @@ func (v *Verifier) CC(p *mpi.Proc, op string, pos source.Pos) error {
 	if len(v.ccArrived) == v.nprocs {
 		return v.completeCC()
 	}
-	entry.waiter = m.NewWaiter("CC check", func() string {
+	entry.gate = ctl.Running()
+	return ctl.Wait("CC check", func() string {
 		return fmt.Sprintf("rank %d announced %s%s", p.Rank(), op, posSuffix(pos))
 	})
-	return entry.waiter.Await()
 }
 
 func posSuffix(pos source.Pos) string {
@@ -258,15 +261,15 @@ func (v *Verifier) completeCC() error {
 			Msg: "processes are about to execute different collective sequences: " +
 				strings.Join(parts, ", "),
 		}
-		v.mon.Abort(err)
+		v.ctl.Abort(err)
 		return err
 	}
 	for _, e := range v.ccArrived {
-		if e.waiter != nil {
-			v.mon.Wake(e.waiter)
+		if e.gate != nil {
+			v.ctl.Wake(e.gate)
 		}
 	}
-	v.ccArrived = make(map[int]*ccEntry)
+	clear(v.ccArrived)
 	v.ccRound++
 	return nil
 }
@@ -275,8 +278,8 @@ func (v *Verifier) completeCC() error {
 // its current barrier phase and aborts when a second thread executes a
 // counted collective in the same phase.
 func (v *Verifier) PhaseCount(p *mpi.Proc, th *omp.Thread, nodeID int, kind string, pos source.Pos) error {
-	m := v.mon
-	if err := m.Err(); err != nil {
+	ctl := v.ctl
+	if err := ctl.Err(); err != nil {
 		return err
 	}
 	v.phaseChecks++
@@ -312,7 +315,7 @@ func (v *Verifier) PhaseCount(p *mpi.Proc, th *omp.Thread, nodeID int, kind stri
 				entry.kind, prev.tid, entry.tid, p.Rank(), size)
 		}
 		err := &Error{Kind: kindErr, Pos: pos, Related: []source.Pos{prev.pos}, Msg: msg}
-		m.Abort(err)
+		ctl.Abort(err)
 		return err
 	}
 	tp.entries = append(tp.entries, entry)

@@ -7,7 +7,6 @@ import (
 
 	"parcoach/internal/mpi"
 	"parcoach/internal/omp"
-	"parcoach/internal/sched"
 	"parcoach/internal/source"
 )
 
@@ -19,8 +18,7 @@ func world(t *testing.T, n int) (*mpi.World, *Verifier) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Monitor().SetSched(sched.NewController(nil))
-	return w, New(w.Monitor(), n)
+	return w, New(w.Controller(), n)
 }
 
 func pos(line int) source.Pos { return source.Pos{File: "v.mh", Line: line, Col: 1} }
@@ -101,7 +99,7 @@ func TestCCDuplicateEntrySameRank(t *testing.T) {
 		if p.Rank() == 0 {
 			// Two threads of rank 0 enter CC concurrently: the second
 			// entry must be flagged (collectives issued concurrently).
-			w.Monitor().Go(func() { _ = v.CC(p, "MPI_Bcast", pos(2)) })
+			w.Controller().Go(func() { _ = v.CC(p, "MPI_Bcast", pos(2)) })
 			return v.CC(p, "MPI_Reduce", pos(3))
 		}
 		// Rank 1 never participates so rank 0's first CC blocks.
@@ -117,7 +115,7 @@ func TestCCDuplicateEntrySameRank(t *testing.T) {
 func phaseEnv(t *testing.T) (*mpi.World, *Verifier, *omp.Runtime) {
 	t.Helper()
 	w, v := world(t, 1)
-	rt := omp.New(w.Monitor(), 2, omp.RoundRobin)
+	rt := omp.New(w.Controller(), 2, omp.RoundRobin)
 	return w, v, rt
 }
 

@@ -435,7 +435,7 @@ const (
 	RunCheckAbort = interp.OutcomeCheckAbort
 	// RunMPIError: the simulated MPI library rejected the run.
 	RunMPIError = interp.OutcomeMPIError
-	// RunDeadlock: the monitor's deadlock oracle fired.
+	// RunDeadlock: the run controller's deadlock oracle fired.
 	RunDeadlock = interp.OutcomeDeadlock
 	// RunRuntimeError: a plain execution error.
 	RunRuntimeError = interp.OutcomeRuntimeError
