@@ -388,9 +388,10 @@ type InstrCCReturn struct {
 	Once bool
 }
 
-// InstrMonoCheck is inserted at a node of the paper's set Sipw: it verifies
-// at run time that the dominating region really executes monothreaded
-// (team size 1), clearing compile-time false positives.
+// InstrMonoCheck marks a parallel entry of the paper's set Sipw, whose
+// region may run the collectives it dominates on several threads. It
+// checks nothing at run time: the InstrPhaseCount on each of those
+// collectives does, passing when the region runs with one thread.
 type InstrMonoCheck struct {
 	At       source.Pos
 	RegionID int
@@ -406,10 +407,11 @@ type InstrPhaseCount struct {
 	CollKind MPIKind
 }
 
-// InstrConcNote brackets a monothreaded region in the paper's set Scc: the
-// verifier tracks which thread executes collectives of which region in the
-// same barrier phase, and aborts when two different threads run collectives
-// of concurrent monothreaded regions without an ordering barrier.
+// InstrConcNote brackets a monothreaded region in the paper's set Scc
+// (Enter at its start, !Enter at its end). It checks nothing at run time:
+// the InstrPhaseCount on the region's collectives aborts when two
+// different threads run collectives of concurrent monothreaded regions
+// without an ordering barrier.
 type InstrConcNote struct {
 	At       source.Pos
 	RegionID int

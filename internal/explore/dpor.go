@@ -47,10 +47,8 @@ package explore
 
 import (
 	"context"
-	"runtime/debug"
 	"sync"
 
-	"parcoach/internal/chaos"
 	"parcoach/internal/interp"
 	"parcoach/internal/monitor"
 	"parcoach/internal/pipeline"
@@ -117,7 +115,7 @@ type pending struct {
 }
 
 // prefix builds the decision prefix p names.
-func (p pending) prefix(runs []dfsRun) []sched.ThreadID {
+func (p pending) prefix(runs []run) []sched.ThreadID {
 	if p.run < 0 {
 		return nil
 	}
@@ -129,7 +127,7 @@ func (p pending) prefix(runs []dfsRun) []sched.ThreadID {
 // empty for a run that spawns nothing. The slices are reused round
 // after round by the item in the same slot.
 type dporStep struct {
-	run         dfsRun
+	run         run
 	quarantined bool
 	marks       []uint64
 	spawns      []spawn
@@ -139,7 +137,7 @@ type dporStep struct {
 // comment) until the stack drains, the budget is spent with prefixes
 // pending, or opts.Ctx is canceled. It returns the completed runs in
 // merge order; leftover reports that some subtree went unexplored.
-func dporFrontier(sess *interp.Session, opts Options, pool *pipeline.Pool, sink *progressSink) (runs []dfsRun, leftover bool, diverged, sleepSkips int) {
+func dporFrontier(sess *interp.Session, opts Options, pool *pipeline.Pool, sink *progressSink) (runs []run, leftover bool, diverged, sleepSkips int) {
 	ledger := make(map[uint64]struct{})
 	stack := []pending{{run: -1}}
 	var round [dfsRoundWidth]pending
@@ -167,7 +165,7 @@ func dporFrontier(sess *interp.Session, opts Options, pool *pipeline.Pool, sink 
 				continue
 			}
 			runs = append(runs, step.run)
-			sink.noteDFS(&runs[len(runs)-1])
+			sink.note(&runs[len(runs)-1])
 			switch {
 			case step.quarantined:
 				// Panicked run: the subtree below its prefix goes
@@ -207,17 +205,20 @@ func (s *dporStep) exec(ctx context.Context, sess *interp.Session, prefix []sche
 	s.marks, s.spawns = s.marks[:0], s.spawns[:0]
 	if ctxErr(ctx) != nil {
 		// Canceled before it started: skip the run.
-		s.run, s.quarantined = dfsRun{outcome: interp.OutcomeCanceled}, false
+		s.run, s.quarantined = run{outcome: interp.OutcomeCanceled}, false
 		return
 	}
 	st := dporPool.Get().(*dporState)
 	st.rec.Reset(prefix)
-	s.run, s.quarantined = runDPOR(ctx, sess, st, prefix)
+	s.run, s.quarantined = runOne(ctx, sess, st.rec)
 	if s.quarantined {
-		// Unknown state: the dporState is abandoned, never recycled.
+		// Unknown state: the dporState is abandoned, never recycled. The
+		// run is named by its prefix, which no other item shares.
+		s.run.trace = prefix
 		return
 	}
 	defer dporPool.Put(st)
+	s.run.trace, s.run.diverged = st.rec.Trace(), st.rec.Diverged()
 	if s.run.outcome == interp.OutcomeCanceled || s.run.diverged {
 		return
 	}
@@ -259,26 +260,6 @@ func (s *dporStep) exec(ctx context.Context, sess *interp.Session, prefix []sche
 			s.spawns = append(s.spawns, spawn{key: childKey(ph[d], q), d: d, q: q, race: true})
 		}
 	}
-}
-
-// runDPOR executes one DPOR prefix on st's recorder. It is a
-// quarantine boundary: quarantined=true means the run panicked and
-// dr carries the OutcomeInternalError verdict (and st must be abandoned,
-// not recycled).
-func runDPOR(ctx context.Context, sess *interp.Session, st *dporState, prefix []sched.ThreadID) (dr dfsRun, quarantined bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			qerr := interp.NewQuarantineError("explore.run", r, debug.Stack())
-			tr := make([]sched.ThreadID, len(prefix))
-			copy(tr, prefix)
-			dr = dfsRun{outcome: interp.OutcomeInternalError, runErr: qerr, trace: tr}
-			quarantined = true
-		}
-	}()
-	chaos.Here("explore.run")
-	res := sess.RunCtx(ctx, st.rec)
-	dr = dfsRun{outcome: res.Outcome(), runErr: res.Err, trace: st.rec.Trace(), diverged: st.rec.Diverged()}
-	return dr, false
 }
 
 // childPrefix builds the reversal prefix: follow trace up to depth d,

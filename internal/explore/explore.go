@@ -28,9 +28,9 @@
 //     so the explored set does not depend on the worker count.
 //
 // Runs fan out over a worker pool (internal/pipeline.Pool) and share
-// one interp.Session, so the compiled artifact and the pooled per-rank
-// run state are reused by every schedule instead of being rebuilt per
-// run. Every report is a function of the program and the options alone,
+// one interp.Session, so the compiled artifact and the session's pooled
+// run environments are reused by every schedule instead of being rebuilt
+// per run. Every report is a function of the program and the options alone,
 // at any worker count.
 package explore
 
@@ -340,10 +340,10 @@ func newProgressSink(fn func(ProgressEvent)) *progressSink {
 	return &progressSink{fn: fn, seen: make(map[interp.Outcome]bool)}
 }
 
-// note reports one completed run. The error is rendered lazily — only
-// when a sink exists — so the no-progress path keeps its error values
-// unformatted.
-func (p *progressSink) note(outcome interp.Outcome, errText func() string, schedule string) {
+// note reports one completed run. Its error text and replay token are
+// rendered only when a sink exists, so the no-progress path keeps its
+// error values unformatted.
+func (p *progressSink) note(r *run) {
 	if p == nil {
 		return
 	}
@@ -351,23 +351,46 @@ func (p *progressSink) note(outcome interp.Outcome, errText func() string, sched
 	p.done++
 	ev := ProgressEvent{
 		Done:       p.done,
-		Outcome:    outcome,
-		NewVerdict: !p.seen[outcome],
-		Err:        errText(),
-		Schedule:   schedule,
+		Outcome:    r.outcome,
+		NewVerdict: !p.seen[r.outcome],
+		Err:        errText(r.err),
+		Schedule:   r.schedule(),
 	}
-	p.seen[outcome] = true
+	p.seen[r.outcome] = true
 	// Deliver under the lock: events arrive strictly in Done order,
 	// which is what lets a streaming consumer write them straight out.
 	p.fn(ev)
 	p.mu.Unlock()
 }
 
-// run is one explored schedule's classified result.
+// run is one explored schedule's classified result. Thousands of
+// failing runs share a handful of verdicts, so a run keeps its error as
+// a value and a DFS run its branch trace: the (deadlock-report-sized)
+// error text and the trace's replay token are rendered only for the
+// runs the report quotes.
 type run struct {
-	outcome  interp.Outcome
-	err      string
-	schedule string
+	outcome interp.Outcome
+	err     error
+	// token names a sampled run; a DFS run has none and is named by
+	// trace, the branch decisions it took.
+	token    string
+	trace    []sched.ThreadID
+	diverged bool
+}
+
+// schedule returns the replay token of the run.
+func (r *run) schedule() string {
+	if r.token != "" {
+		return r.token
+	}
+	return sched.FormatTrace(r.trace)
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // Explore runs prog under opts.Schedules interleavings and reduces the
@@ -375,7 +398,7 @@ type run struct {
 // pair at any worker count.
 func Explore(prog *ast.Program, opts Options) *Report {
 	// One session for the whole exploration: the compiled artifact,
-	// resolved entry point and pooled per-rank run state are shared
+	// resolved entry point and pooled run environments are shared
 	// across every schedule, so per-run setup is amortized instead of
 	// paid opts.Schedules times.
 	return ExploreSession(interp.NewSession(prog, opts.RunOptions()), opts)
@@ -423,40 +446,38 @@ func ctxErr(ctx context.Context) error {
 	return context.Cause(ctx)
 }
 
-// runOne executes one sampled schedule. It is a quarantine boundary: a
-// panic anywhere under the run is caught here, classified
-// OutcomeInternalError, and the exploration continues on the remaining
-// schedules instead of taking the process down.
-func runOne(ctx context.Context, sess *interp.Session, s sched.Scheduler, token string) (r run) {
+// runOne executes one schedule, sampled or DFS; the caller names the
+// run. It is a quarantine boundary: a panic anywhere under the run is
+// caught here, classified OutcomeInternalError and reported as
+// quarantined, and the exploration continues on the remaining schedules
+// instead of taking the process down.
+func runOne(ctx context.Context, sess *interp.Session, s sched.Scheduler) (r run, quarantined bool) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			qerr := interp.NewQuarantineError("explore.run", rec, debug.Stack())
-			r = run{outcome: interp.OutcomeInternalError, err: qerr.Error(), schedule: token}
+			r = run{outcome: interp.OutcomeInternalError, err: interp.NewQuarantineError("explore.run", rec, debug.Stack())}
+			quarantined = true
 		}
 	}()
 	chaos.Here("explore.run")
 	res := sess.RunCtx(ctx, s)
-	r = run{outcome: res.Outcome(), schedule: token}
-	if res.Err != nil {
-		r.err = res.Err.Error()
-	}
-	return r
+	return run{outcome: res.Outcome(), err: res.Err}, false
 }
 
-// merge folds one run (in exploration order) into the report.
-func (r *Report) merge(one run) {
+// merge folds one run, in report order, into the report, rendering the
+// error text and replay token of the runs the report quotes.
+func (r *Report) merge(one *run) {
 	idx := r.Schedules
 	r.Schedules++
 	if v := r.Verdict(one.outcome); v != nil {
 		v.Count++
 	} else {
 		r.Verdicts = append(r.Verdicts, Verdict{
-			Outcome: one.outcome, Count: 1, First: idx, Sample: one.err, Schedule: one.schedule,
+			Outcome: one.outcome, Count: 1, First: idx, Sample: errText(one.err), Schedule: one.schedule(),
 		})
 	}
 	if one.outcome != interp.OutcomeClean && r.FirstFailure == nil {
 		r.FirstFailure = &Failure{
-			Outcome: one.outcome, Err: one.err, Schedule: one.schedule, Index: idx,
+			Outcome: one.outcome, Err: errText(one.err), Schedule: one.schedule(), Index: idx,
 		}
 	}
 }
@@ -476,14 +497,15 @@ func exploreSampled(sess *interp.Session, opts Options, pool *pipeline.Pool, rep
 		clear(ran)
 		pool.MapCtx(opts.Ctx, n, func(i int) {
 			s, token := opts.sampled(opts.Seed + int64(first+i))
-			results[i] = runOne(opts.Ctx, sess, s, token)
-			ran[i] = true
 			one := &results[i]
+			*one, _ = runOne(opts.Ctx, sess, s)
+			one.token = token
+			ran[i] = true
 			if one.outcome == interp.OutcomeCanceled {
 				// An aborted half-run carries no verdict; don't stream it.
 				return
 			}
-			sink.note(one.outcome, func() string { return one.err }, one.schedule)
+			sink.note(one)
 		})
 		// Merge in submission order so the report (and
 		// FirstFailure.Index) is identical at any worker count.
@@ -493,7 +515,7 @@ func exploreSampled(sess *interp.Session, opts Options, pool *pipeline.Pool, rep
 			if !ran[i] || results[i].outcome == interp.OutcomeCanceled {
 				continue
 			}
-			rep.merge(results[i])
+			rep.merge(&results[i])
 		}
 	}
 }
@@ -519,25 +541,6 @@ func (opts Options) sampled(seed int64) (sched.Scheduler, string) {
 // point it passes, and the reversals its race analysis requires become
 // new prefixes. mergeDFS reduces the completed runs.
 //
-
-// dfsRun is one completed DFS schedule: its classified outcome plus the
-// branch trace that names (and replays) it. The run error stays an
-// error value — thousands of failing runs share a handful of verdicts,
-// so the (deadlock-report-sized) text is only rendered for the runs the
-// report actually quotes.
-type dfsRun struct {
-	outcome  interp.Outcome
-	runErr   error
-	trace    []sched.ThreadID
-	diverged bool
-}
-
-func errText(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
-}
 
 // childKey folds a (tree node, branch) pair into one sleep-set ledger
 // key. The node is already an FNV decision-path hash; the branch is
@@ -573,29 +576,11 @@ func lessTrace(a, b []sched.ThreadID) bool {
 // mergeDFS reduces the completed runs into the report in canonical
 // trace order, so Verdict.First, FirstFailure and the report rendering
 // are a function of the explored *set* — not of the order the frontier
-// discovered it in. Error text and replay tokens are rendered only for
-// the runs the report quotes (the first run of each outcome class and
-// the first failure).
-func mergeDFS(rep *Report, runs []dfsRun, leftover bool, diverged int) {
+// discovered it in.
+func mergeDFS(rep *Report, runs []run, leftover bool, diverged int) {
 	sort.Slice(runs, func(i, j int) bool { return lessTrace(runs[i].trace, runs[j].trace) })
 	for i := range runs {
-		dr := &runs[i]
-		idx := rep.Schedules
-		rep.Schedules++
-		if v := rep.Verdict(dr.outcome); v != nil {
-			v.Count++
-		} else {
-			rep.Verdicts = append(rep.Verdicts, Verdict{
-				Outcome: dr.outcome, Count: 1, First: idx,
-				Sample: errText(dr.runErr), Schedule: sched.FormatTrace(dr.trace),
-			})
-		}
-		if dr.outcome != interp.OutcomeClean && rep.FirstFailure == nil {
-			rep.FirstFailure = &Failure{
-				Outcome: dr.outcome, Err: errText(dr.runErr),
-				Schedule: sched.FormatTrace(dr.trace), Index: idx,
-			}
-		}
+		rep.merge(&runs[i])
 	}
 	rep.Diverged = diverged
 	rep.Exhausted = !leftover
@@ -607,13 +592,4 @@ func exploreDFS(sess *interp.Session, opts Options, pool *pipeline.Pool, rep *Re
 	runs, leftover, diverged, sleepSkips := dporFrontier(sess, opts, pool, sink)
 	mergeDFS(rep, runs, leftover, diverged)
 	rep.SleepSkips = sleepSkips
-}
-
-// noteDFS reports one completed DFS run to the sink (error text and
-// replay token are rendered only when a sink exists).
-func (p *progressSink) noteDFS(dr *dfsRun) {
-	if p == nil {
-		return
-	}
-	p.note(dr.outcome, func() string { return errText(dr.runErr) }, sched.FormatTrace(dr.trace))
 }

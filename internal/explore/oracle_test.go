@@ -46,7 +46,7 @@ func plainDFS(prog *ast.Program, opts Options) oracleReport {
 	}
 	seen := make(map[choice]bool)
 	out := oracleReport{Report: &Report{Strategy: StrategyDFS}}
-	var runs []dfsRun
+	var runs []run
 	diverged := 0
 	stack := [][]sched.ThreadID{nil}
 	for len(stack) > 0 && len(runs) < opts.Schedules {
@@ -56,7 +56,7 @@ func plainDFS(prog *ast.Program, opts Options) oracleReport {
 		rec.Reset(prefix)
 		res := sess.Run(rec)
 		trace := rec.Trace()
-		runs = append(runs, dfsRun{outcome: res.Outcome(), runErr: res.Err, trace: trace, diverged: rec.Diverged()})
+		runs = append(runs, run{outcome: res.Outcome(), err: res.Err, trace: trace, diverged: rec.Diverged()})
 		if rec.Diverged() {
 			diverged++
 			continue

@@ -10,13 +10,13 @@
 //     function end (the paper wraps the return check in a single construct;
 //     here the verifier runs it with execute-once team semantics).
 //   - Collectives in the phase-1 set S get a per-barrier-phase execution
-//     counter (InstrPhaseCount); their dominating parallel entries in Sipw
-//     get a team-size probe (InstrMonoCheck) that clears false positives
-//     when the region actually runs with one thread.
+//     counter (InstrPhaseCount), which clears false positives when the
+//     region actually runs with one thread; their dominating parallel
+//     entries in Sipw are marked with InstrMonoCheck.
 //   - Monothreaded regions in the phase-2 set Scc are bracketed with
-//     InstrConcNote so the verifier can attribute concurrent collective
-//     executions to their source regions; the collectives of each
-//     concurrent pair are phase-counted as well.
+//     InstrConcNote, and the collectives of each concurrent pair are
+//     phase-counted as well. The markers check nothing at run time; the
+//     phase counts do.
 package instrument
 
 import (

@@ -12,7 +12,7 @@ import (
 // its post-pooling budget. Two programs, two budgets:
 //
 //   - a statement-heavy loop, where the cost model is per executed
-//     statement: frame arenas, the waiter/gate pools and the
+//     statement: frame recycling, the waiter/gate pools and the
 //     incremental scheduler signature brought this from ~0.7 to about
 //     0.001 objects per step;
 //   - a region-heavy loop, where the residual cost is per parallel

@@ -20,7 +20,6 @@
 package interp
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"time"
@@ -30,7 +29,6 @@ import (
 	"parcoach/internal/omp"
 	"parcoach/internal/sched"
 	"parcoach/internal/source"
-	"parcoach/internal/verifier"
 )
 
 // maxWidth bounds the process count and every team size. A run asking
@@ -147,30 +145,6 @@ func Run(prog *ast.Program, opts Options) *Result {
 	return NewSession(prog, opts).Run(nil)
 }
 
-// runner is one run's state. Only the running simulated thread touches
-// it, so it takes no lock.
-type runner struct {
-	opts  Options
-	world *mpi.World
-	ver   *verifier.Verifier
-	// ctl is the world's controller: it serializes the run, and every
-	// wait and abort goes through it.
-	ctl *sched.Controller
-	// tr holds the event-tracing round counters when the scheduler
-	// records an event trace for DPOR (see trace.go); nil otherwise.
-	tr *traceRT
-
-	output bytes.Buffer
-
-	steps       int64
-	collectives int64
-	p2p         int64
-	barriers    int64
-	// arrayElems counts the array elements declared so far, against
-	// maxArrayElems.
-	arrayElems int64
-}
-
 func (r *runner) printLine(line string) {
 	r.output.WriteString(line)
 	if r.opts.Stdout != nil {
@@ -203,10 +177,10 @@ type cell struct {
 	v value
 	// id is the cell's logical identity for trace tagging, assigned at
 	// declaration from the run's allocation counter (see trace.go).
-	// Cells live in frames recycled through process-wide arenas, so
-	// their machine address depends on what other sessions ran before —
-	// the logical id is a pure function of the schedule and keeps traces
-	// (and everything derived from them) reproducible.
+	// Cells live in frames recycled across the runs of a pooled run
+	// environment, so their machine address depends on what ran before
+	// — the logical id is a pure function of the schedule and keeps
+	// traces (and everything derived from them) reproducible.
 	id uint64
 }
 
@@ -221,10 +195,6 @@ type thctx struct {
 	th *omp.Thread
 	// gate is this thread's handle on the scheduling controller.
 	gate *sched.Gate
-	// ar is this thread's private frame arena (see arena.go). Team
-	// workers get their own from the pool; the master shares its
-	// forker's (it runs the region body on the same goroutine).
-	ar *arena
 	// trace enables event tagging (see trace.go): true iff the
 	// controller records an event trace.
 	trace bool

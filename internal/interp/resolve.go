@@ -110,7 +110,8 @@ type funcCode struct {
 
 // call runs fn on a frame whose parameter slots hold the arguments. The
 // parameters get their trace ids left to right once every argument is
-// evaluated. The frame goes back to the arena only on a clean return.
+// evaluated. The frame goes back to the free list only on a clean
+// return.
 func (c *thctx) call(fn *funcCode, fr *frame) (int64, error) {
 	if c.trace {
 		for i := range fn.decl.Params {
@@ -139,8 +140,9 @@ func (c *thctx) runMain(fn *funcCode) (int64, error) {
 
 // define binds a slot to a fresh value. Traced runs stamp the cell
 // with its schedule-ordered allocation id, the identity trace tags use
-// in place of the (arena-dependent) machine address; a slot declared
-// again, as in a loop body, gets a fresh id like a fresh variable.
+// in place of the machine address, which frame recycling decides; a
+// slot declared again, as in a loop body, gets a fresh id like a fresh
+// variable.
 func (c *thctx) define(cl *cell, v value) {
 	cl.v = v
 	if c.trace {
@@ -598,23 +600,10 @@ func (b *builder) stmt(s ast.Stmt) func(*thctx, *frame) error {
 			return c.r.ver.PhaseCount(c.p, c.th, node, kind, at)
 		}
 
-	case *ast.InstrMonoCheck:
-		id := s.RegionID
-		return func(c *thctx, f *frame) error {
-			c.r.ver.MonoCheck(c.th, id)
-			return nil
-		}
-
-	case *ast.InstrConcNote:
-		id, enter := s.RegionID, s.Enter
-		return func(c *thctx, f *frame) error {
-			if enter {
-				c.r.ver.ConcEnter(c.p, c.th, id)
-			} else {
-				c.r.ver.ConcExit(c.p, c.th, id)
-			}
-			return nil
-		}
+	case *ast.InstrMonoCheck, *ast.InstrConcNote:
+		// Markers: they take their statement step and check nothing
+		// (the phase counts of the collectives they guard do).
+		return func(c *thctx, f *frame) error { return nil }
 	}
 	return func(c *thctx, f *frame) error { return c.errf(s.Pos(), "unhandled statement %T", s) }
 }
@@ -653,19 +642,16 @@ func (c *thctx) parallel(pos source.Pos, n int, body block, slots int, f *frame)
 	}
 	err := c.rt.Parallel(c.th, n, func(th *omp.Thread) error {
 		// The master runs the body on the forking thread, so it keeps
-		// the forker's arena and gate; workers draw their own arena
-		// and look up the gate Parallel registered for them. Each
-		// member's context and frame come from (and return to) the
-		// arena that member uses, so no two members touch one free list.
-		ar, gate := c.ar, c.gate
+		// the forker's gate; workers look up the gate Parallel
+		// registered for them.
+		gate := c.gate
 		if th.TID() != 0 {
-			ar, gate = getArena(), c.r.ctl.Running()
+			gate = c.r.ctl.Running()
 		} else {
 			c.forked = th.Team().ID()
 		}
-		child := ar.newThctx()
-		child.r, child.p, child.rt, child.th = c.r, c.p, c.rt, th
-		child.ar, child.gate = ar, gate
+		child := c.r.newThctx()
+		child.r, child.p, child.rt, child.th, child.gate = c.r, c.p, c.rt, th, gate
 		child.trace, child.regionTag = c.trace, regionTag
 		if child.trace && th.TID() != 0 {
 			child.tagAcq(forkObj(c.p.Rank(), regionTag))
@@ -681,10 +667,7 @@ func (c *thctx) parallel(pos source.Pos, n int, body block, slots int, f *frame)
 			child.tagRel(joinObj(c.p.Rank(), th.TID(), regionTag))
 		}
 		child.releaseFrame(fr)
-		ar.putThctx(child)
-		if th.TID() != 0 {
-			putArena(ar)
-		}
+		c.r.putThctx(child)
 		return nil
 	})
 	// Every member has passed the join barrier, so none counts a

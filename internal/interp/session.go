@@ -1,21 +1,24 @@
 // Session: amortized per-run setup for schedule exploration.
 //
-// A single Run is a one-shot: resolve the program, build the simulated
-// world, allocate per-rank runtime state, execute, tear down. Schedule
-// exploration runs the same compiled artifact thousands of times, so
-// Session hoists everything that depends only on (program, options) —
-// option normalization, and resolving the program into the closures
-// every run executes (resolve.go) — and recycles the per-run state
-// (the world with its scheduling controller and gates, runner scratch,
-// per-rank threading runtime and frame arenas) through pools, bringing
-// per-schedule setup close to zero.
+// Schedule exploration runs the same compiled artifact thousands of
+// times, so a Session hoists everything that depends only on (program,
+// options) — option normalization, and resolving the program into the
+// closures every run executes (resolve.go) — and keeps its per-run state
+// in run environments it pools and reuses. A run environment (runner) is
+// built once, with the session's options, and reset per run: it owns the
+// simulated world with its scheduling controller, the verifier, one
+// threading runtime per rank, the trace counters, the output buffer, the
+// run counters and the free lists of frames and thread contexts
+// (arena.go), which brings per-schedule setup close to zero.
 //
 // A run's World.Run returns only once every thread of the run has
-// returned, so nothing can touch the run state afterwards: clean and
-// aborted runs alike recycle everything at once.
+// returned — a panic on a thread or on the driver included — so nothing
+// can touch the run state afterwards: clean and aborted runs alike hand
+// their environment back whole.
 package interp
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -38,18 +41,8 @@ type Session struct {
 	// main is the program resolved into closures (see resolve.go),
 	// shared read-only by every run; nil when there is no main.
 	main *funcCode
-	// envs pools complete run environments — world, controller,
-	// verifier, runner scratch — across this session's runs.
+	// envs pools the session's run environments (*runner).
 	envs sync.Pool
-}
-
-// runEnv bundles the per-run machinery that recycles as a unit: the
-// simulated world and its scheduling controller (which keeps the
-// world's and verifier's deadlock analyzers registered across resets),
-// the verifier waiting through that controller, and the runner scratch.
-type runEnv struct {
-	world *mpi.World
-	r     *runner
 }
 
 // NewSession prepares prog for repeated runs under opts: the options
@@ -71,20 +64,13 @@ func NewSession(prog *ast.Program, opts Options) *Session {
 	return &Session{prog: prog, opts: opts, main: resolve(prog)}
 }
 
-// testStep, when set by a test, runs before every statement — the hook
-// that panics on a chosen statement.
-var testStep func(rank, tid, line int)
-
-// rankState is the per-rank run state — the thread-local frame
-// arena and the per-process threading runtime — recycled across runs so
-// each explored schedule reuses the previous one's allocations instead
-// of rebuilding them.
-type rankState struct {
-	ar *arena
-	rt *omp.Runtime
-}
-
-var rankPool = sync.Pool{New: func() any { return &rankState{ar: getArena()} }}
+// testStep, when set by a test, runs before every statement (the hook
+// that panics on a chosen statement), and testSched wraps every run's
+// scheduler (the hook that panics on the driver).
+var (
+	testStep  func(rank, tid, line int)
+	testSched func(sched.Scheduler) sched.Scheduler
+)
 
 // Run executes the program once, serialized: exactly one simulated
 // thread executes at a time and the scheduler picks, at every statement
@@ -101,6 +87,9 @@ func (s *Session) Run(scheduler sched.Scheduler) *Result {
 // daemon ride on. A nil (or never-canceled) ctx adds nothing to the hot
 // path.
 func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result {
+	if testSched != nil {
+		scheduler = testSched(scheduler)
+	}
 	opts := s.opts
 	if opts.Procs > maxWidth || opts.Threads > maxWidth {
 		return &Result{Err: &RuntimeError{Pos: s.prog.Pos(), Msg: fmt.Sprintf(
@@ -119,62 +108,30 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 		res.Err = &RuntimeError{Pos: s.prog.Pos(), Msg: "program has no main function"}
 		return res
 	}
-	var env *runEnv
-	if v := s.envs.Get(); v != nil {
-		env = v.(*runEnv)
-		env.r.ver.Reset()
-	} else {
-		world, err := mpi.NewWorld(mpi.Config{Procs: opts.Procs, Level: opts.Level})
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		env = &runEnv{world: world, r: new(runner)}
-		env.r.ver = verifier.New(world.Controller(), opts.Procs)
-		if opts.ValueCheck {
-			// The round observer survives World.Reset (like the
-			// controller's analyzers), so pooled envs stay armed across
-			// reuse.
-			env.r.ver.AttachWorld(world)
-		}
+	r, err := s.env()
+	if err != nil {
+		res.Err = err
+		return res
 	}
-	world := env.world
-	world.Reset(scheduler)
-	r := env.r
-	r.rebind(opts, world)
 	_, tracing := scheduler.(sched.TraceSource)
-	if tracing {
-		if r.tr == nil || len(r.tr.collSeq) != opts.Procs {
-			r.tr = newTraceRT(opts.Procs)
-		} else {
-			r.tr.reset()
-		}
-	}
+	r.reset(scheduler, tracing)
 	guard := s.armGuard(ctx, r.ctl)
-	ranks := make([]*rankState, opts.Procs)
-	err := world.Run(func(p *mpi.Proc) error {
-		gate := r.ctl.Running()
-		rs := rankPool.Get().(*rankState)
-		ranks[p.Rank()] = rs // disjoint slot per rank
-		if rs.rt == nil {
-			rs.rt = omp.New(r.ctl, opts.Threads, opts.Policy)
-		} else {
-			rs.rt.Reset(r.ctl, opts.Threads, opts.Policy)
-		}
-		th := rs.rt.InitialThread()
-		c := &thctx{r: r, p: p, rt: rs.rt, th: th, gate: gate, ar: rs.ar, trace: tracing}
+	res.Err = r.world.Run(func(p *mpi.Proc) error {
+		rt := r.rts[p.Rank()]
+		c := r.newThctx()
+		c.r, c.p, c.rt, c.th, c.gate, c.trace = r, p, rt, rt.InitialThread(), r.ctl.Running(), tracing
 		ret, err := c.runMain(s.main)
 		if err != nil {
 			return err
 		}
+		r.putThctx(c)
 		res.ExitValues[p.Rank()] = ret
 		return nil
 	})
-	res.Err = err
 	if guard != nil {
-		// Disarm before any recycling: after disarm returns, no late
-		// guard callback can interrupt the controller this env is about
-		// to recycle into its next run.
+		// Disarm before the environment goes back: after disarm returns,
+		// no late guard callback can interrupt the controller of the
+		// environment's next run.
 		canceled, timedOut := guard.disarm()
 		if canceled {
 			canceledRuns.Add(1)
@@ -191,24 +148,86 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 		Steps:       r.steps,
 	}
 	res.Stats.CCChecks, res.Stats.PhaseChecks, res.Stats.ValueChecks = r.ver.Stats()
-	for _, rs := range ranks {
-		if rs != nil {
-			rankPool.Put(rs)
-		}
-	}
-	s.envs.Put(env)
+	s.envs.Put(r)
 	return res
 }
 
-// rebind points a (new or recycled) runner at the next run.
-func (r *runner) rebind(opts Options, world *mpi.World) {
-	r.opts = opts
-	r.world = world
-	r.ctl = world.Controller()
+// env takes a pooled run environment, or builds one.
+func (s *Session) env() (*runner, error) {
+	if v := s.envs.Get(); v != nil {
+		return v.(*runner), nil
+	}
+	return newRunner(s.opts)
+}
+
+// runner is a session's run environment, which owns every per-run
+// object: built once by newRunner, reset per run. Only the running
+// simulated thread touches it, so it takes no lock.
+type runner struct {
+	opts  Options
+	world *mpi.World
+	// ctl is the world's controller: it serializes the run, and every
+	// wait and abort goes through it.
+	ctl *sched.Controller
+	ver *verifier.Verifier
+	// rts holds each rank's threading runtime.
+	rts []*omp.Runtime
+	// tr holds the event-tracing round counters for runs whose scheduler
+	// records an event trace for DPOR (see trace.go); nil until the
+	// first such run.
+	tr *traceRT
+
+	output bytes.Buffer
+
+	steps       int64
+	collectives int64
+	p2p         int64
+	barriers    int64
+	// arrayElems counts the array elements declared so far, against
+	// maxArrayElems.
+	arrayElems int64
+
+	// frames and ctxs are the free lists of frames and thread contexts
+	// the run's threads share (see arena.go).
+	frames []*frame
+	ctxs   []*thctx
+}
+
+// newRunner builds a run environment for runs under opts. The world's
+// controller keeps the world's and the verifier's deadlock analyzers,
+// and the world the value oracle's round observer, for the
+// environment's life.
+func newRunner(opts Options) (*runner, error) {
+	world, err := mpi.NewWorld(mpi.Config{Procs: opts.Procs, Level: opts.Level})
+	if err != nil {
+		return nil, err
+	}
+	r := &runner{opts: opts, world: world, ctl: world.Controller()}
+	r.ver = verifier.New(r.ctl, opts.Procs)
+	if opts.ValueCheck {
+		r.ver.AttachWorld(world)
+	}
+	for range opts.Procs {
+		r.rts = append(r.rts, omp.New(r.ctl, opts.Threads, opts.Policy))
+	}
+	return r, nil
+}
+
+// reset rearms the environment for a run driven by s; tracing reports
+// whether s records an event trace.
+func (r *runner) reset(s sched.Scheduler, tracing bool) {
+	r.world.Reset(s)
+	r.ver.Reset()
+	for _, rt := range r.rts {
+		rt.Reset()
+	}
+	if tracing {
+		if r.tr == nil {
+			r.tr = newTraceRT(r.opts.Procs)
+		} else {
+			r.tr.reset()
+		}
+	}
 	r.output.Reset()
-	r.steps = 0
-	r.collectives = 0
-	r.p2p = 0
-	r.barriers = 0
-	r.arrayElems = 0
+	r.steps, r.collectives, r.p2p, r.barriers, r.arrayElems = 0, 0, 0, 0, 0
 }

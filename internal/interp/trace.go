@@ -30,10 +30,9 @@
 //
 // Deliberately untagged (documented over-approximation *gaps*, all
 // verdict-invisible): print output interleaving (Result.Output may
-// differ across members of an interleaving class), the global step
+// differ across members of an interleaving class) and the global step
 // counter (OutcomeBudget on spinning programs can trigger at different
-// points; such runs are not exhaustible anyway), and MonoCheck's
-// region-size recording (all threads of a team record the same size).
+// points; such runs are not exhaustible anyway).
 package interp
 
 import "parcoach/internal/monitor"
@@ -76,8 +75,8 @@ type traceRT struct {
 	// allocSeq numbers cell and array allocations in schedule order.
 	// Declarations only execute while their thread runs, so the
 	// sequence — and with it every cell/element object id in the
-	// trace — is a pure function of the schedule, not of which pooled
-	// arena (and hence machine addresses) this run happened to draw.
+	// trace — is a pure function of the schedule, not of which recycled
+	// frames (and hence machine addresses) this run happened to draw.
 	allocSeq uint64
 }
 
@@ -133,7 +132,7 @@ func (tr *traceRT) nextAlloc() uint64 {
 }
 
 // cellObj keys a scalar cell by its allocation id. Ids — not machine
-// addresses — keep traces independent of arena recycling: a recycled
+// addresses — keep traces independent of frame recycling: a recycled
 // cell is a fresh declaration and gets a fresh id, so aliasing across a
 // cell's lifetimes cannot occur either.
 func cellObj(cl *cell) monitor.Obj {

@@ -3,6 +3,7 @@ package interp_test
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"parcoach/internal/explore"
 	"parcoach/internal/interp"
 	"parcoach/internal/leakcheck"
+	"parcoach/internal/monitor"
 	"parcoach/internal/parser"
 	"parcoach/internal/sched"
 )
@@ -107,6 +109,89 @@ func TestSerializedThreadPanicEndsRun(t *testing.T) {
 					t.Fatalf("%s: verdict sample %q does not name the thread boundary", strategy, v.Sample)
 				}
 				clean := explore.Explore(prog, opts)
+				if len(clean.Verdicts) != 1 || clean.Verdicts[0].Outcome != interp.OutcomeClean {
+					t.Fatalf("%s: exploration after the panics is not clean:\n%s", strategy, clean)
+				}
+			}
+		})
+	}
+}
+
+// driverPanicker wraps a scheduler and panics on one of the picks the
+// run's driver makes: the first decision (Seq 0, taken before any thread
+// runs), or the pick after a thread returns, when the controller retires
+// it.
+type driverPanicker struct {
+	sched.Scheduler
+	atRetire bool
+}
+
+func (s *driverPanicker) Next(c sched.Choice) sched.ThreadID {
+	if s.atRetire && strings.Contains(string(debug.Stack()), "(*Controller).retire") || !s.atRetire && c.Seq == 0 {
+		panic("planted driver panic")
+	}
+	return s.Scheduler.Next(c)
+}
+
+// tracingDriverPanicker keeps a wrapped DPOR recorder's event trace.
+type tracingDriverPanicker struct {
+	*driverPanicker
+	events *monitor.EventTrace
+}
+
+func (s tracingDriverPanicker) EventTrace() *monitor.EventTrace { return s.events }
+
+// TestDriverPanicEndsRun: a panic raised on the driver side of a run
+// (the scheduler's pick at the first decision or after a thread
+// returns) ends that run as an internal error quarantined at
+// sched.drive, not the caller: every thread unwinds, no goroutine
+// leaks, and the session's next run is clean. Exploration counts such
+// runs as quarantined, at random and DFS.
+func TestDriverPanicEndsRun(t *testing.T) {
+	leakcheck.Check(t)
+	prog := parser.MustParse("panic.mh", regionSrc)
+	for _, tc := range []struct {
+		name     string
+		atRetire bool
+	}{
+		{"first-decision", false},
+		{"after-return", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess := interp.NewSession(prog, interp.Options{Procs: 2, Threads: 2})
+			for _, inner := range []sched.Scheduler{sched.NewRoundRobin(), sched.NewRandom(7)} {
+				res := sess.Run(&driverPanicker{Scheduler: inner, atRetire: tc.atRetire})
+				if got := res.Outcome(); got != interp.OutcomeInternalError {
+					t.Fatalf("run with a panicking driver classified %s (err %v), want %s", got, res.Err, interp.OutcomeInternalError)
+				}
+				var qe *interp.QuarantineError
+				if !errors.As(res.Err, &qe) || qe.Op != "sched.drive" || qe.Value != "planted driver panic" {
+					t.Fatalf("error %v is not the panic quarantined at sched.drive", res.Err)
+				}
+				if res := sess.Run(nil); res.Err != nil {
+					t.Fatalf("the run after the panic failed: %v", res.Err)
+				}
+			}
+
+			wrap := func(s sched.Scheduler) sched.Scheduler {
+				p := &driverPanicker{Scheduler: s, atRetire: tc.atRetire}
+				if ts, ok := s.(sched.TraceSource); ok {
+					return tracingDriverPanicker{p, ts.EventTrace()}
+				}
+				return p
+			}
+			for _, strategy := range []explore.Strategy{explore.StrategyRandom, explore.StrategyDFS} {
+				opts := explore.Options{Strategy: strategy, Schedules: 6, Seed: 5, Workers: 2}
+				reset := interp.SetTestScheduler(wrap)
+				rep := explore.ExploreSession(sess, opts)
+				reset()
+				if rep.Schedules == 0 || rep.Quarantined != rep.Schedules {
+					t.Fatalf("%s: every schedule panics on the driver, yet:\n%s", strategy, rep)
+				}
+				if v := rep.Verdict(interp.OutcomeInternalError); !strings.Contains(v.Sample, "panic quarantined at sched.drive: planted driver panic") {
+					t.Fatalf("%s: verdict sample %q does not name the driver boundary", strategy, v.Sample)
+				}
+				clean := explore.ExploreSession(sess, opts)
 				if len(clean.Verdicts) != 1 || clean.Verdicts[0].Outcome != interp.OutcomeClean {
 					t.Fatalf("%s: exploration after the panics is not clean:\n%s", strategy, clean)
 				}

@@ -9,7 +9,6 @@
 package leakcheck
 
 import (
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -106,29 +105,3 @@ func Check(t testing.TB) {
 		}
 	})
 }
-
-// CheckMain is Check for TestMain-style use: returns an error instead of
-// failing a testing.TB, for scripts and soak drivers.
-func CheckMain(before map[string]string) error {
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		var leaked []string
-		after := interestingGoroutines()
-		for id, g := range after {
-			if _, ok := before[id]; !ok {
-				leaked = append(leaked, g)
-			}
-		}
-		if len(leaked) == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("leakcheck: %d goroutine(s) leaked:\n%s",
-				len(leaked), strings.Join(leaked, "\n\n"))
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// Snapshot captures the current goroutine set for a later CheckMain.
-func Snapshot() map[string]string { return interestingGoroutines() }

@@ -89,18 +89,13 @@ func New(ctl *sched.Controller, defaultThreads int, policy Policy) *Runtime {
 	}
 }
 
-// Reset rebinds a runtime to a fresh run — its controller, default team
-// size and policy, counters and critical-section table cleared — so a
-// schedule-exploration session can reuse one runtime per rank across
-// thousands of runs instead of reallocating it. Only safe once the
-// previous run has ended (its World.Run returned).
-func (rt *Runtime) Reset(ctl *sched.Controller, defaultThreads int, policy Policy) {
-	if defaultThreads < 1 {
-		defaultThreads = 1
-	}
-	rt.ctl = ctl
-	rt.defaultThreads = defaultThreads
-	rt.policy = policy
+// Reset clears the runtime for a fresh run: its counters and
+// critical-section table, and the previous run's initial team, which
+// goes back to the free lists. Its controller, default team size and
+// policy stay for the runtime's life, so a session's run environment
+// keeps one runtime per rank across thousands of runs. Only safe once
+// the previous run has ended (its World.Run returned).
+func (rt *Runtime) Reset() {
 	rt.nextThreadID = 0
 	rt.nextTeamID = 0
 	clear(rt.crit)

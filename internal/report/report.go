@@ -17,7 +17,6 @@ import (
 
 	"parcoach"
 	"parcoach/internal/core"
-	"parcoach/internal/interp"
 	"parcoach/internal/mpi"
 	"parcoach/internal/omp"
 	"parcoach/internal/sched"
@@ -378,6 +377,3 @@ func Run(w workload.Workload, procs, threads int) (string, error) {
 		res.Stats.Steps, res.Stats.CCChecks+res.Stats.PhaseChecks, res.Err)
 	return b.String(), nil
 }
-
-// Interp re-exports the interpreter option type for callers that need it.
-type Interp = interp.Options

@@ -276,6 +276,38 @@ func TestAnalyzerContributesToReport(t *testing.T) {
 	}
 }
 
+// TestDeadlockReportPanicEndsRun: a panic while the driver builds the
+// deadlock report, in an analyzer or in a wait's detail, aborts the run
+// with a QuarantineError at sched.drive, and every parked wait ends with
+// that cause.
+func TestDeadlockReportPanicEndsRun(t *testing.T) {
+	boom := func() string { panic("planted report panic") }
+	for name, arm := range map[string]func(c *Controller) (detail func() string){
+		"analyzer": func(c *Controller) func() string {
+			c.AddAnalyzer(func() []string { return []string{boom()} })
+			return func() string { return "rank 0 waiting" }
+		},
+		"detail": func(*Controller) func() string { return boom },
+	} {
+		c := NewController(nil)
+		detail := arm(c)
+		var errs [2]error
+		for i := range errs {
+			c.Go(func() { errs[i] = c.Wait("MPI collective", detail) })
+		}
+		c.Drive()
+		var qe *monitor.QuarantineError
+		if !errors.As(c.Err(), &qe) || qe.Op != "sched.drive" || qe.Value != "planted report panic" {
+			t.Errorf("%s: run ended with %v, want the panic quarantined at sched.drive", name, c.Err())
+		}
+		for i, err := range errs {
+			if err != c.Err() {
+				t.Errorf("%s: wait %d ended with %v, want the run's cause", name, i, err)
+			}
+		}
+	}
+}
+
 // highestFirst picks the highest enabled id: under it threads park in
 // the reverse of round-robin's order.
 type highestFirst struct{}

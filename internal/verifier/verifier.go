@@ -9,16 +9,17 @@
 //     announces the id of its next operation; the round completes only if
 //     all ids agree, otherwise the run aborts with the per-rank ids —
 //     before the real collective can deadlock.
-//   - PhaseCount implements the dynamic validation of the paper's sets S
-//     and Scc: collective executions are counted per (process, team,
-//     barrier phase); two executions by different threads in the same
-//     phase are unordered and abort the run (multithreaded execution of
-//     one collective node, or concurrent monothreaded regions). Runs that
-//     stay single-threaded — team of one, tid-guarded calls, master-only
-//     sequences — pass, clearing the static phase-1/2 false positives.
-//   - MonoCheck records the actual team size at a flagged parallel entry
-//     (set Sipw) to enrich error messages.
-//   - ConcEnter/ConcExit attribute executions to the Scc source regions.
+//   - PhaseCount implements the dynamic validation of the paper's sets
+//     S, Sipw and Scc: collective executions are counted per (process,
+//     team, barrier phase); two executions by different threads in the
+//     same phase are unordered and abort the run (multithreaded execution
+//     of one collective node, or concurrent monothreaded regions). Runs
+//     that stay single-threaded — team of one, tid-guarded calls,
+//     master-only sequences — pass, clearing the static phase-1/2 false
+//     positives. The team-size probes at Sipw parallel entries and the
+//     brackets around Scc regions (ast.InstrMonoCheck, ast.InstrConcNote)
+//     check nothing themselves: the phase counts of the collectives they
+//     guard do.
 package verifier
 
 import (
@@ -90,13 +91,6 @@ type Verifier struct {
 	// current barrier phase. A team's entry goes when the team ends.
 	phases map[teamKey]*teamPhase
 
-	// Region attribution per thread (Scc bracketing); key is (proc,
-	// thread id), present only while the thread is inside an Scc region.
-	regions map[threadKey][]int
-
-	// MonoCheck recordings: region id -> last observed team size.
-	teamSizes map[int]int
-
 	// Stats.
 	ccChecks    int
 	phaseChecks int
@@ -125,17 +119,11 @@ type teamPhase struct {
 }
 
 type phaseEntry struct {
-	thread   int64
-	tid      int
-	nodeID   int
-	kind     string
-	pos      source.Pos
-	regionID int // innermost Scc region at execution time, or -1
-}
-
-type threadKey struct {
-	proc   int
 	thread int64
+	tid    int
+	nodeID int
+	kind   string
+	pos    source.Pos
 }
 
 // New creates a verifier for a world of nprocs processes whose runs
@@ -146,8 +134,6 @@ func New(ctl *sched.Controller, nprocs int) *Verifier {
 		nprocs:    nprocs,
 		ccArrived: make(map[int]*ccEntry),
 		phases:    make(map[teamKey]*teamPhase),
-		regions:   make(map[threadKey][]int),
-		teamSizes: make(map[int]int),
 	}
 	ctl.AddAnalyzer(v.describeState)
 	return v
@@ -161,8 +147,6 @@ func (v *Verifier) Reset() {
 	clear(v.ccArrived)
 	v.ccRound = 0
 	clear(v.phases)
-	clear(v.regions)
-	clear(v.teamSizes)
 	v.ccChecks = 0
 	v.phaseChecks = 0
 	v.valueChecks = 0
@@ -294,11 +278,7 @@ func (v *Verifier) PhaseCount(p *mpi.Proc, th *omp.Thread, nodeID int, kind stri
 		tp.phase = phase
 		tp.entries = tp.entries[:0]
 	}
-	regionID := -1
-	if stack := v.regions[threadKey{proc: p.Rank(), thread: th.ID()}]; len(stack) > 0 {
-		regionID = stack[len(stack)-1]
-	}
-	entry := phaseEntry{thread: th.ID(), tid: th.TID(), nodeID: nodeID, kind: kind, pos: pos, regionID: regionID}
+	entry := phaseEntry{thread: th.ID(), tid: th.TID(), nodeID: nodeID, kind: kind, pos: pos}
 	for _, prev := range tp.entries {
 		if prev.thread == entry.thread {
 			continue // same thread: ordered by program order
@@ -327,36 +307,4 @@ func (v *Verifier) PhaseCount(p *mpi.Proc, th *omp.Thread, nodeID int, kind stri
 // are never reused within a run.
 func (v *Verifier) EndTeam(p *mpi.Proc, team int64) {
 	delete(v.phases, teamKey{proc: p.Rank(), team: team})
-}
-
-// MonoCheck records the observed team size of a flagged parallel region
-// (the paper's Sipw dynamic check).
-func (v *Verifier) MonoCheck(th *omp.Thread, regionID int) {
-	v.teamSizes[regionID] = th.Team().Size()
-}
-
-// TeamSize returns the recorded team size of a region, or 0.
-func (v *Verifier) TeamSize(regionID int) int {
-	return v.teamSizes[regionID]
-}
-
-// ConcEnter pushes an Scc region onto the thread's attribution stack.
-func (v *Verifier) ConcEnter(p *mpi.Proc, th *omp.Thread, regionID int) {
-	tk := threadKey{proc: p.Rank(), thread: th.ID()}
-	v.regions[tk] = append(v.regions[tk], regionID)
-}
-
-// ConcExit pops the thread's attribution stack, and drops the thread's
-// key once the stack is empty.
-func (v *Verifier) ConcExit(p *mpi.Proc, th *omp.Thread, regionID int) {
-	tk := threadKey{proc: p.Rank(), thread: th.ID()}
-	stack := v.regions[tk]
-	if len(stack) == 0 || stack[len(stack)-1] != regionID {
-		return
-	}
-	if len(stack) == 1 {
-		delete(v.regions, tk)
-	} else {
-		v.regions[tk] = stack[:len(stack)-1]
-	}
 }

@@ -225,46 +225,6 @@ func TestEndTeamDropsPhaseCounts(t *testing.T) {
 	}
 }
 
-func TestMonoCheckRecordsTeamSize(t *testing.T) {
-	w, v, rt := phaseEnv(t)
-	err := w.Run(func(p *mpi.Proc) error {
-		return rt.Parallel(rt.InitialThread(), 2, func(th *omp.Thread) error {
-			v.MonoCheck(th, 42)
-			return nil
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.TeamSize(42) != 2 {
-		t.Errorf("TeamSize(42) = %d, want 2", v.TeamSize(42))
-	}
-	if v.TeamSize(99) != 0 {
-		t.Error("unknown region must report 0")
-	}
-}
-
-func TestConcNotesTrackRegions(t *testing.T) {
-	w, v, rt := phaseEnv(t)
-	err := w.Run(func(p *mpi.Proc) error {
-		th := rt.InitialThread()
-		v.ConcEnter(p, th, 5)
-		if err := v.PhaseCount(p, th, 30, "MPI_Bcast", pos(9)); err != nil {
-			return err
-		}
-		v.ConcExit(p, th, 5)
-		// Mismatched exit is ignored, not a crash.
-		v.ConcExit(p, th, 99)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.regions) != 0 {
-		t.Errorf("a thread outside every Scc region kept its key: %v", v.regions)
-	}
-}
-
 func TestErrorRendering(t *testing.T) {
 	e := &Error{Kind: ErrConcurrentCollectives, Msg: "boom", Pos: pos(3)}
 	s := e.Error()
