@@ -199,10 +199,9 @@ type thctx struct {
 	// controller records an event trace.
 	trace bool
 	// regionTag is the global instance number of the enclosing parallel
-	// region (0 at top level) and barSeq counts this thread's barrier
-	// phases within it; together they key barrier arrival slots.
+	// region (0 at top level); with the team's barrier phase it keys
+	// barrier arrival slots.
 	regionTag uint64
-	barSeq    uint64
 	// forked is the id of the team this thread's latest parallel
 	// region forked, set by the team's master.
 	forked int64
@@ -239,16 +238,16 @@ func (c *thctx) execCC(op string, at source.Pos, once bool) error {
 	if once && c.th.Team().Size() > 1 && !c.th.Master() {
 		return nil
 	}
-	var ccK uint64
+	var k uint64
 	if c.trace {
-		ccK = c.tagCCEntry()
+		c.tagVerifier()
+		k = c.tagRoundEntry(objCCHB, c.r.tr.ccSeq)
 	}
-	err := c.r.ver.CC(c.p, op, at)
-	if err != nil {
+	if err := c.r.ver.CC(c.p, op, at); err != nil {
 		return err
 	}
 	if c.trace {
-		c.tagCCDone(ccK)
+		c.tagRoundDone(objCCHB, k)
 	}
 	return nil
 }

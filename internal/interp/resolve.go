@@ -1213,7 +1213,7 @@ func (b *builder) mpi(s *ast.MPIStmt) func(*thctx, *frame) error {
 		}
 		var collK uint64
 		if c.trace {
-			collK = c.tagCollEntry()
+			collK = c.tagRoundEntry(objCollHB, c.r.tr.collSeq)
 		}
 		c.r.collectives++
 		// The matcher copies the vector at the call, and the value oracle
@@ -1225,7 +1225,7 @@ func (b *builder) mpi(s *ast.MPIStmt) func(*thctx, *frame) error {
 		if c.trace {
 			// The completed rendezvous ordered this thread behind every
 			// rank's arrival of round collK.
-			c.tagCollDone(collK)
+			c.tagRoundDone(objCollHB, collK)
 		}
 		if rootOnly && c.p.Rank() != root {
 			return nil

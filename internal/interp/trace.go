@@ -24,6 +24,8 @@
 //     by the matching round, so post-wait steps are ordered behind the
 //     steps that caused the wake without manufacturing reversible races
 //     (those orders are enforced by enabledness, not by scheduling luck).
+//     Collective rounds and CC agreements share tagRoundEntry and
+//     tagRoundDone, keyed by each rank's count of its calls of the kind.
 //   - Schedule-sensitive elections tag writes on their decision slot:
 //     single-construct first-arrival winners, critical-section
 //     acquisition order, dynamic-for chunk claiming.
@@ -63,7 +65,8 @@ type traceRT struct {
 	// collSeq[rank] counts the rank's collective calls: legal runs enter
 	// collectives in lockstep rounds, so each rank's k-th call is round k.
 	collSeq []uint64
-	// ccSeq[rank] counts CC agreements the same way.
+	// ccSeq[rank] counts CC agreements the same way, a finalized rank's
+	// skipped check included, so the verifier's round cannot key them.
 	ccSeq []uint64
 	// chanSeq counts sends and recvs per (src,dst,tag) endpoint; the
 	// queues are FIFO on both sides, so the k-th recv matches the k-th
@@ -89,27 +92,11 @@ func newTraceRT(procs int) *traceRT {
 }
 
 func (tr *traceRT) reset() {
-	for i := range tr.collSeq {
-		tr.collSeq[i] = 0
-	}
-	for i := range tr.ccSeq {
-		tr.ccSeq[i] = 0
-	}
+	clear(tr.collSeq)
+	clear(tr.ccSeq)
 	clear(tr.chanSeq)
 	tr.regionSeq = 0
 	tr.allocSeq = 0
-}
-
-func (tr *traceRT) nextColl(rank int) uint64 {
-	k := tr.collSeq[rank]
-	tr.collSeq[rank]++
-	return k
-}
-
-func (tr *traceRT) nextCC(rank int) uint64 {
-	k := tr.ccSeq[rank]
-	tr.ccSeq[rank]++
-	return k
 }
 
 func (tr *traceRT) nextChan(endpoint monitor.Obj) uint64 {
@@ -170,19 +157,22 @@ func (c *thctx) tagMPIEntry() {
 	c.tagWrite(monitor.ObjID(objMPI, uint64(c.p.Rank()), 0))
 }
 
-// tagCollEntry releases this rank's slot of the collective round about
-// to be joined and returns the round index for the post-return acquire.
-func (c *thctx) tagCollEntry() uint64 {
-	k := c.r.tr.nextColl(c.p.Rank())
-	c.tagRel(monitor.ObjID(objCollHB, uint64(c.p.Rank()), k))
+// tagRoundEntry releases this rank's slot of its next round of a
+// collective (objCollHB, collSeq) or CC agreement (objCCHB, ccSeq) and
+// returns the round index for the post-return acquire.
+func (c *thctx) tagRoundEntry(kind uint64, seq []uint64) uint64 {
+	rank := c.p.Rank()
+	k := seq[rank]
+	seq[rank]++
+	c.tagRel(monitor.ObjID(kind, uint64(rank), k))
 	return k
 }
 
-// tagCollDone acquires every rank's slot of round k: the completed
+// tagRoundDone acquires every rank's slot of round k: the completed
 // rendezvous ordered this thread behind all contributing arrivals.
-func (c *thctx) tagCollDone(k uint64) {
+func (c *thctx) tagRoundDone(kind, k uint64) {
 	for r := 0; r < c.p.Size(); r++ {
-		c.tagAcq(monitor.ObjID(objCollHB, uint64(r), k))
+		c.tagAcq(monitor.ObjID(kind, uint64(r), k))
 	}
 }
 
@@ -213,20 +203,6 @@ func (c *thctx) tagRecvDone(sendEP monitor.Obj, k uint64) {
 	c.tagAcq(monitor.ObjID(objChanHB, uint64(sendEP), k))
 }
 
-// tagCCEntry/tagCCDone bracket a CC agreement like a collective round.
-func (c *thctx) tagCCEntry() uint64 {
-	c.tagWrite(monitor.ObjID(objVer, uint64(c.p.Rank()), 0))
-	k := c.r.tr.nextCC(c.p.Rank())
-	c.tagRel(monitor.ObjID(objCCHB, uint64(c.p.Rank()), k))
-	return k
-}
-
-func (c *thctx) tagCCDone(k uint64) {
-	for r := 0; r < c.p.Size(); r++ {
-		c.tagAcq(monitor.ObjID(objCCHB, uint64(r), k))
-	}
-}
-
 // barSlot keys one thread's arrival slot of one team barrier phase.
 func (c *thctx) barSlot(tid int, phase uint64) monitor.Obj {
 	a := uint64(c.p.Rank())<<20 | uint64(tid)
@@ -237,18 +213,17 @@ func (c *thctx) barSlot(tid int, phase uint64) monitor.Obj {
 // arrival releases its own slot, each resume acquires every slot, so
 // pre-barrier steps of all members happen-before post-barrier steps of
 // all members — with no reversible conflicts among the (commuting)
-// arrivals themselves.
+// arrivals themselves. The team's phase at entry keys the slots.
 func (c *thctx) barrier() error {
+	phase := uint64(c.th.Team().Phase())
 	if c.trace {
-		c.tagRel(c.barSlot(c.th.TID(), c.barSeq))
+		c.tagRel(c.barSlot(c.th.TID(), phase))
 	}
 	err := c.th.Barrier()
 	if err == nil && c.trace {
-		n := c.th.Team().Size()
-		for tid := 0; tid < n; tid++ {
-			c.tagAcq(c.barSlot(tid, c.barSeq))
+		for tid := range c.th.Team().Size() {
+			c.tagAcq(c.barSlot(tid, phase))
 		}
-		c.barSeq++
 	}
 	return err
 }
@@ -273,7 +248,8 @@ func (c *thctx) critHObj(name string) monitor.Obj {
 }
 
 // tagVerifier marks a same-rank-ordered verifier interaction
-// (PhaseCount: entries of one phase conflict across threads).
+// (PhaseCount: entries of one phase conflict across threads; CC: a
+// rank's announcements conflict across its threads).
 func (c *thctx) tagVerifier() {
 	c.tagWrite(monitor.ObjID(objVer, uint64(c.p.Rank()), 0))
 }

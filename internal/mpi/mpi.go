@@ -10,14 +10,15 @@
 // calls from one process, or the deadlock report of the world's
 // scheduling controller (internal/sched), the blocking kernel every wait
 // of the run parks in, when some ranks exit while others wait. The
-// validator (internal/verifier) is expected to abort *earlier* with a
-// better message; these runtime errors are the ground truth the test
-// suite and the detection-matrix experiment compare against.
+// collectives are one sched.Round over the ranks, whose last arrival
+// computes the results into each call's CollCall record. The validator
+// (internal/verifier) is expected to abort *earlier* with a better
+// message; these runtime errors are the ground truth the test suite and
+// the detection-matrix experiment compare against.
 package mpi
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"parcoach/internal/sched"
@@ -82,7 +83,7 @@ func ParseRedOp(name string) (RedOp, error) {
 
 // Valid reports whether r is one of the defined reduction operators.
 // Collective entry validates with this instead of letting an out-of-range
-// op reach apply.
+// op reach Apply.
 func (r RedOp) Valid() bool { return r >= RedSum && r <= RedProd }
 
 // Apply folds b into a under the operator. Out-of-range operators panic:
@@ -107,8 +108,6 @@ func (r RedOp) Apply(a, b int64) int64 {
 	}
 	panic(fmt.Sprintf("mpi: RedOp(%d).Apply on unvalidated op", int(r)))
 }
-
-func (r RedOp) apply(a, b int64) int64 { return r.Apply(a, b) }
 
 func (r RedOp) String() string {
 	switch r {
@@ -174,28 +173,31 @@ type World struct {
 	ctl   *sched.Controller
 	procs []*Proc
 
-	// collective matcher state, touched only by the running thread:
-	// arrived holds each rank's call in the current round by rank (nil
-	// for a rank yet to arrive), and nArrived counts the calls.
-	arrived  []*pendingCall
-	nArrived int
-	round    int
+	// The collective matcher, touched only by the running thread: coll
+	// is the round of the ranks' calls, calls holds each rank's call in
+	// it, by rank (valid where Arrived), and free recycles the records of
+	// returned calls.
+	coll  *sched.Round
+	calls []*CollCall
+	free  []*CollCall
 
 	// observer, if set, sees every completed collective round (all
 	// contributions plus computed results) before the waiters wake; a
 	// non-nil error aborts the run. Installed once (SetRoundObserver) and
 	// deliberately NOT cleared by Reset, like the controller's analyzers.
-	observer func(round int, calls []CollCall) error
+	observer func(round int, calls []*CollCall) error
 
 	// point-to-point state, touched only by the running thread
-	sends map[p2pKey][]*pendingSend
-	recvs map[p2pKey][]*pendingRecv
+	sends map[p2pKey][]*pending
+	recvs map[p2pKey][]*pending
 }
 
-// CollCall is an observer's read-only view of one rank's contribution to
-// a completed collective round: the call's arguments, the source vector
-// snapshot taken at call time, the live source buffer it was taken from
-// (nil for value-only collectives), and the computed results.
+// CollCall is one rank's call in a collective round: the call's
+// arguments, the source vector snapshot taken at call time, the live
+// source buffer it was taken from (nil for value-only collectives), and
+// the results the round's last arrival computes. The caller owns it
+// until it has read its results, so no later call of its rank, from any
+// thread, can touch them.
 type CollCall struct {
 	Rank   int
 	Op     Op
@@ -214,9 +216,11 @@ type CollCall struct {
 // verifier's value oracle). The hook runs on the round's last arriving
 // thread after the round's results are computed but before any
 // participant resumes; returning an error aborts the run with it. The
+// calls come in rank order, are read-only, and are valid only during
+// the call: their records recycle once their callers return. The
 // observer survives Reset so pooled worlds stay instrumented across
 // schedule-exploration runs. Install it between runs.
-func (w *World) SetRoundObserver(fn func(round int, calls []CollCall) error) { w.observer = fn }
+func (w *World) SetRoundObserver(fn func(round int, calls []*CollCall) error) { w.observer = fn }
 
 // NewWorld creates a world with its own scheduling controller, which
 // serializes its runs under the default schedule until Reset names
@@ -226,15 +230,21 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, fmt.Errorf("mpi: world needs at least 1 process, got %d", cfg.Procs)
 	}
 	w := &World{
-		cfg:     cfg,
-		ctl:     sched.NewController(nil),
-		arrived: make([]*pendingCall, cfg.Procs),
-		sends:   make(map[p2pKey][]*pendingSend),
-		recvs:   make(map[p2pKey][]*pendingRecv),
+		cfg:   cfg,
+		ctl:   sched.NewController(nil),
+		calls: make([]*CollCall, cfg.Procs),
+		sends: make(map[p2pKey][]*pending),
+		recvs: make(map[p2pKey][]*pending),
 	}
 	for r := 0; r < cfg.Procs; r++ {
 		w.procs = append(w.procs, &Proc{world: w, rank: r})
 	}
+	// A parked rank's open call is always call number Seq()+1: every
+	// rank joins each round once.
+	w.coll = sched.NewRound(w.ctl, cfg.Procs, "MPI collective", func(r int) string {
+		c := w.calls[r]
+		return fmt.Sprintf("rank %d: %s (call #%d)%s", r, c.Op, w.coll.Seq()+1, locSuffix(c.Loc))
+	})
 	w.ctl.AddAnalyzer(w.describeState)
 	return w, nil
 }
@@ -253,29 +263,18 @@ func (w *World) Controller() *sched.Controller { return w.ctl }
 // run can still interrupt it.
 func (w *World) Reset(s sched.Scheduler) {
 	w.ctl.Reset(s)
-	clear(w.arrived)
-	w.nArrived = 0
+	w.coll.Reset(w.cfg.Procs)
+	clear(w.calls)
 	clear(w.sends)
 	clear(w.recvs)
-	w.round = 0
 	for _, p := range w.procs {
 		p.initialized = false
 		p.finalized = false
 		p.exited = false
 		p.inMPI = 0
 		p.mainThread = 0
-		p.callSeq = 0
 	}
 }
-
-// Size returns the number of processes.
-func (w *World) Size() int { return w.cfg.Procs }
-
-// Level returns the configured thread level.
-func (w *World) Level() ThreadLevel { return w.cfg.Level }
-
-// Proc returns the process with the given rank.
-func (w *World) Proc(rank int) *Proc { return w.procs[rank] }
 
 // Run executes body once per rank, each on its own thread of the
 // world's scheduling controller, and returns the first error (abort,
@@ -307,15 +306,7 @@ func (w *World) describeState() []string {
 			lines = append(lines, fmt.Sprintf("rank %d: exited without MPI_Finalize", p.rank))
 		}
 	}
-	if w.nArrived > 0 {
-		var parts []string
-		for r, pc := range w.arrived {
-			if pc != nil {
-				parts = append(parts, fmt.Sprintf("rank %d in %s", r, pc.op))
-			}
-		}
-		sort.Strings(parts)
-		lines = append(lines, "collective round "+fmt.Sprint(w.round)+": "+strings.Join(parts, ", "))
-	}
-	return lines
+	return append(lines, w.coll.Pending("collective", func(r int) string {
+		return fmt.Sprintf("rank %d in %s", r, w.calls[r].Op)
+	})...)
 }

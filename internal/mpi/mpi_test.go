@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"parcoach/internal/monitor"
+	"parcoach/internal/sched"
 )
 
 // newWorld returns a world whose next Run is serialized under the
@@ -390,6 +391,68 @@ func TestConcurrentCollectiveCallsSameRank(t *testing.T) {
 	}
 }
 
+// avoidFirst takes thread 0 at the first decision and afterwards any
+// other enabled thread before it.
+type avoidFirst struct{}
+
+func (avoidFirst) Next(c sched.Choice) sched.ThreadID {
+	if c.Seq > 0 {
+		for _, id := range c.Enabled {
+			if id != 0 {
+				return id
+			}
+		}
+	}
+	return c.Enabled[0]
+}
+
+// TestOverlappingRoundsKeepResults: rank 0's main thread (thread 0)
+// waits in round 0, rank 1's call completes that round and opens round
+// 1, and rank 0's second thread (thread 2) joins and completes round 1
+// before the woken main thread runs again. Each thread must still get
+// its own round's result: a rank's result cannot live in a per-rank
+// slot that the next round reuses.
+func TestOverlappingRoundsKeepResults(t *testing.T) {
+	w := newWorld(t, 2, ThreadMultiple)
+	w.Reset(avoidFirst{})
+	var main0, second0 int64
+	var results1 []int64
+	err := w.Run(func(p *Proc) error {
+		if err := p.Init(1); err != nil {
+			return err
+		}
+		if p.Rank() == 1 {
+			for _, v := range []int64{10, 1000} {
+				out, _, err := p.Collective(1, OpAllreduce, RedSum, 0, v, nil, "")
+				if err != nil {
+					return err
+				}
+				results1 = append(results1, out)
+			}
+			return nil
+		}
+		w.Controller().Go(func() {
+			out, _, err := p.Collective(2, OpAllreduce, RedSum, 0, 100, nil, "")
+			if err != nil {
+				t.Errorf("second thread: %v", err)
+			}
+			second0 = out
+		})
+		out, _, err := p.Collective(1, OpAllreduce, RedSum, 0, 1, nil, "")
+		main0 = out
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if main0 != 11 || second0 != 1100 {
+		t.Errorf("rank 0: main thread got %d, want 11; second thread got %d, want 1100", main0, second0)
+	}
+	if len(results1) != 2 || results1[0] != 11 || results1[1] != 1100 {
+		t.Errorf("rank 1 got %v, want [11 1100]", results1)
+	}
+}
+
 func TestInvalidRootAborts(t *testing.T) {
 	err := runAll(t, 2, func(p *Proc) error {
 		_, _, err := p.Collective(1, OpBcast, RedSum, 5, 0, nil, "")
@@ -431,8 +494,14 @@ func TestRoundObserverSeesCallsAndResults(t *testing.T) {
 		calls []CollCall
 	}
 	var rounds []seen
-	w.SetRoundObserver(func(round int, calls []CollCall) error {
-		rounds = append(rounds, seen{round, calls})
+	w.SetRoundObserver(func(round int, calls []*CollCall) error {
+		// The records are recycled once their callers return: keep
+		// copies.
+		cp := make([]CollCall, len(calls))
+		for i, c := range calls {
+			cp[i] = *c
+		}
+		rounds = append(rounds, seen{round, cp})
 		return nil
 	})
 	err := w.Run(func(p *Proc) error {
@@ -466,7 +535,7 @@ func TestRoundObserverSeesCallsAndResults(t *testing.T) {
 func TestRoundObserverErrorAbortsWorld(t *testing.T) {
 	w := newWorld(t, 2, ThreadMultiple)
 	boom := errors.New("oracle says no")
-	w.SetRoundObserver(func(round int, calls []CollCall) error {
+	w.SetRoundObserver(func(round int, calls []*CollCall) error {
 		if len(calls) > 0 && calls[0].Op == OpAllreduce {
 			return boom
 		}
@@ -487,7 +556,7 @@ func TestRoundObserverErrorAbortsWorld(t *testing.T) {
 func TestRoundObserverSurvivesReset(t *testing.T) {
 	w := newWorld(t, 2, ThreadMultiple)
 	var fired int
-	w.SetRoundObserver(func(round int, calls []CollCall) error {
+	w.SetRoundObserver(func(round int, calls []*CollCall) error {
 		fired++
 		return nil
 	})

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"strings"
 
 	"parcoach/internal/sched"
 )
@@ -22,7 +23,6 @@ type Proc struct {
 	// enforcement); mainThread remembers which thread called MPI_Init.
 	inMPI      int
 	mainThread int64
-	callSeq    int
 }
 
 // Rank returns the process rank in the world.
@@ -30,9 +30,6 @@ func (p *Proc) Rank() int { return p.rank }
 
 // Size returns the world size.
 func (p *Proc) Size() int { return p.world.cfg.Procs }
-
-// World returns the owning world.
-func (p *Proc) World() *World { return p.world }
 
 // Finalized reports whether MPI_Finalize was called (used by the verifier
 // to skip end-of-function checks after finalization).
@@ -66,7 +63,7 @@ func (e *MismatchError) Error() string {
 			parts = append(parts, fmt.Sprintf("rank %d: %s", r, c))
 		}
 	}
-	return fmt.Sprintf("collective mismatch in round %d: %s", e.Round, joinComma(parts))
+	return fmt.Sprintf("collective mismatch in round %d: %s", e.Round, strings.Join(parts, ", "))
 }
 
 // ConcurrentCallError reports two threads of one process inside
@@ -80,17 +77,6 @@ type ConcurrentCallError struct {
 func (e *ConcurrentCallError) Error() string {
 	return fmt.Sprintf("rank %d issued concurrent collective calls (%s and %s) on the same communicator",
 		e.Rank, e.OpA, e.OpB)
-}
-
-func joinComma(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ", "
-		}
-		out += p
-	}
-	return out
 }
 
 // Init records MPI_Init; threadID identifies the calling thread for
@@ -137,26 +123,6 @@ func (p *Proc) checkCall(threadID int64, what string) error {
 	return nil
 }
 
-// pendingCall is one rank's contribution to the current collective round.
-type pendingCall struct {
-	op     Op
-	red    RedOp
-	root   int
-	value  int64
-	vector []int64
-	// live is the caller's live source buffer the vector snapshot was
-	// taken from; the round observer re-reads it to detect torn reads.
-	live []int64
-	loc  string
-
-	// gate is the waiting rank's thread, nil for the round's last
-	// arrival, which never waits.
-	gate *sched.Gate
-	// result slots filled by the completing rank
-	outValue  int64
-	outVector []int64
-}
-
 // Collective performs op with this process's contribution and returns the
 // process's result. Value/vector use depends on the operation (see the
 // package comment of internal/interp for the mapping). loc is a source
@@ -189,52 +155,49 @@ func (p *Proc) CollectiveLive(threadID int64, op Op, red RedOp, root int, value 
 		ctl.Abort(err)
 		return 0, nil, err
 	}
-	if prev := w.arrived[p.rank]; prev != nil {
-		err := &ConcurrentCallError{Rank: p.rank, OpA: prev.op.String(), OpB: op.String()}
+	if w.coll.Arrived(p.rank) {
+		err := &ConcurrentCallError{Rank: p.rank, OpA: w.calls[p.rank].Op.String(), OpB: op.String()}
 		ctl.Abort(err)
 		return 0, nil, err
 	}
 	p.inMPI++
-	p.callSeq++
-	pc := &pendingCall{
-		op: op, red: red, root: root,
-		value: value, vector: append([]int64(nil), vector...),
-		live: live, loc: loc,
+	var c *CollCall
+	if n := len(w.free); n > 0 {
+		c, w.free = w.free[n-1], w.free[:n-1]
+	} else {
+		c = new(CollCall)
 	}
-	w.arrived[p.rank] = pc
-	w.nArrived++
-
-	if w.nArrived == w.cfg.Procs {
-		// Last arrival: validate, compute, let the observer audit the
-		// round, then release the waiters.
-		if err := w.validateRound(); err != nil {
-			p.inMPI--
-			ctl.Abort(err)
-			return 0, nil, err
-		}
-		w.computeRound()
-		if w.observer != nil {
-			if err := w.observer(w.round, w.observedRound()); err != nil {
-				p.inMPI--
-				ctl.Abort(err)
-				return 0, nil, err
+	*c = CollCall{
+		Rank: p.rank, Op: op, Red: red, Root: root,
+		Value: value, Vector: append(c.Vector[:0], vector...),
+		Live: live, Loc: loc,
+	}
+	w.calls[p.rank] = c
+	last, err := w.coll.Join(p.rank)
+	if last {
+		// Validate, compute, let the observer audit the round, then
+		// release the waiters.
+		if err = w.validateRound(); err == nil {
+			w.computeRound()
+			if w.observer != nil {
+				err = w.observer(w.coll.Seq(), w.calls)
 			}
 		}
-		w.finishRound()
-		p.inMPI--
-		return pc.outValue, pc.outVector, nil
+		if err != nil {
+			ctl.Abort(err)
+		} else {
+			w.coll.Release()
+		}
 	}
-
-	callSeq := p.callSeq
-	pc.gate = ctl.Running()
-	err := ctl.Wait("MPI collective", func() string {
-		return fmt.Sprintf("rank %d: %s (call #%d)%s", p.rank, op, callSeq, locSuffix(loc))
-	})
 	p.inMPI--
+	// Read the results, then recycle the record, pinning no buffer.
+	out, outVector := c.OutValue, c.OutVector
+	c.Live, c.OutVector = nil, nil
+	w.free = append(w.free, c)
 	if err != nil {
 		return 0, nil, err
 	}
-	return pc.outValue, pc.outVector, nil
+	return out, outVector, nil
 }
 
 func locSuffix(loc string) string {
@@ -250,29 +213,29 @@ func locSuffix(loc string) string {
 // wrong-root as its own verdict class instead of the matcher's generic
 // mismatch, while uninstrumented runs keep the ground-truth MismatchError.
 func (w *World) validateRound() error {
-	first := w.arrived[0]
+	first := w.calls[0]
 	agree := true
 	checkRoot := w.observer == nil
-	for _, pc := range w.arrived[1:] {
-		if pc.op != first.op || (checkRoot && pc.root != first.root) {
+	for _, c := range w.calls[1:] {
+		if c.Op != first.Op || (checkRoot && c.Root != first.Root) {
 			agree = false
 		}
 	}
 	if agree {
 		return nil
 	}
-	calls := make(map[int]string, len(w.arrived))
-	for r, pc := range w.arrived {
-		s := pc.op.String()
-		if pc.loc != "" {
-			s += " at " + pc.loc
+	calls := make(map[int]string, len(w.calls))
+	for r, c := range w.calls {
+		s := c.Op.String()
+		if c.Loc != "" {
+			s += " at " + c.Loc
 		}
-		if opHasRoot(pc.op) {
-			s += fmt.Sprintf(" (root %d)", pc.root)
+		if opHasRoot(c.Op) {
+			s += fmt.Sprintf(" (root %d)", c.Root)
 		}
 		calls[r] = s
 	}
-	return &MismatchError{Round: w.round, Calls: calls}
+	return &MismatchError{Round: w.coll.Seq(), Calls: calls}
 }
 
 func opHasRoot(op Op) bool {
@@ -283,112 +246,86 @@ func opHasRoot(op Op) bool {
 	return false
 }
 
-// computeRound computes every rank's result into the pending calls'
-// out slots; finishRound then wakes the waiters. The round
-// observer runs between the two, seeing contributions and results while
-// every participant is still parked.
+// computeRound computes every rank's result into its call record. The
+// round observer runs next, seeing contributions and results while
+// every other participant is still parked.
 func (w *World) computeRound() {
 	n := w.cfg.Procs
-	calls := w.arrived
-	op := calls[0].op
-	red := calls[0].red
-	root := calls[0].root
+	calls := w.calls
+	op := calls[0].Op
+	red := calls[0].Red
+	root := calls[0].Root
 
 	switch op {
 	case OpBarrier:
 		// synchronization only
 	case OpBcast:
-		v := calls[root].value
-		for _, pc := range calls {
-			pc.outValue = v
+		v := calls[root].Value
+		for _, c := range calls {
+			c.OutValue = v
 		}
 	case OpReduce:
-		acc := calls[0].value
+		acc := calls[0].Value
 		for r := 1; r < n; r++ {
-			acc = red.apply(acc, calls[r].value)
+			acc = red.Apply(acc, calls[r].Value)
 		}
-		for r, pc := range calls {
+		for r, c := range calls {
 			if r == root {
-				pc.outValue = acc
+				c.OutValue = acc
 			} else {
-				pc.outValue = pc.value
+				c.OutValue = c.Value
 			}
 		}
 	case OpAllreduce:
-		acc := calls[0].value
+		acc := calls[0].Value
 		for r := 1; r < n; r++ {
-			acc = red.apply(acc, calls[r].value)
+			acc = red.Apply(acc, calls[r].Value)
 		}
-		for _, pc := range calls {
-			pc.outValue = acc
+		for _, c := range calls {
+			c.OutValue = acc
 		}
 	case OpScan:
 		acc := int64(0)
-		for r, pc := range calls {
+		for r, c := range calls {
 			if r == 0 {
-				acc = pc.value
+				acc = c.Value
 			} else {
-				acc = red.apply(acc, pc.value)
+				acc = red.Apply(acc, c.Value)
 			}
-			pc.outValue = acc
+			c.OutValue = acc
 		}
 	case OpGather:
 		vec := make([]int64, n)
-		for r, pc := range calls {
-			vec[r] = pc.value
+		for r, c := range calls {
+			vec[r] = c.Value
 		}
-		calls[root].outVector = vec
+		calls[root].OutVector = vec
 	case OpAllgather:
 		vec := make([]int64, n)
-		for r, pc := range calls {
-			vec[r] = pc.value
+		for r, c := range calls {
+			vec[r] = c.Value
 		}
-		for _, pc := range calls {
-			pc.outVector = append([]int64(nil), vec...)
+		for _, c := range calls {
+			c.OutVector = append([]int64(nil), vec...)
 		}
 	case OpScatter:
-		src := calls[root].vector
-		for r, pc := range calls {
+		src := calls[root].Vector
+		for r, c := range calls {
 			if r < len(src) {
-				pc.outValue = src[r]
+				c.OutValue = src[r]
 			}
 		}
 	case OpAlltoall:
-		for r, pc := range calls {
+		for r, c := range calls {
 			out := make([]int64, n)
 			for s, other := range calls {
-				if r < len(other.vector) {
-					out[s] = other.vector[r]
+				if r < len(other.Vector) {
+					out[s] = other.Vector[r]
 				}
 			}
-			pc.outVector = out
+			c.OutVector = out
 		}
 	}
-}
-
-// observedRound snapshots the completed round for the observer.
-func (w *World) observedRound() []CollCall {
-	calls := make([]CollCall, 0, len(w.arrived))
-	for r, pc := range w.arrived {
-		calls = append(calls, CollCall{
-			Rank: r, Op: pc.op, Red: pc.red, Root: pc.root,
-			Value: pc.value, Vector: pc.vector, Live: pc.live, Loc: pc.loc,
-			OutValue: pc.outValue, OutVector: pc.outVector,
-		})
-	}
-	return calls
-}
-
-// finishRound wakes the round's waiters and rearms the matcher.
-func (w *World) finishRound() {
-	for _, pc := range w.arrived {
-		if pc.gate != nil {
-			w.ctl.Wake(pc.gate)
-		}
-	}
-	clear(w.arrived)
-	w.nArrived = 0
-	w.round++
 }
 
 //
@@ -399,14 +336,9 @@ type p2pKey struct {
 	src, dst, tag int
 }
 
-// pendingSend and pendingRecv are a blocked sender's message and a
-// blocked receiver's slot; gate is the blocked thread.
-type pendingSend struct {
-	value int64
-	gate  *sched.Gate
-}
-
-type pendingRecv struct {
+// pending is a blocked sender's message or a blocked receiver's slot;
+// gate is the blocked thread.
+type pending struct {
 	value int64
 	gate  *sched.Gate
 }
@@ -437,7 +369,7 @@ func (p *Proc) Send(threadID int64, value int64, dest, tag int, loc string) erro
 		return nil
 	}
 	p.inMPI++
-	w.sends[key] = append(w.sends[key], &pendingSend{value: value, gate: ctl.Running()})
+	w.sends[key] = append(w.sends[key], &pending{value: value, gate: ctl.Running()})
 	err := ctl.Wait("MPI send", func() string {
 		return fmt.Sprintf("rank %d: MPI_Send to %d tag %d%s", p.rank, dest, tag, locSuffix(loc))
 	})
@@ -470,7 +402,7 @@ func (p *Proc) Recv(threadID int64, src, tag int, loc string) (int64, error) {
 		return s.value, nil
 	}
 	p.inMPI++
-	pr := &pendingRecv{gate: ctl.Running()}
+	pr := &pending{gate: ctl.Running()}
 	w.recvs[key] = append(w.recvs[key], pr)
 	err := ctl.Wait("MPI recv", func() string {
 		return fmt.Sprintf("rank %d: MPI_Recv from %d tag %d%s", p.rank, src, tag, locSuffix(loc))

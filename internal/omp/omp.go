@@ -8,9 +8,11 @@
 // Every team barrier and critical section waits through the MPI world's
 // scheduling controller (internal/sched), the blocking kernel the whole
 // run shares, so a thread stuck on a team barrier while a sibling waits
-// in an MPI collective is detected as a deadlock with a full report, and
-// the team barrier phase counter gives the runtime verifier the exact
-// "barrier phase" notion the paper's dynamic checks count in.
+// in an MPI collective is detected as a deadlock with a full report. A
+// team barrier is one sched.Round over the team's members, the
+// rendezvous MPI collectives use too, and its sequence is the team's
+// barrier phase: the exact "barrier phase" notion the paper's dynamic
+// checks count in.
 package omp
 
 import (
@@ -115,11 +117,8 @@ type Team struct {
 	size  int
 	level int
 
-	// Barrier state: waiters holds the gates of the threads parked at
-	// the current barrier.
-	arrived int
-	phase   int
-	waiters []*sched.Gate
+	// barrier is the team barrier, a round over the members by tid.
+	barrier *sched.Round
 
 	// claimed tracks single elections under FirstArrival (lazily
 	// allocated on first use).
@@ -146,7 +145,7 @@ func (t *Team) Level() int { return t.level }
 // Phase returns the team's barrier phase: the number of completed team
 // barriers (implicit or explicit). The verifier counts collective
 // executions per phase.
-func (t *Team) Phase() int { return t.phase }
+func (t *Team) Phase() int { return t.barrier.Seq() }
 
 // encKey identifies the k-th encounter of a threading construct by a team.
 type encKey struct {
@@ -187,18 +186,17 @@ func (rt *Runtime) newTeam(size, level int) *Team {
 		rt.freeTeams = rt.freeTeams[:n-1]
 	} else {
 		t = &Team{}
+		t.barrier = sched.NewRound(rt.ctl, 0, "team barrier", func(tid int) string {
+			return fmt.Sprintf("team%d.t%d waiting at barrier (phase %d, %d/%d arrived)",
+				t.id, tid, t.barrier.Seq(), t.barrier.Count(), t.size)
+		})
 	}
 	rt.nextTeamID++
 	t.rt = rt
 	t.id = rt.nextTeamID
 	t.size = size
 	t.level = level
-	t.arrived = 0
-	t.phase = 0
-	for i := range t.waiters {
-		t.waiters[i] = nil
-	}
-	t.waiters = t.waiters[:0]
+	t.barrier.Reset(size)
 	if t.claimed != nil {
 		clear(t.claimed)
 	}
@@ -295,25 +293,14 @@ func (rt *Runtime) runMember(th *Thread, body func(*Thread) error) {
 // barrier phase. Returns the abort error if the run failed.
 func (th *Thread) Barrier() error {
 	t := th.team
-	ctl := t.rt.ctl
-	if err := ctl.Err(); err != nil {
+	if err := t.rt.ctl.Err(); err != nil {
 		return err
 	}
-	t.arrived++
-	if t.arrived == t.size {
-		t.arrived = 0
-		t.phase++
-		for i, g := range t.waiters {
-			ctl.Wake(g)
-			t.waiters[i] = nil
-		}
-		t.waiters = t.waiters[:0] // keep capacity for the next round
-		return nil
+	last, err := t.barrier.Join(th.tid)
+	if last {
+		t.barrier.Release()
 	}
-	t.waiters = append(t.waiters, ctl.Running())
-	return ctl.Wait("team barrier", func() string {
-		return fmt.Sprintf("%s waiting at barrier (phase %d, %d/%d arrived)", th, t.phase, t.arrived, t.size)
-	})
+	return err
 }
 
 // encounter advances this thread's per-construct encounter counter and

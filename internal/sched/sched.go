@@ -22,7 +22,10 @@
 // Every blocking operation of the simulated runtimes (collective round,
 // message rendezvous, team barrier, critical section, CC agreement) is
 // one Wait call, which parks the running thread's gate until a waker
-// that kept the gate calls Wake. Between those transitions the
+// that kept the gate calls Wake. The three rendezvous of n participants
+// (an MPI collective round, a CC agreement, a team barrier) share one
+// Round: every arrival but the last waits, and the last completes the
+// round and wakes the rest. Between those transitions the
 // interpreter calls Gate.Yield at each statement, giving the Scheduler
 // statement-level interleaving control. Because every wait parks here,
 // the driver finds a deadlock the instant it happens — threads remain,

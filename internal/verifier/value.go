@@ -73,11 +73,12 @@ func (v *Verifier) AttachWorld(w *mpi.World) {
 }
 
 // checkRound is the value oracle. It runs on the round's last arriving
-// thread with every other participant of the round still parked: calls carries each rank's
-// arguments, its call-time source snapshot, the live buffer the snapshot
-// was taken from, and the results the matcher computed. The matcher has
-// already validated that the operation kinds agree.
-func (v *Verifier) checkRound(round int, calls []mpi.CollCall) error {
+// thread with every other participant of the round still parked: calls
+// carries each rank's arguments, its call-time source snapshot, the live
+// buffer the snapshot was taken from, and the results the matcher
+// computed. The matcher has already validated that the operation kinds
+// agree.
+func (v *Verifier) checkRound(round int, calls []*mpi.CollCall) error {
 	v.valueChecks++
 	op := calls[0].Op
 
@@ -86,10 +87,10 @@ func (v *Verifier) checkRound(round int, calls []mpi.CollCall) error {
 	// failing fast.
 	switch op {
 	case mpi.OpBcast, mpi.OpReduce, mpi.OpGather, mpi.OpScatter:
-		if c := disagree(calls, func(c mpi.CollCall) int64 { return int64(c.Root) }); c != nil {
+		if c := disagree(calls, func(c *mpi.CollCall) int64 { return int64(c.Root) }); c != nil {
 			return &ValueError{
 				Check: ValueWrongRoot, Round: round, Op: op.String(), Loc: c.Loc,
-				Msg: fmt.Sprintf("ranks disagree on the root: %s", describeArgs(calls, func(c mpi.CollCall) string {
+				Msg: fmt.Sprintf("ranks disagree on the root: %s", describeArgs(calls, func(c *mpi.CollCall) string {
 					return fmt.Sprintf("root %d", c.Root)
 				})),
 			}
@@ -101,10 +102,10 @@ func (v *Verifier) checkRound(round int, calls []mpi.CollCall) error {
 	// silently disagree.
 	switch op {
 	case mpi.OpReduce, mpi.OpAllreduce, mpi.OpScan:
-		if c := disagree(calls, func(c mpi.CollCall) int64 { return int64(c.Red) }); c != nil {
+		if c := disagree(calls, func(c *mpi.CollCall) int64 { return int64(c.Red) }); c != nil {
 			return &ValueError{
 				Check: ValueWrongOp, Round: round, Op: op.String(), Loc: c.Loc,
-				Msg: fmt.Sprintf("ranks disagree on the reduction op: %s", describeArgs(calls, func(c mpi.CollCall) string {
+				Msg: fmt.Sprintf("ranks disagree on the reduction op: %s", describeArgs(calls, func(c *mpi.CollCall) string {
 					return c.Red.String()
 				})),
 			}
@@ -116,8 +117,7 @@ func (v *Verifier) checkRound(round int, calls []mpi.CollCall) error {
 	// buffer was written while its collective was in flight — the match
 	// consumed no consistent read of the source. Only the buffers the
 	// round actually consumed are audited (Scatter reads the root's).
-	for i := range calls {
-		c := &calls[i]
+	for _, c := range calls {
 		if c.Live == nil || (op == mpi.OpScatter && c.Rank != c.Root) {
 			continue
 		}
@@ -144,24 +144,24 @@ func (v *Verifier) checkRound(round int, calls []mpi.CollCall) error {
 
 // checkResults recomputes the round's expected results independently of
 // the matcher and flags any delivered value that differs.
-func (v *Verifier) checkResults(round int, calls []mpi.CollCall) error {
+func (v *Verifier) checkResults(round int, calls []*mpi.CollCall) error {
 	n := len(calls)
 	op := calls[0].Op
 	red := calls[0].Red
 	root := calls[0].Root
-	mismatch := func(c mpi.CollCall, got, want string) error {
+	mismatch := func(c *mpi.CollCall, got, want string) error {
 		return &ValueError{
 			Check: ValueResultMismatch, Round: round, Op: op.String(), Loc: c.Loc,
 			Msg: fmt.Sprintf("rank %d received %s, oracle recomputed %s", c.Rank, got, want),
 		}
 	}
-	checkValue := func(c mpi.CollCall, want int64) error {
+	checkValue := func(c *mpi.CollCall, want int64) error {
 		if c.OutValue != want {
 			return mismatch(c, fmt.Sprint(c.OutValue), fmt.Sprint(want))
 		}
 		return nil
 	}
-	checkVector := func(c mpi.CollCall, want []int64) error {
+	checkVector := func(c *mpi.CollCall, want []int64) error {
 		if len(c.OutVector) != len(want) {
 			return mismatch(c, fmt.Sprint(c.OutVector), fmt.Sprint(want))
 		}
@@ -250,17 +250,17 @@ func (v *Verifier) checkResults(round int, calls []mpi.CollCall) error {
 
 // disagree returns the first call whose projected argument differs from
 // rank 0's, or nil when all ranks agree.
-func disagree(calls []mpi.CollCall, proj func(mpi.CollCall) int64) *mpi.CollCall {
-	for i := 1; i < len(calls); i++ {
-		if proj(calls[i]) != proj(calls[0]) {
-			return &calls[i]
+func disagree(calls []*mpi.CollCall, proj func(*mpi.CollCall) int64) *mpi.CollCall {
+	for _, c := range calls[1:] {
+		if proj(c) != proj(calls[0]) {
+			return c
 		}
 	}
 	return nil
 }
 
 // describeArgs renders each rank's view of a divergent argument.
-func describeArgs(calls []mpi.CollCall, show func(mpi.CollCall) string) string {
+func describeArgs(calls []*mpi.CollCall, show func(*mpi.CollCall) string) string {
 	parts := make([]string, len(calls))
 	for i, c := range calls {
 		s := fmt.Sprintf("rank %d: %s", c.Rank, show(c))

@@ -8,7 +8,10 @@
 //     collective and before leaving a flagged function, every process
 //     announces the id of its next operation; the round completes only if
 //     all ids agree, otherwise the run aborts with the per-rank ids —
-//     before the real collective can deadlock.
+//     before the real collective can deadlock. The agreement is one
+//     sched.Round over the ranks, the rendezvous the world's collectives
+//     use too, with its own sequence: a rank's pending CC never stops
+//     another of its threads from joining a collective.
 //   - PhaseCount implements the dynamic validation of the paper's sets
 //     S, Sipw and Scc: collective executions are counted per (process,
 //     team, barrier phase); two executions by different threads in the
@@ -24,7 +27,6 @@ package verifier
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"parcoach/internal/mpi"
@@ -80,12 +82,12 @@ func (e *Error) Error() string {
 
 // Verifier holds the dynamic-check state of one run.
 type Verifier struct {
-	ctl    *sched.Controller
-	nprocs int
+	ctl *sched.Controller
 
-	// CC agreement state.
-	ccArrived map[int]*ccEntry
-	ccRound   int
+	// CC agreement: cc is the round over the ranks, and announced holds
+	// each rank's announcement in it, by rank (valid where cc.Arrived).
+	cc        *sched.Round
+	announced []ccEntry
 
 	// Phase counting: the counted executions of each live team's
 	// current barrier phase. A team's entry goes when the team ends.
@@ -97,12 +99,10 @@ type Verifier struct {
 	valueChecks int
 }
 
-// ccEntry is one rank's announcement in the current CC round; gate is
-// its waiting thread, nil for the round's last arrival.
+// ccEntry is one rank's announcement in the current CC round.
 type ccEntry struct {
-	op   string
-	pos  source.Pos
-	gate *sched.Gate
+	op  string
+	pos source.Pos
 }
 
 type teamKey struct {
@@ -131,10 +131,13 @@ type phaseEntry struct {
 func New(ctl *sched.Controller, nprocs int) *Verifier {
 	v := &Verifier{
 		ctl:       ctl,
-		nprocs:    nprocs,
-		ccArrived: make(map[int]*ccEntry),
+		announced: make([]ccEntry, nprocs),
 		phases:    make(map[teamKey]*teamPhase),
 	}
+	v.cc = sched.NewRound(ctl, nprocs, "CC check", func(r int) string {
+		e := v.announced[r]
+		return fmt.Sprintf("rank %d announced %s%s", r, e.op, posSuffix(e.pos))
+	})
 	ctl.AddAnalyzer(v.describeState)
 	return v
 }
@@ -144,8 +147,7 @@ func New(ctl *sched.Controller, nprocs int) *Verifier {
 // controller keeps analyzers across its own Reset). Only call between
 // runs, after the previous run's World.Run returned.
 func (v *Verifier) Reset() {
-	clear(v.ccArrived)
-	v.ccRound = 0
+	v.cc.Reset(len(v.announced))
 	clear(v.phases)
 	v.ccChecks = 0
 	v.phaseChecks = 0
@@ -158,52 +160,43 @@ func (v *Verifier) Stats() (ccChecks, phaseChecks, valueChecks int) {
 }
 
 func (v *Verifier) describeState() []string {
-	var lines []string
-	if len(v.ccArrived) > 0 {
-		var parts []string
-		for r, e := range v.ccArrived {
-			parts = append(parts, fmt.Sprintf("rank %d announced %s", r, e.op))
-		}
-		sort.Strings(parts)
-		lines = append(lines, "CC round "+fmt.Sprint(v.ccRound)+": "+strings.Join(parts, ", "))
-	}
-	return lines
+	return v.cc.Pending("CC", func(r int) string {
+		return fmt.Sprintf("rank %d announced %s", r, v.announced[r].op)
+	})
 }
 
 // CC performs the collective check: proc announces op (an MPI_* name,
-// "call:<fn>", or "return:<fn>") and blocks until every non-finalized
-// process has announced. Disagreement aborts the run.
+// "call:<fn>", or "return:<fn>") and blocks until every process has
+// announced; disagreement aborts the run. A finalized process announces
+// nothing (its end-of-main check has nothing left to verify), so a peer
+// still in a CC round with it ends in the deadlock report.
 func (v *Verifier) CC(p *mpi.Proc, op string, pos source.Pos) error {
 	ctl := v.ctl
 	if err := ctl.Err(); err != nil {
 		return err
 	}
 	if p.Finalized() {
-		// End-of-main check after MPI_Finalize: nothing to verify.
 		return nil
 	}
 	v.ccChecks++
-	if prev, dup := v.ccArrived[p.Rank()]; dup {
+	r := p.Rank()
+	if v.cc.Arrived(r) {
+		prev := v.announced[r]
 		err := &Error{
 			Kind: ErrConcurrentCollectives,
 			Pos:  pos,
 			Msg: fmt.Sprintf("rank %d entered CC for %s while its CC for %s is still pending: collectives issued concurrently",
-				p.Rank(), op, prev.op),
+				r, op, prev.op),
 			Related: []source.Pos{prev.pos},
 		}
 		ctl.Abort(err)
 		return err
 	}
-	entry := &ccEntry{op: op, pos: pos}
-	v.ccArrived[p.Rank()] = entry
-
-	if len(v.ccArrived) == v.nprocs {
-		return v.completeCC()
+	v.announced[r] = ccEntry{op: op, pos: pos}
+	if last, err := v.cc.Join(r); !last {
+		return err
 	}
-	entry.gate = ctl.Running()
-	return ctl.Wait("CC check", func() string {
-		return fmt.Sprintf("rank %d announced %s%s", p.Rank(), op, posSuffix(pos))
-	})
+	return v.completeCC()
 }
 
 func posSuffix(pos source.Pos) string {
@@ -215,27 +208,20 @@ func posSuffix(pos source.Pos) string {
 
 // completeCC validates the full round and wakes the waiters.
 func (v *Verifier) completeCC() error {
-	first := ""
 	agree := true
-	for _, e := range v.ccArrived {
-		if first == "" {
-			first = e.op
-		} else if e.op != first {
-			agree = false
-		}
+	for _, e := range v.announced[1:] {
+		agree = agree && e.op == v.announced[0].op
 	}
 	if !agree {
 		var parts []string
 		var related []source.Pos
 		var pos source.Pos
-		for r := 0; r < v.nprocs; r++ {
-			if e, ok := v.ccArrived[r]; ok {
-				parts = append(parts, fmt.Sprintf("rank %d: %s%s", r, e.op, posSuffix(e.pos)))
-				if !pos.IsValid() {
-					pos = e.pos
-				} else {
-					related = append(related, e.pos)
-				}
+		for r, e := range v.announced {
+			parts = append(parts, fmt.Sprintf("rank %d: %s%s", r, e.op, posSuffix(e.pos)))
+			if !pos.IsValid() {
+				pos = e.pos
+			} else {
+				related = append(related, e.pos)
 			}
 		}
 		err := &Error{
@@ -248,13 +234,7 @@ func (v *Verifier) completeCC() error {
 		v.ctl.Abort(err)
 		return err
 	}
-	for _, e := range v.ccArrived {
-		if e.gate != nil {
-			v.ctl.Wake(e.gate)
-		}
-	}
-	clear(v.ccArrived)
-	v.ccRound++
+	v.cc.Release()
 	return nil
 }
 

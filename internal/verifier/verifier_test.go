@@ -105,8 +105,17 @@ func TestCCDuplicateEntrySameRank(t *testing.T) {
 		// Rank 1 never participates so rank 0's first CC blocks.
 		return nil
 	})
-	if err == nil {
-		t.Fatal("want an error from duplicate CC entry or quiescence")
+	// The default schedule parks rank 0's main thread in its CC for
+	// MPI_Reduce, lets rank 1 return, then runs the second thread.
+	var ve *Error
+	if !errors.As(err, &ve) || ve.Kind != ErrConcurrentCollectives {
+		t.Fatalf("want concurrent-collectives, got %v", err)
+	}
+	if want := "rank 0 entered CC for MPI_Bcast while its CC for MPI_Reduce is still pending"; !strings.Contains(ve.Msg, want) {
+		t.Errorf("message %q lacks %q", ve.Msg, want)
+	}
+	if ve.Pos != pos(2) || len(ve.Related) != 1 || ve.Related[0] != pos(3) {
+		t.Errorf("error at %v with related %v, want at %v with the pending announcement's %v", ve.Pos, ve.Related, pos(2), pos(3))
 	}
 }
 
