@@ -101,7 +101,7 @@ func TestCampaignSmoke(t *testing.T) {
 		if out != parcoach.RunCheckAbort && out != parcoach.RunValueError {
 			t.Fatalf("corpus entry %s: recorded failing schedule replays %s:\n%s", ce.Name, out, src)
 		}
-		if r, ok := s.(*sched.Replay); ok && r.Diverged() {
+		if res.Diverged {
 			t.Fatalf("corpus entry %s: fail-token replay diverged", ce.Name)
 		}
 		replayed++

@@ -156,12 +156,10 @@ func main() {
 	}
 
 	var scheduler sched.Scheduler
-	var replaying *sched.Replay
 	if *replay != "" {
 		if scheduler, err = sched.Parse(*replay); err != nil {
 			fatal(err)
 		}
-		replaying, _ = scheduler.(*sched.Replay)
 		if *maxSteps == 0 {
 			// Match the exploration default so a printed schedule —
 			// including a budget-exhausted one — reproduces under the
@@ -177,11 +175,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "hybridrun: run abandoned by the watchdog after %v\n", *timeout)
 		os.Exit(3)
 	}
-	if replaying != nil && replaying.Diverged() {
-		// The trace named a thread that was not enabled: the program (or
-		// its flags) differ from the recording, so whatever just ran was
-		// NOT the recorded schedule — never let that pass as a
-		// reproduction.
+	if res.Diverged {
+		// The run did not follow the trace (it named a thread that was
+		// not enabled, or the run ended before the trace did): the
+		// program (or its flags) differ from the recording, so whatever
+		// just ran was NOT the recorded schedule — never let that pass
+		// as a reproduction.
 		fmt.Fprintf(os.Stderr, "hybridrun: replay diverged — trace %q does not match this program/configuration\n", *replay)
 		os.Exit(2)
 	}

@@ -289,3 +289,47 @@ func TestExploreRunFlags(t *testing.T) {
 		})
 	}
 }
+
+// TestReplayDivergedExitCode: a replay that does not reproduce its
+// token exits 2 with "replay diverged", never as a run of its own. That
+// holds when the token names a thread that is not enabled at a branch
+// point, and when the run passes fewer branch points than the token
+// holds. The exact token of the run replays clean.
+func TestReplayDivergedExitCode(t *testing.T) {
+	const file = "../../examples/quickstart/clean.mh"
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := parcoach.Compile(file, string(src), parcoach.Options{Mode: parcoach.ModeFull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first DFS schedule is the replay of the empty trace: the
+	// lowest enabled thread at every branch point. Its token names
+	// every branch point the run passes.
+	rep := explore.ExploreSession(prog.NewSession(parcoach.RunOptions{Procs: 2, Threads: 2, MaxSteps: explore.DefaultMaxSteps}, false),
+		parcoach.ExploreOptions{Strategy: explore.StrategyDFS, Schedules: 1, Workers: 1})
+	if len(rep.Verdicts) != 1 || rep.Verdicts[0].Outcome != parcoach.RunClean {
+		t.Fatalf("first DFS schedule of %s: %+v", file, rep.Verdicts)
+	}
+	exact := rep.Verdicts[0].Schedule
+	for _, tc := range []struct {
+		name, token string
+		wantCode    int
+	}{
+		{"exact", exact, 0},
+		{"disabled-thread", "trace:9", 2},
+		{"longer-than-run", exact + ".0", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stdout, stderr, code := runCLI(t, "-replay", tc.token, file)
+			if code != tc.wantCode {
+				t.Fatalf("-replay %q: exit %d, want %d\nstdout:\n%s\nstderr:\n%s", tc.token, code, tc.wantCode, stdout, stderr)
+			}
+			if diverged := strings.Contains(stderr, "replay diverged"); diverged != (tc.wantCode == 2) {
+				t.Errorf("-replay %q: stderr names a divergence: %t, want %t:\n%s", tc.token, diverged, tc.wantCode == 2, stderr)
+			}
+		})
+	}
+}

@@ -19,6 +19,11 @@
 // proved interesting. Committed mutant reproducers are minimized with
 // mhgen.Reduce before they enter the final corpus.
 //
+// A run follows its spliced prefix, then a seeded uniform random tail,
+// with the sched.Recorder that DFS and token replay use (tracer.go). A
+// reduction candidate whose replay of the failing token diverges is not
+// kept.
+//
 // Determinism contract: a campaign is a pure function of its Options.
 // Each round plans jobs in corpus order, runs them on the pool (runs
 // are pure functions of (program, schedule seed, prefix)), and merges
@@ -206,9 +211,9 @@ type jobResult struct {
 	outcome    interp.Outcome
 	valueKind  string // value-oracle check kind ("" unless value error)
 	trace      []sched.ThreadID
-	branches   []branchRec
+	branches   []sched.Branch
+	sigs       []uint64 // positional signature of each branch point
 	edgeShapes []uint64 // raw HB edge signatures (empty if overflowed)
-	diverged   bool
 }
 
 // Run executes the campaign and returns its report. Every corpus entry
@@ -504,22 +509,22 @@ func (c *state) execute(j job) (jr jobResult) {
 	chaos.Here("campaign.execute")
 	st.tr.reset(j.prefix, c.schedSeed(j.e, j.sched))
 
-	res := j.e.comp.Session.RunCtx(c.opts.Ctx, &st.tr)
+	res := j.e.comp.Session.RunCtx(c.opts.Ctx, st.tr)
 	jr = jobResult{
-		outcome:  res.Outcome(),
-		trace:    st.tr.trace(),
-		diverged: st.tr.diverged,
+		outcome: res.Outcome(),
+		trace:   st.tr.Trace(),
+		sigs:    append([]uint64(nil), st.tr.sigs...),
 	}
 	if jr.outcome == interp.OutcomeValueError {
 		jr.valueKind = valueKindOf(res.Err)
 	}
-	jr.branches = append([]branchRec(nil), st.tr.branches...)
+	jr.branches = append([]sched.Branch(nil), st.tr.Branches...)
 	for i := range jr.branches {
-		jr.branches[i].enabled = append([]sched.ThreadID(nil), jr.branches[i].enabled...)
+		jr.branches[i].Enabled = append([]sched.ThreadID(nil), jr.branches[i].Enabled...)
 	}
-	if !st.tr.events.Overflowed() {
-		st.an.Analyze(&st.tr.events)
-		st.an.EdgeSignatures(&st.tr.events, func(sig uint64) {
+	if !st.tr.Events.Overflowed() {
+		st.an.Analyze(st.tr.Events)
+		st.an.EdgeSignatures(st.tr.Events, func(sig uint64) {
 			jr.edgeShapes = append(jr.edgeShapes, sig)
 		})
 	}
@@ -550,12 +555,11 @@ func (c *state) merge(round int, jobs []job, results []jobResult) {
 			novel++
 		}
 		deepest := -1
-		for bi := range jr.branches {
-			b := &jr.branches[bi]
-			if b.sig == 0 {
+		for bi, sig := range jr.sigs {
+			if sig == 0 {
 				continue
 			}
-			if c.tryAdd(key(classSig, e.hash, mix(b.sig, uint64(b.chosen)))) {
+			if c.tryAdd(key(classSig, e.hash, mix(sig, uint64(jr.branches[bi].Chosen)))) {
 				c.sigKeys++
 				novel++
 				deepest = bi
@@ -582,8 +586,8 @@ func (c *state) merge(round int, jobs []job, results []jobResult) {
 		// growing.
 		if novel > 0 && deepest >= 0 && !c.opts.Uniform && len(e.splices) < spliceCap {
 			b := &jr.branches[deepest]
-			for _, alt := range b.enabled {
-				if alt == b.chosen || len(e.splices) >= spliceCap {
+			for _, alt := range b.Enabled {
+				if alt == b.Chosen || len(e.splices) >= spliceCap {
 					continue
 				}
 				child := make([]sched.ThreadID, deepest+1)

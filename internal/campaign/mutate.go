@@ -11,11 +11,11 @@ import (
 // runState is one worker's reusable run machinery: the recording
 // scheduler and the vector-clock analysis.
 type runState struct {
-	tr tracer
+	tr *tracer
 	an monitor.Analysis
 }
 
-var tracerPool = sync.Pool{New: func() any { return new(runState) }}
+var tracerPool = sync.Pool{New: func() any { return &runState{tr: newTracer()} }}
 
 // spliceCap bounds the spliced children one run may queue for the next
 // round: splices re-walk a known prefix, so their novel-key rate is

@@ -160,7 +160,7 @@ func (c *state) replayOutcome(gp *mhgen.Program, src, token string) interp.Outco
 		return interp.OutcomeClean
 	}
 	res := comp.Session.Run(s)
-	if rp, ok := s.(*sched.Replay); ok && rp.Diverged() {
+	if res.Diverged {
 		return interp.OutcomeClean
 	}
 	out := res.Outcome()

@@ -5,10 +5,10 @@
 // point it passes — exponentially many interleavings that differ only in
 // the order of commuting steps. DPOR expands a run into children only
 // where the run *proved* order matters: after each run the recorded
-// event trace (sched.DPORRecorder) is analyzed for race pairs —
+// event trace (sched.Recorder.Events) is analyzed for race pairs —
 // conflicting accesses by different threads that no other
 // happens-before edge orders (monitor.Analysis) — and for each race the
-// classic backtrack rule (DPORRecorder.Candidates) names the threads
+// classic backtrack rule (Recorder.Candidates) names the threads
 // that must be tried instead at the decision that started the race.
 // Everything else commutes; one representative per interleaving class
 // suffices for identical verdict sets.
@@ -47,6 +47,7 @@ package explore
 
 import (
 	"context"
+	"math"
 	"sync"
 
 	"parcoach/internal/interp"
@@ -63,17 +64,18 @@ import (
 const dfsRoundWidth = 16
 
 // dporState is one item's reusable DPOR machinery: the recording
-// scheduler (with its event trace), the vector-clock analysis, and the
-// path-hash / candidate scratch buffers.
+// scheduler (keeping every branch point, with its event trace), the
+// vector-clock analysis, and the path-hash / candidate scratch buffers.
 type dporState struct {
-	rec   *sched.DPORRecorder
+	rec   *sched.Recorder
 	an    *monitor.Analysis
 	path  []uint64
 	cands []sched.ThreadID
 }
 
 var dporPool = sync.Pool{New: func() any {
-	return &dporState{rec: new(sched.DPORRecorder), an: new(monitor.Analysis)}
+	rec := &sched.Recorder{Keep: math.MaxInt, Events: new(monitor.EventTrace)}
+	return &dporState{rec: rec, an: new(monitor.Analysis)}
 }}
 
 // pathSeed is the hash of the empty decision path (the FNV offset
@@ -218,7 +220,7 @@ func (s *dporStep) exec(ctx context.Context, sess *interp.Session, prefix []sche
 		return
 	}
 	defer dporPool.Put(st)
-	s.run.trace, s.run.diverged = st.rec.Trace(), st.rec.Diverged()
+	s.run.trace = st.rec.Trace()
 	if s.run.outcome == interp.OutcomeCanceled || s.run.diverged {
 		return
 	}
@@ -249,7 +251,7 @@ func (s *dporStep) exec(ctx context.Context, sess *interp.Session, prefix []sche
 		return
 	}
 
-	st.an.Analyze(&st.rec.Events)
+	st.an.Analyze(st.rec.Events)
 	for _, rc := range st.an.Races() {
 		_, d := st.rec.Events.At(rc.A)
 		if d < 0 || d >= len(trace) {

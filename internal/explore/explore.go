@@ -460,7 +460,7 @@ func runOne(ctx context.Context, sess *interp.Session, s sched.Scheduler) (r run
 	}()
 	chaos.Here("explore.run")
 	res := sess.RunCtx(ctx, s)
-	return run{outcome: res.Outcome(), err: res.Err}, false
+	return run{outcome: res.Outcome(), err: res.Err, diverged: res.Diverged}, false
 }
 
 // merge folds one run, in report order, into the report, rendering the

@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"math"
+
 	"parcoach/internal/ast"
 	"parcoach/internal/interp"
 	"parcoach/internal/sched"
@@ -52,7 +54,7 @@ func plainDFS(prog *ast.Program, opts Options) oracleReport {
 	for len(stack) > 0 && len(runs) < opts.Schedules {
 		prefix := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		rec := new(sigRecorder)
+		rec := &sigRecorder{Recorder: sched.Recorder{Keep: math.MaxInt}}
 		rec.Reset(prefix)
 		res := sess.Run(rec)
 		trace := rec.Trace()

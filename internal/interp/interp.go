@@ -109,6 +109,10 @@ type Result struct {
 	// ExitValues holds each rank's return value from main.
 	ExitValues []int64
 	Stats      Stats
+	// Diverged is true when the run's scheduler is a sched.Recorder that
+	// did not follow its prefix: whatever ran was NOT the recorded
+	// schedule, so the run reproduces nothing.
+	Diverged bool
 }
 
 // RuntimeError is a located execution error (bad index, division by zero,

@@ -86,67 +86,36 @@ func (o Outcome) String() string {
 	return "outcome(?)"
 }
 
-// ClassifyError maps a run error to its Outcome class (nil means clean).
+// ClassifyError maps a run error to its Outcome class (nil means
+// clean). It walks err's errors.Unwrap chain: the outermost error of a
+// class decides, and a chain with none is a runtime error. The runtime
+// stack's errors arrive unwrapped, so the first step decides them
+// without the heap traffic of errors.As targets.
 func ClassifyError(err error) Outcome {
 	if err == nil {
 		return OutcomeClean
 	}
-	// Fast path: the runtime stack's errors arrive unwrapped, and a
-	// direct type switch avoids the heap traffic of errors.As target
-	// pointers on the exploration hot path. Wrapped errors fall through
-	// to the errors.As chain below.
-	switch err.(type) {
-	case *verifier.Error:
-		return OutcomeCheckAbort
-	case *verifier.ValueError:
-		return OutcomeValueError
-	case *monitor.DeadlockError:
-		return OutcomeDeadlock
-	case *StepLimitError:
-		return OutcomeBudget
-	case *mpi.MismatchError, *mpi.ConcurrentCallError, *mpi.UsageError:
-		return OutcomeMPIError
-	case *RuntimeError:
-		return OutcomeRuntimeError
-	case *CancelError:
-		return OutcomeCanceled
-	case *WatchdogError:
-		return OutcomeTimeout
-	case *QuarantineError:
-		return OutcomeInternalError
-	}
-	var verr *verifier.Error
-	if errors.As(err, &verr) {
-		return OutcomeCheckAbort
-	}
-	var valerr *verifier.ValueError
-	if errors.As(err, &valerr) {
-		return OutcomeValueError
-	}
-	if monitor.IsDeadlock(err) {
-		return OutcomeDeadlock
-	}
-	var sl *StepLimitError
-	if errors.As(err, &sl) {
-		return OutcomeBudget
-	}
-	var mismatch *mpi.MismatchError
-	var conc *mpi.ConcurrentCallError
-	var usage *mpi.UsageError
-	if errors.As(err, &mismatch) || errors.As(err, &conc) || errors.As(err, &usage) {
-		return OutcomeMPIError
-	}
-	var cancel *CancelError
-	if errors.As(err, &cancel) {
-		return OutcomeCanceled
-	}
-	var wd *WatchdogError
-	if errors.As(err, &wd) {
-		return OutcomeTimeout
-	}
-	var quar *QuarantineError
-	if errors.As(err, &quar) {
-		return OutcomeInternalError
+	for e := err; e != nil; e = errors.Unwrap(e) {
+		switch e.(type) {
+		case *verifier.Error:
+			return OutcomeCheckAbort
+		case *verifier.ValueError:
+			return OutcomeValueError
+		case *monitor.DeadlockError:
+			return OutcomeDeadlock
+		case *StepLimitError:
+			return OutcomeBudget
+		case *mpi.MismatchError, *mpi.ConcurrentCallError, *mpi.UsageError:
+			return OutcomeMPIError
+		case *RuntimeError:
+			return OutcomeRuntimeError
+		case *CancelError:
+			return OutcomeCanceled
+		case *WatchdogError:
+			return OutcomeTimeout
+		case *QuarantineError:
+			return OutcomeInternalError
+		}
 	}
 	return OutcomeRuntimeError
 }

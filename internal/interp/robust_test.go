@@ -3,13 +3,17 @@ package interp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"parcoach/internal/leakcheck"
+	"parcoach/internal/monitor"
+	"parcoach/internal/mpi"
 	"parcoach/internal/parser"
 	"parcoach/internal/sched"
+	"parcoach/internal/verifier"
 )
 
 // spinSrc loops far past any test's patience: the program every
@@ -160,22 +164,37 @@ func TestGuardDisarmedBeforeRecycle(t *testing.T) {
 	}
 }
 
-// TestClassifyRobustOutcomes pins the error → outcome mapping of the
-// three robustness classes, through both the fast path (the error
-// itself) and the wrapped path (errors.As).
+// TestClassifyRobustOutcomes pins the error → outcome mapping of every
+// class, for the error itself and for the error wrapped once with %w;
+// an error of no class is a runtime error.
 func TestClassifyRobustOutcomes(t *testing.T) {
 	cases := []struct {
 		err  error
 		want Outcome
 	}{
+		{&verifier.Error{}, OutcomeCheckAbort},
+		{&verifier.ValueError{}, OutcomeValueError},
+		{&monitor.DeadlockError{}, OutcomeDeadlock},
+		{&StepLimitError{}, OutcomeBudget},
+		{&mpi.MismatchError{}, OutcomeMPIError},
+		{&mpi.ConcurrentCallError{}, OutcomeMPIError},
+		{&mpi.UsageError{}, OutcomeMPIError},
+		{&RuntimeError{}, OutcomeRuntimeError},
 		{&CancelError{Cause: context.Canceled}, OutcomeCanceled},
 		{&WatchdogError{Timeout: time.Second}, OutcomeTimeout},
 		{NewQuarantineError("test", "boom", nil), OutcomeInternalError},
+		{errors.New("unclassified"), OutcomeRuntimeError},
 	}
 	for _, tc := range cases {
 		if got := ClassifyError(tc.err); got != tc.want {
 			t.Errorf("ClassifyError(%T) = %s, want %s", tc.err, got, tc.want)
 		}
+		if got := ClassifyError(fmt.Errorf("wrapped: %w", tc.err)); got != tc.want {
+			t.Errorf("ClassifyError(wrapped %T) = %s, want %s", tc.err, got, tc.want)
+		}
+	}
+	if got := ClassifyError(nil); got != OutcomeClean {
+		t.Errorf("ClassifyError(nil) = %s, want %s", got, OutcomeClean)
 	}
 }
 

@@ -89,7 +89,7 @@ var schedulerTable = []struct {
 	// Replay with an empty trace = the DFS default policy (lowest
 	// enabled id): it runs the spinner forever — that schedule exists
 	// and the exploration engine must be able to enumerate it.
-	{"replay-default", func() sched.Scheduler { return &sched.Replay{} }, 0},
+	{"replay-default", func() sched.Scheduler { return &sched.Recorder{} }, 0},
 }
 
 func mustParse(t *testing.T, name, src string) *ast.Program {
@@ -202,5 +202,41 @@ func main() {
 	if dflt.Stats.Collectives != rr.Stats.Collectives ||
 		dflt.Stats.Barriers != rr.Stats.Barriers {
 		t.Errorf("stats diverge: default %+v vs rr %+v", dflt.Stats, rr.Stats)
+	}
+}
+
+// TestTokenReplayRunsUntraced: a token replay is a Recorder that keeps
+// no branch point and has no event trace. A replay of the spinner that
+// spins to the step budget, passing a branch point at nearly every
+// statement, records none, and the run is untraced: the pooled run
+// environment never builds its trace counters.
+func TestTokenReplayRunsUntraced(t *testing.T) {
+	sess := NewSession(mustParse(t, "spinner.mh", spinnerSrc), Options{Procs: 1, Threads: 2, MaxSteps: 20_000})
+	inspected := 0
+	for range 8 {
+		s, err := sched.Parse("trace:0.0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := s.(*sched.Recorder)
+		res := sess.Run(rec)
+		if got := res.Outcome(); got != OutcomeBudget || res.Diverged {
+			t.Fatalf("replay: outcome %v, diverged %t; want %v, not diverged", got, res.Diverged, OutcomeBudget)
+		}
+		if len(rec.Branches) != 0 || rec.EventTrace() != nil {
+			t.Fatalf("replay kept %d branch points and event trace %v, want none", len(rec.Branches), rec.EventTrace())
+		}
+		// A pool may drop what it is given (under the race detector it
+		// does so at random), so inspect every environment it kept.
+		if v := sess.envs.Get(); v != nil {
+			inspected++
+			if v.(*runner).tr != nil {
+				t.Fatal("a token replay built the run environment's trace counters")
+			}
+			sess.envs.Put(v)
+		}
+	}
+	if inspected == 0 {
+		t.Fatal("no pooled run environment to inspect")
 	}
 }

@@ -85,8 +85,12 @@ func (s *Session) Run(scheduler sched.Scheduler) *Result {
 // aborted (CancelError / OutcomeCanceled) within one statement boundary
 // — the bounded-latency cancellation path streamed exploration and the
 // daemon ride on. A nil (or never-canceled) ctx adds nothing to the hot
-// path.
-func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result {
+// path. A run under a sched.Recorder reports whether it followed the
+// recorded prefix (Result.Diverged), a run that never started included.
+func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) (res *Result) {
+	if rec, ok := scheduler.(*sched.Recorder); ok {
+		defer func() { res.Diverged = rec.Diverged() }()
+	}
 	if testSched != nil {
 		scheduler = testSched(scheduler)
 	}
@@ -103,7 +107,7 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 			return &Result{Err: &CancelError{Cause: err}, ExitValues: make([]int64, opts.Procs)}
 		}
 	}
-	res := &Result{ExitValues: make([]int64, opts.Procs)}
+	res = &Result{ExitValues: make([]int64, opts.Procs)}
 	if s.main == nil {
 		res.Err = &RuntimeError{Pos: s.prog.Pos(), Msg: "program has no main function"}
 		return res
@@ -113,7 +117,11 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result
 		res.Err = err
 		return res
 	}
-	_, tracing := scheduler.(sched.TraceSource)
+	// A scheduler traces only with a trace to record into, as in
+	// Controller.Reset: otherwise every access would be tagged into gate
+	// buffers that nothing flushes.
+	ts, tracing := scheduler.(sched.TraceSource)
+	tracing = tracing && ts.EventTrace() != nil
 	r.reset(scheduler, tracing)
 	guard := s.armGuard(ctx, r.ctl)
 	res.Err = r.world.Run(func(p *mpi.Proc) error {

@@ -1,11 +1,12 @@
 // Event-trace tagging for dynamic partial-order reduction.
 //
-// When the run is driven by a DPOR-recording scheduler
-// (sched.DPORRecorder), every thread context carries trace=true and tags
-// the shared objects each statement touches onto its scheduling gate;
-// the controller folds the tags into the run's event trace
-// (monitor.EventTrace), which the exploration engine analyzes for race
-// pairs after the run.
+// When the run's scheduler records an event trace (a sched.Recorder
+// with Events, as the DFS explorer and the campaign run theirs), every
+// thread context carries trace=true and tags the shared objects each
+// statement touches onto its scheduling gate; the controller folds the
+// tags into the run's event trace (monitor.EventTrace), which the
+// exploration engine analyzes for race pairs after the run. A token
+// replay's Recorder has no Events and runs untraced.
 //
 // The tagging discipline decides which schedules DPOR must explore, so
 // it must over-approximate the true dependence relation (extra conflicts

@@ -366,10 +366,7 @@ func replayFails(gp *mhgen.Program, token string, opts Options) bool {
 	if out := res.Outcome(); out != parcoach.RunCheckAbort && out != parcoach.RunValueError {
 		return false
 	}
-	if r, ok := s.(*sched.Replay); ok && r.Diverged() {
-		return false
-	}
-	return true
+	return !res.Diverged
 }
 
 // Matrix aggregates rows into the per-bug-class detection counts of the

@@ -187,9 +187,12 @@ type World struct {
 	// deliberately NOT cleared by Reset, like the controller's analyzers.
 	observer func(round int, calls []*CollCall) error
 
-	// point-to-point state, touched only by the running thread
-	sends map[p2pKey][]*pending
-	recvs map[p2pKey][]*pending
+	// point-to-point state, touched only by the running thread: the
+	// queues of blocked senders and receivers, and the free list their
+	// records recycle through.
+	sends    map[p2pKey][]*pending
+	recvs    map[p2pKey][]*pending
+	pendFree []*pending
 }
 
 // CollCall is one rank's call in a collective round: the call's
@@ -265,8 +268,14 @@ func (w *World) Reset(s sched.Scheduler) {
 	w.ctl.Reset(s)
 	w.coll.Reset(w.cfg.Procs)
 	clear(w.calls)
-	clear(w.sends)
-	clear(w.recvs)
+	// Empty the queues but keep their keys and arrays, so the next run's
+	// waits append without allocating.
+	for _, m := range [2]map[p2pKey][]*pending{w.sends, w.recvs} {
+		for k, q := range m {
+			clear(q)
+			m[k] = q[:0]
+		}
+	}
 	for _, p := range w.procs {
 		p.initialized = false
 		p.finalized = false

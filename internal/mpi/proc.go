@@ -336,11 +336,61 @@ type p2pKey struct {
 	src, dst, tag int
 }
 
-// pending is a blocked sender's message or a blocked receiver's slot;
-// gate is the blocked thread.
+// pending is a blocked sender's message or a blocked receiver's slot:
+// gate is the blocked thread, and rank, op, peer, tag and loc name its
+// call in the deadlock report. Records recycle through the world's free
+// list, each with its detail closure built once.
 type pending struct {
-	value int64
-	gate  *sched.Gate
+	value     int64
+	gate      *sched.Gate
+	rank      int
+	op        string // "MPI_Send to" or "MPI_Recv from"
+	peer, tag int
+	loc       string
+	detail    func() string
+}
+
+// describe is a parked call's deadlock-report detail.
+func (pd *pending) describe() string {
+	return fmt.Sprintf("rank %d: %s %d tag %d%s", pd.rank, pd.op, pd.peer, pd.tag, locSuffix(pd.loc))
+}
+
+// park queues the running thread's call under key in q and waits for
+// its match, returning the value the match left in the record. The
+// record goes back to the free list when the wait ends: by then no
+// queue holds it, or the run has aborted, after which no call reads a
+// queue and World.Reset empties them.
+func (p *Proc) park(q map[p2pKey][]*pending, key p2pKey, reason, op string, peer, tag int, loc string, value int64) (int64, error) {
+	w := p.world
+	var pd *pending
+	if n := len(w.pendFree); n > 0 {
+		pd, w.pendFree = w.pendFree[n-1], w.pendFree[:n-1]
+	} else {
+		pd = new(pending)
+		pd.detail = pd.describe
+	}
+	*pd = pending{value: value, gate: w.ctl.Running(), rank: p.rank, op: op, peer: peer, tag: tag, loc: loc, detail: pd.detail}
+	q[key] = append(q[key], pd)
+	p.inMPI++
+	err := w.ctl.Wait(reason, pd.detail)
+	p.inMPI--
+	value = pd.value
+	w.pendFree = append(w.pendFree, pd)
+	return value, err
+}
+
+// match pops the head of the queue under key, nil when it is empty. The
+// queue shifts in place, keeping its array's capacity.
+func match(q map[p2pKey][]*pending, key p2pKey) *pending {
+	s := q[key]
+	if len(s) == 0 {
+		return nil
+	}
+	pd := s[0]
+	n := copy(s, s[1:])
+	s[n] = nil
+	q[key] = s[:n]
+	return pd
 }
 
 // Send delivers value to dest with the given tag, blocking until the
@@ -361,19 +411,12 @@ func (p *Proc) Send(threadID int64, value int64, dest, tag int, loc string) erro
 		return err
 	}
 	key := p2pKey{src: p.rank, dst: dest, tag: tag}
-	if q := w.recvs[key]; len(q) > 0 {
-		r := q[0]
-		w.recvs[key] = q[1:]
+	if r := match(w.recvs, key); r != nil {
 		r.value = value
 		ctl.Wake(r.gate)
 		return nil
 	}
-	p.inMPI++
-	w.sends[key] = append(w.sends[key], &pending{value: value, gate: ctl.Running()})
-	err := ctl.Wait("MPI send", func() string {
-		return fmt.Sprintf("rank %d: MPI_Send to %d tag %d%s", p.rank, dest, tag, locSuffix(loc))
-	})
-	p.inMPI--
+	_, err := p.park(w.sends, key, "MPI send", "MPI_Send to", dest, tag, loc, value)
 	return err
 }
 
@@ -395,21 +438,13 @@ func (p *Proc) Recv(threadID int64, src, tag int, loc string) (int64, error) {
 		return 0, err
 	}
 	key := p2pKey{src: src, dst: p.rank, tag: tag}
-	if q := w.sends[key]; len(q) > 0 {
-		s := q[0]
-		w.sends[key] = q[1:]
+	if s := match(w.sends, key); s != nil {
 		ctl.Wake(s.gate)
 		return s.value, nil
 	}
-	p.inMPI++
-	pr := &pending{gate: ctl.Running()}
-	w.recvs[key] = append(w.recvs[key], pr)
-	err := ctl.Wait("MPI recv", func() string {
-		return fmt.Sprintf("rank %d: MPI_Recv from %d tag %d%s", p.rank, src, tag, locSuffix(loc))
-	})
-	p.inMPI--
+	v, err := p.park(w.recvs, key, "MPI recv", "MPI_Recv from", src, tag, loc, 0)
 	if err != nil {
 		return 0, err
 	}
-	return pr.value, nil
+	return v, nil
 }

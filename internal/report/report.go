@@ -360,20 +360,3 @@ func Ablation(sc workload.Scale, iters int) (string, error) {
 	}
 	return b.String(), nil
 }
-
-// Run smoke-executes one benchmark and returns a human summary; used by
-// cmd/figures -run and the examples.
-func Run(w workload.Workload, procs, threads int) (string, error) {
-	p, err := parcoach.Compile(w.Name+".mh", w.Source, parcoach.Options{Mode: parcoach.ModeFull})
-	if err != nil {
-		return "", err
-	}
-	res := p.Run(parcoach.RunOptions{Procs: procs, Threads: threads})
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s: funcs=%d stmts=%d cfg-nodes=%d warnings=%d\n",
-		w.Name, p.Stats.Functions, p.Stats.Statements, p.Stats.CFGNodes, len(p.Warnings()))
-	fmt.Fprintf(&b, "run: collectives=%d p2p=%d barriers=%d steps=%d checks=%d err=%v\n",
-		res.Stats.Collectives, res.Stats.P2PMessages, res.Stats.Barriers,
-		res.Stats.Steps, res.Stats.CCChecks+res.Stats.PhaseChecks, res.Err)
-	return b.String(), nil
-}

@@ -96,16 +96,6 @@ func TestAblationTable(t *testing.T) {
 	}
 }
 
-func TestRunSummary(t *testing.T) {
-	out, err := Run(workload.Micro(workload.BugNone), 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "err=<nil>") {
-		t.Errorf("clean micro summary: %s", out)
-	}
-}
-
 func TestFmtDur(t *testing.T) {
 	cases := []struct {
 		d    time.Duration

@@ -89,17 +89,17 @@ func FuzzSchedParse(f *testing.F) {
 		if s == nil {
 			t.Fatalf("Parse(%.60q): nil scheduler without error", token)
 		}
-		if r, ok := s.(*Replay); ok {
-			re, err := Parse(FormatTrace(r.Trace))
+		if r, ok := s.(*Recorder); ok {
+			re, err := Parse(FormatTrace(r.Prefix))
 			if err != nil {
 				t.Fatalf("accepted trace failed to round-trip: %v", err)
 			}
-			r2 := re.(*Replay)
-			if len(r2.Trace) != len(r.Trace) {
-				t.Fatalf("round-trip length %d != %d", len(r2.Trace), len(r.Trace))
+			r2 := re.(*Recorder)
+			if len(r2.Prefix) != len(r.Prefix) {
+				t.Fatalf("round-trip length %d != %d", len(r2.Prefix), len(r.Prefix))
 			}
-			for i := range r.Trace {
-				if r.Trace[i] != r2.Trace[i] {
+			for i := range r.Prefix {
+				if r.Prefix[i] != r2.Prefix[i] {
 					t.Fatalf("round-trip mismatch at %d", i)
 				}
 			}

@@ -36,7 +36,9 @@
 // the token holder ever touches simulation state, a run is a
 // deterministic function of the scheduler's decisions — which is what
 // makes recorded schedules replayable and exhaustive enumeration
-// (internal/explore) possible.
+// (internal/explore) possible. One scheduler, the Recorder, follows
+// every recorded schedule: a replay token's trace, a DFS frontier
+// prefix and a campaign splice.
 //
 // For the same reason a run takes no lock: only the running thread or
 // the driver touches run state, one at a time. The one caller from
@@ -81,7 +83,7 @@ type Choice struct {
 	// Enabled is the sorted, non-empty set of runnable threads. It is
 	// the controller's own ready set, only valid for the duration of the
 	// Next call; schedulers must not modify it, and those that retain it
-	// must copy, as the DFS Recorder does.
+	// must copy, as the Recorder does.
 	Enabled []ThreadID
 	// Cur is the thread that just yielded, or -1 when the previous
 	// holder parked or exited (it is then absent from Enabled).
@@ -115,11 +117,12 @@ type Scheduler interface {
 	Next(c Choice) ThreadID
 }
 
-// TraceSource is implemented by schedulers (the DPORRecorder) that want
-// the controller to record the run's event trace: one monitor.Event per
-// scheduling decision, tagged with the object accesses the chosen thread
-// performed until the next decision. Reset detects it and turns on
-// per-gate access buffering.
+// TraceSource is implemented by schedulers that may want the controller
+// to record the run's event trace: one monitor.Event per scheduling
+// decision, tagged with the object accesses the chosen thread performed
+// until the next decision. Reset detects it and turns on per-gate access
+// buffering when EventTrace returns a trace; a Recorder without Events
+// returns nil and runs untraced.
 type TraceSource interface {
 	Scheduler
 	EventTrace() *monitor.EventTrace
@@ -819,62 +822,6 @@ func (s *PCT) Next(c Choice) ThreadID {
 	return best
 }
 
-// Replay follows a recorded branch-point trace: wherever more than one
-// thread is enabled it takes the recorded pick, and past the end of the
-// trace (or if the recorded pick is not enabled — a divergence) it falls
-// back to the lowest enabled id. A run is a deterministic function of
-// its branch decisions, so replaying a trace reproduces the run exactly.
-//
-// Replay shares its prefix step with the Recorder but records nothing,
-// and must stay that way: a replayed run that spins past its trace to
-// the step budget, as some of a campaign's reduction candidates do,
-// passes millions of branch points, and a Recorder keeps every one. A
-// trial that parsed "trace:" tokens into Recorders raised the campaign
-// workload's peak RSS from 16.1 to 591 MB and its p50 from 140 to
-// 202 ms.
-type Replay struct {
-	Trace []ThreadID
-
-	pos      int
-	diverged bool
-}
-
-// Next follows the trace at branch points.
-func (s *Replay) Next(c Choice) ThreadID {
-	if len(c.Enabled) == 1 {
-		return c.Enabled[0]
-	}
-	pick := c.Enabled[0]
-	if s.pos < len(s.Trace) {
-		var ok bool
-		if pick, ok = Follow(c.Enabled, s.Trace[s.pos]); !ok {
-			s.diverged = true
-		}
-	}
-	s.pos++
-	return pick
-}
-
-// Follow is the prefix step shared by the schedulers that replay
-// recorded branch decisions: it takes the recorded pick rec if rec is
-// enabled, and otherwise reports the divergence and falls back to the
-// lowest enabled id.
-func Follow(enabled []ThreadID, rec ThreadID) (pick ThreadID, ok bool) {
-	for _, id := range enabled {
-		if id == rec {
-			return rec, true
-		}
-	}
-	return enabled[0], false
-}
-
-// Diverged reports whether the replay failed to reproduce the recorded
-// schedule: either the trace named a thread that was not enabled at some
-// branch point, or (checked after the run) the run had fewer branch
-// points than the trace has entries — both mean the program or its
-// configuration differ from the recording.
-func (s *Replay) Diverged() bool { return s.diverged || s.pos < len(s.Trace) }
-
 // Branch is one observed decision point where the schedule genuinely
 // branched (more than one thread enabled).
 type Branch struct {
@@ -884,14 +831,37 @@ type Branch struct {
 	Chosen ThreadID
 }
 
-// Recorder drives a DFS exploration run: it follows Prefix at branch
-// points, then defaults to the lowest enabled id, and records every
-// branch point it passes so the exploration engine can enumerate the
-// untaken alternatives.
+// Recorder is the one scheduler that follows a recorded schedule: a
+// parsed "trace:" token, a DFS frontier prefix or a campaign splice. At
+// every branch point (more than one thread enabled) it takes the next
+// Prefix entry; a recorded pick that is not enabled is a divergence and
+// falls back to the lowest enabled id. Singleton decisions consume
+// nothing. Past the prefix, Tail picks, and a nil Tail takes the lowest
+// enabled id. A run is a deterministic function of its branch
+// decisions, so following a trace reproduces the run exactly.
 type Recorder struct {
 	Prefix []ThreadID
+	// Tail picks at the branch points past the prefix, and only there;
+	// nil takes the lowest enabled id.
+	Tail Scheduler
+	// Keep is how many branch points Branches records; the rest are
+	// followed but not kept. The zero value records none, and a token
+	// replay must stay that way: a replayed run that spins past its
+	// trace to the step budget, as some of a campaign's reduction
+	// candidates do, passes millions of branch points. A trial that kept
+	// every branch point of "trace:" replays raised the campaign
+	// workload's peak RSS from 16.1 to 591 MB and its p50 from 140 to
+	// 202 ms.
+	Keep int
+	// Events, when set, is where the controller records the run's event
+	// trace (see TraceSource): one monitor.Event per scheduling decision,
+	// tagged with the object accesses of the chosen thread's step. nil
+	// runs untraced.
+	Events *monitor.EventTrace
 
+	// Branches holds the first Keep branch points of the run.
 	Branches []Branch
+	n        int // branch points passed
 	diverged bool
 	// enabledBuf backs the Branch.Enabled copies: one growing buffer
 	// per run instead of one allocation per branch point. Earlier
@@ -900,45 +870,69 @@ type Recorder struct {
 	enabledBuf []ThreadID
 }
 
-// Reset rearms the recorder for a new run following prefix, keeping its
-// branch and enabled-set buffers so one recorder serves a whole
-// exploration worker without reallocating.
+// Reset rearms the recorder and its event trace for a new run following
+// prefix, keeping its buffers so one recorder serves run after run
+// without reallocating.
 func (s *Recorder) Reset(prefix []ThreadID) {
 	s.Prefix = prefix
 	s.Branches = s.Branches[:0]
 	s.enabledBuf = s.enabledBuf[:0]
+	s.n = 0
 	s.diverged = false
+	if s.Events != nil {
+		s.Events.Reset()
+	}
 }
 
-// Next follows the prefix, records the branch, and defaults to the
-// lowest enabled thread beyond the prefix.
+// Next follows the prefix at branch points, then the tail, and records
+// the first Keep branch points.
 func (s *Recorder) Next(c Choice) ThreadID {
 	if len(c.Enabled) == 1 {
 		return c.Enabled[0]
 	}
-	pos := len(s.Branches)
+	pos := s.n
+	s.n++
 	pick := c.Enabled[0]
-	if pos < len(s.Prefix) {
+	switch {
+	case pos < len(s.Prefix):
 		var ok bool
-		if pick, ok = Follow(c.Enabled, s.Prefix[pos]); !ok {
+		if pick, ok = follow(c.Enabled, s.Prefix[pos]); !ok {
 			s.diverged = true
 		}
+	case s.Tail != nil:
+		pick = s.Tail.Next(c)
 	}
-	off := len(s.enabledBuf)
-	s.enabledBuf = append(s.enabledBuf, c.Enabled...)
-	s.Branches = append(s.Branches, Branch{
-		Enabled: s.enabledBuf[off:len(s.enabledBuf):len(s.enabledBuf)],
-		Chosen:  pick,
-	})
+	if pos < s.Keep {
+		off := len(s.enabledBuf)
+		s.enabledBuf = append(s.enabledBuf, c.Enabled...)
+		s.Branches = append(s.Branches, Branch{
+			Enabled: s.enabledBuf[off:len(s.enabledBuf):len(s.enabledBuf)],
+			Chosen:  pick,
+		})
+	}
 	return pick
 }
 
-// Diverged reports whether the prefix named a thread that was not
-// enabled when its branch point was reached.
-func (s *Recorder) Diverged() bool { return s.diverged }
+// follow takes the recorded pick rec if rec is enabled, and otherwise
+// reports the divergence and falls back to the lowest enabled id.
+func follow(enabled []ThreadID, rec ThreadID) (pick ThreadID, ok bool) {
+	for _, id := range enabled {
+		if id == rec {
+			return rec, true
+		}
+	}
+	return enabled[0], false
+}
 
-// Trace returns the chosen thread at every branch point passed so far —
-// the replay token payload of this run.
+// Diverged reports whether the run failed to follow the prefix: either
+// the prefix named a thread that was not enabled at some branch point,
+// or (checked after the run) the run passed fewer branch points than the
+// prefix holds. Both mean the program or its configuration differ from
+// the recording.
+func (s *Recorder) Diverged() bool { return s.diverged || s.n < len(s.Prefix) }
+
+// Trace returns the chosen thread at every recorded branch point — the
+// replay token payload of this run.
 func (s *Recorder) Trace() []ThreadID {
 	out := make([]ThreadID, len(s.Branches))
 	for i, b := range s.Branches {
@@ -947,33 +941,17 @@ func (s *Recorder) Trace() []ThreadID {
 	return out
 }
 
-// DPORRecorder is a Recorder that additionally makes the controller
-// record the run's event trace (it implements TraceSource): each
-// scheduling decision becomes one monitor.Event carrying the object
-// accesses of the chosen thread's step. The exploration engine analyzes
-// the trace after the run (monitor.Analysis) and asks Candidates which
-// reversals dynamic partial-order reduction requires.
-type DPORRecorder struct {
-	Recorder
-	Events monitor.EventTrace
-}
+// EventTrace implements TraceSource: it returns Events, so a recorder
+// without one runs untraced.
+func (s *Recorder) EventTrace() *monitor.EventTrace { return s.Events }
 
-// EventTrace implements TraceSource.
-func (s *DPORRecorder) EventTrace() *monitor.EventTrace { return &s.Events }
-
-// Reset rearms the recorder and its event trace for a new run.
-func (s *DPORRecorder) Reset(prefix []ThreadID) {
-	s.Recorder.Reset(prefix)
-	s.Events.Reset()
-}
-
-// Candidates answers the DPOR backtracking question for one race pair:
-// which threads must be tried instead of the chosen one at the decision
-// that started race event A, so that the reversal (B's side first) is
-// reached. It combines the decision's enabled set with the per-thread
-// next-access summaries the trace provides (each enabled thread's first
-// recorded event after A) following the classic dynamic partial-order
-// reduction rule:
+// Candidates answers the DPOR backtracking question for one race pair
+// of the run's event trace (Events): which threads must be tried
+// instead of the chosen one at the decision that started race event A,
+// so that the reversal (B's side first) is reached. It combines the
+// decision's enabled set with the per-thread next-access summaries the
+// trace provides (each enabled thread's first recorded event after A)
+// following the classic dynamic partial-order reduction rule:
 //
 //   - if B's thread p was enabled at the decision, {p} suffices;
 //   - otherwise any enabled thread whose next step is in the causal past
@@ -984,9 +962,9 @@ func (s *DPORRecorder) Reset(prefix []ThreadID) {
 //
 // The result appends into buf (reused by callers); an empty result means
 // the decision already satisfies the race's backtracking requirement. A
-// race whose decision was forced (Branch < 0) has no alternatives and
-// always returns empty.
-func (s *DPORRecorder) Candidates(an *monitor.Analysis, rc monitor.Race, buf []ThreadID) []ThreadID {
+// race whose decision was forced (Branch < 0) or not kept has no
+// alternatives and always returns empty.
+func (s *Recorder) Candidates(an *monitor.Analysis, rc monitor.Race, buf []ThreadID) []ThreadID {
 	out := buf[:0]
 	_, d := s.Events.At(rc.A)
 	if d < 0 || d >= len(s.Branches) {
@@ -1006,14 +984,14 @@ func (s *DPORRecorder) Candidates(an *monitor.Analysis, rc monitor.Race, buf []T
 	// p was not enabled (blocked, or not yet forked). Check the chosen
 	// thread's summary first: if its next step is already in B's causal
 	// past, the explored branch covers the requirement.
-	if k := an.NextEventOf(int(br.Chosen), rc.A); k >= 0 && k <= rc.B && an.HappensBefore(k, rc.B, &s.Events) {
+	if k := an.NextEventOf(int(br.Chosen), rc.A); k >= 0 && k <= rc.B && an.HappensBefore(k, rc.B, s.Events) {
 		return out
 	}
 	for _, q := range br.Enabled {
 		if q == br.Chosen {
 			continue
 		}
-		if k := an.NextEventOf(int(q), rc.A); k >= 0 && k <= rc.B && an.HappensBefore(k, rc.B, &s.Events) {
+		if k := an.NextEventOf(int(q), rc.A); k >= 0 && k <= rc.B && an.HappensBefore(k, rc.B, s.Events) {
 			return append(out, q) // one element of the set suffices
 		}
 	}
@@ -1088,7 +1066,8 @@ func numErr(err error) string {
 }
 
 // Parse turns a replay token back into the scheduler that produced the
-// run: "rr", "rand:<seed>", "pct:<seed>:<depth>", or "trace:0.2.1".
+// run: "rr", "rand:<seed>", "pct:<seed>:<depth>", or "trace:0.2.1",
+// which becomes a Recorder that follows the trace and records nothing.
 // Hostile input — oversized tokens, out-of-range ids, malformed numbers
 // — is rejected with an error, never a panic or unbounded allocation.
 func Parse(token string) (Scheduler, error) {
@@ -1136,7 +1115,7 @@ func Parse(token string) (Scheduler, error) {
 				trace = append(trace, ThreadID(id))
 			}
 		}
-		return &Replay{Trace: trace}, nil
+		return &Recorder{Prefix: trace}, nil
 	}
 	return nil, fmt.Errorf("sched: unknown schedule token %s", quote(token))
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -124,7 +125,7 @@ func TestPCTDeterminism(t *testing.T) {
 // points, passes through singleton choices without consuming trace, and
 // flags divergence when the recorded pick is not enabled.
 func TestReplayFollowsTrace(t *testing.T) {
-	s := &Replay{Trace: []ThreadID{2, 1}}
+	s := &Recorder{Prefix: []ThreadID{2, 1}}
 	if got := s.Next(synth(-1, 0, 0, 1, 2)); got != 2 {
 		t.Fatalf("branch 0: got %v, want 2", got)
 	}
@@ -141,7 +142,7 @@ func TestReplayFollowsTrace(t *testing.T) {
 	if s.Diverged() {
 		t.Fatal("spurious divergence")
 	}
-	d := &Replay{Trace: []ThreadID{9}}
+	d := &Recorder{Prefix: []ThreadID{9}}
 	d.Next(synth(-1, 0, 0, 1))
 	if !d.Diverged() {
 		t.Fatal("replay of a disabled thread must flag divergence")
@@ -149,13 +150,13 @@ func TestReplayFollowsTrace(t *testing.T) {
 	// A run with fewer branch points than the trace has entries is also
 	// a divergence: the recorded schedule never ran to completion, so a
 	// "clean" result must not pass as a reproduction.
-	short := &Replay{Trace: []ThreadID{0, 1, 0}}
+	short := &Recorder{Prefix: []ThreadID{0, 1, 0}}
 	short.Next(synth(-1, 0, 0, 1))
 	short.Next(synth(-1, 1, 0))
 	if !short.Diverged() {
 		t.Fatal("unconsumed trace entries must flag divergence")
 	}
-	exact := &Replay{Trace: []ThreadID{0}}
+	exact := &Recorder{Prefix: []ThreadID{0}}
 	exact.Next(synth(-1, 0, 0, 1))
 	if exact.Diverged() {
 		t.Fatal("fully consumed trace must not flag divergence")
@@ -165,7 +166,7 @@ func TestReplayFollowsTrace(t *testing.T) {
 // TestRecorderBranches: the recorder logs exactly the multi-choice
 // decisions, with enabled sets and picks, and its trace replays.
 func TestRecorderBranches(t *testing.T) {
-	r := &Recorder{Prefix: []ThreadID{1}}
+	r := &Recorder{Prefix: []ThreadID{1}, Keep: math.MaxInt}
 	r.Next(synth(-1, 0, 0))       // singleton: not a branch
 	r.Next(synth(-1, 1, 0, 1))    // branch 0: prefix says 1
 	r.Next(synth(-1, 2, 0, 1, 2)) // branch 1: past prefix, default 0
@@ -180,6 +181,87 @@ func TestRecorderBranches(t *testing.T) {
 	}
 }
 
+// TestRecorderKeepBoundsRecording: Keep bounds how many branch points
+// the recorder keeps, not how many it follows: the prefix is followed
+// past the kept ones, and a divergence past them still counts.
+func TestRecorderKeepBoundsRecording(t *testing.T) {
+	r := &Recorder{Prefix: []ThreadID{1, 2, 1}, Keep: 1}
+	for i, want := range []ThreadID{1, 2, 1, 0} {
+		if got := r.Next(synth(-1, int64(i), 0, 1, 2)); got != want {
+			t.Fatalf("branch %d: got %v, want %v", i, got, want)
+		}
+	}
+	if !reflect.DeepEqual(r.Trace(), []ThreadID{1}) || len(r.Branches) != 1 {
+		t.Fatalf("kept %d branch points (trace %v), want 1 ([1])", len(r.Branches), r.Trace())
+	}
+	if r.Diverged() {
+		t.Fatal("a followed prefix past Keep flagged divergence")
+	}
+	r.Reset([]ThreadID{0, 9})
+	r.Next(synth(-1, 0, 0, 1))
+	r.Next(synth(-1, 1, 0, 1))
+	if !r.Diverged() || len(r.Branches) != 1 {
+		t.Fatalf("divergence past Keep: diverged %t with %d kept, want true with 1", r.Diverged(), len(r.Branches))
+	}
+	zero := &Recorder{Prefix: []ThreadID{1}}
+	zero.Next(synth(-1, 0, 0, 1))
+	zero.Next(synth(-1, 1, 0, 1))
+	if len(zero.Branches) != 0 || len(zero.Trace()) != 0 {
+		t.Fatalf("a zero Keep recorded %d branch points", len(zero.Branches))
+	}
+}
+
+// countingTail picks the highest enabled id and counts its calls.
+type countingTail struct{ calls int }
+
+func (s *countingTail) Next(c Choice) ThreadID {
+	s.calls++
+	return c.Enabled[len(c.Enabled)-1]
+}
+
+// TestRecorderTailPastPrefix: the tail picks at exactly the branch
+// points past the prefix — never at a singleton decision, never while
+// the prefix lasts.
+func TestRecorderTailPastPrefix(t *testing.T) {
+	tail := new(countingTail)
+	r := &Recorder{Prefix: []ThreadID{0}, Tail: tail, Keep: math.MaxInt}
+	picks := []ThreadID{
+		r.Next(synth(-1, 0, 0, 1)), // branch 0: prefix
+		r.Next(synth(-1, 1, 1)),    // singleton
+		r.Next(synth(-1, 2, 0, 1)), // branch 1: tail
+		r.Next(synth(-1, 3, 0)),    // singleton
+		r.Next(synth(-1, 4, 0, 2)), // branch 2: tail
+	}
+	if want := []ThreadID{0, 1, 1, 0, 2}; !reflect.DeepEqual(picks, want) {
+		t.Fatalf("picks %v, want %v", picks, want)
+	}
+	if tail.calls != 2 {
+		t.Fatalf("tail consulted %d times, want 2 (the branch points past the prefix)", tail.calls)
+	}
+	if !reflect.DeepEqual(r.Trace(), []ThreadID{0, 1, 2}) {
+		t.Fatalf("trace %v, want [0 1 2]: the tail's picks are recorded", r.Trace())
+	}
+}
+
+// TestRecorderDivergesOnUnconsumedPrefix: a run that passes fewer
+// branch points than the prefix holds diverged, whether or not the
+// recorder records.
+func TestRecorderDivergesOnUnconsumedPrefix(t *testing.T) {
+	for _, keep := range []int{0, math.MaxInt} {
+		r := &Recorder{Keep: keep}
+		r.Reset([]ThreadID{0, 1})
+		r.Next(synth(-1, 0, 0, 1))
+		r.Next(synth(-1, 1, 1))
+		if !r.Diverged() {
+			t.Errorf("keep %d: an unconsumed prefix entry must flag divergence", keep)
+		}
+		r.Next(synth(-1, 2, 0, 1))
+		if r.Diverged() {
+			t.Errorf("keep %d: a consumed prefix flagged divergence", keep)
+		}
+	}
+}
+
 // TestTokenRoundTrip: every token form parses back into a scheduler of
 // the right shape, and malformed tokens are rejected.
 func TestTokenRoundTrip(t *testing.T) {
@@ -190,8 +272,8 @@ func TestTokenRoundTrip(t *testing.T) {
 		{RoundRobinToken, &RoundRobin{}},
 		{RandomToken(123), &Random{}},
 		{PCTToken(5, 3), &PCT{}},
-		{FormatTrace([]ThreadID{0, 2, 1}), &Replay{}},
-		{FormatTrace(nil), &Replay{}},
+		{FormatTrace([]ThreadID{0, 2, 1}), &Recorder{}},
+		{FormatTrace(nil), &Recorder{}},
 	}
 	for _, tc := range cases {
 		s, err := Parse(tc.token)
@@ -205,8 +287,8 @@ func TestTokenRoundTrip(t *testing.T) {
 	}
 	if s, err := Parse("trace:0.2.1"); err != nil {
 		t.Errorf("trace token: %v", err)
-	} else if !reflect.DeepEqual(s.(*Replay).Trace, []ThreadID{0, 2, 1}) {
-		t.Errorf("trace payload = %v", s.(*Replay).Trace)
+	} else if !reflect.DeepEqual(s.(*Recorder).Prefix, []ThreadID{0, 2, 1}) {
+		t.Errorf("trace payload = %v", s.(*Recorder).Prefix)
 	}
 	for _, bad := range []string{"", "nope", "rand:x", "pct:1", "pct:a:b", "trace:1.x"} {
 		if _, err := Parse(bad); err == nil {
@@ -286,7 +368,7 @@ func TestCoroPoolCap(t *testing.T) {
 func TestReleaseAllLeavesRunningHolder(t *testing.T) {
 	boom := errors.New("boom")
 	for _, holder := range []bool{true, false} {
-		rec := new(DPORRecorder)
+		rec := &Recorder{Events: new(monitor.EventTrace)}
 		rec.Reset(nil)
 		c := NewController(rec)
 		c.Go(func() {

@@ -263,17 +263,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	res := a.session(req.runSpec, runOpts).RunCtx(r.Context(), scheduler)
 	resp := runResponse{
-		Key:     a.key,
-		Cached:  cached,
-		Outcome: res.Outcome().String(),
-		Output:  res.Output,
-		Stats:   res.Stats,
+		Key:      a.key,
+		Cached:   cached,
+		Outcome:  res.Outcome().String(),
+		Output:   res.Output,
+		Stats:    res.Stats,
+		Diverged: res.Diverged,
 	}
 	if res.Err != nil {
 		resp.Error = res.Err.Error()
-	}
-	if rp, ok := scheduler.(*sched.Replay); ok && rp.Diverged() {
-		resp.Diverged = true
 	}
 	writeJSON(w, resp)
 }

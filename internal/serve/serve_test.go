@@ -357,6 +357,43 @@ func TestExploreStreamAndReplay(t *testing.T) {
 	}
 }
 
+// TestRunReplayDiverged: a /run replay that does not reproduce its
+// token answers "diverged": true, both when the token names a thread
+// that is not enabled at a branch point and when the run passes fewer
+// branch points than the token holds. The racer's reported failing
+// token itself replays without diverging.
+func TestRunReplayDiverged(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	code, raw := postJSON(t, ts.URL+"/explore", map[string]any{
+		"name": "racer.mh", "source": explore.BenchRacerSrc,
+		"strategy": "dfs", "schedules": 256,
+	})
+	if code != http.StatusOK {
+		t.Fatalf("explore: %d %s", code, raw)
+	}
+	rep := decode[reportJSON](t, raw)
+	if rep.FirstFailure == nil {
+		t.Fatalf("racer exploration found no failure: %s", raw)
+	}
+	exact := rep.FirstFailure.Schedule
+	for _, tc := range []struct {
+		token    string
+		diverged bool
+	}{
+		{exact, false},
+		{"trace:9", true},
+		{exact + ".0", true},
+	} {
+		code, raw := postJSON(t, ts.URL+"/run", map[string]any{"key": rep.Key, "schedule": tc.token})
+		if code != http.StatusOK {
+			t.Fatalf("replay of %q: %d %s", tc.token, code, raw)
+		}
+		if got := decode[runResponse](t, raw); got.Diverged != tc.diverged {
+			t.Errorf("replay of %q: diverged %t, want %t: %s", tc.token, got.Diverged, tc.diverged, raw)
+		}
+	}
+}
+
 // flagReadSrc is the flag-read racer: a plain read races a nowait
 // single's write, and about 100 DFS schedules exhaust it, so a budget
 // of 16 truncates.

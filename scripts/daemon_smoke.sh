@@ -4,9 +4,10 @@
 # cold compile → content-addressed cache hit (byte-identical
 # diagnostics) → streamed DFS exploration of a planted schedule-only
 # deadlock → replay of the reported failing schedule, both through the
-# daemon's /run and through hybridrun -replay → an oversized request
-# refused without taking the daemon down → warm sessions capped per
-# artifact → schedule-less runs answering byte-identically → nested
+# daemon's /run and through hybridrun -replay → a mismatched trace that
+# both report as diverged → an oversized request refused without taking
+# the daemon down → warm sessions capped per artifact → schedule-less
+# runs answering byte-identically → nested
 # regions past the live-thread limit failing as a runtime error → a
 # budget-truncated DFS answering the same report at 1 and 4 workers.
 set -euo pipefail
@@ -94,6 +95,20 @@ set -e
 [ "$rc" -eq 1 ] || { echo "FAIL: hybridrun -replay exited $rc, want 1"; cat "$workdir/replay.err"; exit 1; }
 grep -q deadlock "$workdir/replay.err" || { echo "FAIL: hybridrun replay error is not a deadlock"; exit 1; }
 echo "hybridrun -replay reproduced the deadlock"
+
+# 5b. A mismatched trace (thread 9 never exists at the first branch
+# point) reproduces nothing: /run answers diverged, hybridrun exits 2.
+bad="trace:9.${token#trace:}"
+diverged=$(jq -n --arg key "$key" --arg sched "$bad" '{key: $key, schedule: $sched}' \
+  | curl -sf -d @- "http://$addr/run")
+[ "$(jq -r .diverged <<<"$diverged")" = "true" ] || { echo "FAIL: mismatched replay not diverged: $diverged"; exit 1; }
+set +e
+"$workdir/hybridrun" -replay "$bad" "$workdir/racer.mh" >/dev/null 2>"$workdir/diverged.err"
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || { echo "FAIL: diverging hybridrun -replay exited $rc, want 2"; cat "$workdir/diverged.err"; exit 1; }
+grep -q "replay diverged" "$workdir/diverged.err" || { echo "FAIL: hybridrun did not name the divergence"; exit 1; }
+echo "mismatched trace reported as diverged by /run and hybridrun -replay"
 
 # 6. Stats reflect the traffic.
 stats=$(curl -sf "http://$addr/stats")
