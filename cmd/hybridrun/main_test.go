@@ -294,7 +294,8 @@ func TestExploreRunFlags(t *testing.T) {
 // token exits 2 with "replay diverged", never as a run of its own. That
 // holds when the token names a thread that is not enabled at a branch
 // point, and when the run passes fewer branch points than the token
-// holds. The exact token of the run replays clean.
+// holds. The exact token of the run replays clean, and a replay refused
+// before it starts exits 1 with its refusal, not as a divergence.
 func TestReplayDivergedExitCode(t *testing.T) {
 	const file = "../../examples/quickstart/clean.mh"
 	src, err := os.ReadFile(file)
@@ -316,19 +317,26 @@ func TestReplayDivergedExitCode(t *testing.T) {
 	exact := rep.Verdicts[0].Schedule
 	for _, tc := range []struct {
 		name, token string
+		flags       []string
 		wantCode    int
+		wantErr     string
 	}{
-		{"exact", exact, 0},
-		{"disabled-thread", "trace:9", 2},
-		{"longer-than-run", exact + ".0", 2},
+		{"exact", exact, nil, 0, ""},
+		{"disabled-thread", "trace:9", nil, 2, ""},
+		{"longer-than-run", exact + ".0", nil, 2, ""},
+		{"refused-width", "trace:9", []string{"-np", "300"}, 1, "exceed the limit of 256"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			stdout, stderr, code := runCLI(t, "-replay", tc.token, file)
+			args := append([]string{"-replay", tc.token}, tc.flags...)
+			stdout, stderr, code := runCLI(t, append(args, file)...)
 			if code != tc.wantCode {
 				t.Fatalf("-replay %q: exit %d, want %d\nstdout:\n%s\nstderr:\n%s", tc.token, code, tc.wantCode, stdout, stderr)
 			}
 			if diverged := strings.Contains(stderr, "replay diverged"); diverged != (tc.wantCode == 2) {
 				t.Errorf("-replay %q: stderr names a divergence: %t, want %t:\n%s", tc.token, diverged, tc.wantCode == 2, stderr)
+			}
+			if !strings.Contains(stderr, tc.wantErr) {
+				t.Errorf("-replay %q %v: stderr does not name %q:\n%s", tc.token, tc.flags, tc.wantErr, stderr)
 			}
 		})
 	}

@@ -1,7 +1,7 @@
 // Package campaign is the corpus-driven exploration campaign engine:
-// it runs many generated MiniHybrid programs (internal/mhgen) over one
-// shared worker pool and allocates schedule budget by marginal
-// coverage instead of uniformly.
+// it runs many generated MiniHybrid programs (internal/mhgen),
+// Options.Workers compiles and runs at a time, and allocates schedule
+// budget by marginal coverage instead of uniformly.
 //
 // The campaign keeps a frontier of corpus entries scored by recent
 // coverage yield: the number of novel coverage keys (see coverage.go)
@@ -25,7 +25,7 @@
 // kept.
 //
 // Determinism contract: a campaign is a pure function of its Options.
-// Each round plans jobs in corpus order, runs them on the pool (runs
+// Each round plans jobs in corpus order, runs them concurrently (runs
 // are pure functions of (program, schedule seed, prefix)), and merges
 // results serially in job order — every coverage-set update, mutation
 // admission and splice decision happens in the merge, so reports are
@@ -71,8 +71,8 @@ type Options struct {
 	// Seed is the campaign master seed: every schedule seed derives
 	// from (Seed, entry id, schedule index).
 	Seed uint64
-	// Workers is the width of the shared worker pool the caller hands
-	// to Run (0 = GOMAXPROCS). Reports do not depend on it.
+	// Workers is how many compiles and runs Run executes at once (0 =
+	// GOMAXPROCS). Reports do not depend on it.
 	Workers int
 	// Uniform switches to the linear-sweep baseline: one schedule per
 	// entry per round until the budget is spent, with no retirement, no
@@ -99,7 +99,7 @@ type Options struct {
 	Ctx context.Context
 	// Checkpoint, when set, is a file path the campaign atomically
 	// rewrites (every CheckpointEvery rounds, default 1) with everything
-	// needed to resume: coverage key log, corpus snapshots, counters.
+	// needed to resume: the coverage set, every entry's state, the tally.
 	// Programs are NOT serialized — they are regenerated from their
 	// mhgen configs on resume, which is why checkpoints stay small.
 	Checkpoint string
@@ -164,34 +164,43 @@ func ctxErr(ctx context.Context) error {
 
 // entry is one corpus member and its frontier bookkeeping.
 type entry struct {
-	id     int // admission order: the determinism anchor
-	gp     *mhgen.Program
-	cfg    mhgen.Config // generation config (mutation neighborhood root)
-	origin string       // "seed" or a mutant channel name
-	hash   uint64       // source hash: the program half of every coverage key
-	comp   *Compiled
+	id   int // admission order: the determinism anchor
+	gp   *mhgen.Program
+	hash uint64 // source hash: the program half of every coverage key
+	comp *Compiled
 
-	staticCaught bool
-	detected     bool
-	failToken    string // replay token of the first detecting schedule
-
-	runs       int // schedules spent on this entry
-	nextSched  int // next schedule-index (seed derivation)
 	roundYield int // novel keys this round (reset at round end)
-	yield      int // novel keys in the entry's last active round
-	lastRuns   int // schedules of the entry's last active round
-	totalYield int
 	alloc      int // schedules planned this round
-	dry        int // consecutive parked rounds
-	retired    bool
 
-	splices [][]sched.ThreadID // spliced prefixes planned for next round
+	entryState
+}
+
+// entryState is the part of an entry a checkpoint persists, written as
+// it is. The program is regenerated from the Config; everything derived
+// from its source (hash, compile, static kinds) is recomputed.
+type entryState struct {
+	mhgen.Config        // generation config (mutation neighborhood root)
+	Origin       string `json:"origin"` // "seed" or a mutant channel name
+
+	StaticCaught bool   `json:"static_caught,omitempty"`
+	Detected     bool   `json:"detected,omitempty"`
+	FailToken    string `json:"fail_token,omitempty"` // replay token of the first detecting schedule
+
+	Runs       int  `json:"runs"`       // schedules spent on this entry
+	NextSched  int  `json:"next_sched"` // next schedule-index (seed derivation)
+	Yield      int  `json:"yield"`      // novel keys in the entry's last active round
+	LastRuns   int  `json:"last_runs"`  // schedules of the entry's last active round
+	TotalYield int  `json:"total_yield"`
+	Dry        int  `json:"dry"` // consecutive parked rounds
+	Retired    bool `json:"retired,omitempty"`
+
+	Splices [][]sched.ThreadID `json:"splices,omitempty"` // spliced prefixes planned for next round
 }
 
 // bugLabel names an entry's planted bug for the found-bug set.
 func (e *entry) bugLabel() string {
 	tag := "s"
-	if e.origin != "seed" {
+	if e.Origin != "seed" {
 		tag = "m"
 	}
 	return fmt.Sprintf("%s%d:%s", tag, e.gp.Seed, e.gp.Bug)
@@ -218,8 +227,8 @@ type jobResult struct {
 
 // Run executes the campaign and returns its report. Every corpus entry
 // is built by compile, and all compilation and schedule execution fans
-// out on pool.
-func Run(opts Options, compile CompileFunc, pool *pipeline.Pool) (*Report, error) {
+// out opts.Workers at a time.
+func Run(opts Options, compile CompileFunc) (*Report, error) {
 	opts.defaults()
 	if len(opts.Seeds) == 0 {
 		return nil, fmt.Errorf("campaign: empty seed corpus")
@@ -232,7 +241,6 @@ func Run(opts Options, compile CompileFunc, pool *pipeline.Pool) (*Report, error
 	c := &state{
 		opts:    opts,
 		compile: compile,
-		pool:    pool,
 		cover:   make(map[uint64]struct{}),
 		seen:    make(map[uint64]bool),
 	}
@@ -249,15 +257,15 @@ func Run(opts Options, compile CompileFunc, pool *pipeline.Pool) (*Report, error
 		startRound = ck.Round
 	} else {
 		// Admit the initial corpus. Generation is cheap and deterministic;
-		// compilation fans out on the pool (and through the root's artifact
-		// cache when wired).
+		// compilation fans out opts.Workers at a time (and through the
+		// root's artifact cache when wired).
 		gps := make([]*mhgen.Program, len(opts.Seeds))
 		comps := make([]*Compiled, len(opts.Seeds))
 		errs := make([]error, len(opts.Seeds))
 		for i, s := range opts.Seeds {
 			gps[i] = mhgen.FromSeed(s)
 		}
-		pool.Map(len(gps), func(i int) {
+		pipeline.Map(opts.Workers, len(gps), func(i int) {
 			comps[i], errs[i] = compile(gps[i])
 		})
 		for i, gp := range gps {
@@ -269,7 +277,7 @@ func Run(opts Options, compile CompileFunc, pool *pipeline.Pool) (*Report, error
 		}
 	}
 
-	for round := startRound; c.runs < opts.Budget; round++ {
+	for round := startRound; c.Runs < opts.Budget; round++ {
 		if ctxErr(opts.Ctx) != nil {
 			c.canceled = true
 			break
@@ -279,7 +287,7 @@ func Run(opts Options, compile CompileFunc, pool *pipeline.Pool) (*Report, error
 			break
 		}
 		results := make([]jobResult, len(jobs))
-		pool.MapCtx(opts.Ctx, len(jobs), func(i int) {
+		pipeline.MapCtx(opts.Ctx, opts.Workers, len(jobs), func(i int) {
 			results[i] = c.execute(jobs[i])
 		})
 		if ctxErr(opts.Ctx) != nil {
@@ -312,37 +320,34 @@ func Run(opts Options, compile CompileFunc, pool *pipeline.Pool) (*Report, error
 type state struct {
 	opts    Options
 	compile CompileFunc
-	pool    *pipeline.Pool
 	entries []*entry
 	cover   map[uint64]struct{}
 	seen    map[uint64]bool // source hashes of admitted programs (dedup)
 
-	runs       int
-	sigKeys    int
-	verdictKey int
-	edgeKeys   int
-	staticKeys int
-	trajectory []Point
-	mutants    int
+	tally
+	canceled bool
+}
 
-	// keyLog records every key that entered the coverage set, in
-	// admission order. It exists for checkpointing: map iteration order
-	// is random, so a checkpoint writes the log and resume rebuilds the
-	// set by replaying it.
-	keyLog      []uint64
-	canceled    bool
-	quarantined int
+// tally is the campaign's running totals, which a checkpoint persists
+// as they are.
+type tally struct {
+	Runs        int     `json:"runs"`
+	SigKeys     int     `json:"sig_keys"`
+	VerdictKeys int     `json:"verdict_keys"`
+	EdgeKeys    int     `json:"edge_keys"`
+	StaticKeys  int     `json:"static_keys"`
+	Mutants     int     `json:"mutants"`
+	Quarantined int     `json:"quarantined,omitempty"`
+	Trajectory  []Point `json:"trajectory"`
 }
 
 // tryAdd inserts k into the coverage set and reports whether it was
-// new; every novel key is logged so a resumed campaign can rebuild the
-// exact set.
+// new.
 func (c *state) tryAdd(k uint64) bool {
 	if _, ok := c.cover[k]; ok {
 		return false
 	}
 	c.cover[k] = struct{}{}
-	c.keyLog = append(c.keyLog, k)
 	return true
 }
 
@@ -350,21 +355,20 @@ func (c *state) tryAdd(k uint64) bool {
 // coverage (compile-time warning kinds cost no schedule budget).
 func (c *state) admit(gp *mhgen.Program, cfg mhgen.Config, origin string, comp *Compiled) *entry {
 	e := &entry{
-		id:     len(c.entries),
-		gp:     gp,
-		cfg:    cfg,
-		origin: origin,
-		hash:   fnvString(gp.Source),
-		comp:   comp,
+		id:         len(c.entries),
+		gp:         gp,
+		hash:       fnvString(gp.Source),
+		comp:       comp,
+		entryState: entryState{Config: cfg, Origin: origin},
 	}
 	c.seen[e.hash] = true
 	for _, k := range comp.StaticKinds {
 		if c.tryAdd(key(classStatic, e.hash, fnvString(k))) {
-			c.staticKeys++
+			c.StaticKeys++
 		}
 	}
 	if len(comp.StaticKinds) > 0 && gp.Bug.String() != "none" {
-		e.staticCaught = true
+		e.StaticCaught = true
 	}
 	c.entries = append(c.entries, e)
 	return e
@@ -398,32 +402,32 @@ func (c *state) reallocate(round int) {
 	}
 	rateMax := 0
 	for _, e := range c.entries {
-		if e.retired || e.lastRuns == 0 {
+		if e.Retired || e.LastRuns == 0 {
 			continue
 		}
-		if r := e.yield * rateScale / e.lastRuns; r > rateMax {
+		if r := e.Yield * rateScale / e.LastRuns; r > rateMax {
 			rateMax = r
 		}
 	}
 	for _, e := range c.entries {
 		switch {
-		case e.retired:
+		case e.Retired:
 			e.alloc = 0
-		case e.lastRuns == 0: // admitted last round, not yet probed
+		case e.LastRuns == 0: // admitted last round, not yet probed
 			e.alloc = initialAlloc
 		default:
 			alloc := 0
 			if rateMax > 0 {
-				alloc = e.yield * rateScale / e.lastRuns * maxPerRound / rateMax
+				alloc = e.Yield * rateScale / e.LastRuns * maxPerRound / rateMax
 			}
 			if alloc == 0 {
-				e.dry++
-				if e.dry >= dryRounds {
-					e.retired = true
+				e.Dry++
+				if e.Dry >= dryRounds {
+					e.Retired = true
 				}
-				e.splices = nil // parked: schedule follow-ups lapse too
+				e.Splices = nil // parked: schedule follow-ups lapse too
 			} else {
-				e.dry = 0
+				e.Dry = 0
 			}
 			e.alloc = alloc
 		}
@@ -442,21 +446,21 @@ func (c *state) reallocate(round int) {
 // the back half splits evenly between the frontier and a
 // fewest-probed-first floor over everyone else.
 func (c *state) trickle() {
-	if c.runs*2 < c.opts.Budget {
+	if c.Runs*2 < c.opts.Budget {
 		return
 	}
 	frontier := 0
 	var idle []*entry
 	for _, e := range c.entries {
 		frontier += e.alloc
-		if e.alloc == 0 && e.lastRuns > 0 {
+		if e.alloc == 0 && e.LastRuns > 0 {
 			idle = append(idle, e)
 		}
 	}
 	if frontier == 0 || len(idle) == 0 {
 		return
 	}
-	sort.SliceStable(idle, func(i, j int) bool { return idle[i].runs < idle[j].runs })
+	sort.SliceStable(idle, func(i, j int) bool { return idle[i].Runs < idle[j].Runs })
 	for i := 0; i < frontier && i < len(idle); i++ {
 		idle[i].alloc = 1
 	}
@@ -467,20 +471,20 @@ func (c *state) trickle() {
 // truncated at the remaining budget.
 func (c *state) plan(round int) []job {
 	c.reallocate(round)
-	remaining := c.opts.Budget - c.runs
+	remaining := c.opts.Budget - c.Runs
 	var jobs []job
 	for _, e := range c.entries {
-		for _, p := range e.splices {
+		for _, p := range e.Splices {
 			if len(jobs) >= remaining {
 				break
 			}
-			jobs = append(jobs, job{e: e, sched: e.nextSched, prefix: p})
-			e.nextSched++
+			jobs = append(jobs, job{e: e, sched: e.NextSched, prefix: p})
+			e.NextSched++
 		}
-		e.splices = nil
+		e.Splices = nil
 		for k := 0; k < e.alloc && len(jobs) < remaining; k++ {
-			jobs = append(jobs, job{e: e, sched: e.nextSched})
-			e.nextSched++
+			jobs = append(jobs, job{e: e, sched: e.NextSched})
+			e.NextSched++
 		}
 	}
 	return jobs
@@ -537,21 +541,21 @@ func (c *state) execute(j job) (jr jobResult) {
 func (c *state) merge(round int, jobs []job, results []jobResult) {
 	for i := range results {
 		e, jr := jobs[i].e, &results[i]
-		e.runs++
-		c.runs++
+		e.Runs++
+		c.Runs++
 
 		if jr.outcome == interp.OutcomeInternalError {
 			// Quarantined panic: a validator bug, not program coverage.
 			// Count it, retire the entry (rerunning a crashing entry
 			// would burn the budget on the same panic), keep going.
-			c.quarantined++
-			e.retired = true
+			c.Quarantined++
+			e.Retired = true
 			continue
 		}
 		novel := 0
 
 		if c.tryAdd(key(classVerdict, e.hash, fnvString(jr.outcome.String()+"/"+jr.valueKind))) {
-			c.verdictKey++
+			c.VerdictKeys++
 			novel++
 		}
 		deepest := -1
@@ -560,40 +564,40 @@ func (c *state) merge(round int, jobs []job, results []jobResult) {
 				continue
 			}
 			if c.tryAdd(key(classSig, e.hash, mix(sig, uint64(jr.branches[bi].Chosen)))) {
-				c.sigKeys++
+				c.SigKeys++
 				novel++
 				deepest = bi
 			}
 		}
 		for _, sig := range jr.edgeShapes {
 			if c.tryAdd(key(classEdge, e.hash, sig)) {
-				c.edgeKeys++
+				c.EdgeKeys++
 				novel++
 			}
 		}
 
-		if (jr.outcome == interp.OutcomeCheckAbort || jr.outcome == interp.OutcomeValueError) && !e.detected {
-			e.detected = true
-			e.failToken = sched.FormatTrace(jr.trace)
+		if (jr.outcome == interp.OutcomeCheckAbort || jr.outcome == interp.OutcomeValueError) && !e.Detected {
+			e.Detected = true
+			e.FailToken = sched.FormatTrace(jr.trace)
 		}
 
 		e.roundYield += novel
-		e.totalYield += novel
+		e.TotalYield += novel
 
 		// Splice: expand the deepest branch that produced a novel
 		// positional signature — the same child expansion DFS performs,
 		// but rooted only where this run proved the state space is still
 		// growing.
-		if novel > 0 && deepest >= 0 && !c.opts.Uniform && len(e.splices) < spliceCap {
+		if novel > 0 && deepest >= 0 && !c.opts.Uniform && len(e.Splices) < spliceCap {
 			b := &jr.branches[deepest]
 			for _, alt := range b.Enabled {
-				if alt == b.Chosen || len(e.splices) >= spliceCap {
+				if alt == b.Chosen || len(e.Splices) >= spliceCap {
 					continue
 				}
 				child := make([]sched.ThreadID, deepest+1)
 				copy(child, jr.trace[:deepest])
 				child[deepest] = alt
-				e.splices = append(e.splices, child)
+				e.Splices = append(e.Splices, child)
 			}
 		}
 	}
@@ -609,17 +613,17 @@ func (c *state) merge(round int, jobs []job, results []jobResult) {
 		if n == 0 {
 			continue
 		}
-		e.yield = e.roundYield
-		e.lastRuns = n
+		e.Yield = e.roundYield
+		e.LastRuns = n
 		if e.roundYield > 0 {
 			c.mutate(e)
 		}
 		e.roundYield = 0
 	}
 
-	c.trajectory = append(c.trajectory, Point{
+	c.Trajectory = append(c.Trajectory, Point{
 		Round:    round,
-		Runs:     c.runs,
+		Runs:     c.Runs,
 		Coverage: len(c.cover),
 		Bugs:     c.bugCount(),
 	})
@@ -630,7 +634,7 @@ func (c *state) merge(round int, jobs []job, results []jobResult) {
 func (c *state) bugCount() int {
 	n := 0
 	for _, e := range c.entries {
-		if e.gp.Bug.String() != "none" && (e.staticCaught || e.detected) {
+		if e.gp.Bug.String() != "none" && (e.StaticCaught || e.Detected) {
 			n++
 		}
 	}

@@ -1,14 +1,14 @@
 // Campaign checkpoint/resume.
 //
 // A checkpoint is everything the round loop needs to continue exactly
-// where it stopped: the coverage key log (the set is rebuilt by
-// replaying the log, which keeps admission order), the dedup set of seen
-// source hashes (including hashes of neighbors that FAILED to compile —
-// omitting those would change future mutation admission), per-entry
-// frontier bookkeeping, and the global counters/trajectory. Programs
-// themselves are NOT serialized: every corpus entry — seed or mutant —
-// is a pure function of its mhgen.Config, so resume regenerates and
-// recompiles them, and checkpoints stay a few kilobytes.
+// where it stopped, written from the campaign's own records: the
+// coverage set, the dedup set of seen source hashes (including hashes
+// of neighbors that FAILED to compile — omitting those would change
+// future mutation admission), every entry's entryState and the tally of
+// counters and trajectory. Programs themselves are NOT serialized:
+// every corpus entry — seed or mutant — is a pure function of its
+// mhgen.Config, so resume regenerates and recompiles them, and
+// checkpoints stay a few kilobytes.
 //
 // The byte-identity contract: Run(opts with Resume) after Run(opts with
 // HaltAfterRound=r) produces a report byte-identical to Run(opts)
@@ -21,64 +21,34 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"parcoach/internal/mhgen"
-	"parcoach/internal/sched"
-	"parcoach/internal/workload"
+	"parcoach/internal/pipeline"
 )
 
 // checkpointVersion guards the serialization format.
 const checkpointVersion = 1
 
-// entrySnap is one corpus entry's resumable state. The program is
-// regenerated from (Seed, Bug, Size); everything derived from the
-// source (hash, compile, static kinds) is recomputed.
-type entrySnap struct {
-	Seed         uint64  `json:"seed"`
-	Bug          int     `json:"bug"`
-	Size         int     `json:"size"`
-	Origin       string  `json:"origin"`
-	StaticCaught bool    `json:"static_caught,omitempty"`
-	Detected     bool    `json:"detected,omitempty"`
-	FailToken    string  `json:"fail_token,omitempty"`
-	Runs         int     `json:"runs"`
-	NextSched    int     `json:"next_sched"`
-	Yield        int     `json:"yield"`
-	LastRuns     int     `json:"last_runs"`
-	TotalYield   int     `json:"total_yield"`
-	Dry          int     `json:"dry"`
-	Retired      bool    `json:"retired,omitempty"`
-	Splices      [][]int `json:"splices,omitempty"`
-}
-
 // checkpoint is the serialized campaign state after Round completed
-// rounds.
+// rounds: the campaign's own records, written as they are.
 type checkpoint struct {
 	Version     int    `json:"version"`
 	Fingerprint uint64 `json:"fingerprint"`
 	Round       int    `json:"round"` // completed rounds; resume continues here
-
-	Runs        int `json:"runs"`
-	SigKeys     int `json:"sig_keys"`
-	VerdictKeys int `json:"verdict_keys"`
-	EdgeKeys    int `json:"edge_keys"`
-	StaticKeys  int `json:"static_keys"`
-	Mutants     int `json:"mutants"`
-	Quarantined int `json:"quarantined,omitempty"`
-
-	Trajectory []Point     `json:"trajectory"`
-	KeyLog     []uint64    `json:"key_log"`
-	Seen       []uint64    `json:"seen"`
-	Entries    []entrySnap `json:"entries"`
+	tally
+	Cover   []uint64     `json:"key_log"` // the coverage set, sorted
+	Seen    []uint64     `json:"seen"`    // the dedup set, sorted
+	Entries []entryState `json:"entries"`
 }
 
 // fingerprint hashes every option that shapes the campaign's
 // deterministic trajectory. Resuming under different options would
 // silently diverge from the uninterrupted run; the fingerprint turns
-// that into a loud error. Pool width, run timeout and checkpoint/halt
+// that into a loud error. Worker count, run timeout and checkpoint/halt
 // settings are deliberately excluded — they must not affect the
 // trajectory. The allocation constants are hashed where their options
 // used to be, so checkpoints written while they were settable resume.
@@ -108,55 +78,20 @@ func boolBit(b bool) uint64 {
 
 // writeCheckpoint atomically replaces the checkpoint file (write to a
 // temp file in the same directory, then rename) so a kill mid-write
-// leaves the previous checkpoint intact.
+// leaves the previous checkpoint intact. Both sets are written sorted:
+// resume rebuilds them whatever their order, and a stable file keeps
+// checkpoints diffable.
 func (c *state) writeCheckpoint(completedRounds int) error {
 	ck := checkpoint{
 		Version:     checkpointVersion,
 		Fingerprint: fingerprint(&c.opts),
 		Round:       completedRounds,
-		Runs:        c.runs,
-		SigKeys:     c.sigKeys,
-		VerdictKeys: c.verdictKey,
-		EdgeKeys:    c.edgeKeys,
-		StaticKeys:  c.staticKeys,
-		Mutants:     c.mutants,
-		Quarantined: c.quarantined,
-		Trajectory:  c.trajectory,
-		KeyLog:      c.keyLog,
+		tally:       c.tally,
+		Cover:       slices.Sorted(maps.Keys(c.cover)),
+		Seen:        slices.Sorted(maps.Keys(c.seen)),
 	}
-	ck.Seen = make([]uint64, 0, len(c.seen))
-	for h := range c.seen {
-		ck.Seen = append(ck.Seen, h)
-	}
-	// Map order is random; sort for a stable file. (Resume semantics
-	// don't need it — the set is order-free — but diffable checkpoints
-	// make the smoke scripts' failures readable.)
-	sort.Slice(ck.Seen, func(i, j int) bool { return ck.Seen[i] < ck.Seen[j] })
 	for _, e := range c.entries {
-		snap := entrySnap{
-			Seed:         e.cfg.Seed,
-			Bug:          int(e.cfg.Bug),
-			Size:         int(e.cfg.Size),
-			Origin:       e.origin,
-			StaticCaught: e.staticCaught,
-			Detected:     e.detected,
-			FailToken:    e.failToken,
-			Runs:         e.runs,
-			NextSched:    e.nextSched,
-			Yield:        e.yield,
-			LastRuns:     e.lastRuns,
-			TotalYield:   e.totalYield,
-			Dry:          e.dry,
-			Retired:      e.retired,
-		}
-		for _, p := range e.splices {
-			sp := make([]int, len(p))
-			for i, t := range p {
-				sp[i] = int(t)
-			}
-			snap.Splices = append(snap.Splices, sp)
-		}
-		ck.Entries = append(ck.Entries, snap)
+		ck.Entries = append(ck.Entries, e.entryState)
 	}
 	data, err := json.Marshal(&ck)
 	if err != nil {
@@ -200,8 +135,10 @@ func loadCheckpoint(path string) (*checkpoint, error) {
 }
 
 // restore rebuilds the campaign state from a checkpoint: regenerate
-// every corpus program from its config, recompile on the pool, replay
-// the coverage key log, and restore the frontier bookkeeping.
+// every corpus program from its config and recompile it, give each
+// entry its saved state, and restore the coverage set, the seen set and
+// the tally. Any order of the two sets loads, so checkpoints that logged
+// the coverage keys in admission order resume too.
 func (c *state) restore(ck *checkpoint) error {
 	if got, want := ck.Fingerprint, fingerprint(&c.opts); got != want {
 		return fmt.Errorf("campaign: checkpoint was written under different options (fingerprint %x, want %x)", got, want)
@@ -214,61 +151,29 @@ func (c *state) restore(ck *checkpoint) error {
 	comps := make([]*Compiled, len(ck.Entries))
 	errs := make([]error, len(ck.Entries))
 	for i, snap := range ck.Entries {
-		cfg := mhgen.Config{Seed: snap.Seed, Bug: workload.Bug(snap.Bug), Size: mhgen.Size(snap.Size)}
-		gps[i] = mhgen.Generate(cfg)
+		gps[i] = mhgen.Generate(snap.Config)
 	}
-	c.pool.Map(len(gps), func(i int) {
+	pipeline.Map(c.opts.Workers, len(gps), func(i int) {
 		comps[i], errs[i] = c.compile(gps[i])
 	})
-	for i := range ck.Entries {
+	for i, snap := range ck.Entries {
 		if errs[i] != nil {
 			return fmt.Errorf("campaign: recompile corpus entry %d on resume: %w", i, errs[i])
 		}
+		c.entries = append(c.entries, &entry{
+			id:         i,
+			gp:         gps[i],
+			hash:       fnvString(gps[i].Source),
+			comp:       comps[i],
+			entryState: snap,
+		})
 	}
-
-	for i, snap := range ck.Entries {
-		e := &entry{
-			id:           i,
-			gp:           gps[i],
-			cfg:          mhgen.Config{Seed: snap.Seed, Bug: workload.Bug(snap.Bug), Size: mhgen.Size(snap.Size)},
-			origin:       snap.Origin,
-			hash:         fnvString(gps[i].Source),
-			comp:         comps[i],
-			staticCaught: snap.StaticCaught,
-			detected:     snap.Detected,
-			failToken:    snap.FailToken,
-			runs:         snap.Runs,
-			nextSched:    snap.NextSched,
-			yield:        snap.Yield,
-			lastRuns:     snap.LastRuns,
-			totalYield:   snap.TotalYield,
-			dry:          snap.Dry,
-			retired:      snap.Retired,
-		}
-		for _, sp := range snap.Splices {
-			p := make([]sched.ThreadID, len(sp))
-			for j, t := range sp {
-				p[j] = sched.ThreadID(t)
-			}
-			e.splices = append(e.splices, p)
-		}
-		c.entries = append(c.entries, e)
-	}
-
-	for _, k := range ck.KeyLog {
+	for _, k := range ck.Cover {
 		c.cover[k] = struct{}{}
 	}
-	c.keyLog = append(c.keyLog, ck.KeyLog...)
 	for _, h := range ck.Seen {
 		c.seen[h] = true
 	}
-	c.runs = ck.Runs
-	c.sigKeys = ck.SigKeys
-	c.verdictKey = ck.VerdictKeys
-	c.edgeKeys = ck.EdgeKeys
-	c.staticKeys = ck.StaticKeys
-	c.mutants = ck.Mutants
-	c.quarantined = ck.Quarantined
-	c.trajectory = append(c.trajectory, ck.Trajectory...)
+	c.tally = ck.tally
 	return nil
 }

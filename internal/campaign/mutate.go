@@ -65,7 +65,7 @@ func (c *state) mutate(e *entry) {
 	if c.opts.Uniform || len(c.entries) >= corpusPerSeed*len(c.opts.Seeds) {
 		return
 	}
-	for _, cfg := range neighborhood(e.cfg) {
+	for _, cfg := range neighborhood(e.Config) {
 		gp := mhgen.Generate(cfg)
 		h := fnvString(gp.Source)
 		if c.seen[h] {
@@ -79,7 +79,7 @@ func (c *state) mutate(e *entry) {
 			continue
 		}
 		c.admit(gp, cfg, "mutant", comp)
-		c.mutants++
+		c.Mutants++
 		return
 	}
 }

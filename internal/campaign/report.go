@@ -79,25 +79,25 @@ func (c *state) report() *Report {
 	r := &Report{
 		Seed:        c.opts.Seed,
 		Budget:      c.opts.Budget,
-		Runs:        c.runs,
+		Runs:        c.Runs,
 		Uniform:     c.opts.Uniform,
 		Coverage:    len(c.cover),
-		SigKeys:     c.sigKeys,
-		VerdictKeys: c.verdictKey,
-		EdgeKeys:    c.edgeKeys,
-		StaticKeys:  c.staticKeys,
-		Mutants:     c.mutants,
+		SigKeys:     c.SigKeys,
+		VerdictKeys: c.VerdictKeys,
+		EdgeKeys:    c.EdgeKeys,
+		StaticKeys:  c.StaticKeys,
+		Mutants:     c.Mutants,
 		Canceled:    c.canceled,
-		Quarantined: c.quarantined,
-		Trajectory:  c.trajectory,
+		Quarantined: c.Quarantined,
+		Trajectory:  c.Trajectory,
 	}
 	for _, e := range c.entries {
-		if e.retired {
+		if e.Retired {
 			r.Retired++
 		}
-		caught := e.gp.Bug.String() != "none" && (e.staticCaught || e.detected)
+		caught := e.gp.Bug.String() != "none" && (e.StaticCaught || e.Detected)
 		if caught {
-			if e.origin == "seed" {
+			if e.Origin == "seed" {
 				r.Bugs = append(r.Bugs, e.bugLabel())
 			} else {
 				r.MutantBugs = append(r.MutantBugs, e.bugLabel())
@@ -108,17 +108,17 @@ func (c *state) report() *Report {
 			Seed:      e.gp.Seed,
 			Bug:       e.gp.Bug.String(),
 			Size:      e.gp.Size.String(),
-			Origin:    e.origin,
+			Origin:    e.Origin,
 			Procs:     e.gp.Procs,
 			Threads:   e.gp.Threads,
-			Runs:      e.runs,
-			Yield:     e.totalYield,
-			Retired:   e.retired,
-			FailToken: e.failToken,
+			Runs:      e.Runs,
+			Yield:     e.TotalYield,
+			Retired:   e.Retired,
+			FailToken: e.FailToken,
 		}
-		if e.origin != "seed" {
+		if e.Origin != "seed" {
 			src := e.gp.Source
-			if e.detected && !c.opts.NoReduce {
+			if e.Detected && !c.opts.NoReduce {
 				src = c.reduceMutant(e)
 			}
 			ce.Source = src
@@ -136,12 +136,12 @@ func (c *state) report() *Report {
 // without divergence (mhgen.Reduce memoizes the keep predicate, so each
 // candidate compiles once).
 func (c *state) reduceMutant(e *entry) string {
-	want := c.replayOutcome(e.gp, e.gp.Source, e.failToken)
+	want := c.replayOutcome(e.gp, e.gp.Source, e.FailToken)
 	if want == interp.OutcomeClean {
 		return e.gp.Source // token did not reproduce; keep the original
 	}
 	return mhgen.Reduce(e.gp.Source, func(src string) bool {
-		return c.replayOutcome(e.gp, src, e.failToken) == want
+		return c.replayOutcome(e.gp, src, e.FailToken) == want
 	})
 }
 

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"encoding/json"
 	"runtime"
 	"strings"
 	"testing"
@@ -71,6 +72,23 @@ func TestExploreAlreadyCanceled(t *testing.T) {
 	rep := Explore(prog, Options{Strategy: StrategyRandom, Schedules: 32, Ctx: ctx, MaxSteps: 100_000})
 	if !rep.Canceled || rep.Schedules != 0 || len(rep.Verdicts) != 0 {
 		t.Fatalf("pre-canceled exploration = %+v, want empty canceled report", rep)
+	}
+}
+
+// TestCanceledReportJSON: the report of an exploration that ran no
+// schedule still encodes its verdicts as a list, so a client of
+// parcoachd's /explore reads [] rather than null.
+func TestCanceledReportJSON(t *testing.T) {
+	prog := parser.MustParse("racer.mh", racerSrc)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	got, err := json.Marshal(Explore(prog, Options{Strategy: StrategyDFS, Ctx: ctx}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"strategy":"dfs","schedules":0,"exhausted":false,"sleepSkips":0,"diverged":0,"verdicts":[],"firstFailure":null,"canceled":true}`
+	if string(got) != want {
+		t.Fatalf("canceled report encodes as\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -139,7 +139,7 @@ type dporStep struct {
 // comment) until the stack drains, the budget is spent with prefixes
 // pending, or opts.Ctx is canceled. It returns the completed runs in
 // merge order; leftover reports that some subtree went unexplored.
-func dporFrontier(sess *interp.Session, opts Options, pool *pipeline.Pool, sink *progressSink) (runs []run, leftover bool, diverged, sleepSkips int) {
+func dporFrontier(sess *interp.Session, opts Options, sink *progressSink) (runs []run, leftover bool, diverged, sleepSkips int) {
 	ledger := make(map[uint64]struct{})
 	stack := []pending{{run: -1}}
 	var round [dfsRoundWidth]pending
@@ -156,7 +156,7 @@ func dporFrontier(sess *interp.Session, opts Options, pool *pipeline.Pool, sink 
 		}
 		started += n
 		// The items only read runs; the merge below appends to it.
-		pool.Map(n, func(i int) { steps[i].exec(opts.Ctx, sess, round[i].prefix(runs)) })
+		pipeline.Map(opts.Workers, n, func(i int) { steps[i].exec(opts.Ctx, sess, round[i].prefix(runs)) })
 
 		for i := range n {
 			step := &steps[i]

@@ -27,7 +27,7 @@
 //     rounds of at most 16 prefixes whose results are merged serially,
 //     so the explored set does not depend on the worker count.
 //
-// Runs fan out over a worker pool (internal/pipeline.Pool) and share
+// Runs fan out over opts.Workers goroutines (internal/pipeline) and share
 // one interp.Session, so the compiled artifact and the session's pooled
 // run environments are reused by every schedule instead of being rebuilt
 // per run. Every report is a function of the program and the options alone,
@@ -81,6 +81,9 @@ func (s Strategy) String() string {
 	}
 	return "strategy(?)"
 }
+
+// MarshalText encodes the strategy by its name.
+func (s Strategy) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
 
 // ParseStrategy maps a CLI name ("rr", "random", "pct", "dfs") to its
 // strategy.
@@ -185,71 +188,73 @@ func (o Options) normalized() Options {
 // Verdict aggregates the runs that ended in one outcome class.
 type Verdict struct {
 	// Outcome is the shared outcome class.
-	Outcome interp.Outcome
+	Outcome interp.Outcome `json:"outcome"`
 	// Count is how many explored schedules ended this way.
-	Count int
+	Count int `json:"count"`
 	// First is the 0-based index of the first run with this outcome
 	// (the schedules-to-first-detection metric). For the sampling
 	// strategies the order is exploration (submission) order; for DFS
 	// it is the canonical trace order of the explored set (see
 	// mergeDFS), so it does not depend on which worker finished first.
-	First int
+	First int `json:"first"`
 	// Sample is the error text of the first such run ("" for clean).
-	Sample string
+	Sample string `json:"error,omitempty"`
 	// Schedule is the replay token of the first such run; feeding it to
 	// sched.Parse (or hybridrun -replay) reproduces the run exactly.
-	Schedule string
+	Schedule string `json:"schedule"`
 }
 
 // Failure names the first explored schedule whose run did not complete
 // cleanly.
 type Failure struct {
-	Outcome interp.Outcome
+	Outcome interp.Outcome `json:"outcome"`
 	// Err is the run error text.
-	Err string
+	Err string `json:"error"`
 	// Schedule is the replayable token.
-	Schedule string
+	Schedule string `json:"schedule"`
 	// Index is the 0-based position in exploration order (sampling) or
 	// canonical trace order (DFS) — the "schedules to first detection"
 	// metric of the differential matrix.
-	Index int
+	Index int `json:"index"`
 }
 
-// Report is the result of exploring one program's schedule space.
+// Report is the result of exploring one program's schedule space. Its
+// JSON is the wire format of parcoachd's /explore answer, which leads
+// with the artifact's key and cached flag.
 type Report struct {
 	// Strategy that produced the report.
-	Strategy Strategy
+	Strategy Strategy `json:"strategy"`
 	// Schedules actually run (≤ the budget).
-	Schedules int
+	Schedules int `json:"schedules"`
 	// Exhausted is true when DFS drained its frontier within budget:
 	// every interleaving was covered, up to reordering of steps the
 	// partial-order reduction proved commute. A run that was canceled
 	// or quarantined leaves its subtree unexplored, so it clears
 	// Exhausted. Sampling strategies always report false.
-	Exhausted bool
+	Exhausted bool `json:"exhausted"`
 	// SleepSkips counts DFS backtrack candidates suppressed by the
 	// sleep-set ledger: reversals some other run had already spawned or
 	// explored.
-	SleepSkips int
+	SleepSkips int `json:"sleepSkips"`
 	// Diverged counts DFS replays whose recorded prefix stopped matching
 	// the program (nonzero only for nondeterministic programs).
-	Diverged int
+	Diverged int `json:"diverged"`
 	// Verdicts holds one entry per distinct outcome class observed,
-	// sorted by outcome.
-	Verdicts []Verdict
+	// sorted by outcome; it is empty, not nil, when no run completed.
+	Verdicts []Verdict `json:"verdicts"`
 	// FirstFailure is the earliest non-clean schedule, or nil when every
 	// explored schedule completed cleanly.
-	FirstFailure *Failure
+	FirstFailure *Failure `json:"firstFailure"`
 	// Canceled is true when Options.Ctx was canceled before the budget
 	// drained: the report is a well-formed reduction of the runs that
 	// completed, not of the full budget. DFS additionally reports
 	// Exhausted=false.
-	Canceled bool
+	Canceled bool `json:"canceled,omitempty"`
 	// Quarantined counts runs that panicked and were caught at the run
 	// boundary (OutcomeInternalError) — validator bugs, not program
 	// verdicts. They do appear in Verdicts (so they are visible), and are
 	// summed here for the robustness counters.
-	Quarantined int
+	Quarantined int `json:"quarantined,omitempty"`
 }
 
 // Verdict returns the aggregate for an outcome class, or nil if no
@@ -413,20 +418,19 @@ func Explore(prog *ast.Program, opts Options) *Report {
 // the runs; ExploreSession reads none of Procs, Threads and MaxSteps.
 func ExploreSession(sess *interp.Session, opts Options) *Report {
 	opts = opts.normalized()
-	rep := &Report{Strategy: opts.Strategy}
+	rep := &Report{Strategy: opts.Strategy, Verdicts: []Verdict{}}
 	if ctxErr(opts.Ctx) != nil {
 		// Already canceled: a well-formed empty report beats a refused run
 		// per schedule.
 		rep.Canceled = true
 		return rep
 	}
-	pool := pipeline.NewPool(opts.Workers)
 	sink := newProgressSink(opts.Progress)
 	switch opts.Strategy {
 	case StrategyDFS:
-		exploreDFS(sess, opts, pool, rep, sink)
+		exploreDFS(sess, opts, rep, sink)
 	default:
-		exploreSampled(sess, opts, pool, rep, sink)
+		exploreSampled(sess, opts, rep, sink)
 	}
 	sort.Slice(rep.Verdicts, func(i, j int) bool { return rep.Verdicts[i].Outcome < rep.Verdicts[j].Outcome })
 	if ctxErr(opts.Ctx) != nil {
@@ -487,15 +491,15 @@ func (r *Report) merge(one *run) {
 const sampledBlock = 1024
 
 // exploreSampled runs the independent sampling strategies concurrently,
-// a block at a time: each block's schedules are built, run on the pool
-// and merged before the next block is built.
-func exploreSampled(sess *interp.Session, opts Options, pool *pipeline.Pool, rep *Report, sink *progressSink) {
+// a block at a time: each block's schedules are built, run
+// opts.Workers at a time and merged before the next block is built.
+func exploreSampled(sess *interp.Session, opts Options, rep *Report, sink *progressSink) {
 	results := make([]run, min(sampledBlock, opts.Schedules))
 	ran := make([]bool, len(results))
 	for first := 0; first < opts.Schedules && ctxErr(opts.Ctx) == nil; first += len(results) {
 		n := min(len(results), opts.Schedules-first)
 		clear(ran)
-		pool.MapCtx(opts.Ctx, n, func(i int) {
+		pipeline.MapCtx(opts.Ctx, opts.Workers, n, func(i int) {
 			s, token := opts.sampled(opts.Seed + int64(first+i))
 			one := &results[i]
 			*one, _ = runOne(opts.Ctx, sess, s)
@@ -586,10 +590,9 @@ func mergeDFS(rep *Report, runs []run, leftover bool, diverged int) {
 	rep.Exhausted = !leftover
 }
 
-// exploreDFS runs the prefix tree's frontier on the pool and reduces
-// its runs.
-func exploreDFS(sess *interp.Session, opts Options, pool *pipeline.Pool, rep *Report, sink *progressSink) {
-	runs, leftover, diverged, sleepSkips := dporFrontier(sess, opts, pool, sink)
+// exploreDFS runs the prefix tree's frontier and reduces its runs.
+func exploreDFS(sess *interp.Session, opts Options, rep *Report, sink *progressSink) {
+	runs, leftover, diverged, sleepSkips := dporFrontier(sess, opts, sink)
 	mergeDFS(rep, runs, leftover, diverged)
 	rep.SleepSkips = sleepSkips
 }

@@ -86,6 +86,9 @@ func (o Outcome) String() string {
 	return "outcome(?)"
 }
 
+// MarshalText encodes the outcome class by its name.
+func (o Outcome) MarshalText() ([]byte, error) { return []byte(o.String()), nil }
+
 // ClassifyError maps a run error to its Outcome class (nil means
 // clean). It walks err's errors.Unwrap chain: the outermost error of a
 // class decides, and a chain with none is a runtime error. The runtime

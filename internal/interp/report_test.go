@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"errors"
 	"testing"
 
 	"parcoach/internal/monitor"
@@ -137,7 +138,7 @@ func main() {
 				prog = instrumented(t, tc.src)
 			}
 			res := Run(prog, Options{Procs: tc.procs})
-			if !monitor.IsDeadlock(res.Err) {
+			if !errors.As(res.Err, new(*monitor.DeadlockError)) {
 				t.Fatalf("run ended with %v, want the deadlock report", res.Err)
 			}
 			if got := res.Err.Error(); got != tc.want {

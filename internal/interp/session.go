@@ -86,11 +86,10 @@ func (s *Session) Run(scheduler sched.Scheduler) *Result {
 // — the bounded-latency cancellation path streamed exploration and the
 // daemon ride on. A nil (or never-canceled) ctx adds nothing to the hot
 // path. A run under a sched.Recorder reports whether it followed the
-// recorded prefix (Result.Diverged), a run that never started included.
-func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) (res *Result) {
-	if rec, ok := scheduler.(*sched.Recorder); ok {
-		defer func() { res.Diverged = rec.Diverged() }()
-	}
+// recorded prefix (Result.Diverged); a run refused before it starts
+// reports only its refusal.
+func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) *Result {
+	rec, _ := scheduler.(*sched.Recorder)
 	if testSched != nil {
 		scheduler = testSched(scheduler)
 	}
@@ -107,7 +106,7 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) (res *R
 			return &Result{Err: &CancelError{Cause: err}, ExitValues: make([]int64, opts.Procs)}
 		}
 	}
-	res = &Result{ExitValues: make([]int64, opts.Procs)}
+	res := &Result{ExitValues: make([]int64, opts.Procs)}
 	if s.main == nil {
 		res.Err = &RuntimeError{Pos: s.prog.Pos(), Msg: "program has no main function"}
 		return res
@@ -156,6 +155,9 @@ func (s *Session) RunCtx(ctx context.Context, scheduler sched.Scheduler) (res *R
 		Steps:       r.steps,
 	}
 	res.Stats.CCChecks, res.Stats.PhaseChecks, res.Stats.ValueChecks = r.ver.Stats()
+	if rec != nil {
+		res.Diverged = rec.Diverged()
+	}
 	s.envs.Put(r)
 	return res
 }

@@ -52,13 +52,6 @@ func isLetter(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
 }
 
-func (l *Lexer) peek() byte {
-	if l.off < len(l.src) {
-		return l.src[l.off]
-	}
-	return 0
-}
-
 func (l *Lexer) peekAt(n int) byte {
 	if l.off+n < len(l.src) {
 		return l.src[l.off+n]

@@ -58,12 +58,12 @@ func (s Size) String() string {
 type Config struct {
 	// Seed drives every random choice; equal seeds give byte-identical
 	// programs.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Bug is the planted error class (workload.BugNone for a
 	// correct-by-construction program).
-	Bug workload.Bug
+	Bug workload.Bug `json:"bug"`
 	// Size scales the program.
-	Size Size
+	Size Size `json:"size"`
 }
 
 // Program is one generated MiniHybrid program with its ground truth.

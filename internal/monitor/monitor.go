@@ -6,17 +6,9 @@
 package monitor
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 )
-
-// IsDeadlock reports whether err is (or wraps) the deadlock report — the
-// oracle outcome the validation layers must preempt.
-func IsDeadlock(err error) bool {
-	var de *DeadlockError
-	return errors.As(err, &de)
-}
 
 // QuarantineError wraps a panic caught at a pool, job or thread
 // boundary: the panicking run or compile is classified as an internal

@@ -211,7 +211,7 @@ func TestQuiescenceDetectsAllBlocked(t *testing.T) {
 			t.Errorf("report must include the waits' details: %v", d)
 		}
 	}
-	if !monitor.IsDeadlock(c.Err()) {
+	if !errors.As(c.Err(), new(*monitor.DeadlockError)) {
 		t.Errorf("run error %v, want the deadlock report", c.Err())
 	}
 }
@@ -341,7 +341,7 @@ func TestDeadlockReportIndependentOfParkOrder(t *testing.T) {
 			})
 		}
 		c.Drive()
-		if !monitor.IsDeadlock(c.Err()) {
+		if !errors.As(c.Err(), new(*monitor.DeadlockError)) {
 			t.Fatalf("run error %v, want the deadlock report", c.Err())
 		}
 		t.Logf("parked in order %v", parked)

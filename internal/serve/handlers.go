@@ -305,40 +305,12 @@ type exploreRequest struct {
 	ProgressEvery int `json:"progressEvery,omitempty"`
 }
 
-type verdictJSON struct {
-	Outcome string `json:"outcome"`
-	Count   int    `json:"count"`
-	First   int    `json:"first"`
-	Error   string `json:"error,omitempty"`
-	// Schedule replays the first run of this class (also accepted by
-	// hybridrun -replay).
-	Schedule string `json:"schedule"`
-}
-
-type failureJSON struct {
-	Outcome  string `json:"outcome"`
-	Error    string `json:"error"`
-	Schedule string `json:"schedule"`
-	Index    int    `json:"index"`
-}
-
+// reportJSON is the /explore answer: the artifact's key and whether it
+// came from the cache, then the exploration report.
 type reportJSON struct {
-	Key        string        `json:"key"`
-	Cached     bool          `json:"cached"`
-	Strategy   string        `json:"strategy"`
-	Schedules  int           `json:"schedules"`
-	Exhausted  bool          `json:"exhausted"`
-	SleepSkips int           `json:"sleepSkips"`
-	Diverged   int           `json:"diverged"`
-	Verdicts   []verdictJSON `json:"verdicts"`
-	// FirstFailure is the earliest failing schedule in canonical order,
-	// nil when the explored space is clean.
-	FirstFailure *failureJSON `json:"firstFailure"`
-	// Canceled marks a partial report (client disconnect or timeout cut
-	// the exploration short); Quarantined counts runs whose panic was
-	// caught and classified as internal-error.
-	Canceled    bool `json:"canceled,omitempty"`
-	Quarantined int  `json:"quarantined,omitempty"`
+	Key    string `json:"key"`
+	Cached bool   `json:"cached"`
+	*explore.Report
 }
 
 // streamEvent is one NDJSON line of a streamed exploration.
@@ -358,10 +330,10 @@ type streamEvent struct {
 
 // Exploration request bounds on outside input. The schedule budget
 // caps the run time one request can hold the daemon for. The worker
-// count caps its concurrent runs: the pool starts one per worker, each
-// holding a run's state, so past it one request could exhaust the
-// daemon's memory and end the process where the panic quarantine
-// cannot catch it.
+// count caps its concurrent runs: the exploration runs one schedule per
+// worker at a time, each holding a run's state, so past it one request
+// could exhaust the daemon's memory and end the process where the panic
+// quarantine cannot catch it.
 const (
 	maxSchedules = 1 << 16
 	maxWorkers   = 256
@@ -432,7 +404,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rep := explore.ExploreSession(sess, opts)
 		s.noteExplore(rep, start)
-		writeJSON(w, renderReport(rep, a.key, cached))
+		writeJSON(w, reportJSON{Key: a.key, Cached: cached, Report: rep})
 		return
 	}
 
@@ -483,8 +455,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.noteExplore(rep, start)
-	final := renderReport(rep, a.key, cached)
-	emit(streamEvent{Event: "report", Report: &final})
+	emit(streamEvent{Event: "report", Report: &reportJSON{Key: a.key, Cached: cached, Report: rep}})
 }
 
 // exploreStream is the streamed handler's exploration entry point,
@@ -506,37 +477,4 @@ func runExploreStream(sess *interp.Session, opts explore.Options) (rep *explore.
 func (s *Server) noteExplore(rep *explore.Report, start time.Time) {
 	s.schedTotal.Add(int64(rep.Schedules))
 	s.schedNanos.Add(int64(time.Since(start)))
-}
-
-func renderReport(rep *explore.Report, key string, cached bool) reportJSON {
-	out := reportJSON{
-		Key:         key,
-		Cached:      cached,
-		Strategy:    rep.Strategy.String(),
-		Schedules:   rep.Schedules,
-		Exhausted:   rep.Exhausted,
-		SleepSkips:  rep.SleepSkips,
-		Diverged:    rep.Diverged,
-		Verdicts:    []verdictJSON{},
-		Canceled:    rep.Canceled,
-		Quarantined: rep.Quarantined,
-	}
-	for _, v := range rep.Verdicts {
-		out.Verdicts = append(out.Verdicts, verdictJSON{
-			Outcome:  v.Outcome.String(),
-			Count:    v.Count,
-			First:    v.First,
-			Error:    v.Sample,
-			Schedule: v.Schedule,
-		})
-	}
-	if f := rep.FirstFailure; f != nil {
-		out.FirstFailure = &failureJSON{
-			Outcome:  f.Outcome.String(),
-			Error:    f.Err,
-			Schedule: f.Schedule,
-			Index:    f.Index,
-		}
-	}
-	return out
 }

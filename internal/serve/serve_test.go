@@ -76,6 +76,44 @@ func decode[T any](t *testing.T, raw []byte) T {
 	return v
 }
 
+// wireReport and wireEvent read /explore answers as a client reads
+// them: outcomes and strategies are names.
+type wireReport struct {
+	Key        string `json:"key"`
+	Cached     bool   `json:"cached"`
+	Strategy   string `json:"strategy"`
+	Schedules  int    `json:"schedules"`
+	Exhausted  bool   `json:"exhausted"`
+	SleepSkips int    `json:"sleepSkips"`
+	Diverged   int    `json:"diverged"`
+	Verdicts   []struct {
+		Outcome  string `json:"outcome"`
+		Count    int    `json:"count"`
+		First    int    `json:"first"`
+		Error    string `json:"error"`
+		Schedule string `json:"schedule"`
+	} `json:"verdicts"`
+	FirstFailure *struct {
+		Outcome  string `json:"outcome"`
+		Error    string `json:"error"`
+		Schedule string `json:"schedule"`
+		Index    int    `json:"index"`
+	} `json:"firstFailure"`
+	Canceled    bool `json:"canceled"`
+	Quarantined int  `json:"quarantined"`
+}
+
+type wireEvent struct {
+	Event    string      `json:"event"`
+	Key      string      `json:"key"`
+	Cached   bool        `json:"cached"`
+	Done     int         `json:"done"`
+	Outcome  string      `json:"outcome"`
+	Error    string      `json:"error"`
+	Schedule string      `json:"schedule"`
+	Report   *wireReport `json:"report"`
+}
+
 // TestCompileCacheDiagnosticsByteIdentical: the second identical
 // submission must hit the cache and serve diagnostics byte-identical to
 // both the first response and a fresh out-of-band compile.
@@ -288,12 +326,12 @@ func TestExploreStreamAndReplay(t *testing.T) {
 	}
 
 	var (
-		events  []streamEvent
+		events  []wireEvent
 		scanner = bufio.NewScanner(resp.Body)
 	)
 	scanner.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for scanner.Scan() {
-		var ev streamEvent
+		var ev wireEvent
 		if err := json.Unmarshal(scanner.Bytes(), &ev); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", scanner.Text(), err)
 		}
@@ -309,7 +347,7 @@ func TestExploreStreamAndReplay(t *testing.T) {
 	if last.Event != "report" || last.Report == nil {
 		t.Fatalf("stream did not end with a report: %+v", last)
 	}
-	var failure *streamEvent
+	var failure *wireEvent
 	verdicts := map[string]bool{}
 	for i := range events[1 : len(events)-1] {
 		ev := &events[1+i]
@@ -371,7 +409,7 @@ func TestRunReplayDiverged(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("explore: %d %s", code, raw)
 	}
-	rep := decode[reportJSON](t, raw)
+	rep := decode[wireReport](t, raw)
 	if rep.FirstFailure == nil {
 		t.Fatalf("racer exploration found no failure: %s", raw)
 	}
@@ -427,7 +465,7 @@ func TestExploreUnstreamed(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("explore: %d %s", code, raw)
 	}
-	rep := decode[reportJSON](t, raw)
+	rep := decode[wireReport](t, raw)
 	if rep.Strategy != "random" || rep.Schedules != 16 || len(rep.Verdicts) == 0 {
 		t.Fatalf("bad report: %+v", rep)
 	}
@@ -455,7 +493,7 @@ func TestExploreUnstreamed(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("dfs at %d workers: %d %s", workers, code, raw)
 		}
-		if rep := decode[reportJSON](t, raw); rep.Exhausted || rep.Schedules != 16 {
+		if rep := decode[wireReport](t, raw); rep.Exhausted || rep.Schedules != 16 {
 			t.Fatalf("dfs at %d workers: want a report truncated at 16 schedules, got %s", workers, raw)
 		}
 		reports[i] = raw
@@ -601,12 +639,12 @@ func TestExploreStreamValueVerdict(t *testing.T) {
 	defer resp.Body.Close()
 	var (
 		key     string
-		verdict *streamEvent
+		verdict *wireEvent
 		scanner = bufio.NewScanner(resp.Body)
 	)
 	scanner.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for scanner.Scan() {
-		var ev streamEvent
+		var ev wireEvent
 		if err := json.Unmarshal(scanner.Bytes(), &ev); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", scanner.Text(), err)
 		}
@@ -665,10 +703,10 @@ func TestExploreStreamMidRunError(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explore: %d", resp.StatusCode)
 	}
-	var events []streamEvent
+	var events []wireEvent
 	scanner := bufio.NewScanner(resp.Body)
 	for scanner.Scan() {
-		var ev streamEvent
+		var ev wireEvent
 		if err := json.Unmarshal(scanner.Bytes(), &ev); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", scanner.Text(), err)
 		}
@@ -727,7 +765,7 @@ func TestExploreRunFlags(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("level %q policy %q: %d %s", tc.level, tc.policy, code, raw)
 		}
-		rep := decode[reportJSON](t, raw)
+		rep := decode[wireReport](t, raw)
 		got := make(map[string]int)
 		for _, v := range rep.Verdicts {
 			got[v.Outcome] = v.Count

@@ -18,8 +18,8 @@
 // goroutine, each timed under its name in Timing.Passes, the way the
 // paper's analysis runs as one more pass of GCC's middle end, function
 // by function. Parallelism is coarse-grained: CompileBatch compiles
-// whole files at once on a worker pool, and exploration and campaigns
-// fan their runs and jobs out on theirs.
+// whole files at once, and exploration and campaigns fan their runs and
+// jobs out the same way (internal/pipeline).
 //
 // Typical use:
 //
@@ -188,8 +188,8 @@ func Compile(name, src string, opts Options) (*Program, error) {
 	return CompileCtx(context.Background(), name, src, opts)
 }
 
-// CompileBatch compiles many programs, opts.Workers files at once on a
-// worker pool — the entry point for heavy compile traffic.
+// CompileBatch compiles many programs, opts.Workers files at once —
+// the entry point for heavy compile traffic.
 //
 // The returned slice is parallel to files; entries whose compilation
 // failed are nil and their errors are joined into the returned error.
@@ -197,7 +197,7 @@ func Compile(name, src string, opts Options) (*Program, error) {
 func CompileBatch(files []File, opts Options) ([]*Program, error) {
 	progs := make([]*Program, len(files))
 	errs := make([]error, len(files))
-	pipeline.NewPool(opts.Workers).Map(len(files), func(i int) {
+	pipeline.Map(opts.Workers, len(files), func(i int) {
 		progs[i], errs[i] = Compile(files[i].Name, files[i].Source, opts)
 	})
 	return progs, errors.Join(errs...)
@@ -584,7 +584,7 @@ func Campaign(opts CampaignOptions) (*CampaignReport, error) {
 		}, false)
 		return &campaign.Compiled{Session: sess, StaticKinds: p.WarningKinds()}, nil
 	}
-	return campaign.Run(opts, compile, pipeline.NewPool(opts.Workers))
+	return campaign.Run(opts, compile)
 }
 
 // compileQuarantined is Compile with a panic caught and returned as a

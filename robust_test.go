@@ -2,6 +2,7 @@ package parcoach_test
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -62,6 +63,37 @@ func TestCampaignCheckpointResumeByteIdentity(t *testing.T) {
 			t.Fatalf("workers=%d: resumed report differs from uninterrupted:\n--- uninterrupted\n%s\n--- resumed\n%s",
 				workers, uninterrupted.Format(), got.Format())
 		}
+	}
+}
+
+// TestCampaignResumesCommittedCheckpoint pins the checkpoint format: a
+// committed checkpoint, written by `mhgen campaign -seed 0 -n 5 -budget
+// 40 -campaign-seed 7 -checkpoint F -halt-after-round 1`, resumes to
+// the report of the same campaign run straight through. The resume
+// names no Checkpoint, so nothing rewrites the file; it reads a copy
+// all the same.
+func TestCampaignResumesCommittedCheckpoint(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "campaign", "halted-round1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
+	if err := os.WriteFile(ckpt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := parcoach.CampaignOptions{Seeds: campaignSeeds(5), Budget: 40, Seed: 7}
+	straight, err := parcoach.Campaign(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Resume = ckpt
+	resumed, err := parcoach.Campaign(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Format() != straight.Format() {
+		t.Fatalf("resumed committed checkpoint differs from the straight run:\n--- straight\n%s\n--- resumed\n%s",
+			straight.Format(), resumed.Format())
 	}
 }
 

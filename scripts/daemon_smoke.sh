@@ -3,9 +3,11 @@
 # detector, boot it, and drive the whole validation loop over HTTP —
 # cold compile → content-addressed cache hit (byte-identical
 # diagnostics) → streamed DFS exploration of a planted schedule-only
-# deadlock → replay of the reported failing schedule, both through the
-# daemon's /run and through hybridrun -replay → a mismatched trace that
-# both report as diverged → an oversized request refused without taking
+# deadlock, its report's fields in order → replay of the reported
+# failing schedule, both through the daemon's /run and through
+# hybridrun -replay → a mismatched trace that both report as diverged →
+# a replay refused for width that exits 1 naming the limit, not as a
+# divergence → an oversized request refused without taking
 # the daemon down → warm sessions capped per artifact → schedule-less
 # runs answering byte-identically → nested
 # regions past the live-thread limit failing as a runtime error → a
@@ -78,6 +80,9 @@ outcome=$(jq -r .report.firstFailure.outcome <<<"$report")
 token=$(jq -r .report.firstFailure.schedule <<<"$report")
 [ "$outcome" = "deadlock" ] || { echo "FAIL: explored outcome $outcome, want deadlock"; exit 1; }
 grep -q '"event":"failure"' "$workdir/stream.ndjson" || { echo "FAIL: no streamed failure event"; exit 1; }
+fields=$(jq -r '.report | keys_unsorted | join(",")' <<<"$report")
+[ "$fields" = "key,cached,strategy,schedules,exhausted,sleepSkips,diverged,verdicts,firstFailure" ] \
+  || { echo "FAIL: streamed report fields $fields"; exit 1; }
 echo "exploration streamed a deadlock, replay token: $token"
 
 # 4. Replay the token through the daemon: must reproduce.
@@ -109,6 +114,16 @@ set -e
 [ "$rc" -eq 2 ] || { echo "FAIL: diverging hybridrun -replay exited $rc, want 2"; cat "$workdir/diverged.err"; exit 1; }
 grep -q "replay diverged" "$workdir/diverged.err" || { echo "FAIL: hybridrun did not name the divergence"; exit 1; }
 echo "mismatched trace reported as diverged by /run and hybridrun -replay"
+
+# 5c. A replay refused before it starts (300 processes, past the width
+# limit) reports its refusal: hybridrun exits 1 naming the limit, not 2.
+set +e
+"$workdir/hybridrun" -replay "$token" -np 300 "$workdir/racer.mh" >/dev/null 2>"$workdir/refused.err"
+rc=$?
+set -e
+[ "$rc" -eq 1 ] || { echo "FAIL: refused hybridrun -replay exited $rc, want 1"; cat "$workdir/refused.err"; exit 1; }
+grep -q "exceed the limit of 256" "$workdir/refused.err" || { echo "FAIL: refused replay did not name the limit"; cat "$workdir/refused.err"; exit 1; }
+echo "replay refused for width reported its refusal"
 
 # 6. Stats reflect the traffic.
 stats=$(curl -sf "http://$addr/stats")
